@@ -398,23 +398,7 @@ let explore_cmd =
         watch_finish w;
         executions := !executions + stats.Explorer.executions;
         json_lines :=
-          Obs_json.Obj
-            [
-              Schema.field;
-              ("type", Obs_json.String "explore");
-              ("tm", Obs_json.String M.name);
-              ("seed", Obs_json.Int seed);
-              ("executions", Obs_json.Int stats.Explorer.executions);
-              ("nodes", Obs_json.Int stats.Explorer.nodes);
-              ("sleep_pruned", Obs_json.Int stats.Explorer.sleep_pruned);
-              ("replays", Obs_json.Int stats.Explorer.replays);
-              ("truncated", Obs_json.Bool stats.Explorer.truncated);
-              ( "profiles",
-                Obs_json.Obj
-                  (List.map
-                     (fun (name, n) -> (name, Obs_json.Int n))
-                     profiles) );
-            ]
+          Explore_sweep.row_json ~tm:M.name ~seed (profiles, stats)
           :: !json_lines;
         if not json then begin
           Format.printf

@@ -12,7 +12,7 @@
    test suite exercises on TM runs.  On arbitrary hand-written histories
    the implication does not hold (a read may return a value nobody wrote),
    so this checker is deliberately NOT part of the paper's lattice
-   ({!Hierarchy.edges}). *)
+   ({!Checkers.edges}). *)
 
 open Tm_base
 open Tm_trace

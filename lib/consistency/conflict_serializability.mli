@@ -3,7 +3,7 @@
     implies the value-based {!Serializability} verdict (a cross-validation
     property the test suite exercises on TM runs), but on arbitrary
     hand-written histories it does not, so it is not part of the paper's
-    lattice ({!Hierarchy.edges}). *)
+    lattice ({!Checkers.edges}). *)
 
 open Tm_base
 open Tm_trace

@@ -6,26 +6,14 @@
      processor consistency => pram
      processor consistency => weak adaptive
      strict serializability => snapshot isolation => weak adaptive
+     snapshot isolation => snapshot isolation (execution intervals)
 
-   The test suite verifies every edge on the anomaly catalogue and on
-   randomly generated histories ("if the stronger checker accepts, the
-   weaker one must"). *)
+   The edges are defined once, as [Checkers.edges], so the checker fast
+   path and this check read the same list.  The test suite verifies every
+   edge on the anomaly catalogue and on randomly generated histories ("if
+   the stronger checker accepts, the weaker one must"). *)
 
 open Tm_trace
-
-(** (stronger, weaker) pairs by checker name. *)
-let edges : (string * string) list =
-  [
-    ("opacity(final-state)", "strict-serializability");
-    ("strict-serializability", "serializability");
-    ("serializability", "causal-serializability");
-    ("causal-serializability", "processor-consistency");
-    ("processor-consistency", "pram");
-    ("processor-consistency", "weak-adaptive");
-    ("strict-serializability", "snapshot-isolation");
-    ("snapshot-isolation", "weak-adaptive");
-    ("snapshot-isolation", "snapshot-isolation(ei)");
-  ]
 
 type violation = {
   stronger : string;
@@ -43,9 +31,4 @@ let check_history ?budget (h : History.t) : violation list =
       match (List.assoc stronger verdicts, List.assoc weaker verdicts) with
       | Spec.Sat, Spec.Unsat -> Some { stronger; weaker; history = h }
       | _ -> None)
-    edges
-
-(** The weakest-to-strongest chain a history climbs: names of satisfied
-    checkers, in registry (strongest-first) order. *)
-let profile ?budget (h : History.t) : string list =
-  Checkers.satisfied ?budget h
+    Checkers.edges

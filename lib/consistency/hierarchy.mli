@@ -4,17 +4,16 @@
     opacity => strict serializability => serializability => causal
     serializability => processor consistency => pram; processor
     consistency => weak adaptive; strict serializability => snapshot
-    isolation => weak adaptive. *)
+    isolation => weak adaptive; snapshot isolation => snapshot isolation
+    (execution intervals).
+
+    The edges themselves are {!Checkers.edges}. *)
 
 open Tm_trace
-
-val edges : (string * string) list
-(** (stronger, weaker) pairs by checker name. *)
 
 type violation = { stronger : string; weaker : string; history : History.t }
 
 val check_history : ?budget:int -> History.t -> violation list
-(** Violated edges on one history: the stronger checker accepted but the
-    weaker one refuted (budget exhaustion on either side never counts). *)
-
-val profile : ?budget:int -> History.t -> string list
+(** Violated edges on one history, judged on the full {!Checkers.matrix}:
+    the stronger checker accepted but the weaker one refuted (budget
+    exhaustion on either side never counts). *)

@@ -63,3 +63,20 @@ let run ?(max_steps = 80) ?(max_nodes = 300_000) ?max_executions
   in
   let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) profiles [] in
   (List.sort compare rows, stats)
+
+(** One sweep as a `pcl_tm explore --json` row. *)
+let row_json ~tm ~seed (profiles, (stats : Explorer.stats)) =
+  let open Tm_obs.Obs_json in
+  Obj
+    [
+      Tm_obs.Schema.field;
+      ("type", String "explore");
+      ("tm", String tm);
+      ("seed", Int seed);
+      ("executions", Int stats.Explorer.executions);
+      ("nodes", Int stats.Explorer.nodes);
+      ("sleep_pruned", Int stats.Explorer.sleep_pruned);
+      ("replays", Int stats.Explorer.replays);
+      ("truncated", Bool stats.Explorer.truncated);
+      ("profiles", Obj (List.map (fun (name, n) -> (name, Int n)) profiles));
+    ]

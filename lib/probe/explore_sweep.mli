@@ -31,3 +31,11 @@ val run :
     executions) rows sorted by name, plus the search statistics.  Bounds
     default to the stock sweep's: max_steps 80, max_nodes 300_000;
     [por] defaults to off (the naive search). *)
+
+val row_json :
+  tm:string ->
+  seed:int ->
+  (string * int) list * Explorer.stats ->
+  Tm_obs.Obs_json.t
+(** The sweep of [tm] as one `pcl_tm explore --json` row: executions,
+    nodes, sleep_pruned, replays, truncated and the profile rows. *)

@@ -361,6 +361,22 @@ let gen_history : History.t QCheck.Gen.t =
 
 let hierarchy_tests =
   [
+    Alcotest.test_case "edges name registered checkers, stronger first"
+      `Quick (fun () ->
+        let names =
+          List.map (fun (c : Spec.checker) -> c.Spec.name) Checkers.all
+        in
+        let pos name =
+          match List.find_index (String.equal name) names with
+          | Some i -> i
+          | None -> Alcotest.failf "edge names unregistered checker %s" name
+        in
+        List.iter
+          (fun (stronger, weaker) ->
+            if pos stronger >= pos weaker then
+              Alcotest.failf "%s must precede %s in Checkers.all" stronger
+                weaker)
+          Checkers.edges);
     Alcotest.test_case "lattice holds on the catalogue" `Quick (fun () ->
         List.iter
           (fun (a : Anomalies.anomaly) ->
@@ -389,6 +405,74 @@ let hierarchy_tests =
              Checkers.all));
   ]
 
+
+(* ------------------------------------------------------------------ *)
+(* the fast path: Checkers.satisfied against its oracle, the full matrix *)
+
+let sat_names verdicts =
+  List.filter_map
+    (fun (name, v) -> if Spec.sat v then Some name else None)
+    verdicts
+
+(* equal, except that a name whose own matrix verdict is Out_of_budget may
+   be answered either way; a refuted name never appears *)
+let agrees_with_matrix ?budget hh =
+  let full = Checkers.matrix ?budget hh in
+  let decided name = List.assoc name full <> Spec.Out_of_budget in
+  List.filter decided (Checkers.satisfied ?budget hh)
+  = List.filter decided (sat_names full)
+
+let fast_path_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:150
+         ~name:"satisfied = Sat names of matrix on random histories"
+         (QCheck.make gen_history)
+         (fun hh -> agrees_with_matrix ~budget:400_000 hh));
+    Alcotest.test_case "satisfied = Sat names of matrix on the catalogue"
+      `Quick (fun () ->
+        List.iter
+          (fun (a : Anomalies.anomaly) ->
+            let hh = a.Anomalies.history in
+            Alcotest.(check (list string))
+              a.Anomalies.name
+              (sat_names (Checkers.matrix hh))
+              (Checkers.satisfied hh))
+          Anomalies.catalogue);
+    Alcotest.test_case
+      "satisfied = Sat names of matrix on the stock DPOR sweep (10 TMs)"
+      `Slow (fun () ->
+        let executions = ref 0 in
+        List.iter
+          (fun impl ->
+            ignore
+              (Explore_sweep.run ~por:true
+                 ~on_execution:(fun ~strongest:_ r ->
+                   incr executions;
+                   let hh = r.Sim.history in
+                   Alcotest.(check (list string))
+                     (Registry.name impl)
+                     (sat_names (Checkers.matrix hh))
+                     (Checkers.satisfied hh))
+                 impl))
+          Registry.all;
+        check_int "executions" 5_346 !executions);
+    Alcotest.test_case "decisions run + implied = 9 x executions" `Slow
+      (fun () ->
+        Sink.reset Sink.default;
+        let executions =
+          List.fold_left
+            (fun n impl ->
+              n + (snd (Explore_sweep.run ~por:true impl)).Explorer.executions)
+            0 Registry.all
+        in
+        let m = Sink.metrics Sink.default in
+        let run = Metrics.sum_counters m "checker_verdict_total" in
+        let implied = Metrics.sum_counters m "checker_implied_total" in
+        check_int "9 x executions" (9 * executions) (run + implied);
+        check_int "stock sweep decisions" 48_114 (run + implied);
+        check "at most 6,000 decisions run" true (run <= 6_000));
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* witnesses: every Sat verdict must come with a replayable witness *)
@@ -837,4 +921,5 @@ let () =
       ("commit-pending", pending_tests);
       ("si-windows", si_window_tests);
       ("hierarchy", hierarchy_tests);
+      ("fast-path", fast_path_tests);
     ]

@@ -174,10 +174,34 @@ let equivalence_tests =
           (!total_por < !total_naive));
   ]
 
+(* The stock DPOR sweep of every TM, pinned as `pcl_tm explore --json`
+   prints it: profile rows and search statistics. *)
+let golden_tests =
+  [
+    Alcotest.test_case "explore --json rows match explore.golden.jsonl"
+      `Slow (fun () ->
+        let golden =
+          In_channel.with_open_text "explore.golden.jsonl" In_channel.input_all
+        in
+        let rows =
+          List.map
+            (fun impl ->
+              Obs_json.to_string
+                (Explore_sweep.row_json ~tm:(Registry.name impl) ~seed:1
+                   (Explore_sweep.run ~por:true impl)))
+            Registry.all
+        in
+        Alcotest.(check (list string))
+          "rows"
+          (String.split_on_char '\n' (String.trim golden))
+          rows);
+  ]
+
 let () =
   Alcotest.run "explorer"
     [
       ("cursor", cursor_tests);
       ("por", por_tests);
       ("equivalence", equivalence_tests);
+      ("golden", golden_tests);
     ]
