@@ -26,20 +26,24 @@ type observation = {
   stall : string list;
 }
 
-let fired_passes ?(passes = Passes.trace_passes) (cfg : config)
-    (impl : Tm_intf.impl) atoms : string list =
+(* the recording as a lint input, with the proof's static data sets *)
+let input_of (impl : Tm_intf.impl) fl : input =
   let module M = (val impl : Tm_intf.S) in
-  let _run, fl = Figures.record_run impl atoms in
-  let i =
-    {
-      (input_of_flight fl) with
-      data_sets = Some Txns.data_sets;
-      tm = Some M.name;
-    }
-  in
+  {
+    (input_of_flight fl) with
+    data_sets = Some Txns.data_sets;
+    tm = Some M.name;
+  }
+
+let fired ?(passes = Passes.trace_passes) (cfg : config) (i : input) :
+    string list =
   List.filter_map
     (fun (p : pass) -> if p.run cfg i <> [] then Some p.name else None)
     passes
+
+let fired_passes (cfg : config) (impl : Tm_intf.impl) atoms : string list =
+  let _run, fl = Figures.record_run impl atoms in
+  fired cfg (input_of impl fl)
 
 (* The stall probe: pause the writer T1 after its k-th step and let the
    reader T3 run solo for three horizons.  A blocking TM leaves T3
@@ -47,7 +51,10 @@ let fired_passes ?(passes = Passes.trace_passes) (cfg : config)
    write-set entry, an odd sequence number), which is precisely an
    of-stall; an obstruction-free TM lets T3 complete (or abort) solo.
    We scan k because "mid-critical-section" lands at different depths in
-   different commit protocols. *)
+   different commit protocols.  The scan stops early once T1 has finished
+   within its k steps: [Scheduler.step] runs a process up to its next
+   request, so a finished T1 took all its steps and [Steps (1, k')] for
+   every larger k' replays this very execution. *)
 let max_pause_depth = 40
 
 let stall_probe (cfg : config) (impl : Tm_intf.impl) : string list =
@@ -61,9 +68,13 @@ let stall_probe (cfg : config) (impl : Tm_intf.impl) : string list =
   let rec scan k =
     if k > max_pause_depth then []
     else
-      let atoms = [ Schedule.Steps (1, k); Schedule.Steps (3, solo) ] in
-      if fired_passes ~passes:of_stall cfg impl atoms <> [] then
-        fired_passes cfg impl atoms
+      let run, fl =
+        Figures.record_run impl
+          [ Schedule.Steps (1, k); Schedule.Steps (3, solo) ]
+      in
+      let i = input_of impl fl in
+      if fired ~passes:of_stall cfg i <> [] then fired cfg i
+      else if run.Harness.sim.Sim.finished 1 then []
       else scan (k + 1)
   in
   scan 1

@@ -111,13 +111,11 @@ let effective_data_sets (i : input) : Conflict.data_sets =
         List.fold_left
           (fun acc ev ->
             match ev with
-            | Event.Inv { tid = t; op = Event.Read x; _ }
-            | Event.Inv { tid = t; op = Event.Write (x, _); _ }
-              when Tid.equal t tid ->
+            | Event.Inv { op = Event.Read x | Event.Write (x, _); _ } ->
                 Item.Set.add x acc
             | _ -> acc)
           Item.Set.empty
-          (History.to_list i.history)
+          (History.per_txn i.history tid)
       in
       List.map
         (fun tid ->

@@ -142,7 +142,7 @@ let dap_run (cfg : config) (i : input) : finding list =
   let data_sets = effective_data_sets i in
   let related =
     match cfg.dap_connectivity with
-    | `Direct -> fun t1 t2 -> Conflict.conflict data_sets t1 t2
+    | `Direct -> Conflict.conflict data_sets
     | `Path ->
         let tids = List.map fst data_sets in
         let g = Conflict.graph data_sets tids in
@@ -488,22 +488,20 @@ let torn_snapshot_run (cfg : config) (i : input) : finding list =
   let h = i.history in
   let txns = History.txns h in
   let committed = List.filter (History.committed h) txns in
-  (* one history walk up front: per-txn write sets, and an
-     (item, value) -> writers index for attribution queries *)
+  (* built once up front: per-txn write sets, and an (item, value) ->
+     writers index for attribution queries *)
   let writes_of = List.map (fun t -> (t, History.writes h t)) txns in
-  let writers : (string, Tid.t list) Hashtbl.t = Hashtbl.create 64 in
-  let key x v = Item.name x ^ "=" ^ Value.show v in
+  let writers : (Item.t * Value.t, Tid.t list) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (t, ws) ->
       List.iter
-        (fun (x, v) ->
-          let k = key x v in
-          Hashtbl.replace writers k
-            (t :: Option.value ~default:[] (Hashtbl.find_opt writers k)))
+        (fun w ->
+          Hashtbl.replace writers w
+            (t :: Option.value ~default:[] (Hashtbl.find_opt writers w)))
         ws)
     writes_of;
   let writers_of x v =
-    Option.value ~default:[] (Hashtbl.find_opt writers (key x v))
+    Option.value ~default:[] (Hashtbl.find_opt writers (x, v))
   in
   let reads_of = List.map (fun t -> (t, global_reads_at h t)) txns in
   let findings =

@@ -54,38 +54,27 @@ let write_intent (h : History.t) tid : Item.Set.t =
   List.fold_left
     (fun acc ev ->
       match ev with
-      | Event.Inv { tid = t; op = Event.Write (x, _); _ }
-        when Tid.equal t tid ->
-          Item.Set.add x acc
+      | Event.Inv { op = Event.Write (x, _); _ } -> Item.Set.add x acc
       | _ -> acc)
-    (History.write_set h tid)
-    (History.to_list h)
+    (History.write_set h tid) (History.per_txn h tid)
 
 (* was the abort requested by the client's own abort_T call? *)
 let client_aborted (h : History.t) tid =
   List.exists
-    (fun ev ->
-      match ev with
-      | Event.Inv { tid = t; op = Event.Abort_call; _ } -> Tid.equal t tid
-      | _ -> false)
-    (History.to_list h)
+    (function Event.Inv { op = Event.Abort_call; _ } -> true | _ -> false)
+    (History.per_txn h tid)
 
 let abort_stamp (h : History.t) tid =
   List.fold_left
     (fun acc ev ->
       match ev with
-      | Event.Resp { tid = t; resp = Event.R_aborted; at; _ }
-        when Tid.equal t tid ->
-          Some at
+      | Event.Resp { resp = Event.R_aborted; at; _ } -> Some at
       | _ -> acc)
-    None (History.to_list h)
+    None (History.per_txn h tid)
 
 let progressiveness_run (cfg : config) (i : input) : finding list =
   let h = i.history in
-  let data_sets = effective_data_sets i in
-  let data_of tid =
-    Option.value ~default:Item.Set.empty (List.assoc_opt tid data_sets)
-  in
+  let data_of = Tm_dap.Conflict.data_set (effective_data_sets i) in
   (* arm 1: every TM-forced abort needs a conflicting concurrent txn *)
   let unattributed =
     List.filter_map

@@ -12,25 +12,32 @@ open Tm_base
     register the sets actually accessed. *)
 type data_sets = (Tid.t * Item.Set.t) list
 
-let data_set (ds : data_sets) tid =
-  match List.assoc_opt tid ds with
-  | Some s -> s
-  | None -> Item.Set.empty
+(** [data_set ds] builds a table of [ds] once and answers every lookup
+    from it: apply it to [ds] once, outside the loop that looks up.  The
+    first binding of a transaction wins, as with [List.assoc]. *)
+let data_set (ds : data_sets) : Tid.t -> Item.Set.t =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (tid, s) -> if not (Hashtbl.mem tbl tid) then Hashtbl.add tbl tid s)
+    ds;
+  fun tid -> Option.value ~default:Item.Set.empty (Hashtbl.find_opt tbl tid)
 
-let conflict (ds : data_sets) t1 t2 =
-  (not (Tid.equal t1 t2))
-  && not (Item.Set.is_empty (Item.Set.inter (data_set ds t1) (data_set ds t2)))
+(** [conflict ds], staged like [data_set]. *)
+let conflict (ds : data_sets) : Tid.t -> Tid.t -> bool =
+  let data_set = data_set ds in
+  fun t1 t2 ->
+    (not (Tid.equal t1 t2))
+    && not (Item.Set.disjoint (data_set t1) (data_set t2))
 
 (** Adjacency-list conflict graph over the given transactions. *)
 type graph = { nodes : Tid.t list; adj : (Tid.t, Tid.t list) Hashtbl.t }
 
 let graph (ds : data_sets) (nodes : Tid.t list) : graph =
+  let conflict = conflict ds in
   let adj = Hashtbl.create 16 in
   List.iter
     (fun t1 ->
-      let neighbours =
-        List.filter (fun t2 -> conflict ds t1 t2) nodes
-      in
+      let neighbours = List.filter (conflict t1) nodes in
       Hashtbl.replace adj t1 neighbours)
     nodes;
   { nodes; adj }

@@ -12,7 +12,13 @@ type data_sets = (Tid.t * Item.Set.t) list
     collected from the accesses actually performed. *)
 
 val data_set : data_sets -> Tid.t -> Item.Set.t
+(** [data_set ds] builds a table of [ds] once (the first binding of a
+    transaction wins, as with [List.assoc]) and answers every lookup from
+    it, so apply it to [ds] once, outside the loop that looks up. *)
+
 val conflict : data_sets -> Tid.t -> Tid.t -> bool
+(** [conflict ds t1 t2]: distinct transactions with intersecting data
+    sets.  Staged like {!data_set}. *)
 
 type graph = { nodes : Tid.t list; adj : (Tid.t, Tid.t list) Hashtbl.t }
 

@@ -21,9 +21,10 @@ let pp_violation ~name_of ppf (v : violation) =
 (** All strict-DAP violations of an execution. *)
 let violations ~(data_sets : Conflict.data_sets)
     (log : Access_log.entry list) : violation list =
+  let conflict = Conflict.conflict data_sets in
   List.filter_map
     (fun (c : Contention.contention) ->
-      if Conflict.conflict data_sets c.t1 c.t2 then None
+      if conflict c.t1 c.t2 then None
       else Some { t1 = c.t1; t2 = c.t2; objects = c.objects })
     (Contention.all_contentions log)
 

@@ -192,9 +192,10 @@ let run (impl : Tm_intf.impl) (cfg : config) : stats =
       (History.txns h)
   in
   let disjoint =
+    let conflict = Conflict.conflict data_sets in
     List.filter
       (fun (c : Contention.contention) ->
-        not (Conflict.conflict data_sets c.Contention.t1 c.Contention.t2))
+        not (conflict c.Contention.t1 c.Contention.t2))
       contentions
   in
   let stats =

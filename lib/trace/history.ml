@@ -5,16 +5,133 @@
 
 open Tm_base
 
-type t = { events : Event.t array }
+type status = Committed | Aborted | Commit_pending | Live
+[@@deriving show { with_path = false }, eq]
 
-let of_list events = { events = Array.of_list events }
+type read = {
+  item : Item.t;
+  value : Value.t;
+  global : bool;
+      (** true iff the transaction had not written the item before invoking
+          the read (Section 3, "Consistency") *)
+  pos : int;  (** position of the response event in the history *)
+}
+
+(* The per-transaction index: one pass over the events gathers every
+   projection the per-transaction queries answer, and no event is copied.
+   H|T is a chain of positions, as in the access log's per-transaction
+   ring: [prev.(i)] is the position of the previous event of event [i]'s
+   transaction (-1 at the front), walked back from [last].  Reads and
+   writes are the records the queries hand out, built newest first and
+   reversed once the pass is over. *)
+type txn = {
+  pid : int;  (** of the transaction's first event *)
+  first : int;
+  mutable last : int;
+  mutable begin_at : int;  (** the first Begin invocation; -1 if none *)
+  mutable status : status;
+  mutable reads : read list;
+  mutable writes : (Item.t * Value.t) list;
+}
+
+(* What the pass tracks per transaction to classify reads and pair write
+   responses; dropped once the index is built. *)
+type scratch = {
+  mutable written : Item.Set.t;  (** items whose write was invoked so far *)
+  mutable pending : (Item.t * Value.t) option;
+      (** the latest write invocation not yet answered ok *)
+}
+
+module Tbl = Hashtbl.Make (struct
+  type t = Tid.t
+
+  let equal = Tid.equal
+  let hash = Hashtbl.hash
+end)
+
+type index = {
+  order : Tid.t list;  (** by first event *)
+  by_tid : txn Tbl.t;
+  prev : int array;
+}
+
+(* Status a transaction is left in by its last event. *)
+let status_after = function
+  | Event.Resp { resp = Event.R_committed; _ } -> Committed
+  | Event.Resp { resp = Event.R_aborted; _ } -> Aborted
+  | Event.Inv { op = Event.Try_commit; _ } -> Commit_pending
+  | _ -> Live
+
+let build_index events =
+  let prev = Array.make (Array.length events) (-1) in
+  let work = Tbl.create 16 in
+  let order = ref [] in
+  Array.iteri
+    (fun i e ->
+      let tid = Event.tid e in
+      let x, sc =
+        match Tbl.find_opt work tid with
+        | Some xs -> xs
+        | None ->
+            let xs =
+              ( {
+                  pid = Event.pid e;
+                  first = i;
+                  last = -1;
+                  begin_at = -1;
+                  status = Live;
+                  reads = [];
+                  writes = [];
+                },
+                { written = Item.Set.empty; pending = None } )
+            in
+            Tbl.add work tid xs;
+            order := tid :: !order;
+            xs
+      in
+      prev.(i) <- x.last;
+      x.last <- i;
+      match e with
+      | Event.Inv { op = Event.Begin; _ } ->
+          if x.begin_at < 0 then x.begin_at <- i
+      | Event.Inv { op = Event.Write (item, v); _ } ->
+          sc.written <- Item.Set.add item sc.written;
+          sc.pending <- Some (item, v)
+      | Event.Resp { op = Event.Read item; resp = Event.R_value value; _ } ->
+          let global = not (Item.Set.mem item sc.written) in
+          x.reads <- { item; value; global; pos = i } :: x.reads
+      | Event.Resp { op = Event.Write _; resp = Event.R_ok; _ } -> (
+          match sc.pending with
+          | Some w ->
+              x.writes <- w :: x.writes;
+              sc.pending <- None
+          | None -> ())
+      | _ -> ())
+    events;
+  let by_tid = Tbl.create (Tbl.length work) in
+  Tbl.iter
+    (fun tid (x, _) ->
+      x.status <- status_after events.(x.last);
+      x.reads <- List.rev x.reads;
+      x.writes <- List.rev x.writes;
+      Tbl.add by_tid tid x)
+    work;
+  { order = List.rev !order; by_tid; prev }
+
+(* [index] is forced by the first per-transaction query; the events of a
+   history are immutable, so it never goes stale. *)
+type t = { events : Event.t array; index : index Lazy.t }
+
+let of_array events = { events; index = lazy (build_index events) }
+let of_list events = of_array (Array.of_list events)
 let to_list t = Array.to_list t.events
 let events = to_list
 let length t = Array.length t.events
 let get t i = t.events.(i)
 let is_empty t = Array.length t.events = 0
-
-let append t evs = { events = Array.append t.events (Array.of_list evs) }
+let append t evs = of_array (Array.append t.events (Array.of_list evs))
+let index t = Lazy.force t.index
+let find t tid = Tbl.find_opt (index t).by_tid tid
 
 (* ------------------------------------------------------------------ *)
 (* Projections *)
@@ -22,62 +139,24 @@ let append t evs = { events = Array.append t.events (Array.of_list evs) }
 (** [per_txn t tid] is the paper's H|T: the longest subsequence consisting
     only of events of [tid]. *)
 let per_txn t tid =
-  List.filter (fun e -> Tid.equal (Event.tid e) tid) (to_list t)
-
-let by_pid t pid = List.filter (fun e -> Event.pid e = pid) (to_list t)
+  let ix = index t in
+  let rec walk i acc =
+    if i < 0 then acc else walk ix.prev.(i) (get t i :: acc)
+  in
+  match Tbl.find_opt ix.by_tid tid with
+  | Some x -> walk x.last []
+  | None -> []
 
 (** Transactions appearing in the history, ordered by first event. *)
-let txns t =
-  let seen = Hashtbl.create 16 in
-  let acc = ref [] in
-  Array.iter
-    (fun e ->
-      let tid = Event.tid e in
-      if not (Hashtbl.mem seen tid) then begin
-        Hashtbl.add seen tid ();
-        acc := tid :: !acc
-      end)
-    t.events;
-  List.rev !acc
+let txns t = (index t).order
 
-(* distinct transaction count without materializing the [txns] list *)
-let txn_count t =
-  let seen = Hashtbl.create 16 in
-  Array.iter
-    (fun e ->
-      let tid = Event.tid e in
-      if not (Hashtbl.mem seen tid) then Hashtbl.add seen tid ())
-    t.events;
-  Hashtbl.length seen
-
-let pids t =
-  List.sort_uniq compare (List.map Event.pid (to_list t))
-
-let pid_of_txn t tid =
-  match per_txn t tid with
-  | [] -> None
-  | e :: _ -> Some (Event.pid e)
+let txn_count t = Tbl.length (index t).by_tid
+let pid_of_txn t tid = Option.map (fun x -> x.pid) (find t tid)
 
 (* ------------------------------------------------------------------ *)
 (* Status *)
 
-type status = Committed | Aborted | Commit_pending | Live
-[@@deriving show { with_path = false }, eq]
-
-let status t tid =
-  let rec last_two acc = function
-    | [] -> acc
-    | e :: rest -> last_two (Some e) rest
-  in
-  match per_txn t tid with
-  | [] -> Live
-  | evs -> (
-      match last_two None evs with
-      | Some (Event.Resp { resp = Event.R_committed; _ }) -> Committed
-      | Some (Event.Resp { resp = Event.R_aborted; _ }) -> Aborted
-      | Some (Event.Inv { op = Event.Try_commit; _ }) -> Commit_pending
-      | Some _ | None -> Live)
-
+let status t tid = match find t tid with Some x -> x.status | None -> Live
 let committed t tid = equal_status (status t tid) Committed
 let aborted t tid = equal_status (status t tid) Aborted
 let commit_pending t tid = equal_status (status t tid) Commit_pending
@@ -95,31 +174,15 @@ let complete t = List.for_all (fun tid -> not (live t tid)) (txns t)
 (* Positions and ordering *)
 
 let positions_of_txn t tid =
-  let first = ref (-1) and last = ref (-1) in
-  Array.iteri
-    (fun i e ->
-      if Tid.equal (Event.tid e) tid then begin
-        if !first < 0 then first := i;
-        last := i
-      end)
-    t.events;
-  if !first < 0 then None else Some (!first, !last)
+  Option.map (fun x -> (x.first, x.last)) (find t tid)
 
 let first_pos t tid = Option.map fst (positions_of_txn t tid)
 let last_pos t tid = Option.map snd (positions_of_txn t tid)
 
 let begin_pos t tid =
-  let n = Array.length t.events in
-  let rec find i =
-    if i >= n then None
-    else
-      match t.events.(i) with
-      | Event.Inv { tid = tid'; op = Event.Begin; _ }
-        when Tid.equal tid' tid ->
-          Some i
-      | _ -> find (i + 1)
-  in
-  find 0
+  match find t tid with
+  | Some x when x.begin_at >= 0 -> Some x.begin_at
+  | _ -> None
 
 (** Transactions ordered by the position of their begin invocation —
     the axis on which consistency partitions (Def. 3.3) are built. *)
@@ -133,11 +196,10 @@ let begin_order t =
 (** The paper's T1 <alpha T2: T1 is not live and its completion event
     precedes T2's begin invocation. *)
 let precedes t t1 t2 =
-  if live t t1 then false
-  else
-    match (last_pos t t1, begin_pos t t2) with
-    | Some l1, Some b2 -> l1 < b2
-    | _ -> false
+  match (find t t1, find t t2) with
+  | Some { status = Committed | Aborted; last; _ }, Some { begin_at; _ } ->
+      last < begin_at (* false when T2 has no begin: begin_at = -1 *)
+  | _ -> false
 
 let concurrent t t1 t2 =
   (not (Tid.equal t1 t2)) && (not (precedes t t1 t2))
@@ -155,33 +217,8 @@ let sequential t =
 (* ------------------------------------------------------------------ *)
 (* Read/write projections used by the consistency definitions *)
 
-type read = {
-  item : Item.t;
-  value : Value.t;
-  global : bool;
-      (** true iff the transaction had not written the item before invoking
-          the read (Section 3, "Consistency") *)
-  pos : int;  (** position of the response event in the history *)
-}
-
 (** Successful reads of [tid] in order, classified global/local. *)
-let reads t tid =
-  let written = Hashtbl.create 8 in
-  let acc = ref [] in
-  Array.iteri
-    (fun i e ->
-      match e with
-      | Event.Inv { tid = tid'; op = Event.Write (x, _); _ }
-        when Tid.equal tid' tid ->
-          Hashtbl.replace written x ()
-      | Event.Resp
-          { tid = tid'; op = Event.Read x; resp = Event.R_value v; _ }
-        when Tid.equal tid' tid ->
-          let global = not (Hashtbl.mem written x) in
-          acc := { item = x; value = v; global; pos = i } :: !acc
-      | _ -> ())
-    t.events;
-  List.rev !acc
+let reads t tid = match find t tid with Some x -> x.reads | None -> []
 
 let global_reads t tid =
   List.filter_map
@@ -189,25 +226,7 @@ let global_reads t tid =
     (reads t tid)
 
 (** Successful writes of [tid] in order — the paper's T|write. *)
-let writes t tid =
-  let pending = ref None in
-  let acc = ref [] in
-  Array.iter
-    (fun e ->
-      match e with
-      | Event.Inv { tid = tid'; op = Event.Write (x, v); _ }
-        when Tid.equal tid' tid ->
-          pending := Some (x, v)
-      | Event.Resp { tid = tid'; op = Event.Write _; resp = Event.R_ok; _ }
-        when Tid.equal tid' tid -> (
-          match !pending with
-          | Some wv ->
-              acc := wv :: !acc;
-              pending := None
-          | None -> ())
-      | _ -> ())
-    t.events;
-  List.rev !acc
+let writes t tid = match find t tid with Some x -> x.writes | None -> []
 
 let write_set t tid = Item.set_of_list (List.map fst (writes t tid))
 

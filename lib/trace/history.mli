@@ -7,6 +7,11 @@
 open Tm_base
 
 type t
+(** A history.  The per-transaction queries below ({!per_txn}, {!txns},
+    {!status}, {!positions_of_txn}, {!begin_pos}, {!precedes}, {!reads},
+    {!writes} and those built on them) are answered from an index of
+    positions that the first such query builds in one pass over the
+    events; later queries neither walk nor copy the history. *)
 
 val of_list : Event.t list -> t
 val to_list : t -> Event.t list
@@ -25,15 +30,12 @@ val per_txn : t -> Tid.t -> Event.t list
 (** The paper's H|T: the longest subsequence of events of one
     transaction. *)
 
-val by_pid : t -> int -> Event.t list
-
 val txns : t -> Tid.t list
 (** Transactions appearing in the history, ordered by first event. *)
 
 val txn_count : t -> int
-(** [List.length (txns t)], without materializing the list. *)
+(** [List.length (txns t)]. *)
 
-val pids : t -> int list
 val pid_of_txn : t -> Tid.t -> int option
 
 (** {1 Status} *)

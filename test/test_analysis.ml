@@ -410,6 +410,37 @@ let test_figure_observation_kinds () =
         "candidate's beta races" [ "race" ] fires
   | _ -> Alcotest.fail "candidate's construction should build"
 
+(* the stall probe without its early stop: every pause depth 1..40 is
+   replayed, and the first whose recording trips of-stall yields every
+   trace pass that fires on it *)
+let full_stall_scan impl =
+  let solo = 3 * Lint.default.Lint.horizon in
+  let rec scan k =
+    if k > 40 (* Figure_lint's max_pause_depth *) then []
+    else
+      let i =
+        input_of_run ~tm:(Registry.name impl) impl
+          [ Schedule.Steps (1, k); Schedule.Steps (3, solo) ]
+      in
+      let fired =
+        List.filter_map
+          (fun (p : Lint.pass) ->
+            if p.Lint.run Lint.default i <> [] then Some p.Lint.name else None)
+          Lint_passes.trace_passes
+      in
+      if List.mem "of-stall" fired then fired else scan (k + 1)
+  in
+  scan 1
+
+let test_stall_probe_early_stop () =
+  List.iter
+    (fun impl ->
+      Alcotest.(check (list string))
+        (Registry.name impl ^ ": early stop = full 1..40 scan")
+        (full_stall_scan impl)
+        (Figure_lint.observe impl).Figure_lint.stall)
+    Registry.all
+
 (* ------------------------------------------------------------------ *)
 (* registry: lookup, prefixes, plug-ins, expected classification *)
 
@@ -549,6 +580,8 @@ let () =
             test_figure_expectations;
           Alcotest.test_case "observation kinds" `Quick
             test_figure_observation_kinds;
+          Alcotest.test_case "stall probe early stop = full scan" `Quick
+            test_stall_probe_early_stop;
         ] );
       ( "registry",
         [

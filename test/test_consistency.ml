@@ -359,6 +359,139 @@ let gen_history : History.t QCheck.Gen.t =
   drive ();
   Build.history (List.rev !instrs)
 
+(* ------------------------------------------------------------------ *)
+(* the history index against the event-walk definitions (History_ref) *)
+
+(* gen_history's well-formed histories, plus what the index must also get
+   right: raw events of tids 1..5 spliced in anywhere (pending
+   invocations, a second Begin, operations of a transaction that never
+   began — tid 4 or 5, beyond gen_history's three —, responses with no
+   invocation), and the outputs of truncate_at, append and restrict *)
+let gen_index_input : History.t QCheck.Gen.t =
+ fun st ->
+  let rand n = Random.State.int st n in
+  let item () = Item.v (if Random.State.bool st then "x" else "y") in
+  let raw () =
+    let tid = Tid.v (1 + rand 5) and pid = 1 + rand 5 in
+    let op =
+      match rand 5 with
+      | 0 -> Event.Begin
+      | 1 -> Event.Read (item ())
+      | 2 -> Event.Write (item (), Value.int (rand 3))
+      | 3 -> Event.Try_commit
+      | _ -> Event.Abort_call
+    in
+    if Random.State.bool st then Event.Inv { tid; pid; op; at = 0 }
+    else
+      let resp =
+        match rand 4 with
+        | 0 -> Event.R_ok
+        | 1 -> Event.R_value (Value.int (rand 3))
+        | 2 -> Event.R_committed
+        | _ -> Event.R_aborted
+      in
+      Event.Resp { tid; pid; op; resp; at = 0 }
+  in
+  let rec splice n = function
+    | [] -> List.init n (fun _ -> raw ())
+    | e :: rest when n > 0 && rand 4 = 0 -> raw () :: splice (n - 1) (e :: rest)
+    | e :: rest -> e :: splice n rest
+  in
+  (* stamp events with their positions, as recorded histories are *)
+  let stamp i = function
+    | Event.Inv r -> Event.Inv { r with at = i }
+    | Event.Resp r -> Event.Resp { r with at = i }
+  in
+  let h =
+    History.of_list
+      (List.mapi stamp (splice (rand 6) (History.to_list (gen_history st))))
+  in
+  (* index [h] first: a derived history must not inherit its index *)
+  ignore (History.txn_count h);
+  match rand 4 with
+  | 0 -> h
+  | 1 -> History.truncate_at h (rand (History.length h + 1))
+  | 2 -> History.append h [ stamp (History.length h) (raw ()) ]
+  | _ ->
+      History.restrict h
+        (Tid.Set.of_list
+           (List.filter (fun _ -> Random.State.bool st)
+              (List.init 5 (fun i -> Tid.v (i + 1)))))
+
+(* every per-transaction query agrees with its event-walk definition, on
+   tids 0..6: tid 0 and 6 never occur *)
+let index_agrees h =
+  let tids = List.init 7 Tid.v in
+  let same name a b = if a = b then true else QCheck.Test.fail_report name in
+  same "txns" (History.txns h) (History_ref.txns h)
+  && same "txn_count" (History.txn_count h) (History_ref.txn_count h)
+  && same "begin_order" (History.begin_order h) (History_ref.begin_order h)
+  && List.for_all
+       (fun t ->
+         same "per_txn" (History.per_txn h t) (History_ref.per_txn h t)
+         && same "pid_of_txn" (History.pid_of_txn h t)
+              (History_ref.pid_of_txn h t)
+         && same "status" (History.status h t) (History_ref.status h t)
+         && same "positions_of_txn"
+              (History.positions_of_txn h t)
+              (History_ref.positions_of_txn h t)
+         && same "begin_pos" (History.begin_pos h t) (History_ref.begin_pos h t)
+         && same "reads" (History.reads h t) (History_ref.reads h t)
+         && same "writes" (History.writes h t) (History_ref.writes h t)
+         && Item.Set.equal (History.write_set h t) (History_ref.write_set h t)
+         && Item.Set.equal (History.read_set h t) (History_ref.read_set h t)
+         && List.for_all
+              (fun u ->
+                same "precedes" (History.precedes h t u)
+                  (History_ref.precedes h t u)
+                && same "concurrent" (History.concurrent h t u)
+                     (History_ref.concurrent h t u))
+              tids)
+       tids
+
+let index_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300
+         ~name:"indexed queries = event-walk definitions"
+         (QCheck.make ~print:(Fmt.to_to_string History.pp) gen_index_input)
+         index_agrees);
+    Alcotest.test_case "index edge semantics" `Quick (fun () ->
+        let x = Item.v "x" and y = Item.v "y" and t1 = Tid.v 1 in
+        let inv op = Event.Inv { tid = t1; pid = 1; op; at = 0 }
+        and resp op resp = Event.Resp { tid = t1; pid = 1; op; resp; at = 0 } in
+        let hh =
+          History.of_list
+            [
+              (* a read answered before any Begin: the first event *)
+              resp (Event.Read x) (Event.R_value (Value.int 5));
+              inv Event.Begin;
+              resp Event.Begin Event.R_ok;
+              (* a write invocation answered A_T ... *)
+              inv (Event.Write (x, Value.int 1));
+              resp (Event.Write (x, Value.int 1)) Event.R_aborted;
+              (* ... still makes a later read of x local *)
+              inv (Event.Read x);
+              resp (Event.Read x) (Event.R_value (Value.int 0));
+              (* two pending write invocations, then one R_ok *)
+              inv (Event.Write (y, Value.int 2));
+              inv (Event.Write (y, Value.int 3));
+              resp (Event.Write (y, Value.int 3)) Event.R_ok;
+              inv Event.Begin;
+            ]
+        in
+        let read item v global pos =
+          { History.item; value = Value.int v; global; pos }
+        in
+        check "index agrees" true (index_agrees hh);
+        check "begin_pos is the first Begin, not the first event" true
+          (History.begin_pos hh t1 = Some 1);
+        check "a read after an aborted write invocation is local" true
+          (History.reads hh t1 = [ read x 5 true 0; read x 0 false 6 ]);
+        check "R_ok pairs with the latest pending write invocation" true
+          (History.writes hh t1 = [ (y, Value.int 3) ]));
+  ]
+
 let hierarchy_tests =
   [
     Alcotest.test_case "edges name registered checkers, stronger first"
@@ -921,5 +1054,6 @@ let () =
       ("commit-pending", pending_tests);
       ("si-windows", si_window_tests);
       ("hierarchy", hierarchy_tests);
+      ("history-index", index_tests);
       ("fast-path", fast_path_tests);
     ]

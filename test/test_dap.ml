@@ -23,7 +23,10 @@ let conflict_tests =
         check "1-3 disjoint" false (Conflict.conflict ds (Tid.v 1) (Tid.v 3));
         check "no self conflict" false (Conflict.conflict ds (Tid.v 1) (Tid.v 1));
         check "unknown tid empty set" false
-          (Conflict.conflict ds (Tid.v 1) (Tid.v 9)));
+          (Conflict.conflict ds (Tid.v 1) (Tid.v 9));
+        (* as with List.assoc, the first binding of a transaction wins *)
+        let shadowed = Conflict.conflict (ds @ [ (Tid.v 1, items [ "w" ]) ]) in
+        check "later binding ignored" false (shadowed (Tid.v 1) (Tid.v 4)));
     Alcotest.test_case "graph distances" `Quick (fun () ->
         let g = Conflict.graph ds [ Tid.v 1; Tid.v 2; Tid.v 3; Tid.v 4 ] in
         check "d(1,1)=0" true (Conflict.distance g (Tid.v 1) (Tid.v 1) = Some 0);
