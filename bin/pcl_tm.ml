@@ -310,7 +310,9 @@ let run_explore ?dump_dir ?(lint = false) ?(por = true)
            core is the provenance to attach *)
         let weakest = List.nth Checkers.all (List.length Checkers.all - 1) in
         (match
-           Provenance.of_unsat ~log:r.Sim.log weakest r.Sim.history
+           Provenance.of_unsat
+             ~log:(Access_log.entries (Memory.log r.Sim.mem))
+             weakest r.Sim.history
          with
         | Some p -> Flight.add_verdict fl (Provenance.to_flight p)
         | None -> ());
@@ -331,7 +333,7 @@ let run_explore ?dump_dir ?(lint = false) ?(por = true)
     if lint then begin
       let input =
         {
-          Lint.log = r.Sim.log;
+          Lint.log = Access_log.entries (Memory.log r.Sim.mem);
           history = r.Sim.history;
           name_of = Memory.name_of r.Sim.mem;
           data_sets = Some Explore_sweep.data_sets;
@@ -500,11 +502,10 @@ let trace_cmd =
     Format.printf "@.satisfies: %s@."
       (String.concat ", " (Checkers.satisfied r.Pcl_harness.sim.Sim.history));
     if show_log then begin
-      let name_of oid = Memory.name_of r.Pcl_harness.sim.Sim.mem oid in
-      List.iter
-        (fun e ->
+      let mem = r.Pcl_harness.sim.Sim.mem in
+      let name_of = Memory.name_of mem in
+      Access_log.iter (Memory.log mem) ~f:(fun e ->
           Format.printf "%a@." (Access_log.pp_entry ~name_of) e)
-        r.Pcl_harness.sim.Sim.log
     end;
     match r.Pcl_harness.sim.Sim.report.Schedule.stop with
     | Schedule.Budget_exhausted { stalled_pid; last } ->
@@ -613,6 +614,8 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
         specs
     in
     let r = Sim.replay ~budget:3_000 setup schedule in
+    (* the entry list the detectors below read, built once if one runs *)
+    let log = lazy (Access_log.entries (Memory.log r.Sim.mem)) in
     (match r.Sim.report.Schedule.stop with
     | Schedule.Completed -> ()
     | _ -> incr stalled);
@@ -639,7 +642,7 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
       M.name <> "tl-lock" && M.name <> "tl2-clock" && M.name <> "norec"
       && M.name <> "lp-progressive"
     then begin
-      match Obstruction_freedom.violations r.Sim.history r.Sim.log with
+      match Obstruction_freedom.violations r.Sim.history (Lazy.force log) with
       | [] -> ()
       | vs ->
           incr of_bad;
@@ -667,7 +670,7 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
       match
         Strict_dap.violations
           ~data_sets:(Static_txn.data_sets specs)
-          r.Sim.log
+          (Lazy.force log)
       with
       | [] -> ()
       | vs ->
@@ -694,7 +697,7 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
                                     v.Strict_dap.objects ->
                             Some e.Access_log.index
                         | _ -> None)
-                      r.Sim.log;
+                      (Lazy.force log);
                 })
             vs
     end;
@@ -702,8 +705,8 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
     | Spec.Unsat -> (
         incr cons_bad;
         match
-          Provenance.of_unsat ~budget:400_000 ~log:r.Sim.log target_checker
-            r.Sim.history
+          Provenance.of_unsat ~budget:400_000 ~log:(Lazy.force log)
+            target_checker r.Sim.history
         with
         | Some p -> add (Provenance.to_flight p)
         | None -> ())
@@ -711,7 +714,7 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
     if lint then begin
       let input =
         {
-          Lint.log = r.Sim.log;
+          Lint.log = Lazy.force log;
           history = r.Sim.history;
           name_of = Memory.name_of r.Sim.mem;
           data_sets = Some (Static_txn.data_sets specs);

@@ -37,12 +37,13 @@ let audit impl name specs schedule =
   let (module M : Tm_intf.S) = impl in
   let r = run impl specs schedule in
   let data_sets = Static_txn.data_sets specs in
-  let contentions = Contention.all_contentions r.Sim.log in
-  let strict = Strict_dap.violations ~data_sets r.Sim.log in
-  let graph = Graph_dap.violations ~data_sets r.Sim.log in
+  let log = Access_log.entries (Memory.log r.Sim.mem) in
+  let contentions = Contention.all_contentions log in
+  let strict = Strict_dap.violations ~data_sets log in
+  let graph = Graph_dap.violations ~data_sets log in
   let name_of oid = Memory.name_of r.Sim.mem oid in
   Format.printf "  %-10s steps=%-4d contentions=%d strictDAP=%s graphDAP=%s@."
-    name (List.length r.Sim.log) (List.length contentions)
+    name (Memory.step_count r.Sim.mem) (List.length contentions)
     (if strict = [] then "ok" else "VIOLATED")
     (if graph = [] then "ok" else "VIOLATED");
   List.iter

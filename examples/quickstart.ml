@@ -45,7 +45,7 @@ let run_schedule (module M : Tm_intf.S) name schedule =
   let r = Sim.replay setup schedule in
   Format.printf "--- %s under schedule %a (%d steps) ---@." name Schedule.pp
     schedule
-    (List.length r.Sim.log);
+    (Memory.step_count r.Sim.mem);
   Format.printf "%a@." History.pp r.Sim.history;
   Format.printf "satisfies: %s@.@."
     (String.concat ", " (Checkers.satisfied r.Sim.history))

@@ -46,8 +46,10 @@ let () =
               (Option.value ~default:[] (Hashtbl.find_opt responses pid)))))
     [ 1; 2 ];
   Format.printf "  steps: %d, contentions: %d (every op hits the one cell)@."
-    (List.length r.Sim.log)
-    (List.length (Contention.all_contentions r.Sim.log));
+    (Memory.step_count r.Sim.mem)
+    (List.length
+       (Contention.all_contentions
+          (Access_log.entries (Memory.log r.Sim.mem))));
 
   (* 2. wait-free helping: p1 announces and is suspended; p2's single
      successful CAS applies both operations *)

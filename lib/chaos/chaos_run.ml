@@ -157,7 +157,7 @@ let run_cell (cfg : cfg) (impl : Tm_intf.impl) (klass : Fault.klass)
   drive atoms;
   let r = Sim.snapshot ~schedule:atoms c in
   let crash_steps = List.map snd r.Sim.report.Schedule.crashes in
-  let last = List.length r.Sim.log in
+  let last = Memory.step_count r.Sim.mem in
   (* the ">12 txn core skipped" counter, read as a delta so the cell can
      report how much of its closure check was skipped rather than run *)
   let skipped_c =

@@ -105,77 +105,48 @@ let build_view (info_of : Tid.t -> Blocks.txn_info) (com : Tid.Set.t)
     w_point = (fun t -> Hashtbl.find_opt w_tbl t);
   }
 
-let check ?(budget = Spec.default_budget) ?(com_filter = fun _ -> true)
-    (h : History.t) : Spec.verdict =
+(* Stop rule.  Every (com, partition, typing) choice shares one node
+   budget, and a choice over a non-empty com(alpha) has at least one view,
+   whose search spends a node before anything else.  Once one choice has
+   run out of budget, every later choice over a non-empty com(alpha)
+   would too, so the search stops there: the answer is Sat if an empty
+   com(alpha) (no views, no search) is still to come, and Out_of_budget
+   otherwise.  A budget that reaches zero just as the last choice is
+   exhausted stops nothing, and the verdict is Unsat. *)
+exception Spent
+
+(** The (com, partition, typing) enumeration behind both [check] and
+    [explain]: the verdict, and on Sat the first satisfying choice's
+    witness. *)
+let search ~budget ~com_filter (h : History.t) :
+    Spec.verdict * Witness.t option =
   let tbl = Blocks.table h in
   let info_of tid = Hashtbl.find tbl tid in
+  let parts = partitions h info_of in
   let bref = ref budget in
-  let hit_budget = ref false in
-  let try_choice (com : Tid.Set.t) (groups : group list) (si : bool array) :
-      bool =
+  (* the witness of the first satisfying (partition, typing) choice over
+     [com]: its elements, view pids and common-writer pairs do not depend
+     on the choice *)
+  let witness_of com : Witness.t option =
     let tids = Tid.Set.elements com in
     let pids = Checker_util.view_pids info_of tids in
-    let views =
-      List.map (fun pid -> build_view info_of com groups si ~view_pid:pid) pids
-    in
     let pairs = Views.common_writer_pairs info_of tids in
-    match Views.solve_agreeing ~budget:bref views ~pairs with
-    | Spec.Sat -> true
-    | Spec.Out_of_budget ->
-        hit_budget := true;
-        false
-    | Spec.Unsat -> false
-  in
-  let found = ref false in
-  let com_seq = Seq.filter com_filter (Spec.com_candidates h) in
-  Seq.iter
-    (fun com ->
-      if not !found then
-        Seq.iter
-          (fun groups ->
-            if not !found then
-              Seq.iter
-                (fun si ->
-                  if (not !found) && try_choice com groups si then
-                    found := true)
-                (Spec.bool_vectors (List.length groups)))
-          (partitions h info_of))
-    com_seq;
-  if !found then Spec.Sat
-  else if !hit_budget then Spec.Out_of_budget
-  else Spec.Unsat
-
-let checker : Spec.checker =
-  { Spec.name = "weak-adaptive"; check = (fun ?budget h -> check ?budget h) }
-
-(** The full witness — partition, group typing, com and per-process
-    placements — when one exists. *)
-let explain ?(budget = Spec.default_budget) (h : History.t) :
-    Witness.t option =
-  let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
-  let bref = ref budget in
-  let found = ref None in
-  let try_choice com groups si =
-    let tids = Tid.Set.elements com in
-    let pids = Checker_util.view_pids info_of tids in
-    let views =
-      List.map (fun pid -> build_view info_of com groups si ~view_pid:pid) pids
-    in
-    let pairs = Views.common_writer_pairs info_of tids in
-    let wref = ref [] in
-    match Views.solve_agreeing ~witness:wref ~budget:bref views ~pairs with
-    | Spec.Sat ->
-        found :=
+    let try_choice groups si =
+      let views =
+        List.map
+          (fun pid -> build_view info_of com groups si ~view_pid:pid)
+          pids
+      in
+      let wref = ref [] in
+      match Views.solve_agreeing ~witness:wref ~budget:bref views ~pairs with
+      | Spec.Sat ->
           Some
             {
               Witness.com = tids;
+              (* on Sat, [wref] holds one order per view, in view order *)
               views =
-                List.map
-                  (fun (pid, order) ->
-                    let v =
-                      List.find (fun v -> v.Views.view_pid = pid) views
-                    in
+                List.map2
+                  (fun (v : Views.view) (pid, order) ->
                     {
                       Witness.view_pid = Some pid;
                       order =
@@ -185,27 +156,46 @@ let explain ?(budget = Spec.default_budget) (h : History.t) :
                               .Placement.block)
                           order;
                     })
-                  !wref;
+                  views !wref;
               groups =
                 Some
                   (List.mapi
                      (fun g group ->
                        (group.members, if si.(g) then `Si else `Pc))
                      groups);
-            };
-        true
-    | Spec.Unsat | Spec.Out_of_budget -> false
+            }
+      | Spec.Unsat -> None
+      | Spec.Out_of_budget -> raise Spent
+    in
+    Seq.find_map
+      (fun groups ->
+        Seq.find_map (try_choice groups)
+          (Spec.bool_vectors (List.length groups)))
+      parts
   in
-  Seq.iter
-    (fun com ->
-      if !found = None then
-        Seq.iter
-          (fun groups ->
-            if !found = None then
-              Seq.iter
-                (fun si ->
-                  if !found = None then ignore (try_choice com groups si))
-                (Spec.bool_vectors (List.length groups)))
-          (partitions h info_of))
-    (Spec.com_candidates h);
-  !found
+  let rec go coms =
+    match coms () with
+    | Seq.Nil -> (Spec.Unsat, None)
+    | Seq.Cons (com, rest) -> (
+        match witness_of com with
+        | Some w -> (Spec.Sat, Some w)
+        | None -> go rest
+        | exception Spent -> (
+            match Seq.find Tid.Set.is_empty rest with
+            | Some empty -> (Spec.Sat, witness_of empty)
+            | None -> (Spec.Out_of_budget, None)))
+  in
+  go (Seq.filter com_filter (Spec.com_candidates h))
+
+let check ?(budget = Spec.default_budget) ?(com_filter = fun _ -> true)
+    (h : History.t) : Spec.verdict =
+  fst (search ~budget ~com_filter h)
+
+let checker : Spec.checker =
+  { Spec.name = "weak-adaptive"; check = (fun ?budget h -> check ?budget h) }
+
+(** The full witness — partition, group typing, com and per-process
+    placements — when one exists. *)
+let explain ?(budget = Spec.default_budget) (h : History.t) :
+    Witness.t option =
+  snd (search ~budget ~com_filter:(fun _ -> true) h)

@@ -55,36 +55,45 @@ let budget_exhausted_pid r =
   | Schedule.Budget_exhausted { Schedule.stalled_pid; _ } -> Some stalled_pid
   | _ -> None
 
+(* [pid]'s steps in the run's flat log, as indices in step order *)
+let pid_steps r pid =
+  let log = Memory.log r.sim.Sim.mem in
+  let rec go i acc =
+    if i < 0 then acc else go (Access_log.prev_same_pid log i) (i :: acc)
+  in
+  (log, go (Access_log.last_index_by_pid log pid) [])
+
 (** The [n]-th step (1-based) taken by [pid] in the run's log. *)
 let nth_step_of_pid r pid n : Access_log.entry option =
-  let rec go k = function
-    | [] -> None
-    | (e : Access_log.entry) :: rest ->
-        if e.pid = pid then if k = n then Some e else go (k + 1) rest
-        else go k rest
-  in
-  go 1 r.sim.Sim.log
+  let log, steps = pid_steps r pid in
+  Option.map (Access_log.get log) (List.nth_opt steps (n - 1))
 
 (** Steps taken by [pid], as (oid, primitive, response) triples — used for
     the indistinguishability comparison. *)
 let step_signature r pid =
-  List.filter_map
-    (fun (e : Access_log.entry) ->
-      if e.pid = pid then Some (e.oid, e.prim, e.response) else None)
-    r.sim.Sim.log
+  let log, steps = pid_steps r pid in
+  List.map
+    (fun i ->
+      (Access_log.oid_at log i, Access_log.prim_at log i,
+       Access_log.response_at log i))
+    steps
 
 (** Objects on which [pid] applied a trivial (read) primitive. *)
 let objects_read_by r pid : Oid.Set.t =
+  let log, steps = pid_steps r pid in
   List.fold_left
-    (fun acc (e : Access_log.entry) ->
-      if e.pid = pid && Primitive.trivial e.prim then Oid.Set.add e.oid acc
+    (fun acc i ->
+      if Primitive.trivial (Access_log.prim_at log i) then
+        Oid.Set.add (Access_log.oid_at log i) acc
       else acc)
-    Oid.Set.empty r.sim.Sim.log
+    Oid.Set.empty steps
 
 (** Does the sub-execution of [pid] contain a non-trivial primitive on
     [oid]? *)
 let nontrivial_on r pid oid =
+  let log, steps = pid_steps r pid in
   List.exists
-    (fun (e : Access_log.entry) ->
-      e.pid = pid && Oid.equal e.oid oid && Primitive.non_trivial e.prim)
-    r.sim.Sim.log
+    (fun i ->
+      Oid.equal (Access_log.oid_at log i) oid
+      && Primitive.non_trivial (Access_log.prim_at log i))
+    steps

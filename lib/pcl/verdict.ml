@@ -69,7 +69,7 @@ let disjoint_pair_violations impl =
   in
   Tm_dap.Strict_dap.violations
     ~data_sets:(Static_txn.data_sets specs)
-    sim.Sim.log
+    (Access_log.entries (Memory.log sim.Sim.mem))
 
 (** The chain scenario: Ta writes x, Tb writes x and y, Tc writes y.  Tb is
     suspended mid-transaction; Ta and Tc (mutually disjoint) then both have
@@ -96,7 +96,7 @@ let chain_violations impl =
   in
   Tm_dap.Strict_dap.violations
     ~data_sets:(Static_txn.data_sets specs)
-    sim.Sim.log
+    (Access_log.entries (Memory.log sim.Sim.mem))
 
 (** Solo progress under a suspended conflicting enemy: Tb (writes x,y)
     suspended mid-commit; Ta (writes x) must still finish solo if the TM is

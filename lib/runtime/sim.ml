@@ -27,7 +27,6 @@ type setup = Memory.t -> Recorder.t -> (int * (unit -> unit)) list
 type result = {
   mem : Memory.t;
   history : History.t;
-  log : Access_log.entry list;
   report : Schedule.report;
   finished : int -> bool;
   steps_of : int -> int;  (** steps taken by a pid over the whole run *)
@@ -196,16 +195,6 @@ let step (c : cursor) pid : bool =
 
 (* -- snapshots --------------------------------------------------------- *)
 
-let per_pid_steps log =
-  let per_pid = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      let pid = e.Access_log.pid in
-      Hashtbl.replace per_pid pid
-        (1 + Option.value ~default:0 (Hashtbl.find_opt per_pid pid)))
-    log;
-  per_pid
-
 (** Package the cursor's current state as a {!result}.  With [flight]
     (the default), the installed flight recorder's run context is filled
     exactly as {!replay} fills it — names, history, schedule, budget,
@@ -219,7 +208,6 @@ let snapshot ?(flight = true) ?schedule (c : cursor) : result =
   let l = materialize c in
   let alog = Memory.log l.mem in
   let report = Schedule.session_report l.session in
-  let log = Access_log.entries alog in
   let steps_of pid = Access_log.pid_step_count alog pid in
   (if flight then
      match Flight.default () with
@@ -250,7 +238,6 @@ let snapshot ?(flight = true) ?schedule (c : cursor) : result =
   {
     mem = l.mem;
     history = Recorder.history l.recorder;
-    log;
     report;
     finished = (fun pid -> Scheduler.finished l.sched pid);
     steps_of;
@@ -276,15 +263,19 @@ let replay ?(budget = 100_000) (setup : setup) (atoms : Schedule.atom list)
           mem_ref := Some l.mem;
           List.iter (fun a -> ignore (apply c a)) atoms;
           let r = snapshot ~schedule:atoms c in
+          let alog = Memory.log l.mem in
           Tm_obs.Sink.observe "sim_replay_steps"
-            (float_of_int (List.length r.log));
-          (* per-pid step attribution, from the authoritative log *)
-          Hashtbl.iter
-            (fun pid n ->
+            (float_of_int (Access_log.length alog));
+          (* per-pid step attribution, from the authoritative log: each
+             pid's count, added at its first step *)
+          for i = 0 to Access_log.length alog - 1 do
+            if Access_log.prev_same_pid alog i < 0 then
+              let pid = Access_log.pid_at alog i in
               Tm_obs.Sink.add
                 ~labels:[ ("pid", string_of_int pid) ]
-                "sched_pid_steps_total" n)
-            (per_pid_steps r.log);
+                "sched_pid_steps_total"
+                (Access_log.pid_step_count alog pid)
+          done;
           r))
 
 (** [solo_length setup pid] — number of steps [pid]'s program needs to run

@@ -20,12 +20,17 @@ type setup = Memory.t -> Recorder.t -> (int * (unit -> unit)) list
 
 type result = {
   mem : Memory.t;
+      (** the cursor's live memory: [Memory.log mem] is the run's flat
+          step log, read by column; a consumer that needs entry records
+          builds them with [Access_log.entries] *)
   history : History.t;
-  log : Access_log.entry list;
   report : Schedule.report;
   finished : int -> bool;
   steps_of : int -> int;  (** steps taken by a pid over the whole run *)
 }
+(** A cursor's world at {!snapshot} time.  [history] is built then; the
+    step log is not copied, so advancing the cursor afterwards extends
+    the same memory and log. *)
 
 (** {1 Cursors} *)
 
@@ -70,7 +75,7 @@ val pending : cursor -> int -> Proc.request option
 
 val steps_taken : cursor -> int
 (** Global memory steps executed so far — the constant-time progress
-    clock (what [List.length result.log] cost O(n) to ask). *)
+    clock. *)
 
 val on_tick : cursor -> (int -> unit) -> unit
 (** Install a live-progress hook on the cursor's schedule session:

@@ -54,6 +54,34 @@ let cells_of (s : Scenario.t) =
     under the cheapest policy — can finish inside it. *)
 let stall_budget = 8
 
+let simulate (s : Scenario.t) ~budget ~seed (impl : Tm_intf.impl)
+    (policy : Cm.policy) : Sim.result * int =
+  let pids = List.init s.Scenario.procs (fun p -> p + 1) in
+  let inst =
+    Fault.instantiate s.Scenario.fault ~seed ~pids ~rounds:s.Scenario.rounds
+  in
+  let commits = ref 0 and gave_up = ref 0 in
+  let setup =
+    Scenario_gen.setup s ~impl ~policy ~seed ~commits ~gave_up
+      ~fault_hook:inst.Fault.hook
+  in
+  let atoms =
+    List.concat
+      (List.init s.Scenario.rounds (fun r ->
+           inst.Fault.inject ~round:r
+           @ List.map
+               (fun pid -> Schedule.Steps (pid, s.Scenario.quantum))
+               pids))
+    @ List.map (fun pid -> Schedule.Until_done pid) pids
+  in
+  let c = Sim.start ~budget setup in
+  let rec drive = function
+    | [] -> ()
+    | a :: rest -> if (Sim.apply c a).Schedule.halted then () else drive rest
+  in
+  drive atoms;
+  (Sim.snapshot ~schedule:atoms c, !commits)
+
 let run_cell (s : Scenario.t) ~(inject : inject) ~seed
     (impl : Tm_intf.impl) (policy : Cm.policy) : cell =
   let (module M : Tm_intf.S) = impl in
@@ -66,33 +94,7 @@ let run_cell (s : Scenario.t) ~(inject : inject) ~seed
     let budget =
       match inject with Inject_stall -> stall_budget | _ -> s.Scenario.budget
     in
-    let pids = List.init s.Scenario.procs (fun p -> p + 1) in
-    let inst =
-      Fault.instantiate s.Scenario.fault ~seed ~pids
-        ~rounds:s.Scenario.rounds
-    in
-    let commits = ref 0 and gave_up = ref 0 in
-    let setup =
-      Scenario_gen.setup s ~impl ~policy ~seed ~commits ~gave_up
-        ~fault_hook:inst.Fault.hook
-    in
-    let atoms =
-      List.concat
-        (List.init s.Scenario.rounds (fun r ->
-             inst.Fault.inject ~round:r
-             @ List.map
-                 (fun pid -> Schedule.Steps (pid, s.Scenario.quantum))
-                 pids))
-      @ List.map (fun pid -> Schedule.Until_done pid) pids
-    in
-    let c = Sim.start ~budget setup in
-    let rec drive = function
-      | [] -> ()
-      | a :: rest ->
-          if (Sim.apply c a).Schedule.halted then () else drive rest
-    in
-    drive atoms;
-    let r = Sim.snapshot ~schedule:atoms c in
+    let r, commits = simulate s ~budget ~seed impl policy in
     let stop = r.Sim.report.Schedule.stop in
     (* an injected stall is always held to "completed": the forced budget
        exhaustion must surface as a timeout failure *)
@@ -119,10 +121,15 @@ let run_cell (s : Scenario.t) ~(inject : inject) ~seed
                   (* the com(alpha)-based conditions never place aborted
                      transactions: judge the non-aborted core, and skip
                      cores too large to enumerate (same discipline as the
-                     crash-closure pass) *)
+                     crash-closure pass, same counter).  A skipped core or
+                     an undecided verdict passes the cell, and is counted
+                     as unreached. *)
                   let core = Crash_closure.core r.Sim.history in
                   if History.txn_count core > Crash_closure.max_core_txns
-                  then None
+                  then begin
+                    Tm_obs.Sink.incr "chaos_closure_skipped_total";
+                    None
+                  end
                   else
                     let checker = Checkers.find_exn name in
                     match checker.Spec.check ~budget:60_000 core with
@@ -130,7 +137,12 @@ let run_cell (s : Scenario.t) ~(inject : inject) ~seed
                         Some
                           (fail "verdict"
                              (name ^ " unsat on the non-aborted core"))
-                    | Spec.Sat | Spec.Out_of_budget -> None)
+                    | Spec.Out_of_budget ->
+                        Tm_obs.Sink.incr
+                          ~labels:[ ("checker", name) ]
+                          "conform_verdict_out_of_budget_total";
+                        None
+                    | Spec.Sat -> None)
             in
             match verdict_failure with
             | Some f -> f
@@ -140,7 +152,7 @@ let run_cell (s : Scenario.t) ~(inject : inject) ~seed
                   else
                     let input =
                       {
-                        Lint.log = r.Sim.log;
+                        Lint.log = Access_log.entries (Memory.log r.Sim.mem);
                         history = r.Sim.history;
                         name_of = Memory.name_of r.Sim.mem;
                         data_sets = None;
@@ -164,11 +176,11 @@ let run_cell (s : Scenario.t) ~(inject : inject) ~seed
                     let min_pct =
                       s.Scenario.expect.Scenario.min_commit_pct
                     in
-                    if min_pct > 0 && !commits * 100 < min_pct * expected
+                    if min_pct > 0 && commits * 100 < min_pct * expected
                     then
                       fail "commits"
                         (Printf.sprintf "%d of %d committed (< %d%%)"
-                           !commits expected min_pct)
+                           commits expected min_pct)
                     else
                       {
                         tm = M.name;
@@ -185,10 +197,12 @@ let id_hash id =
     (fun acc ch -> ((acc * 131) + Char.code ch) land 0x3FFFFFFF)
     7 id
 
+let cell_seed ~seed (s : Scenario.t) idx =
+  Prng.derive (seed lxor id_hash s.Scenario.id) idx
+
 let run_row ?(tick = fun () -> ()) ~(inject : inject) ~seed
     (s : Scenario.t) : row =
   let cells = cells_of s in
-  let base = seed lxor id_hash s.Scenario.id in
   let results =
     List.mapi
       (fun idx (impl, policy) ->
@@ -196,9 +210,7 @@ let run_row ?(tick = fun () -> ()) ~(inject : inject) ~seed
            failure is the property under test, the rest of the sweep must
            proceed normally *)
         let inject = if idx = 0 then inject else No_inject in
-        let c =
-          run_cell s ~inject ~seed:(Prng.derive base idx) impl policy
-        in
+        let c = run_cell s ~inject ~seed:(cell_seed ~seed s idx) impl policy in
         tick ();
         c)
       cells

@@ -38,14 +38,25 @@ type row = {
 val cells_of : Scenario.t -> (Tm_intf.impl * Cm.policy) list
 (** The scenario's cell space: its [tms] x [cms] selections ([] = all). *)
 
+val simulate :
+  Scenario.t -> budget:int -> seed:int -> Tm_intf.impl -> Cm.policy ->
+  Tm_runtime.Sim.result * int
+(** One cell's execution, without the judging: the scenario's workload on
+    the TM under the contention manager and the fault plan, driven until
+    its first halting atom.  Returns the snapshot and the commit count. *)
+
 val run_cell :
   Scenario.t -> inject:inject -> seed:int -> Tm_intf.impl -> Cm.policy ->
   cell
 
+val cell_seed : seed:int -> Scenario.t -> int -> int
+(** The sub-seed of the scenario's [idx]-th cell (in {!cells_of} order)
+    under sweep seed [seed], via {!Prng.derive}. *)
+
 val run_row :
   ?tick:(unit -> unit) -> inject:inject -> seed:int -> Scenario.t -> row
 (** Run every cell of one scenario ([tick] fires per cell); the per-cell
-    seeds derive from [seed] and the scenario id via {!Prng.derive}. *)
+    seeds are {!cell_seed}s, derived from [seed] and the scenario id. *)
 
 val row_json : row -> Tm_obs.Obs_json.t
 (** The [{"type":"conform"}] JSONL row — also the journal line format. *)

@@ -344,7 +344,7 @@ let progressiveness_verdicts ~por impl =
   let on_execution ~strongest:_ (r : Sim.result) =
     let input =
       {
-        Lint.log = r.Sim.log;
+        Lint.log = Access_log.entries (Memory.log r.Sim.mem);
         history = r.Sim.history;
         name_of = Memory.name_of r.Sim.mem;
         data_sets = Some Explore_sweep.data_sets;

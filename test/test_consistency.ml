@@ -362,6 +362,11 @@ let gen_history : History.t QCheck.Gen.t =
 (* ------------------------------------------------------------------ *)
 (* the history index against the event-walk definitions (History_ref) *)
 
+(* stamp events with their positions, as recorded histories are *)
+let stamp i = function
+  | Event.Inv r -> Event.Inv { r with at = i }
+  | Event.Resp r -> Event.Resp { r with at = i }
+
 (* gen_history's well-formed histories, plus what the index must also get
    right: raw events of tids 1..5 spliced in anywhere (pending
    invocations, a second Begin, operations of a transaction that never
@@ -396,11 +401,6 @@ let gen_index_input : History.t QCheck.Gen.t =
     | [] -> List.init n (fun _ -> raw ())
     | e :: rest when n > 0 && rand 4 = 0 -> raw () :: splice (n - 1) (e :: rest)
     | e :: rest -> e :: splice n rest
-  in
-  (* stamp events with their positions, as recorded histories are *)
-  let stamp i = function
-    | Event.Inv r -> Event.Inv { r with at = i }
-    | Event.Resp r -> Event.Resp { r with at = i }
   in
   let h =
     History.of_list
@@ -1037,6 +1037,122 @@ let brute_force_tests =
            fast = brute_force_satisfiable p));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* the weak-adaptive stop rule against the full enumeration
+   (Weak_adaptive_ref) *)
+
+(* gen_history's histories with each committed transaction left
+   commit-pending (its commit response dropped) with probability 1/3, so
+   that com(alpha) ranges over subsets, down to the empty set *)
+let gen_pending_history : History.t QCheck.Gen.t =
+ fun st ->
+  let h = gen_history st in
+  let pending =
+    List.filter (fun _ -> Random.State.int st 3 = 0) (History.txns h)
+  in
+  let kept = function
+    | Event.Resp { tid; op = Event.Try_commit; resp = Event.R_committed; _ }
+      ->
+        not (List.exists (Tid.equal tid) pending)
+    | _ -> true
+  in
+  History.of_list (List.mapi stamp (List.filter kept (History.to_list h)))
+
+(* the proof's delta-lemma shape of filter: com(alpha) must (or must not)
+   contain one transaction *)
+let com_filter (tid, inside) com = Tid.Set.mem (Tid.v tid) com = inside
+
+let wac_agrees ~budget ~filter h =
+  let same name a b =
+    if a = b then true
+    else QCheck.Test.fail_reportf "%s differs at budget %d" name budget
+  in
+  let com_filter = com_filter filter in
+  same "check"
+    (Weak_adaptive.check ~budget h)
+    (Weak_adaptive_ref.check ~budget h)
+  && same "check ~com_filter"
+       (Weak_adaptive.check ~budget ~com_filter h)
+       (Weak_adaptive_ref.check ~budget ~com_filter h)
+  && same "explain"
+       (Weak_adaptive.explain ~budget h)
+       (Weak_adaptive_ref.explain ~budget h)
+
+(* the smallest budget at which the full enumeration decides [h]: it
+   spends exactly that many nodes, the last one on its last choice *)
+let nodes_to_decide h =
+  let rec go b =
+    if Weak_adaptive_ref.check ~budget:b h = Spec.Out_of_budget then go (b + 1)
+    else b
+  in
+  go 1
+
+let wac_stop_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:400
+         ~name:"stop rule = full enumeration (budgets 1-3,000)"
+         (QCheck.make
+            ~print:(fun (h, budget, (tid, inside)) ->
+              Fmt.str "budget %d, com_filter T%d %s@.%a" budget tid
+                (if inside then "in" else "out")
+                History.pp h)
+            QCheck.Gen.(
+              triple gen_pending_history
+                (* half the budgets small enough to run out *)
+                (oneof [ int_range 1 30; int_range 1 3_000 ])
+                (pair (int_range 1 3) bool)))
+         (fun (h, budget, filter) -> wac_agrees ~budget ~filter h));
+    Alcotest.test_case "a budget spent on the last node of the last choice"
+      `Quick (fun () ->
+        (* delta1 is Unsat: at exactly its node count the search decides
+           on its very last node and nothing is left to stop; one node
+           fewer and the last choice runs out *)
+        let hh = delta1_history ~b1:0 in
+        let n = nodes_to_decide hh in
+        check "several nodes" true (n > 2);
+        check "unsat at the node count" true
+          (Weak_adaptive.check ~budget:n hh = Spec.Unsat);
+        check "out of budget one node short" true
+          (Weak_adaptive.check ~budget:(n - 1) hh = Spec.Out_of_budget);
+        check "unsat above" true
+          (Weak_adaptive.check ~budget:(n + 1) hh = Spec.Unsat));
+    Alcotest.test_case "a spent budget still reaches the empty com(alpha)"
+      `Quick (fun () ->
+        (* both transactions commit-pending: com(alpha) runs from {T1, T2}
+           down to {}, which needs no search node *)
+        let hh =
+          h [ B (1, 1); W (1, "x", 7); Cp 1; B (2, 2); R (2, "x", 7); Cp 2 ]
+        in
+        check "sat" true (Weak_adaptive.check ~budget:1 hh = Spec.Sat);
+        (match Weak_adaptive.explain ~budget:1 hh with
+        | Some w -> check "empty com" true (w.Witness.com = [])
+        | None -> Alcotest.fail "no witness");
+        check "= full enumeration" true
+          (wac_agrees ~budget:1 ~filter:(2, false) hh));
+    Alcotest.test_case
+      "stop rule = full enumeration on the stock sweep and its cores" `Slow
+      (fun () ->
+        let seen = Hashtbl.create 1024 in
+        let add hh = Hashtbl.replace seen (History.to_list hh) hh in
+        List.iter
+          (fun impl ->
+            ignore
+              (Explore_sweep.run ~por:true
+                 ~on_execution:(fun ~strongest:_ r ->
+                   add r.Sim.history;
+                   add (Crash_closure.core r.Sim.history))
+                 impl))
+          Registry.all;
+        Hashtbl.iter
+          (fun _ hh ->
+            List.iter
+              (fun budget ->
+                check "agrees" true (wac_agrees ~budget ~filter:(2, false) hh))
+              [ 1; 2; 5; 10; 100; 1_000; 60_000 ])
+          seen);
+  ]
+
 let () =
   Alcotest.run "consistency"
     [
@@ -1056,4 +1172,5 @@ let () =
       ("hierarchy", hierarchy_tests);
       ("history-index", index_tests);
       ("fast-path", fast_path_tests);
+      ("wac-stop-rule", wac_stop_tests);
     ]

@@ -22,7 +22,7 @@ let sig_of (r : Sim.result) =
   List.map
     (fun (e : Access_log.entry) ->
       (e.Access_log.pid, Oid.to_int e.Access_log.oid))
-    r.Sim.log
+    (Access_log.entries (Memory.log r.Sim.mem))
 
 let cursor_tests =
   [
@@ -34,7 +34,9 @@ let cursor_tests =
         ignore (Sim.step c 1);
         check_int "three steps" 3 (Sim.steps_taken c);
         let r = Sim.snapshot ~flight:false c in
-        check_int "matches log" (List.length r.Sim.log) (Sim.steps_taken c));
+        check_int "matches log"
+          (Access_log.length (Memory.log r.Sim.mem))
+          (Sim.steps_taken c));
     Alcotest.test_case "step reports progress truthfully" `Quick (fun () ->
         let c = Sim.start (counter_setup 1 0) in
         check "first step progresses" true (Sim.step c 1);

@@ -63,7 +63,7 @@ let pipeline_tests =
               List.sort_uniq compare
                 (List.filter_map
                    (fun (e : Access_log.entry) -> e.Access_log.tid)
-                   r.Sim.log)
+                   (Access_log.entries (Memory.log r.Sim.mem)))
             in
             let hist_tids = History.txns r.Sim.history in
             check "log txns appear in history" true
@@ -106,7 +106,9 @@ let dap_property_tests =
                      (random_schedule st)
                  in
                  check "no contention at all" true
-                   (Contention.all_contentions r.Sim.log = [])
+                   (Contention.all_contentions
+                      (Access_log.entries (Memory.log r.Sim.mem))
+                   = [])
                done))
       else None)
     Registry.all
@@ -132,7 +134,8 @@ let of_property_tests =
                      (random_schedule st)
                  in
                  match
-                   Obstruction_freedom.violations r.Sim.history r.Sim.log
+                   Obstruction_freedom.violations r.Sim.history
+                     (Access_log.entries (Memory.log r.Sim.mem))
                  with
                  | [] -> ()
                  | v :: _ ->

@@ -240,7 +240,7 @@ let test_replay_counters () =
       [ Schedule.Until_done 1; Schedule.Until_done 2 ]
   in
   let m = Sink.metrics sink in
-  let n_steps = List.length r.Sim.log in
+  let n_steps = Memory.step_count r.Sim.mem in
   Alcotest.(check int) "mem_steps_total = |log|" n_steps
     (Metrics.sum_counters m "mem_steps_total");
   Alcotest.(check int) "per-pid steps sum to |log|" n_steps

@@ -221,7 +221,8 @@ let test_schedule_session_steps () =
       [ Schedule.Steps (1, 2); Schedule.Until_done 2; Schedule.Until_done 1 ]
   in
   (* session accounting agrees with the log the replay produced *)
-  Alcotest.(check int) "log length" 8 (List.length r.Sim.log)
+  Alcotest.(check int) "log length" 8
+    (Access_log.length (Memory.log r.Sim.mem))
 
 (* ------------------------------------------------------------------ *)
 (* the soak driver: completion, determinism, stall attribution *)

@@ -122,7 +122,7 @@ let sim_tests =
             (fun (e : Access_log.entry) ->
               (e.Access_log.pid, Oid.to_int e.Access_log.oid,
                Value.to_string e.Access_log.response))
-            r.Sim.log
+            (Access_log.entries (Memory.log r.Sim.mem))
         in
         check "identical logs" true (sig_of r1 = sig_of r2));
     Alcotest.test_case "prefix replay yields prefix log" `Quick (fun () ->
@@ -135,7 +135,7 @@ let sim_tests =
           List.map
             (fun (e : Access_log.entry) ->
               (e.Access_log.pid, Value.to_string e.Access_log.response))
-            r.Sim.log
+            (Access_log.entries (Memory.log r.Sim.mem))
         in
         let s = sig_of short and l = sig_of long in
         check_int "lengths" 2 (List.length s);
@@ -185,14 +185,14 @@ let explorer_tests =
         let r =
           Explorer.for_all (counter_setup 2 2) ~pids:[ 1; 2 ] (fun r ->
               (* both counters always end at their target *)
-              List.length r.Sim.log = 4)
+              Memory.step_count r.Sim.mem = 4)
         in
         check "holds" true (Result.is_ok r));
     Alcotest.test_case "exists finds a witness" `Quick (fun () ->
         let w =
           Explorer.exists (counter_setup 2 2) ~pids:[ 1; 2 ] (fun r ->
               (* some interleaving starts with p2 *)
-              match r.Sim.log with
+              match Access_log.entries (Memory.log r.Sim.mem) with
               | e :: _ -> e.Access_log.pid = 2
               | [] -> false)
         in
@@ -200,7 +200,7 @@ let explorer_tests =
     Alcotest.test_case "counterexample is returned" `Quick (fun () ->
         let r =
           Explorer.for_all (counter_setup 2 2) ~pids:[ 1; 2 ] (fun r ->
-              match r.Sim.log with
+              match Access_log.entries (Memory.log r.Sim.mem) with
               | e :: _ -> e.Access_log.pid = 1
               | [] -> false)
         in

@@ -104,6 +104,20 @@ let minimal id =
     {|{"id":%S,"family":"uniform","expect":{"verdict":"any","stop":"any"}}|}
     id
 
+(* the tests run from _build/default/test; reach back to the source tree,
+   or to the copy the test rule depends on *)
+let catalogue_dir () =
+  List.find_opt Sys.file_exists
+    [ "../../../scenarios"; "../scenarios"; "scenarios" ]
+
+let committed_catalogue () =
+  match catalogue_dir () with
+  | None -> Alcotest.fail "the committed catalogue is missing"
+  | Some dir -> (
+      match Scenario.load_dir dir with
+      | Ok scenarios -> scenarios
+      | Error e -> Alcotest.fail e)
+
 let catalogue scenarios =
   Printf.sprintf {|{"schema":1,"scenarios":[%s]}|}
     (String.concat "," scenarios)
@@ -205,14 +219,7 @@ let loader_tests =
         | Ok _ | Error _ -> Alcotest.fail "setup scenario rejected");
     Alcotest.test_case "the committed catalogue loads and is large enough"
       `Quick (fun () ->
-        (* the tests run from _build/default/test; reach back to the
-           source tree, and skip quietly if it is not there (sandboxed
-           runs) *)
-        let dir =
-          List.find_opt Sys.file_exists
-            [ "../../../scenarios"; "../scenarios"; "scenarios" ]
-        in
-        match dir with
+        match catalogue_dir () with
         | None -> ()
         | Some dir -> (
             match Scenario.load_dir dir with
@@ -336,6 +343,82 @@ let runner_tests =
           (List.length (Scenario_run.cells_of s)));
   ]
 
+(* -- the committed catalogue at the default sweep seed --------------------- *)
+
+let catalogue_tests =
+  [
+    Alcotest.test_case "unreached verdicts are counted" `Slow (fun () ->
+        Sink.reset Sink.default;
+        List.iter
+          (fun s ->
+            ignore
+              (Scenario_run.run_row ~inject:Scenario_run.No_inject ~seed:1 s))
+          (committed_catalogue ());
+        let m = Sink.metrics Sink.default in
+        (* blocking-crash-wedge-quarantined's 13-transaction core on
+           tl-lock/immediate *)
+        check_int "cores over the cap" 1
+          (Metrics.sum_counters m "chaos_closure_skipped_total");
+        (* candidate-weak-adaptive-uniform's four cells *)
+        check_int "undecided weak-adaptive verdicts" 4
+          (Metrics.counter_value
+             (Metrics.counter m
+                ~labels:[ ("checker", "weak-adaptive") ]
+                "conform_verdict_out_of_budget_total"));
+        check_int "undecided verdicts" 4
+          (Metrics.sum_counters m "conform_verdict_out_of_budget_total"));
+    Alcotest.test_case
+      "candidate-weak-adaptive-uniform is decided only past its node budget"
+      `Slow (fun () ->
+        (* the scenario calls itself a witness that the schedule satisfies
+           weak adaptive consistency, but its cells pass only because an
+           undecided verdict passes a cell: every core is out of budget at
+           the runner's 60,000 nodes and Unsat once the search can finish,
+           as every stronger condition already is *)
+        let s =
+          List.find
+            (fun (s : Scenario.t) ->
+              s.Scenario.id = "candidate-weak-adaptive-uniform")
+            (committed_catalogue ())
+        in
+        let rec stronger name =
+          List.concat_map
+            (fun (s, w) -> if w = name then s :: stronger s else [])
+            Checkers.edges
+        in
+        let stronger = List.sort_uniq compare (stronger "weak-adaptive") in
+        check "weak adaptive has stronger conditions" true (stronger <> []);
+        List.iteri
+          (fun idx (impl, (policy : Cm.policy)) ->
+            let r, _ =
+              Scenario_run.simulate s ~budget:s.Scenario.budget
+                ~seed:(Scenario_run.cell_seed ~seed:1 s idx)
+                impl policy
+            in
+            let core = Crash_closure.core r.Sim.history in
+            let cm = policy.Cm.name in
+            check_int (cm ^ ": transactions") 9 (History.txn_count core);
+            check_int (cm ^ ": events") 144 (History.length core);
+            check (cm ^ ": out of budget at 60,000") true
+              (Weak_adaptive.check ~budget:60_000 core = Spec.Out_of_budget);
+            List.iter
+              (fun name ->
+                check
+                  (Printf.sprintf "%s: %s unsat" cm name)
+                  true
+                  ((Checkers.find_exn name).Spec.check ~budget:60_000 core
+                  = Spec.Unsat))
+              stronger;
+            let decided_at =
+              if cm = "polite" || cm = "karma" then 600_000 else 6_000_000
+            in
+            check
+              (Printf.sprintf "%s: unsat at %d" cm decided_at)
+              true
+              (Weak_adaptive.check ~budget:decided_at core = Spec.Unsat))
+          (Scenario_run.cells_of s));
+  ]
+
 (* -- the resume journal ------------------------------------------------- *)
 
 let journal_tests =
@@ -374,5 +457,6 @@ let () =
       ("prng-laws", [ QCheck_alcotest.to_alcotest derive_no_collision ]);
       ("loader", loader_tests);
       ("runner", runner_tests);
+      ("catalogue", catalogue_tests);
       ("journal", journal_tests);
     ]

@@ -29,6 +29,9 @@ let run ?(budget = 3_000) impl specs schedule =
   let r = Sim.replay ~budget (setup impl specs outcomes) schedule in
   (r, outcomes)
 
+(* the run's steps as entry records, for the DAP and liveness detectors *)
+let entries (r : Sim.result) = Access_log.entries (Memory.log r.Sim.mem)
+
 let read_of outcomes tid item =
   Option.bind (Hashtbl.find_opt outcomes (Tid.v tid)) (fun o ->
       Static_txn.read_value o item)
@@ -166,7 +169,7 @@ let tl_tests =
           run impl specs [ Schedule.Until_done 1; Schedule.Until_done 2 ]
         in
         check "strict DAP" true
-          (Strict_dap.holds ~data_sets:(Static_txn.data_sets specs) r.Sim.log));
+          (Strict_dap.holds ~data_sets:(Static_txn.data_sets specs) (entries r)));
     Alcotest.test_case "all interleavings strictly serializable (bounded)"
       `Quick (fun () ->
         (* short conflicting txns; schedules that suspend a lock holder
@@ -189,7 +192,7 @@ let pram_tests =
     Alcotest.test_case "takes zero shared steps" `Quick (fun () ->
         let specs = [ spec 1 1 [ x ] [ (x, 1) ] ] in
         let r, _ = run impl specs [ Schedule.Until_done 1 ] in
-        check_int "no steps" 0 (List.length r.Sim.log));
+        check_int "no steps" 0 (Memory.step_count r.Sim.mem));
     Alcotest.test_case "own process sees its committed writes" `Quick
       (fun () ->
         (* one process running two transactions back to back *)
@@ -289,8 +292,10 @@ let dstm_tests =
               Schedule.Until_done 3 ]
         in
         let data_sets = Static_txn.data_sets specs in
-        check "strict DAP violated" false (Strict_dap.holds ~data_sets r.Sim.log);
-        check "graph DAP survives" true (Graph_dap.holds ~data_sets r.Sim.log));
+        check "strict DAP violated" false
+          (Strict_dap.holds ~data_sets (entries r));
+        check "graph DAP survives" true
+          (Graph_dap.holds ~data_sets (entries r)));
     Alcotest.test_case "all interleavings strictly serializable" `Quick
       (fun () ->
         let specs =
@@ -311,7 +316,7 @@ let dstm_tests =
         let r =
           Explorer.for_all ~max_nodes:200_000
             (setup impl specs outcomes) ~pids:[ 1; 2 ]
-            (fun r -> Obstruction_freedom.holds r.Sim.history r.Sim.log)
+            (fun r -> Obstruction_freedom.holds r.Sim.history (entries r))
         in
         check "holds" true (Result.is_ok r));
   ]
@@ -387,7 +392,7 @@ let si_tests =
           run impl specs [ Schedule.Until_done 1; Schedule.Until_done 2 ]
         in
         check "strict DAP violated" false
-          (Strict_dap.holds ~data_sets:(Static_txn.data_sets specs) r.Sim.log));
+          (Strict_dap.holds ~data_sets:(Static_txn.data_sets specs) (entries r)));
   ]
 
 let candidate_tests =
@@ -428,7 +433,7 @@ let candidate_tests =
         let r =
           Explorer.for_all ~max_nodes:300_000
             (setup impl specs outcomes) ~pids:[ 1; 2 ]
-            (fun r -> Obstruction_freedom.holds r.Sim.history r.Sim.log)
+            (fun r -> Obstruction_freedom.holds r.Sim.history (entries r))
         in
         check "holds" true (Result.is_ok r));
     Alcotest.test_case "and every interleaving is strictly DAP" `Quick
@@ -441,7 +446,7 @@ let candidate_tests =
         let r =
           Explorer.for_all ~max_nodes:300_000
             (setup impl specs outcomes) ~pids:[ 1; 2 ]
-            (fun r -> Strict_dap.holds ~data_sets r.Sim.log)
+            (fun r -> Strict_dap.holds ~data_sets (entries r))
         in
         check "holds" true (Result.is_ok r));
     Alcotest.test_case "validation aborts on interference" `Quick (fun () ->
@@ -498,7 +503,7 @@ let tl2_tests =
         let r, outcomes = run impl specs [ Schedule.Until_done 1 ] in
         check "committed" true (status outcomes 1 = Static_txn.Committed);
         (* begin (clock) + two reads = 3 steps, nothing at commit *)
-        Alcotest.(check int) "steps" 3 (List.length r.Sim.log));
+        Alcotest.(check int) "steps" 3 (Memory.step_count r.Sim.mem));
     Alcotest.test_case "disjoint txns contend on the clock" `Quick (fun () ->
         let specs =
           [ spec 1 1 [] [ (x, 1) ]; spec 2 2 [] [ (y, 2) ] ]
@@ -507,7 +512,7 @@ let tl2_tests =
           run impl specs [ Schedule.Until_done 1; Schedule.Until_done 2 ]
         in
         check "strict DAP violated" false
-          (Strict_dap.holds ~data_sets:(Static_txn.data_sets specs) r.Sim.log));
+          (Strict_dap.holds ~data_sets:(Static_txn.data_sets specs) (entries r)));
     Alcotest.test_case "all interleavings opaque" `Quick (fun () ->
         let specs =
           [ spec 1 1 [ x ] [ (x, 1) ]; spec 2 2 [ x ] [ (x, 2) ] ]
@@ -553,7 +558,7 @@ let norec_tests =
         let r, outcomes = run impl specs [ Schedule.Until_done 1 ] in
         check "committed" true (status outcomes 1 = Static_txn.Committed);
         (* begin: 1 seq read; two item reads with one seq post-check each *)
-        check "few steps" true (List.length r.Sim.log <= 6));
+        check "few steps" true (Memory.step_count r.Sim.mem <= 6));
     Alcotest.test_case "value-based validation aborts a torn read set"
       `Quick (fun () ->
         (* one completed read is not enough — NOrec simply re-snapshots;
@@ -592,7 +597,7 @@ let norec_tests =
           run impl specs [ Schedule.Until_done 1; Schedule.Until_done 2 ]
         in
         check "strict DAP violated" false
-          (Strict_dap.holds ~data_sets:(Static_txn.data_sets specs) r.Sim.log));
+          (Strict_dap.holds ~data_sets:(Static_txn.data_sets specs) (entries r)));
     Alcotest.test_case "all interleavings opaque" `Quick (fun () ->
         let specs =
           [ spec 1 1 [ x ] [ (x, 1) ]; spec 2 2 [ x ] [ (x, 2) ] ]
@@ -708,8 +713,8 @@ let llsc_tests =
           Explorer.for_all ~max_nodes:300_000
             (setup impl specs outcomes) ~pids:[ 1; 2 ]
             (fun r ->
-              Strict_dap.holds ~data_sets r.Sim.log
-              && Obstruction_freedom.holds r.Sim.history r.Sim.log)
+              Strict_dap.holds ~data_sets (entries r)
+              && Obstruction_freedom.holds r.Sim.history (entries r))
         in
         check "holds" true (Result.is_ok r));
     Alcotest.test_case "read validation SC aborts a concurrent reader"
@@ -791,7 +796,7 @@ let lp_tests =
         let r =
           Explorer.for_all ~max_nodes:150_000
             (setup impl specs outcomes) ~pids:[ 1; 2 ]
-            (fun r -> Strict_dap.holds ~data_sets r.Sim.log)
+            (fun r -> Strict_dap.holds ~data_sets (entries r))
         in
         check "holds" true (Result.is_ok r));
     Alcotest.test_case "all interleavings opaque" `Quick (fun () ->
@@ -859,7 +864,7 @@ let pwf_tests =
           run impl specs [ Schedule.Until_done 1; Schedule.Until_done 2 ]
         in
         check "strict DAP violated" false
-          (Strict_dap.holds ~data_sets:(Static_txn.data_sets specs) r.Sim.log));
+          (Strict_dap.holds ~data_sets:(Static_txn.data_sets specs) (entries r)));
     Alcotest.test_case "all interleavings opaque" `Quick (fun () ->
         let specs =
           [ spec 1 1 [ x ] [ (x, 1) ]; spec 2 2 [ x ] [ (x, 2) ] ]

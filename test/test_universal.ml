@@ -174,7 +174,9 @@ let dap_tests =
           Sim.replay setup [ Schedule.Until_done 1; Schedule.Until_done 2 ]
         in
         check "contention exists" true
-          (Contention.all_contentions r.Sim.log <> []));
+          (Contention.all_contentions
+             (Access_log.entries (Memory.log r.Sim.mem))
+          <> []));
   ]
 
 
