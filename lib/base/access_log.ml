@@ -4,15 +4,13 @@
 
    Layout: struct-of-arrays over chunked columns ({!Intvec} for the int
    fields, {!Objvec} for the two boxed columns),
-   so recording a step appends ~8 words across columns instead of consing
+   so recording a step appends ~5 words across columns instead of consing
    an 8-word record onto a list spine — and never copies on growth.
 
-   Three incremental index rings are threaded through the columns at
-   record time, linked-list-in-arrays style: each step stores the index
-   of the previous step by the same process / on the same object / of the
-   same transaction, with O(1) heads on the side.  [by_pid], [by_txn],
-   [objects_of_txn] and the DAP/HB/cost engines walk these chains in
-   O(answer) instead of re-filtering the whole log per query. *)
+   Beside the columns, two O(1) per-process heads are kept at record
+   time: each process's last step index and its step count.  They serve
+   the stall attribution ([last_by_pid]) and the per-process step
+   totals; every other reader scans the data columns. *)
 
 type entry = {
   index : int;  (** global step number, 0-based *)
@@ -32,13 +30,8 @@ type t = {
   oids : Intvec.t;
   prims : Primitive.t Objvec.t;
   resps : Value.t Objvec.t;
-  prev_pid : Intvec.t;  (* index of previous step by same pid, -1 *)
-  prev_oid : Intvec.t;  (* index of previous step on same oid, -1 *)
-  prev_tid : Intvec.t;  (* index of previous step of same txn, -1 *)
   mutable pid_last : int array;  (* pid -> last step index, -1 *)
   mutable pid_count : int array;  (* pid -> steps taken *)
-  mutable oid_last : int array;  (* oid -> last step index, -1 *)
-  tid_last : (int, int) Hashtbl.t;  (* tid -> last step index *)
   mutable count : int;
 }
 
@@ -49,26 +42,21 @@ let create () =
     oids = Intvec.create ();
     prims = Objvec.create ~chunk_bits:7 ~dummy:Primitive.Read ();
     resps = Objvec.create ~chunk_bits:7 ~dummy:Value.unit ();
-    prev_pid = Intvec.create ();
-    prev_oid = Intvec.create ();
-    prev_tid = Intvec.create ();
     pid_last = [||];
     pid_count = [||];
-    oid_last = [||];
-    tid_last = Hashtbl.create 16;
     count = 0;
   }
 
-(* Grow a head array so index [i] is addressable; fresh slots read [fill]. *)
-let ensure_slot arr i fill =
-  let n = Array.length arr in
-  if i < n then arr
-  else begin
-    let cap = max 16 (max (i + 1) (2 * n)) in
-    let arr' = Array.make cap fill in
-    Array.blit arr 0 arr' 0 n;
-    arr'
-  end
+(* Grow both head arrays so [pid] is addressable; fresh slots read -1 and
+   0.  Off the per-step path: the heads are written in place otherwise. *)
+let grow_heads t pid =
+  let n = Array.length t.pid_last in
+  let cap = max 16 (max (pid + 1) (2 * n)) in
+  let last = Array.make cap (-1) and count = Array.make cap 0 in
+  Array.blit t.pid_last 0 last 0 n;
+  Array.blit t.pid_count 0 count 0 n;
+  t.pid_last <- last;
+  t.pid_count <- count
 
 let length t = t.count
 
@@ -78,24 +66,12 @@ let record t ~pid ~tid ~oid ~prim ~response ~changed =
   Intvec.push t.pcs ((pid lsl 1) lor Bool.to_int changed);
   let tc = match tid with None -> -1 | Some tid -> Tid.to_int tid in
   Intvec.push t.tids tc;
-  let oc = Oid.to_int oid in
-  Intvec.push t.oids oc;
+  Intvec.push t.oids (Oid.to_int oid);
   Objvec.push t.prims prim;
   Objvec.push t.resps response;
-  t.pid_last <- ensure_slot t.pid_last pid (-1);
-  t.pid_count <- ensure_slot t.pid_count pid 0;
-  Intvec.push t.prev_pid (Array.unsafe_get t.pid_last pid);
+  if pid >= Array.length t.pid_last then grow_heads t pid;
   Array.unsafe_set t.pid_last pid i;
   Array.unsafe_set t.pid_count pid (Array.unsafe_get t.pid_count pid + 1);
-  t.oid_last <- ensure_slot t.oid_last oc (-1);
-  Intvec.push t.prev_oid (Array.unsafe_get t.oid_last oc);
-  Array.unsafe_set t.oid_last oc i;
-  if tc < 0 then Intvec.push t.prev_tid (-1)
-  else begin
-    Intvec.push t.prev_tid
-      (try Hashtbl.find t.tid_last tc with Not_found -> -1);
-    Hashtbl.replace t.tid_last tc i
-  end;
   t.count <- i + 1
 
 let check t i who =
@@ -135,32 +111,13 @@ let response_at t i =
   check t i "response_at";
   Objvec.unsafe_get t.resps i
 
-let prev_same_pid t i =
-  check t i "prev_same_pid";
-  Intvec.unsafe_get t.prev_pid i
-
-let prev_same_oid t i =
-  check t i "prev_same_oid";
-  Intvec.unsafe_get t.prev_oid i
-
-let prev_same_txn t i =
-  check t i "prev_same_txn";
-  Intvec.unsafe_get t.prev_tid i
-
-(* Ring heads: O(1) *)
+(* Per-process heads: O(1) *)
 
 let last_index_by_pid t pid =
   if pid >= 0 && pid < Array.length t.pid_last then t.pid_last.(pid) else -1
 
 let pid_step_count t pid =
   if pid >= 0 && pid < Array.length t.pid_count then t.pid_count.(pid) else 0
-
-let last_index_on_oid t (oid : Oid.t) =
-  let oc = Oid.to_int oid in
-  if oc >= 0 && oc < Array.length t.oid_last then t.oid_last.(oc) else -1
-
-let last_index_of_txn t (tid : Tid.t) =
-  try Hashtbl.find t.tid_last (Tid.to_int tid) with Not_found -> -1
 
 (* Unchecked entry materialization for internal iteration. *)
 let unsafe_get t i =
@@ -185,13 +142,6 @@ let iter t ~f =
     f (unsafe_get t i)
   done
 
-let fold t ~init ~f =
-  let acc = ref init in
-  for i = 0 to t.count - 1 do
-    acc := f !acc (unsafe_get t i)
-  done;
-  !acc
-
 let to_seq t =
   let rec aux i () =
     if i >= t.count then Seq.Nil else Seq.Cons (unsafe_get t i, aux (i + 1))
@@ -206,58 +156,17 @@ let sub t ~pos ~len =
   let rec go i acc = if i < pos then acc else go (i - 1) (unsafe_get t i :: acc) in
   go (pos + len - 1) []
 
-(* Compatibility views: materialize entry lists in step order. *)
-
+(* The whole log as an entry list, in step order. *)
 let entries t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (unsafe_get t i :: acc) in
   go (t.count - 1) []
 
-(* Walking a prev-chain visits indices in descending order; consing onto
-   the accumulator restores step order. *)
-let chain_entries t prev head =
-  let rec go i acc =
-    if i < 0 then acc else go (Intvec.unsafe_get prev i) (unsafe_get t i :: acc)
-  in
-  go head []
-
-(** Steps attributed to transaction [tid] — the paper's [alpha|T]. *)
-let by_txn t tid = chain_entries t t.prev_tid (last_index_of_txn t tid)
-
-let by_pid t pid = chain_entries t t.prev_pid (last_index_by_pid t pid)
-
 (** Most recent step taken by process [pid], if any — O(1) via the
-    per-process ring head.  Used to attribute a budget-exhausted stall to
-    the exact step a process was wedged on. *)
+    per-process head.  Used to attribute a budget-exhausted stall to the
+    exact step a process was wedged on. *)
 let last_by_pid t pid =
   let i = last_index_by_pid t pid in
   if i < 0 then None else Some (unsafe_get t i)
-
-(** Base objects accessed by transaction [tid], with a flag telling whether
-    the transaction applied at least one non-trivial primitive to them.
-    Walks the per-transaction ring; the accumulated flag is an OR, so
-    visiting the chain backwards yields the same map. *)
-let objects_of_txn t tid =
-  let rec go i acc =
-    if i < 0 then acc
-    else
-      let oid = Oid.of_int (Intvec.unsafe_get t.oids i) in
-      let prev = Option.value ~default:false (Oid.Map.find_opt oid acc) in
-      let nt = Primitive.non_trivial (Objvec.unsafe_get t.prims i) in
-      go (Intvec.unsafe_get t.prev_tid i) (Oid.Map.add oid (prev || nt) acc)
-  in
-  go (last_index_of_txn t tid) Oid.Map.empty
-
-(** Rebuild a log from a recorded entry list (flight artifacts, JSONL
-    imports), re-deriving the index rings.  Entries are re-indexed in
-    list order. *)
-let of_entries es =
-  let t = create () in
-  List.iter
-    (fun e ->
-      record t ~pid:e.pid ~tid:e.tid ~oid:e.oid ~prim:e.prim
-        ~response:e.response ~changed:e.changed)
-    es;
-  t
 
 let pp_entry ~name_of ppf e =
   let txn =

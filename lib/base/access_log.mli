@@ -4,11 +4,9 @@
     it.
 
     Backed by chunked struct-of-arrays columns (appending never copies,
-    ~one word per field per step) with three incremental index rings —
-    per-process, per-object, per-transaction — threaded through the
-    columns at record time.  {!entries}, {!by_txn} and {!by_pid} remain
-    as compatibility views; new code should use the per-field reads,
-    {!iter}/{!fold}/{!get}/{!sub}, or walk the rings directly. *)
+    ~one word per field per step) plus two O(1) per-process heads: each
+    process's last step and its step count.  Readers use the per-field
+    reads, {!iter}/{!get}/{!sub}, or the {!entries} list. *)
 
 type entry = {
   index : int;  (** global step number, 0-based *)
@@ -63,7 +61,6 @@ val changed_at : t -> int -> bool
 (** {2 Iteration without list materialization} *)
 
 val iter : t -> f:(entry -> unit) -> unit
-val fold : t -> init:'a -> f:('a -> entry -> 'a) -> 'a
 
 val to_seq : t -> entry Seq.t
 (** Ephemeral: the sequence reads through to the live log, so steps
@@ -74,49 +71,21 @@ val sub : t -> pos:int -> len:int -> entry list
     @raise Invalid_argument unless [0 <= pos], [0 <= len] and
     [pos + len <= length]. *)
 
-(** {2 Index rings}
+val entries : t -> entry list
+(** The whole log, in step order. *)
 
-    Each step stores the index of the previous step by the same process /
-    on the same object / of the same transaction (-1 at the front of a
-    chain), with O(1) heads.  Maintained incrementally by {!record}. *)
+(** {2 Per-process heads}
+
+    Maintained by {!record} in O(1) per step. *)
 
 val last_index_by_pid : t -> int -> int
 (** Index of the most recent step by a process, -1 if none. *)
 
-val last_index_on_oid : t -> Oid.t -> int
-val last_index_of_txn : t -> Tid.t -> int
-
-val prev_same_pid : t -> int -> int
-(** Index of the previous step by the same process, -1 at chain front. *)
-
-val prev_same_oid : t -> int -> int
-val prev_same_txn : t -> int -> int
-
 val pid_step_count : t -> int -> int
-(** Steps taken by a process so far; O(1). *)
-
-(** {2 Compatibility views} *)
-
-val entries : t -> entry list
-(** In step order. *)
-
-val by_txn : t -> Tid.t -> entry list
-(** Steps attributed to a transaction — the paper's alpha|T.  O(answer)
-    via the per-transaction ring. *)
-
-val by_pid : t -> int -> entry list
-(** O(answer) via the per-process ring. *)
+(** Steps taken by a process so far. *)
 
 val last_by_pid : t -> int -> entry option
-(** Most recent step taken by a process, if any; O(1). *)
-
-val objects_of_txn : t -> Tid.t -> bool Oid.Map.t
-(** Base objects accessed by a transaction, mapped to whether it applied
-    at least one non-trivial primitive to them. *)
-
-val of_entries : entry list -> t
-(** Rebuild a log (and its index rings) from a recorded entry list, e.g.
-    a parsed flight artifact.  Entries are re-indexed in list order. *)
+(** Most recent step taken by a process, if any. *)
 
 val pp_entry :
   name_of:(Oid.t -> string) -> Format.formatter -> entry -> unit

@@ -28,15 +28,21 @@ let create ?(chunk_bits = default_bits) () =
 
 let length t = t.len
 
-(* An independent copy: fresh chunk arrays, so neither vector observes
-   the other's later pushes or sets. *)
-let copy t =
-  {
-    chunk_bits = t.chunk_bits;
-    spine = Array.map (fun c -> Array.copy c) t.spine;
-    chunks = t.chunks;
-    len = t.len;
-  }
+(* An independent copy of the first [n] elements: fresh chunk arrays, so
+   neither vector observes the other's later pushes or sets.  Chunks past
+   the prefix are not copied. *)
+let prefix t n =
+  if n < 0 || n > t.len then
+    invalid_arg (Printf.sprintf "Intvec.prefix: %d out of bounds 0..%d" n t.len);
+  let size = 1 lsl t.chunk_bits in
+  let chunks = (n + size - 1) lsr t.chunk_bits in
+  let spine = Array.make (max 4 chunks) [||] in
+  for c = 0 to chunks - 1 do
+    let chunk = Array.make size 0 in
+    Array.blit t.spine.(c) 0 chunk 0 (min size (n - (c * size)));
+    spine.(c) <- chunk
+  done;
+  { chunk_bits = t.chunk_bits; spine; chunks; len = n }
 
 let push t (v : int) =
   let bits = t.chunk_bits in

@@ -16,9 +16,11 @@ val create : ?chunk_bits:int -> unit -> t
 
 val length : t -> int
 
-val copy : t -> t
-(** An independent copy: later pushes or sets on either vector are not
-    seen by the other. *)
+val prefix : t -> int -> t
+(** [prefix t n] is an independent copy of the first [n] elements: later
+    pushes or sets on either vector are not seen by the other.
+    @raise Invalid_argument unless [0 <= n <= length t]. *)
+
 val push : t -> int -> unit
 
 val get : t -> int -> int

@@ -44,26 +44,35 @@ type t = {
   faults_c : Tm_obs.Metrics.counter;
 }
 
+(* Telemetry handles, resolved once per process by the first [create].
+   That registers every cell, at zero until it counts, so a report lists
+   all primitive kinds whether or not they were applied. *)
+let handles =
+  lazy
+    (let m = Tm_obs.Sink.metrics Tm_obs.Sink.default in
+     ( Tm_obs.Metrics.counter m "mem_steps_total",
+       Array.init Primitive.n_kinds (fun i ->
+           Tm_obs.Metrics.counter m
+             ~labels:[ ("prim", Primitive.kind_names.(i)) ]
+             "mem_prim_total"),
+       Tm_obs.Metrics.counter m "mem_spurious_faults_total" ))
+
 let create () =
-  let m = Tm_obs.Sink.metrics Tm_obs.Sink.default in
+  let steps_c, prim_c, faults_c = Lazy.force handles in
   {
     objects = Array.make 16 (Base_object.create Value.unit);
     n_objects = 0;
     names = Array.make 16 "";
-    by_name = Hashtbl.create 64;
+    by_name = Hashtbl.create 16;
     log = Access_log.create ();
     hook = None;
     flight = None;
     fault = None;
     changed_scratch = ref false;
     doomed = Hashtbl.create 4;
-    steps_c = Tm_obs.Metrics.counter m "mem_steps_total";
-    prim_c =
-      Array.init Primitive.n_kinds (fun i ->
-          Tm_obs.Metrics.counter m
-            ~labels:[ ("prim", Primitive.kind_names.(i)) ]
-            "mem_prim_total");
-    faults_c = Tm_obs.Metrics.counter m "mem_spurious_faults_total";
+    steps_c;
+    prim_c;
+    faults_c;
   }
 
 let grow t =

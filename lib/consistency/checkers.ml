@@ -7,20 +7,34 @@ open Tm_trace
 
 (** Wrap a checker so every decision records its verdict, wall latency and
     input size into the default telemetry sink (and appears as a
-    [checker.check] span). *)
+    [checker.check] span).  The handles are resolved once per process, at
+    the first decision that records into each. *)
 let instrument (c : Spec.checker) : Spec.checker =
   let labels = [ ("checker", c.Spec.name) ] in
+  let wall_h = Tm_obs.Sink.histogram ~labels "checker_wall_ns"
+  and size_h = Tm_obs.Sink.histogram ~labels "checker_history_events" in
+  let verdict_c v =
+    Tm_obs.Sink.counter
+      ~labels:(("verdict", Spec.verdict_to_string v) :: labels)
+      "checker_verdict_total"
+  in
+  let sat_c = verdict_c Spec.Sat
+  and unsat_c = verdict_c Spec.Unsat
+  and oob_c = verdict_c Spec.Out_of_budget in
   let check ?budget h =
     Tm_obs.Sink.span ~labels "checker.check" (fun () ->
-        let v =
-          Tm_obs.Sink.time ~labels "checker_wall_ns" (fun () ->
-              c.Spec.check ?budget h)
-        in
-        Tm_obs.Sink.observe ~labels "checker_history_events"
+        let t0 = Unix.gettimeofday () in
+        let v = c.Spec.check ?budget h in
+        Tm_obs.Metrics.observe (Lazy.force wall_h)
+          ((Unix.gettimeofday () -. t0) *. 1e9);
+        Tm_obs.Metrics.observe (Lazy.force size_h)
           (float_of_int (History.length h));
-        Tm_obs.Sink.incr
-          ~labels:(("verdict", Spec.verdict_to_string v) :: labels)
-          "checker_verdict_total";
+        Tm_obs.Metrics.inc
+          (Lazy.force
+             (match v with
+             | Spec.Sat -> sat_c
+             | Spec.Unsat -> unsat_c
+             | Spec.Out_of_budget -> oob_c));
         v)
   in
   { c with Spec.check }

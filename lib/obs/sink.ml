@@ -46,6 +46,15 @@ let span ?labels name f = Span.with_ default.tracer ?labels name f
 
 let with_step_source steps f = Span.with_step_source default.tracer steps f
 
+(* Handles into [default], resolved once per process: the cell is looked
+   up (and so registered) when the handle is first forced, which a site
+   does at its first count.  [reset] zeroes cells in place, so a forced
+   handle stays valid for the life of the process. *)
+let counter ?labels name = lazy (Metrics.counter default.metrics ?labels name)
+
+let histogram ?labels name =
+  lazy (Metrics.histogram default.metrics ?labels name)
+
 (** Run [f], observing its wall duration (ns) into histogram [name]. *)
 let time ?labels name f =
   let t0 = Unix.gettimeofday () in

@@ -38,6 +38,15 @@ val set_gauge : ?labels:Metrics.labels -> string -> float -> unit
 val span : ?labels:Metrics.labels -> string -> (unit -> 'a) -> 'a
 val with_step_source : (unit -> int) -> (unit -> 'a) -> 'a
 
+val counter : ?labels:Metrics.labels -> string -> Metrics.counter Lazy.t
+(** A handle on a {!default} counter, resolved once per process.  The
+    cell is registered when the handle is first forced, so force it only
+    where the site counts: a cell that never counts must stay absent from
+    the export.  Handles stay valid across {!reset}. *)
+
+val histogram : ?labels:Metrics.labels -> string -> Metrics.histogram Lazy.t
+(** {!counter} for a histogram. *)
+
 val time : ?labels:Metrics.labels -> string -> (unit -> 'a) -> 'a
 (** Run the thunk, observing its wall duration (ns) into the named
     histogram. *)

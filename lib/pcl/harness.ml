@@ -55,11 +55,13 @@ let budget_exhausted_pid r =
   | Schedule.Budget_exhausted { Schedule.stalled_pid; _ } -> Some stalled_pid
   | _ -> None
 
-(* [pid]'s steps in the run's flat log, as indices in step order *)
+(* [pid]'s steps in the run's flat log, as indices in step order: a
+   backwards scan of the pid column, from the process's last step *)
 let pid_steps r pid =
   let log = Memory.log r.sim.Sim.mem in
   let rec go i acc =
-    if i < 0 then acc else go (Access_log.prev_same_pid log i) (i :: acc)
+    if i < 0 then acc
+    else go (i - 1) (if Access_log.pid_at log i = pid then i :: acc else acc)
   in
   (log, go (Access_log.last_index_by_pid log pid) [])
 

@@ -52,6 +52,8 @@ type t = { mem : Memory.t; mutable cells : cell option array }
 let create mem = { mem; cells = Array.make 8 None }
 let memory t = t.mem
 
+let spawn_c = Tm_obs.Sink.counter "sched_spawn_total"
+
 let spawn t ~pid f =
   if pid < 0 then invalid_arg "Scheduler.spawn: negative pid";
   if pid >= Array.length t.cells then begin
@@ -64,7 +66,7 @@ let spawn t ~pid f =
   | Some _ ->
       invalid_arg (Printf.sprintf "Scheduler.spawn: pid %d already exists" pid)
   | None -> ());
-  Tm_obs.Sink.incr "sched_spawn_total";
+  Tm_obs.Metrics.inc (Lazy.force spawn_c);
   t.cells.(pid) <- Some (make_cell pid f)
 
 let cell t pid =

@@ -6,8 +6,9 @@
    [cursor] exploits this both ways.  Forwards, it holds a *live* world —
    memory, recorder, scheduler, schedule session — that advances one atom
    at a time without ever re-executing its prefix.  Backwards, forking a
-   cursor is O(1): the fork shares the executed path and rebuilds a live
-   world lazily, by replaying the path, only if it is ever advanced.  A
+   cursor is O(1): the fork shares the executed path as a prefix of its
+   parent's buffer and rebuilds a live world lazily, by replaying that
+   prefix, only if it is ever queried or advanced.  A
    search-tree node is therefore a cheap resumable state, not a pid path
    that costs a replay per query (OCaml effects give us one-shot
    continuations, so the live world itself can never be duplicated —
@@ -44,7 +45,9 @@ type live = {
 type cursor = {
   setup : setup;
   budget : int;
-  path : Intvec.t;  (* executed atoms, packed one int each, in order *)
+  mutable path : Intvec.t;  (* packed atoms: this cursor's are the first [len] *)
+  mutable len : int;
+  mutable owns_path : bool;  (* false while [path] is another cursor's *)
   mutable live : live option;  (* None: a fork not yet re-materialized *)
   mutable tick : (int -> unit) option;
       (* live-progress hook; installed on the session only after a
@@ -55,8 +58,27 @@ type cursor = {
 (* The executed path is stored packed, one int per atom, in an
    append-only {!Intvec} rather than as a cons per step: tag in the low 3
    bits, pid in the next 21, the [Steps] count above.  Decoding happens
-   only on the cold paths (re-materialization replays, [path],
-   snapshot metadata). *)
+   only off the live step path (re-materialization replays, [path],
+   snapshot metadata).
+
+   Buffers are shared between a cursor and its forks.  Only a buffer's
+   owner appends to it, and only at its end, so the first [len] atoms a
+   fork shares never change under it.  A fork copies its prefix into a
+   buffer of its own when it first advances ([extend]): most explorer
+   forks are checkpoints that are never advanced and never copy. *)
+
+(* [Steps (pid, 1)] atoms are immutable and identical across every cursor,
+   so the single-step engine and the replay decoder share one per small
+   pid instead of allocating one per step. *)
+let step1_cache = Array.init 64 (fun pid -> Schedule.Steps (pid, 1))
+
+let step1 pid =
+  if pid >= 0 && pid < Array.length step1_cache then
+    Array.unsafe_get step1_cache pid
+  else Schedule.Steps (pid, 1)
+
+(* encode_atom (Steps (pid, 1)), without the atom *)
+let step1_code pid = (1 lsl 24) lor (pid lsl 3)
 
 let encode_atom = function
   | Schedule.Steps (pid, n) -> (n lsl 24) lor (pid lsl 3)
@@ -69,7 +91,9 @@ let encode_atom = function
 let decode_atom code : Schedule.atom =
   let pid = (code lsr 3) land 0x1F_FFFF in
   match code land 7 with
-  | 0 -> Schedule.Steps (pid, code lsr 24)
+  | 0 ->
+      if code = step1_code pid then step1 pid
+      else Schedule.Steps (pid, code lsr 24)
   | 1 -> Schedule.Until_done pid
   | 2 -> Schedule.Crash pid
   | 3 -> Schedule.Park pid
@@ -80,7 +104,19 @@ let path_atoms (c : cursor) : Schedule.atom list =
   let rec go i acc =
     if i < 0 then acc else go (i - 1) (decode_atom (Intvec.get c.path i) :: acc)
   in
-  go (Intvec.length c.path - 1) []
+  go (c.len - 1) []
+
+(* Append one executed atom to the cursor's path, first copying a shared
+   prefix: the buffer's owner may already have appended past it. *)
+let extend (c : cursor) code =
+  if not c.owns_path then begin
+    c.path <- Intvec.prefix c.path c.len;
+    c.owns_path <- true
+  end;
+  Intvec.push c.path code;
+  c.len <- c.len + 1
+
+let replays_c = Tm_obs.Sink.counter "sim_cursor_replays_total"
 
 (* Build (or rebuild) the live world: fresh memory and recorder, the
    global flight recorder reset and hooked in (one flight trace = one
@@ -93,7 +129,7 @@ let materialize (c : cursor) : live =
   match c.live with
   | Some l -> l
   | None ->
-      Tm_obs.Sink.incr "sim_cursor_replays_total";
+      Tm_obs.Metrics.inc (Lazy.force replays_c);
       let mem = Memory.create () in
       let recorder = Recorder.create () in
       (match Flight.default () with
@@ -108,16 +144,18 @@ let materialize (c : cursor) : live =
       let session = Schedule.session ~budget:c.budget sched in
       let l = { mem; recorder; sched; session } in
       c.live <- Some l;
-      for i = 0 to Intvec.length c.path - 1 do
+      for i = 0 to c.len - 1 do
         ignore (Schedule.feed_steps session (decode_atom (Intvec.get c.path i)))
       done;
       Option.iter (Schedule.set_tick session) c.tick;
       l
 
+let fresh ~budget setup =
+  let path = Intvec.create () in
+  { setup; budget; path; len = 0; owns_path = true; live = None; tick = None }
+
 let start ?(budget = 100_000) (setup : setup) : cursor =
-  let c =
-    { setup; budget; path = Intvec.create (); live = None; tick = None }
-  in
+  let c = fresh ~budget setup in
   ignore (materialize c);
   c
 
@@ -131,12 +169,8 @@ let on_tick (c : cursor) f =
   | Some l -> Schedule.set_tick l.session f
   | None -> ()
 
-(* The fork copies the packed path (O(path length) int blits): the
-   parent keeps appending to its own buffer, so the two cursors must not
-   share it.  Still far cheaper than the replay the fork's first advance
-   will pay anyway. *)
-let fork (c : cursor) : cursor =
-  { c with live = None; path = Intvec.copy c.path }
+(* O(1): the fork shares the parent's path buffer (see [extend]). *)
+let fork (c : cursor) : cursor = { c with live = None; owns_path = false }
 
 let is_live (c : cursor) : bool = c.live <> None
 let path (c : cursor) : Schedule.atom list = path_atoms c
@@ -158,22 +192,9 @@ let apply (c : cursor) (atom : Schedule.atom) : Schedule.feed_outcome =
     { Schedule.steps = 0; halted = true }
   else begin
     let f = Schedule.feed l.session atom in
-    Intvec.push c.path (encode_atom atom);
+    extend c (encode_atom atom);
     f
   end
-
-(* [Steps (pid, 1)] atoms are immutable and identical across every cursor,
-   so the single-step engine below shares one per small pid instead of
-   allocating one per step taken. *)
-let step1_cache = Array.init 64 (fun pid -> Schedule.Steps (pid, 1))
-
-let step1 pid =
-  if pid >= 0 && pid < Array.length step1_cache then
-    Array.unsafe_get step1_cache pid
-  else Schedule.Steps (pid, 1)
-
-(* encode_atom (Steps (pid, 1)), without the atom *)
-let step1_code pid = (1 lsl 24) lor (pid lsl 3)
 
 (** Advance [pid] by one atomic step; true iff the process progressed —
     it took a memory step, or its (empty-bodied) program finished on
@@ -190,7 +211,7 @@ let step (c : cursor) pid : bool =
   let progressed =
     taken > 0 || ((not was_finished) && Scheduler.finished l.sched pid)
   in
-  if progressed then Intvec.push c.path (step1_code pid);
+  if progressed then extend c (step1_code pid);
   progressed
 
 (* -- snapshots --------------------------------------------------------- *)
@@ -256,9 +277,7 @@ let replay ?(budget = 100_000) (setup : setup) (atoms : Schedule.atom list)
       match !mem_ref with Some m -> Memory.step_count m | None -> 0)
     (fun () ->
       Tm_obs.Sink.span "sim.replay" (fun () ->
-          let c =
-            { setup; budget; path = Intvec.create (); live = None; tick = None }
-          in
+          let c = fresh ~budget setup in
           let l = materialize c in
           mem_ref := Some l.mem;
           List.iter (fun a -> ignore (apply c a)) atoms;
@@ -266,16 +285,16 @@ let replay ?(budget = 100_000) (setup : setup) (atoms : Schedule.atom list)
           let alog = Memory.log l.mem in
           Tm_obs.Sink.observe "sim_replay_steps"
             (float_of_int (Access_log.length alog));
-          (* per-pid step attribution, from the authoritative log: each
-             pid's count, added at its first step *)
-          for i = 0 to Access_log.length alog - 1 do
-            if Access_log.prev_same_pid alog i < 0 then
-              let pid = Access_log.pid_at alog i in
-              Tm_obs.Sink.add
-                ~labels:[ ("pid", string_of_int pid) ]
-                "sched_pid_steps_total"
-                (Access_log.pid_step_count alog pid)
-          done;
+          (* per-pid step attribution, from the log's per-process heads:
+             every spawned pid that took a step *)
+          List.iter
+            (fun pid ->
+              let n = Access_log.pid_step_count alog pid in
+              if n > 0 then
+                Tm_obs.Sink.add
+                  ~labels:[ ("pid", string_of_int pid) ]
+                  "sched_pid_steps_total" n)
+            (Scheduler.pids l.sched);
           r))
 
 (** [solo_length setup pid] — number of steps [pid]'s program needs to run

@@ -4,11 +4,11 @@
     {!cursor} exploits the identification both ways: forwards it is a
     live world (memory, recorder, scheduler, schedule session) advancing
     one atom at a time with no prefix re-execution; backwards, {!fork}
-    is O(1) — the fork shares the executed path and re-materializes a
-    live world lazily, by replaying that path, only if it is ever
-    advanced.  (OCaml effects give one-shot continuations, so the live
-    world itself can never be duplicated; lazy replay is what makes
-    forking sound.)  {!replay} — the original API — is start + feed the
+    is O(1) — the fork shares the executed path as a prefix of its
+    parent's buffer and re-materializes a live world lazily, by replaying
+    that prefix, only if it is ever queried or advanced.  (OCaml effects
+    give one-shot continuations, so the live world itself can never be
+    duplicated; lazy replay is what makes forking sound.)  {!replay} — the original API — is start + feed the
     whole schedule + snapshot, unchanged in behavior. *)
 
 open Tm_base
@@ -45,11 +45,13 @@ val start : ?budget:int -> setup -> cursor
     fed later and is recorded in snapshot metadata. *)
 
 val fork : cursor -> cursor
-(** An O(1) copy at the same configuration.  The fork shares the executed
-    path; a live world is rebuilt (one deterministic replay of the path,
-    counted in the ["sim_cursor_replays_total"] counter) the first time
-    the fork is queried or advanced.  Forking does not disturb the
-    original: both can be advanced independently thereafter. *)
+(** An O(1) copy at the same configuration.  The fork shares the parent's
+    path buffer as a prefix and copies that prefix only when it first
+    advances; a live world is rebuilt (one deterministic replay of the
+    prefix, counted in the ["sim_cursor_replays_total"] counter) the first
+    time the fork is queried or advanced.  Forking does not disturb the
+    original: both can be advanced independently thereafter, and forks
+    of forks share the same way. *)
 
 val step : cursor -> int -> bool
 (** [step c pid] advances [pid] by one atomic step; true iff the process

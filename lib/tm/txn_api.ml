@@ -23,6 +23,48 @@ type handle = {
           (and therefore per replay) *)
 }
 
+(* Per-TM telemetry handles, resolved once per process by the TM's first
+   [instantiate].  That registers every cell, at zero until it counts.
+   [hook] is the memory hook attributing base-object steps to the TM. *)
+type counters = {
+  c_begin : Tm_obs.Metrics.counter;
+  c_read : Tm_obs.Metrics.counter;
+  c_write : Tm_obs.Metrics.counter;
+  c_commit : Tm_obs.Metrics.counter;
+  c_abort : Tm_obs.Metrics.counter;
+  c_retry : Tm_obs.Metrics.counter;
+  c_poison : Tm_obs.Metrics.counter;
+  hook : Access_log.t -> int -> unit;
+}
+
+let counters_of_tm : (string, counters) Hashtbl.t = Hashtbl.create 16
+
+let counters tm =
+  match Hashtbl.find_opt counters_of_tm tm with
+  | Some c -> c
+  | None ->
+      let metrics = Tm_obs.Sink.metrics Tm_obs.Sink.default in
+      let tm_l = [ ("tm", tm) ] in
+      let c_of name = Tm_obs.Metrics.counter metrics ~labels:tm_l name in
+      let c_prim =
+        Array.init Primitive.n_kinds (fun i ->
+            Tm_obs.Metrics.counter metrics
+              ~labels:(("prim", Primitive.kind_names.(i)) :: tm_l)
+              "tm_mem_prim_total")
+      in
+      let c =
+        { c_begin = c_of "tm_begin_total"; c_read = c_of "tm_read_total";
+          c_write = c_of "tm_write_total"; c_commit = c_of "tm_commit_total";
+          c_abort = c_of "tm_abort_total"; c_retry = c_of "tm_retry_total";
+          c_poison = c_of "tm_poison_aborts_total";
+          hook =
+            (fun log i ->
+              Tm_obs.Metrics.inc
+                c_prim.(Primitive.kind_index (Access_log.prim_at log i))) }
+      in
+      Hashtbl.add counters_of_tm tm c;
+      c
+
 (** Instantiate a TM implementation over [mem], recording all events into
     [recorder].  The event timestamps are the global step counts, placing
     history events on the same axis as access-log steps. *)
@@ -37,25 +79,9 @@ let instantiate (module M : Tm_intf.S) (mem : Memory.t)
   in
   (* telemetry: every TM is instrumented identically here, and the memory
      hook attributes every base-object step to the TM under test *)
-  let metrics = Tm_obs.Sink.metrics Tm_obs.Sink.default in
-  let tm_l = [ ("tm", M.name) ] in
-  let c_of name = Tm_obs.Metrics.counter metrics ~labels:tm_l name in
-  let c_begin = c_of "tm_begin_total"
-  and c_read = c_of "tm_read_total"
-  and c_write = c_of "tm_write_total"
-  and c_commit = c_of "tm_commit_total"
-  and c_abort = c_of "tm_abort_total"
-  and c_retry = c_of "tm_retry_total"
-  and c_poison = c_of "tm_poison_aborts_total" in
-  let c_prim =
-    Array.init Primitive.n_kinds (fun i ->
-        Tm_obs.Metrics.counter metrics
-          ~labels:(("prim", Primitive.kind_names.(i)) :: tm_l)
-          "tm_mem_prim_total")
-  in
-  Memory.set_hook mem (fun log i ->
-      Tm_obs.Metrics.inc
-        c_prim.(Primitive.kind_index (Access_log.prim_at log i)));
+  let { c_begin; c_read; c_write; c_commit; c_abort; c_retry; c_poison; hook }
+      = counters M.name in
+  Memory.set_hook mem hook;
   (* a begin on a pid whose previous transaction aborted is a retry (the
      paper's restart model) *)
   let last_aborted : (int, unit) Hashtbl.t = Hashtbl.create 8 in

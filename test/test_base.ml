@@ -212,18 +212,6 @@ let memory_tests =
         let a = Memory.alloc m ~name:"a" (Value.int 0) in
         ignore (Memory.peek m a);
         check_int "no steps" 0 (Memory.step_count m));
-    Alcotest.test_case "by_txn and objects_of_txn" `Quick (fun () ->
-        let m = Memory.create () in
-        let a = Memory.alloc m ~name:"a" (Value.int 0) in
-        let b = Memory.alloc m ~name:"b" (Value.int 0) in
-        ignore (Memory.apply m ~pid:1 ~tid:(Tid.v 1) a Primitive.Read);
-        ignore
-          (Memory.apply m ~pid:1 ~tid:(Tid.v 1) b (Primitive.Write (Value.int 2)));
-        ignore (Memory.apply m ~pid:2 ~tid:(Tid.v 2) a Primitive.Read);
-        check_int "t1 steps" 2 (List.length (Access_log.by_txn (Memory.log m) (Tid.v 1)));
-        let objs = Access_log.objects_of_txn (Memory.log m) (Tid.v 1) in
-        check "a trivial" true (Oid.Map.find a objs = false);
-        check "b non-trivial" true (Oid.Map.find b objs = true));
   ]
 
 (* chunked vectors: growth must be seamless across chunk boundaries, so
@@ -260,17 +248,32 @@ let vec_tests =
              Intvec.set v (-1) 0;
              false
            with Invalid_argument _ -> true));
-    Alcotest.test_case "intvec clear retains chunks, copy is independent"
+    Alcotest.test_case "intvec clear retains chunks, prefix is independent"
       `Quick (fun () ->
         let v = Intvec.create ~chunk_bits:2 () in
         for i = 0 to 20 do Intvec.push v i done;
-        let c = Intvec.copy v in
+        let c = Intvec.prefix v 21 in
+        let p = Intvec.prefix v 9 in
+        check "prefix out of bounds" true
+          (try
+             ignore (Intvec.prefix v 22);
+             false
+           with Invalid_argument _ -> true);
         Intvec.clear v;
         check_int "cleared" 0 (Intvec.length v);
         check_int "copy unaffected" 21 (Intvec.length c);
         for i = 0 to 20 do Intvec.push v (100 + i) done;
         check_int "reused" (100 + 7) (Intvec.get v 7);
-        check_int "copy still old" 7 (Intvec.get c 7));
+        check_int "copy still old" 7 (Intvec.get c 7);
+        check "prefix holds the first 9" true
+          (Intvec.to_list p = List.init 9 Fun.id);
+        (* a prefix ending mid-chunk grows past the cut without touching
+           the source *)
+        for i = 9 to 30 do Intvec.push p (-i) done;
+        check "prefix extends" true
+          (Intvec.to_list p
+          = List.init 9 Fun.id @ List.init 22 (fun i -> -(i + 9)));
+        check_int "source untouched" (100 + 9) (Intvec.get v 9));
     Alcotest.test_case "objvec growth across chunk boundaries" `Quick
       (fun () ->
         let v = Objvec.create ~chunk_bits:2 ~dummy:"" () in
@@ -294,7 +297,7 @@ let vec_tests =
         check_str "reuse after clear" "again" (Objvec.get v 0));
   ]
 
-(* the flat access log: bounds, views and index-ring equivalences *)
+(* the flat access log: bounds, views and the per-process heads *)
 
 let log_bounds_tests =
   [
@@ -325,12 +328,13 @@ let log_bounds_tests =
           (Access_log.sub log ~pos:5 ~len:0 = []));
   ]
 
-(* a fuzzed log: random steps over a few objects/processes/transactions,
-   driven through Memory so the index rings are built incrementally *)
+(* a fuzzed log: random steps over a few objects/transactions and up to
+   40 processes, driven through Memory so the per-process heads are built
+   (and regrown past 16 and 32 pids) incrementally *)
 let gen_log_ops =
   QCheck.(
     list_of_size Gen.(0 -- 120)
-      (quad (int_range 1 4) (int_range 0 3) (int_range 0 2)
+      (quad (int_range 1 40) (int_range 0 3) (int_range 0 2)
          (int_range 0 9)))
 
 let build_log ops =
@@ -360,48 +364,23 @@ let log_prop_tests =
            Access_log.entries log = List.of_seq (Access_log.to_seq log)));
     QCheck_alcotest.to_alcotest
       (Test.make ~count:100
-         ~name:"by_txn ring = filter over entries" gen_log_ops (fun ops ->
-           let log = build_log ops in
-           let entries = Access_log.entries log in
-           List.for_all
-             (fun t ->
-               let tid = Tid.v t in
-               Access_log.by_txn log tid
-               = List.filter
-                   (fun e -> e.Access_log.tid = Some tid)
-                   entries)
-             [ 1; 2; 3; 4 ]));
-    QCheck_alcotest.to_alcotest
-      (Test.make ~count:100
-         ~name:"by_pid ring = filter over entries" gen_log_ops (fun ops ->
-           let log = build_log ops in
-           let entries = Access_log.entries log in
-           List.for_all
-             (fun pid ->
-               Access_log.by_pid log pid
-               = List.filter (fun e -> e.Access_log.pid = pid) entries
-               && Access_log.pid_step_count log pid
-                  = List.length (Access_log.by_pid log pid))
-             [ 1; 2; 3; 4; 5 ]));
-    QCheck_alcotest.to_alcotest
-      (Test.make ~count:100
-         ~name:"per-object ring walks = filter over entries" gen_log_ops
+         ~name:"per-process heads = filter over entries" gen_log_ops
          (fun ops ->
            let log = build_log ops in
            let entries = Access_log.entries log in
            List.for_all
-             (fun o ->
-               let oid = Oid.of_int o in
-               let rec walk i acc =
-                 if i < 0 then acc
-                 else walk (Access_log.prev_same_oid log i)
-                        (Access_log.get log i :: acc)
+             (fun pid ->
+               let mine =
+                 List.filter (fun e -> e.Access_log.pid = pid) entries
                in
-               walk (Access_log.last_index_on_oid log oid) []
-               = List.filter
-                   (fun e -> Oid.equal e.Access_log.oid oid)
-                   entries)
-             [ 0; 1; 2 ]));
+               let last = List.nth_opt (List.rev mine) 0 in
+               Access_log.pid_step_count log pid = List.length mine
+               && Access_log.last_by_pid log pid = last
+               && Access_log.last_index_by_pid log pid
+                  = (match last with
+                    | Some e -> e.Access_log.index
+                    | None -> -1))
+             (99 :: List.init 42 Fun.id)));
   ]
 
 (* property tests *)

@@ -77,6 +77,76 @@ let cursor_tests =
           = sig_of (Sim.snapshot ~flight:false f2)));
   ]
 
+(* The fork law: a random program of steps and forks over a pool of
+   cursors, on the stock writer/reader pair under a registry TM.  Every
+   cursor must match a model of its executed atoms, and its world (step
+   log, history, report) must equal [Sim.replay] of its own path — so a
+   fork that shared its parent's buffer must see exactly its prefix,
+   whatever the parent or a sibling fork appended since.  Programs step
+   only unfinished processes, as the explorer does: a no-op step is
+   tallied by a live session's report but is not part of the path.
+
+   Every program opens with a fixed head that forks a fork, advances a
+   parent after forking it, and advances two forks of one parent; the
+   random tail then mixes further steps and forks. *)
+type fork_op = Step of int * int | Fork of int  (* cursor, pid choice *)
+
+let fork_law_head =
+  [
+    Step (0, 0); Fork 0; Fork 1; Step (0, 0); Fork 0; Step (1, 1);
+    Step (3, 0); Step (2, 0);
+  ]
+
+let gen_fork_program =
+  QCheck.(
+    pair (int_range 0 (List.length Registry.all - 1))
+      (list_of_size Gen.(0 -- 40)
+         (map
+            (fun (fork, k, pid) -> if fork = 0 then Fork k else Step (k, pid))
+            (triple (int_range 0 3) small_nat (int_range 0 1)))))
+
+let run_fork_program (tm, ops) =
+  let setup = Explore_sweep.setup (List.nth Registry.all tm) in
+  (* the pool: each cursor with its executed atoms, newest first *)
+  let pool = ref [| (Sim.start setup, []) |] in
+  List.iter
+    (fun op ->
+      let n = Array.length !pool in
+      match op with
+      | Fork k ->
+          let c, atoms = !pool.(k mod n) in
+          pool := Array.append !pool [| (Sim.fork c, atoms) |]
+      | Step (k, choice) -> (
+          let c, atoms = !pool.(k mod n) in
+          match
+            List.filter (fun p -> not (Sim.finished c p)) Explore_sweep.pids
+          with
+          | [] -> ()
+          | live ->
+              let pid = List.nth live (choice mod List.length live) in
+              if Sim.step c pid then
+                !pool.(k mod n) <- (c, Schedule.Steps (pid, 1) :: atoms)))
+    (fork_law_head @ ops);
+  Array.for_all
+    (fun (c, atoms) ->
+      let path = Sim.path c in
+      let r = Sim.snapshot ~flight:false c in
+      let r' = Sim.replay setup path in
+      path = List.rev atoms
+      && Access_log.entries (Memory.log r.Sim.mem)
+         = Access_log.entries (Memory.log r'.Sim.mem)
+      && History.events r.Sim.history = History.events r'.Sim.history
+      && r.Sim.report = r'.Sim.report)
+    !pool
+
+let fork_law_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:150
+         ~name:"fork law: every cursor = replay of its own path"
+         gen_fork_program run_fork_program);
+  ]
+
 let por_tests =
   [
     Alcotest.test_case "sleep sets prune independent interleavings" `Quick
@@ -203,6 +273,7 @@ let () =
   Alcotest.run "explorer"
     [
       ("cursor", cursor_tests);
+      ("fork-law", fork_law_tests);
       ("por", por_tests);
       ("equivalence", equivalence_tests);
       ("golden", golden_tests);

@@ -266,6 +266,79 @@ let test_replay_counters () =
   | l -> Alcotest.failf "expected one sim.replay span, got %d" (List.length l));
   Sink.reset sink
 
+(* lazy handles leave the telemetry as it was: a repeated sweep after a
+   reset reproduces every counter and histogram count, and no cell is
+   registered before it first counts — the CI explore smoke greps the
+   si-clock report for the absence of explorer_truncated_total *)
+let test_sweep_telemetry () =
+  let sink = Sink.default in
+  let m = Sink.metrics sink in
+  let sweep () =
+    Sink.reset sink;
+    ignore (Explore_sweep.run ~por:true (Registry.find_exn "si-clock"));
+    List.filter_map
+      (fun (s : Metrics.sample) ->
+        match s.Metrics.value with
+        | Metrics.VCounter n -> Some (s.Metrics.name, s.Metrics.labels, n)
+        | Metrics.VHistogram h ->
+            Some (s.Metrics.name, s.Metrics.labels, h.Metrics.count)
+        | Metrics.VGauge _ -> None)
+      (Metrics.snapshot m)
+  in
+  let absent_until_counted () =
+    Alcotest.(check bool) "no explorer_truncated_total" true
+      (Metrics.find m "explorer_truncated_total" = None);
+    Alcotest.(check bool) "no sched_crash_total" true
+      (Metrics.find m "sched_crash_total" = None);
+    List.iter
+      (fun (c : Spec.checker) ->
+        let labels = [ ("checker", c.Spec.name) ] in
+        let counted =
+          List.fold_left
+            (fun counted v ->
+              let verdict = Spec.verdict_to_string v in
+              match
+                Metrics.find m
+                  ~labels:(("verdict", verdict) :: labels)
+                  "checker_verdict_total"
+              with
+              | None -> counted
+              | Some (Metrics.VCounter n) ->
+                  Alcotest.(check bool)
+                    (c.Spec.name ^ " " ^ verdict ^ " registered only once counted")
+                    true (n > 0);
+                  counted + n
+              | Some _ -> Alcotest.fail "checker_verdict_total is a counter")
+            0
+            [ Spec.Sat; Spec.Unsat; Spec.Out_of_budget ]
+        in
+        Alcotest.(check bool)
+          (c.Spec.name ^ " never out of budget")
+          true
+          (Metrics.find m
+             ~labels:(("verdict", "out-of-budget") :: labels)
+             "checker_verdict_total"
+          = None);
+        Alcotest.(check bool)
+          (c.Spec.name ^ " wall histogram iff a decision counted")
+          (counted > 0)
+          (Metrics.find m ~labels "checker_wall_ns" <> None))
+      Checkers.all
+  in
+  let first = sweep () in
+  absent_until_counted ();
+  let second = sweep () in
+  absent_until_counted ();
+  Alcotest.(check int) "same cells" (List.length first) (List.length second);
+  List.iter2
+    (fun (n1, l1, v1) (n2, l2, v2) ->
+      Alcotest.(check (pair string int))
+        (n1 ^ " value/count")
+        (n1, v1) (n2, v2);
+      Alcotest.(check bool) (n1 ^ " labels") true (l1 = l2))
+    first second;
+  Sink.reset sink
+
 (* the human-readable table surfaces histogram quantiles: `report'
    renders latency distributions through this printer, so the p50/p95/
    p99 columns are part of its contract *)
@@ -311,5 +384,9 @@ let () =
             test_pp_table_quantiles;
         ] );
       ( "sim",
-        [ Alcotest.test_case "replay counters" `Quick test_replay_counters ] );
+        [
+          Alcotest.test_case "replay counters" `Quick test_replay_counters;
+          Alcotest.test_case "sweep telemetry under lazy handles" `Quick
+            test_sweep_telemetry;
+        ] );
     ]
