@@ -212,6 +212,30 @@ let memory_tests =
         let a = Memory.alloc m ~name:"a" (Value.int 0) in
         ignore (Memory.peek m a);
         check_int "no steps" 0 (Memory.step_count m));
+    Alcotest.test_case "per-transaction footprint off the log columns" `Quick
+      (fun () ->
+        let m = Memory.create () in
+        let a = Memory.alloc m ~name:"a" (Value.int 0) in
+        let b = Memory.alloc m ~name:"b" (Value.int 0) in
+        ignore (Memory.apply m ~pid:1 ~tid:(Tid.v 1) a Primitive.Read);
+        ignore
+          (Memory.apply m ~pid:1 ~tid:(Tid.v 1) b (Primitive.Write (Value.int 2)));
+        ignore (Memory.apply m ~pid:2 ~tid:(Tid.v 2) a Primitive.Read);
+        let log = Memory.log m in
+        let t1_steps = ref 0 in
+        Access_log.iter log ~f:(fun e ->
+            if e.Access_log.tid = Some (Tid.v 1) then incr t1_steps);
+        check_int "t1 steps" 2 !t1_steps;
+        match Contention.summarize_log log with
+        | [ s1; s2 ] ->
+            check "t1 first" true (Tid.equal s1.Contention.tid (Tid.v 1));
+            check "t2 second" true (Tid.equal s2.Contention.tid (Tid.v 2));
+            check "a trivial" true (Oid.Map.find a s1.Contention.objects = false);
+            check "b non-trivial" true
+              (Oid.Map.find b s1.Contention.objects = true);
+            check_int "t2 touches a only" 1
+              (Oid.Map.cardinal s2.Contention.objects)
+        | l -> Alcotest.failf "expected two summaries, got %d" (List.length l));
   ]
 
 (* chunked vectors: growth must be seamless across chunk boundaries, so
@@ -381,6 +405,38 @@ let log_prop_tests =
                     | Some e -> e.Access_log.index
                     | None -> -1))
              (99 :: List.init 42 Fun.id)));
+    QCheck_alcotest.to_alcotest
+      (Test.make ~count:100 ~name:"per-field reads = get" gen_log_ops
+         (fun ops ->
+           let log = build_log ops in
+           List.for_all
+             (fun i ->
+               let e = Access_log.get log i in
+               e.Access_log.index = i
+               && Access_log.pid_at log i = e.Access_log.pid
+               && Access_log.tid_at log i = e.Access_log.tid
+               && Access_log.tid_int_at log i
+                  = (match e.Access_log.tid with
+                    | Some t -> Tid.to_int t
+                    | None -> -1)
+               && Oid.equal (Access_log.oid_at log i) e.Access_log.oid
+               && Access_log.prim_at log i = e.Access_log.prim
+               && Value.equal (Access_log.response_at log i)
+                    e.Access_log.response
+               && Access_log.changed_at log i = e.Access_log.changed)
+             (List.init (Access_log.length log) Fun.id)));
+    QCheck_alcotest.to_alcotest
+      (Test.make ~count:100 ~name:"summarize_log = summarize (entries)"
+         gen_log_ops (fun ops ->
+           let log = build_log ops in
+           let same (s1 : Contention.access_summary)
+               (s2 : Contention.access_summary) =
+             Tid.equal s1.tid s2.tid
+             && Oid.Map.equal Bool.equal s1.objects s2.objects
+           in
+           List.equal same
+             (Contention.summarize_log log)
+             (Contention.summarize (Access_log.entries log))));
   ]
 
 (* property tests *)
