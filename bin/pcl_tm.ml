@@ -974,8 +974,8 @@ let explain_cmd =
           (List.length (Flight.steps fl))
           (Flight.dropped fl);
         (* stall attribution: the stop meta names the wedged process and
-           the index of its last step; resolve it in the ring if it was
-           retained *)
+           the index of its last step; resolve it in the recording if it
+           was retained *)
         (match Option.bind (Flight.meta_value fl "stop") stall_of_stop with
         | Some (pid, None) ->
             Format.printf

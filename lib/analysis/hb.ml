@@ -46,8 +46,8 @@ let is_sync : Primitive.t -> bool = function
   | Primitive.Store_conditional _ ->
       true
 
-let analyse_core ?history ~(len : int) ~(get : int -> Access_log.entry) () :
-    t =
+let analyse ?history (log : Access_log.entry list) : t =
+  let items = Array.of_list log in
   let pid_clock : (int, Vclock.t) Hashtbl.t = Hashtbl.create 8 in
   let obj_clock : (Oid.t, Vclock.t) Hashtbl.t = Hashtbl.create 64 in
   let tid_clock : (Tid.t, Vclock.t) Hashtbl.t = Hashtbl.create 8 in
@@ -108,10 +108,10 @@ let analyse_core ?history ~(len : int) ~(get : int -> Access_log.entry) () :
         in
         prefix_join (count 0 (Array.length completions))
   in
-  let by_index = Hashtbl.create (max 16 len) in
+  let by_index = Hashtbl.create (max 16 (Array.length items)) in
   let arr =
-    Array.init len (fun pos ->
-        let e = get pos in
+    Array.mapi
+      (fun pos (e : Access_log.entry) ->
         let before = clock_of pid_clock e.Access_log.pid in
         let before =
           match e.Access_log.tid with
@@ -138,18 +138,9 @@ let analyse_core ?history ~(len : int) ~(get : int -> Access_log.entry) () :
         | None -> ());
         Hashtbl.replace by_index e.Access_log.index pos;
         { pos; entry = e; before; after; sync })
+      items
   in
   { arr; by_index; final = pid_clock }
-
-let analyse ?history (log : Access_log.entry list) : t =
-  let items = Array.of_list log in
-  analyse_core ?history ~len:(Array.length items) ~get:(Array.get items) ()
-
-(** [analyse] over the log structure itself: steps are fetched by index
-    from the flat columns, no entry list is rescanned. *)
-let analyse_log ?history (log : Access_log.t) : t =
-  analyse_core ?history ~len:(Access_log.length log)
-    ~get:(Access_log.get log) ()
 
 let steps t = Array.to_list t.arr
 let length t = Array.length t.arr

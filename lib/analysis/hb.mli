@@ -34,10 +34,6 @@ val analyse : ?history:History.t -> Access_log.entry list -> t
     step of each transaction additionally acquires the final clocks of all
     transactions that completed before it was invoked. *)
 
-val analyse_log : ?history:History.t -> Access_log.t -> t
-(** [analyse] over the log structure itself: steps are fetched by index
-    from the flat columns, no entry list is rescanned. *)
-
 val steps : t -> step list
 (** In trace order. *)
 
@@ -48,7 +44,7 @@ val step : t -> int -> step
 val pos_of_index : t -> int -> int option
 (** Resolve a global step index ([Access_log.entry.index]) to a position
     in the analysed trace ([None] if the index was not in the trace, e.g.
-    lost to flight-ring wraparound). *)
+    dropped from a flight recording's window). *)
 
 val happens_before : t -> int -> int -> bool
 (** [happens_before t a b] — by dense positions; irreflexive. *)

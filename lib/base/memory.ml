@@ -26,10 +26,6 @@ type t = {
           attribute base-object traffic.  Index-based so the common case
           (a counter bump keyed on the primitive kind) reads one column
           instead of forcing an entry record per step *)
-  mutable flight : (Access_log.t -> int -> unit) option;
-      (** second, independent per-step hook reserved for the flight
-          recorder, so step recording composes with the TM telemetry
-          hook above instead of replacing it *)
   changed_scratch : bool ref;
       (** reused out-param for {!Base_object.apply_into}, so a step does
           not allocate a response pair *)
@@ -66,7 +62,6 @@ let create () =
     by_name = Hashtbl.create 16;
     log = Access_log.create ();
     hook = None;
-    flight = None;
     fault = None;
     changed_scratch = ref false;
     doomed = Hashtbl.create 4;
@@ -151,7 +146,6 @@ let apply t ~pid ?tid (oid : Oid.t) (prim : Primitive.t) : Value.t =
   Tm_obs.Metrics.inc t.steps_c;
   Tm_obs.Metrics.inc t.prim_c.(Primitive.kind_index prim);
   (match t.hook with Some f -> f t.log index | None -> ());
-  (match t.flight with Some f -> f t.log index | None -> ());
   response
 
 (** Debugging read that is not a step and is not logged. *)
@@ -168,13 +162,6 @@ let step_count t = Access_log.length t.log
 let set_hook t f = t.hook <- Some f
 
 let clear_hook t = t.hook <- None
-
-(** Install the flight-recorder step hook.  Separate from {!set_hook} so
-    step recording composes with (rather than replaces) the TM telemetry
-    hook; costs one [None] match per step when disabled. *)
-let set_flight_hook t f = t.flight <- Some f
-
-let clear_flight_hook t = t.flight <- None
 
 (** Install the fault-injection hook.  It is consulted {e before} each
     primitive is applied; answering [Spurious_fail] on an RMW-class

@@ -6,7 +6,12 @@
     implementations pre-allocate their shared representation at creation
     time (or allocate deterministically at begin time, e.g. per-transaction
     status words), modelling objects that simply exist in the initial
-    configuration. *)
+    configuration.
+
+    A memory has two hook slots: the telemetry hook runs after each step
+    ({!set_hook}) and the fault hook before it ({!set_fault_hook}).  The
+    flight recorder needs neither: it reads the access log ({!log}) as a
+    window. *)
 
 type t
 
@@ -53,14 +58,6 @@ val set_hook : t -> (Access_log.t -> int -> unit) -> unit
     per step.  The hook must not itself apply primitives. *)
 
 val clear_hook : t -> unit
-
-val set_flight_hook : t -> (Access_log.t -> int -> unit) -> unit
-(** Install the flight-recorder step hook (replacing any previous one).
-    A second, independent slot so step recording composes with the TM
-    telemetry hook instead of replacing it; when unset the cost is one
-    [None] match per step. *)
-
-val clear_flight_hook : t -> unit
 
 val set_fault_hook : t -> fault_hook -> unit
 (** Install the fault-injection hook (replacing any previous one).  It is

@@ -119,7 +119,7 @@ let extend (c : cursor) code =
 let replays_c = Tm_obs.Sink.counter "sim_cursor_replays_total"
 
 (* Build (or rebuild) the live world: fresh memory and recorder, the
-   global flight recorder reset and hooked in (one flight trace = one
+   global flight recorder attached to the new log (one flight trace = one
    execution, so a fork's re-materialization re-records its prefix and an
    explorer callback always sees exactly the execution that just ran),
    programs spawned, and the executed path fed back through a fresh
@@ -133,10 +133,7 @@ let materialize (c : cursor) : live =
       let mem = Memory.create () in
       let recorder = Recorder.create () in
       (match Flight.default () with
-      | Some fl ->
-          Flight.reset fl;
-          Memory.set_flight_hook mem (fun log i ->
-              Flight.record fl (Access_log.get log i))
+      | Some fl -> Flight.attach fl (Memory.log mem)
       | None -> ());
       let programs = c.setup mem recorder in
       let sched = Scheduler.create mem in

@@ -40,7 +40,7 @@ type cursor
 
 val start : ?budget:int -> setup -> cursor
 (** A live cursor at C0 — memory and recorder created, the installed
-    flight recorder reset and hooked in, programs spawned, nothing
+    flight recorder attached to the new log, programs spawned, nothing
     stepped.  [budget] (default 100_000) bounds each [Until_done] atom
     fed later and is recorded in snapshot metadata. *)
 

@@ -1,12 +1,15 @@
-(* The flight recorder: a bounded ring buffer of atomic steps, filled from
-   Memory's per-step flight hook, plus everything needed to reproduce and
-   explain the run afterwards — the object-name table, the history, run
-   metadata (TM, schedule, seed) and verdict-provenance lines attached by
-   checkers and detectors.
+(* The flight recorder: a window over the step log of the world it
+   records, plus everything needed to reproduce and explain the run
+   afterwards — the object-name table, the history, run metadata (TM,
+   schedule, seed) and verdict-provenance lines attached by checkers and
+   detectors.
 
-   A recorder is one execution: [Sim.replay] resets the installed recorder
-   at the start of every replay, so after a run (or inside an explorer's
-   [on_execution] callback) the buffer holds exactly that execution.
+   A recorder is one execution: [Sim] attaches the installed recorder to
+   each world's log as it builds the world, so after a run (or inside an
+   explorer's [on_execution] callback) the window is exactly that
+   execution.  Nothing is copied per step: the window reads the log's
+   columns when an artifact is exported, and [cap] only chooses how many
+   trailing steps it keeps.
 
    Artifacts are JSONL ({!to_jsonl}/{!parse} round-trip exactly) or Chrome
    trace-event JSON ({!to_chrome}, Perfetto-loadable). *)
@@ -23,78 +26,71 @@ type verdict = {
 
 type t = {
   cap : int;
-  buf : Access_log.entry array;
-  mutable total : int;  (** entries recorded into the ring *)
-  mutable pre_dropped : int;
-      (** drops declared by an imported artifact, so a re-export of a
-          wrapped trace reports the same loss *)
+  mutable log : Access_log.t;
+      (** the recorded world's own log, or the log a parse rebuilt *)
+  mutable base : int;
+      (** global index of the log's first step: 0 for a run; for a parsed
+          artifact, the drops it declared, so its re-export reports the
+          same loss *)
   mutable names : string array;
   mutable history : History.t;
   mutable meta : (string * string) list;
   mutable verdicts : verdict list;
-  steps_c : Tm_obs.Metrics.counter;
 }
 
 let default_cap = 65_536
 
-let dummy_entry : Access_log.entry =
-  {
-    Access_log.index = 0;
-    pid = 0;
-    tid = None;
-    oid = Oid.of_int 0;
-    prim = Primitive.Read;
-    response = Value.unit;
-    changed = false;
-  }
+(* What a detached recorder reads: never appended to. *)
+let no_log = Access_log.create ()
 
 let create ?(cap = default_cap) () =
   if cap <= 0 then invalid_arg "Flight.create: cap must be positive";
   {
     cap;
-    buf = Array.make cap dummy_entry;
-    total = 0;
-    pre_dropped = 0;
+    log = no_log;
+    base = 0;
     names = [||];
     history = History.of_list [];
     meta = [];
     verdicts = [];
-    steps_c =
-      Tm_obs.Metrics.counter
-        (Tm_obs.Sink.metrics Tm_obs.Sink.default)
-        "flight_steps_total";
   }
 
 let reset t =
-  t.total <- 0;
-  t.pre_dropped <- 0;
+  t.log <- no_log;
+  t.base <- 0;
   t.names <- [||];
   t.history <- History.of_list [];
   t.meta <- [];
   t.verdicts <- []
 
-(* O(1) per step: one array write, two increments. *)
-let record t (e : Access_log.entry) =
-  t.buf.(t.total mod t.cap) <- e;
-  t.total <- t.total + 1;
-  Tm_obs.Metrics.inc t.steps_c
+let attach t log =
+  reset t;
+  t.log <- log
 
-let recorded t = t.pre_dropped + t.total
-let dropped t = t.pre_dropped + max 0 (t.total - t.cap)
+(* The window is the log's last [min length cap] steps. *)
+let first_kept t =
+  let n = Access_log.length t.log in
+  n - min n t.cap
+
+let recorded t = t.base + Access_log.length t.log
+let dropped t = t.base + first_kept t
 
 let steps t =
-  let kept = min t.total t.cap in
-  List.init kept (fun i -> t.buf.((t.total - kept + i) mod t.cap))
+  let lo = first_kept t in
+  let es = Access_log.sub t.log ~pos:lo ~len:(Access_log.length t.log - lo) in
+  if t.base = 0 then es
+  else
+    List.map
+      (fun (e : Access_log.entry) ->
+        { e with Access_log.index = t.base + e.Access_log.index })
+      es
 
 let find_step t index =
-  let kept = min t.total t.cap in
-  let rec scan i =
-    if i >= kept then None
-    else
-      let e = t.buf.((t.total - kept + i) mod t.cap) in
-      if e.Access_log.index = index then Some e else scan (i + 1)
-  in
-  scan 0
+  let pos = index - t.base in
+  if pos < first_kept t || pos >= Access_log.length t.log then None
+  else
+    let e = Access_log.get t.log pos in
+    Some { e with Access_log.index }
 
 let set_names t names = t.names <- names
 
@@ -114,7 +110,8 @@ let verdicts t = t.verdicts
 (* ------------------------------------------------------------------ *)
 (* The process-wide default recorder.  Like Sink.default, this lets the
    CLI enable recording without threading a recorder through every
-   signature: Sim.replay records into it whenever one is installed. *)
+   signature: Sim attaches it to every world it builds while one is
+   installed. *)
 
 let installed : t option ref = ref None
 let install o = installed := o
@@ -246,7 +243,7 @@ let resp_of_json : J.t -> Event.resp = function
 (* JSONL artifact.  Schema (one object per line, in this order):
      {"type":"flight","version":1,"schema":1,"meta":{...}}
      {"type":"objects","names":[...]}
-     {"type":"dropped","count":N}                  (only after wraparound)
+     {"type":"dropped","count":N}                  (only if steps dropped)
      {"type":"step","i":I,"pid":P,"tid":T|null,"oid":O,"changed":B,
       "prim":{...},"resp":V}
      {"type":"event","kind":"inv"|"resp","tid":T,"pid":P,"at":A,
@@ -272,20 +269,23 @@ let step_json (e : Access_log.entry) : J.t =
       ("resp", value_json e.Access_log.response);
     ]
 
-let step_of_json (j : J.t) : Access_log.entry =
-  {
-    Access_log.index = int_field "i" j;
-    pid = int_field "pid" j;
-    tid =
+(* A parsed step is appended to the log the parse rebuilds, where its
+   index can only be the declared drops plus its position. *)
+let record_step_json t (j : J.t) =
+  let expected = recorded t in
+  (match int_field "i" j with
+  | i when i = expected -> ()
+  | i -> bad "step index %d where %d was expected" i expected);
+  Access_log.record t.log ~pid:(int_field "pid" j)
+    ~tid:
       (match field "tid" j with
       | J.Null -> None
       | J.Int n -> Some (Tid.v n)
-      | _ -> bad "field \"tid\" is not an int or null");
-    oid = Oid.of_int (int_field "oid" j);
-    changed = bool_field "changed" j;
-    prim = prim_of_json (field "prim" j);
-    response = value_of_json (field "resp" j);
-  }
+      | _ -> bad "field \"tid\" is not an int or null")
+    ~oid:(Oid.of_int (int_field "oid" j))
+    ~changed:(bool_field "changed" j)
+    ~prim:(prim_of_json (field "prim" j))
+    ~response:(value_of_json (field "resp" j))
 
 let event_json (e : Event.t) : J.t =
   let common kind tid pid at op rest =
@@ -387,10 +387,11 @@ let write_jsonl t path =
 let parse (text : string) : (t, string) result =
   let lines =
     String.split_on_char '\n' text
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "")
+    |> List.mapi (fun i l -> (i + 1, String.trim l))
+    |> List.filter (fun (_, l) -> l <> "")
   in
-  let t = create ~cap:(max 1 (List.length lines)) () in
+  let t = create ~cap:max_int () in
+  t.log <- Access_log.create ();
   let events = ref [] in
   let handle_line j =
     match str_field "type" j with
@@ -419,22 +420,28 @@ let parse (text : string) : (t, string) result =
                      | None -> bad "non-string object name")
                    names)
         | _ -> bad "objects line without names list")
-    | "dropped" -> t.pre_dropped <- int_field "count" j
-    | "step" -> record t (step_of_json j)
+    | "dropped" ->
+        if Access_log.length t.log > 0 then bad "dropped line after a step";
+        t.base <- int_field "count" j
+    | "step" -> record_step_json t j
     | "event" -> events := event_of_json j :: !events
     | "verdict" -> add_verdict t (verdict_of_json j)
     | other -> bad "unknown line type %S" other
   in
-  try
+  match
     List.iter
-      (fun line ->
-        match J.parse line with
-        | Ok j -> handle_line j
-        | Error msg -> raise (Bad msg))
-      lines;
-    t.history <- History.of_list (List.rev !events);
-    Ok t
-  with Bad msg -> Error msg
+      (fun (n, line) ->
+        try
+          match J.parse line with
+          | Ok j -> handle_line j
+          | Error msg -> raise (Bad msg)
+        with Bad msg | Invalid_argument msg -> bad "line %d: %s" n msg)
+      lines
+  with
+  | () ->
+      t.history <- History.of_list (List.rev !events);
+      Ok t
+  | exception Bad msg -> Error msg
 
 let load path : (t, string) result =
   match open_in path with

@@ -1,11 +1,14 @@
-(** The flight recorder: a bounded ring buffer of atomic steps (filled from
-    {!Tm_base.Memory}'s flight hook), the run's history and metadata, and
-    verdict-provenance lines — everything needed to re-render, replay and
-    explain an execution after the fact.
+(** The flight recorder: a window over the step log of the world it
+    records, the run's history and metadata, and verdict-provenance lines —
+    everything needed to re-render, replay and explain an execution after
+    the fact.
 
-    One recorder holds one execution: [Sim.replay] resets the installed
-    recorder before running, so after a replay (or inside an explorer
-    callback) the buffer is exactly that execution's step sequence.
+    One recorder holds one execution: [Sim] attaches the installed
+    recorder to the log of every world it builds, so after a replay (or
+    inside an explorer callback) the window is exactly that execution's
+    step sequence.  Recording copies nothing: the window reads the log's
+    columns when it is exported, and keeps that log alive until the next
+    {!attach} or {!reset}.
 
     Export formats: JSONL ({!to_jsonl}; re-imported losslessly by {!parse})
     and Chrome trace-event JSON ({!to_chrome}, loadable in Perfetto). *)
@@ -28,26 +31,30 @@ val default_cap : int
 (** 65536 steps. *)
 
 val create : ?cap:int -> unit -> t
-(** @raise Invalid_argument if [cap <= 0]. *)
+(** A detached recorder whose window keeps at most [cap] trailing steps.
+    @raise Invalid_argument if [cap <= 0]. *)
+
+val attach : t -> Access_log.t -> unit
+(** Record the execution behind this log: {!reset}, then make the window
+    the log's last [min (length log) cap] steps, read when queried (steps
+    the log takes later are in it). *)
 
 val reset : t -> unit
-(** Empty the buffer and drop names, history, meta and verdicts. *)
-
-val record : t -> Access_log.entry -> unit
-(** O(1); overwrites the oldest retained step once [cap] is exceeded. *)
+(** Detach from the log and drop names, history, meta and verdicts. *)
 
 val recorded : t -> int
 (** Steps ever recorded (retained or not). *)
 
 val dropped : t -> int
-(** Steps lost to wraparound. *)
+(** Steps recorded but not retained: those before the log's last [cap],
+    plus any an imported artifact declared dropped. *)
 
 val steps : t -> Access_log.entry list
 (** Retained steps, oldest first. *)
 
 val find_step : t -> int -> Access_log.entry option
 (** Look up a retained step by its global index ([Access_log.entry.index]),
-    e.g. to render a lint finding's witness; [None] once the ring has
+    e.g. to render a lint finding's witness; [None] once the window has
     dropped it. *)
 
 (** {1 Run context} *)
@@ -72,8 +79,8 @@ val verdicts : t -> verdict list
 
 (** {1 The process-wide recorder}
 
-    Mirrors [Sink.default]: installing a recorder makes [Sim.replay] record
-    every execution into it without threading it through signatures. *)
+    Mirrors [Sink.default]: installing a recorder makes [Sim] attach it to
+    every world it builds, without threading it through signatures. *)
 
 val install : t option -> unit
 val default : unit -> t option
@@ -85,12 +92,16 @@ val with_recorder : t -> (unit -> 'a) -> 'a
 
 val to_jsonl : t -> string
 (** The artifact format (one JSON object per line; schema in
-    docs/OBSERVABILITY.md).  [parse (to_jsonl t)] reconstructs [t] up to
-    ring capacity, and re-exporting the parse yields the same string. *)
+    docs/OBSERVABILITY.md).  [parse (to_jsonl t)] reconstructs [t]'s
+    window, and re-exporting the parse yields the same string. *)
 
 val write_jsonl : t -> string -> unit
 
 val parse : string -> (t, string) result
+(** Rebuild an artifact: its steps go into a log of the recorder's own,
+    indexed from the artifact's [dropped] count.  An error names the
+    offending line, e.g. a step whose index is not the next one. *)
+
 val load : string -> (t, string) result
 (** [load path] reads and parses a dumped artifact. *)
 

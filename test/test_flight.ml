@@ -1,5 +1,6 @@
-(* The flight recorder: ring-buffer wraparound, the JSONL artifact
-   round-trip, deterministic replay of a dumped schedule, the golden
+(* The flight recorder: the window over a log (wraparound, and the law
+   that it behaves as the old ring did), the JSONL artifact round-trip and
+   its index check, deterministic replay of a dumped schedule, the golden
    Figure-1 timeline, registry prefix lookup, and unsat-core provenance. *)
 
 open Core
@@ -23,25 +24,23 @@ let entry_eq (a : Access_log.entry) (b : Access_log.entry) =
   && j (Flight.value_json a.Access_log.response)
      = j (Flight.value_json b.Access_log.response)
 
-let entry i pid =
-  {
-    Access_log.index = i;
-    pid;
-    tid = Some (Tid.v pid);
-    oid = Oid.of_int (i mod 3);
-    prim = Primitive.Write (Value.int i);
-    response = Value.unit;
-    changed = true;
-  }
+(* a log of [n] writes, step i by process [pid_of i] in its own txn *)
+let log_of ~pid_of n =
+  let log = Access_log.create () in
+  for i = 0 to n - 1 do
+    let pid = pid_of i in
+    Access_log.record log ~pid ~tid:(Some (Tid.v pid))
+      ~oid:(Oid.of_int (i mod 3)) ~prim:(Primitive.Write (Value.int i))
+      ~response:Value.unit ~changed:true
+  done;
+  log
 
 (* ------------------------------------------------------------------ *)
-(* ring buffer *)
+(* the window: a cap keeps the log's trailing steps *)
 
 let test_wraparound () =
   let fl = Flight.create ~cap:4 () in
-  for i = 0 to 9 do
-    Flight.record fl (entry i 1)
-  done;
+  Flight.attach fl (log_of ~pid_of:(fun _ -> 1) 10);
   Alcotest.(check int) "recorded" 10 (Flight.recorded fl);
   Alcotest.(check int) "dropped" 6 (Flight.dropped fl);
   Alcotest.(check (list int))
@@ -54,9 +53,7 @@ let test_wraparound () =
 
 let test_wraparound_export () =
   let fl = Flight.create ~cap:3 () in
-  for i = 0 to 4 do
-    Flight.record fl (entry i (1 + (i mod 2)))
-  done;
+  Flight.attach fl (log_of ~pid_of:(fun i -> 1 + (i mod 2)) 5);
   let text = Flight.to_jsonl fl in
   match Flight.parse text with
   | Error msg -> Alcotest.failf "parse: %s" msg
@@ -65,6 +62,151 @@ let test_wraparound_export () =
       Alcotest.(check int) "recorded survives import" 5 (Flight.recorded fl');
       Alcotest.(check string) "re-export is identical" text
         (Flight.to_jsonl fl')
+
+(* The window against the ring it replaced (Flight_ring_ref), which a
+   per-step hook filled: random logs over every primitive kind, any cap
+   from 1 to twice the length, and the recorder reset or re-attached to a
+   second log part way through. *)
+let gen_window_case =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [
+        return Value.unit;
+        map Value.bool bool;
+        map Value.int (int_range (-5) 300);
+        map2 Value.pair (map Value.int small_nat) (map Value.bool bool);
+      ]
+  in
+  let prim =
+    oneof
+      [
+        return Primitive.Read;
+        map (fun v -> Primitive.Write v) value;
+        map2
+          (fun expected desired -> Primitive.Cas { expected; desired })
+          value value;
+        map (fun n -> Primitive.Fetch_add n) small_signed_int;
+        map (fun p -> Primitive.Try_lock p) (int_range 1 40);
+        map (fun p -> Primitive.Unlock p) (int_range 1 40);
+        map (fun p -> Primitive.Load_linked p) (int_range 1 40);
+        map2
+          (fun p v -> Primitive.Store_conditional (p, v))
+          (int_range 1 40) value;
+      ]
+  in
+  let step =
+    map3
+      (fun (pid, tid) (oid, p) (resp, changed) ->
+        (pid, tid, oid, p, resp, changed))
+      (pair (int_range 1 40) (opt (int_range 1 12)))
+      (pair (int_range 0 4) prim)
+      (pair value bool)
+  in
+  list_size (0 -- 60) step >>= fun steps ->
+  let n = List.length steps in
+  map3
+    (fun cap cut reattach -> (steps, cap, cut, reattach))
+    (int_range 1 (max 1 (2 * n)))
+    (int_range 0 n) bool
+
+let test_window_law =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"window = ring oracle"
+       (QCheck.make gen_window_case ~print:(fun (steps, cap, cut, reattach) ->
+            Printf.sprintf "%d steps, cap %d, %s before step %d"
+              (List.length steps) cap
+              (if reattach then "re-attach" else "reset")
+              cut))
+       (fun (steps, cap, cut, reattach) ->
+         let fl = Flight.create ~cap () in
+         let ring = Flight_ring_ref.create ~cap in
+         let log = ref (Access_log.create ()) in
+         Flight.attach fl !log;
+         (* the ring's hook: record each step as the attached log takes it *)
+         let hooked = ref true in
+         let cut_here () =
+           Flight_ring_ref.reset ring;
+           if reattach then begin
+             log := Access_log.create ();
+             Flight.attach fl !log
+           end
+           else begin
+             Flight.reset fl;
+             hooked := false
+           end
+         in
+         let n = List.length steps in
+         List.iteri
+           (fun i (pid, tid, oid, prim, response, changed) ->
+             if i = cut then cut_here ();
+             Access_log.record !log ~pid ~tid:(Option.map Tid.v tid)
+               ~oid:(Oid.of_int oid) ~prim ~response ~changed;
+             if !hooked then
+               Flight_ring_ref.record ring
+                 (Access_log.get !log (Access_log.length !log - 1)))
+           steps;
+         if cut = n then cut_here ();
+         let names = [| "a"; "b"; "c" |] in
+         let verdict =
+           {
+             Flight.source = "law";
+             verdict = "unsat";
+             axiom = "none";
+             witness_txns = [ Tid.v 1 ];
+             witness_steps = [ cut ];
+           }
+         in
+         Flight.set_names fl names;
+         Flight.set_meta fl "tm" "law";
+         Flight.add_verdict fl verdict;
+         Flight_ring_ref.set_names ring names;
+         Flight_ring_ref.set_meta ring "tm" "law";
+         Flight_ring_ref.add_verdict ring verdict;
+         let text = Flight_ring_ref.to_jsonl ring in
+         Flight.steps fl = Flight_ring_ref.steps ring
+         && Flight.recorded fl = Flight_ring_ref.recorded ring
+         && Flight.dropped fl = Flight_ring_ref.dropped ring
+         && List.for_all
+              (fun i ->
+                Flight.find_step fl i = Flight_ring_ref.find_step ring i)
+              (List.init (n + 2) (fun i -> i - 1))
+         && Flight.to_jsonl fl = text
+         &&
+         match Flight.parse text with
+         | Ok fl' -> Flight.to_jsonl fl' = text
+         | Error _ -> false))
+
+(* ------------------------------------------------------------------ *)
+(* a parsed step can only be the next index after the declared drops *)
+
+let four_step_lines () =
+  let fl = Flight.create () in
+  Flight.attach fl (log_of ~pid_of:(fun _ -> 1) 4);
+  (* lines 1 and 2 are the header and the objects; steps i = 0..3 follow *)
+  String.split_on_char '\n' (Flight.to_jsonl fl)
+
+let expect_rejected ~sub lines =
+  match Flight.parse (String.concat "\n" lines) with
+  | Ok _ -> Alcotest.fail "parse accepted a non-consecutive step index"
+  | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "error %S names %S" msg sub)
+        true (contains ~sub msg)
+
+let test_parse_index_gap () =
+  (* drop step 1: line 4 then holds step 2 *)
+  expect_rejected ~sub:"line 4: step index 2 where 1 was expected"
+    (List.filteri (fun i _ -> i <> 3) (four_step_lines ()))
+
+let test_parse_index_order () =
+  (* swap steps 1 and 2 *)
+  let l = Array.of_list (four_step_lines ()) in
+  let s1 = l.(3) in
+  l.(3) <- l.(4);
+  l.(4) <- s1;
+  expect_rejected ~sub:"line 4: step index 2 where 1 was expected"
+    (Array.to_list l)
 
 (* ------------------------------------------------------------------ *)
 (* record -> export -> import round-trip on a real execution *)
@@ -234,9 +376,13 @@ let () =
           Alcotest.test_case "wraparound" `Quick test_wraparound;
           Alcotest.test_case "wraparound export" `Quick
             test_wraparound_export;
+          test_window_law;
         ] );
       ( "artifact",
         [
+          Alcotest.test_case "index gap rejected" `Quick test_parse_index_gap;
+          Alcotest.test_case "index order rejected" `Quick
+            test_parse_index_order;
           Alcotest.test_case "round-trip" `Quick test_roundtrip;
           Alcotest.test_case "replay from artifact" `Quick
             test_replay_from_artifact;
