@@ -24,6 +24,9 @@ type t
 
 val create : unit -> t
 
+val max_pid : int
+(** The largest pid a log records, [0x1F_FFFF]. *)
+
 val record :
   t ->
   pid:int ->
@@ -34,7 +37,8 @@ val record :
   changed:bool ->
   unit
 (** Append one step.  The step's index is [length] before the call.
-    @raise Invalid_argument on a negative pid. *)
+    @raise Invalid_argument on a pid outside [0 .. max_pid], leaving the
+    log unchanged. *)
 
 val length : t -> int
 

@@ -208,6 +208,33 @@ let test_parse_index_order () =
   expect_rejected ~sub:"line 4: step index 2 where 1 was expected"
     (Array.to_list l)
 
+(* a pid sizes the rebuilt log's per-process heads, so an artifact's pid
+   is bounded: a huge one is an error naming its line *)
+let with_pid pid line =
+  let key = "\"pid\":" in
+  let rec find i =
+    if String.sub line i (String.length key) = key then i else find (i + 1)
+  in
+  let start = find 0 + String.length key in
+  let stop = String.index_from line start ',' in
+  String.sub line 0 start ^ string_of_int pid
+  ^ String.sub line stop (String.length line - stop)
+
+let test_parse_pid_bound pid () =
+  (* line 3 holds step 0 *)
+  let lines =
+    List.mapi
+      (fun i l -> if i = 2 then with_pid pid l else l)
+      (four_step_lines ())
+  in
+  match Flight.parse (String.concat "\n" lines) with
+  | Ok _ -> Alcotest.failf "parse accepted pid %d" pid
+  | Error msg ->
+      let sub = Printf.sprintf "line 3: Access_log.record: pid %d above" pid in
+      Alcotest.(check bool)
+        (Printf.sprintf "error %S names %S" msg sub)
+        true (contains ~sub msg)
+
 (* ------------------------------------------------------------------ *)
 (* record -> export -> import round-trip on a real execution *)
 
@@ -383,6 +410,10 @@ let () =
           Alcotest.test_case "index gap rejected" `Quick test_parse_index_gap;
           Alcotest.test_case "index order rejected" `Quick
             test_parse_index_order;
+          Alcotest.test_case "pid max_int rejected" `Quick
+            (test_parse_pid_bound max_int);
+          Alcotest.test_case "pid 10^9 rejected" `Quick
+            (test_parse_pid_bound 1_000_000_000);
           Alcotest.test_case "round-trip" `Quick test_roundtrip;
           Alcotest.test_case "replay from artifact" `Quick
             test_replay_from_artifact;
