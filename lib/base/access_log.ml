@@ -47,17 +47,17 @@ let create () =
     count = 0;
   }
 
-(* The heads are sized by the largest pid, so a pid from outside (a parsed
-   artifact) is bounded before it sizes them; 21 bits, the width a
-   schedule path packs a pid into. *)
+(* Pids size the per-process heads, so outside input is bounded: 21 bits,
+   the width a schedule path packs a pid into. *)
 let max_pid = 0x1F_FFFF
+
+let bad_pid pid =
+  invalid_arg
+    (Printf.sprintf "Access_log.record: pid %d outside 0..%d" pid max_pid)
 
 (* Grow both head arrays so [pid] is addressable; fresh slots read -1 and
    0.  Off the per-step path: the heads are written in place otherwise. *)
 let grow_heads t pid =
-  if pid > max_pid then
-    invalid_arg
-      (Printf.sprintf "Access_log.record: pid %d above %d" pid max_pid);
   let n = Array.length t.pid_last in
   let cap = max 16 (max (pid + 1) (2 * n)) in
   let last = Array.make cap (-1) and count = Array.make cap 0 in
@@ -69,8 +69,8 @@ let grow_heads t pid =
 let length t = t.count
 
 let record t ~pid ~tid ~oid ~prim ~response ~changed =
-  if pid < 0 then invalid_arg "Access_log.record: negative pid";
-  if pid >= Array.length t.pid_last then grow_heads t pid;
+  (* one test for both bounds: a negative pid has bits above max_pid set *)
+  if pid land lnot max_pid <> 0 then bad_pid pid;
   let i = t.count in
   Intvec.push t.pcs ((pid lsl 1) lor Bool.to_int changed);
   let tc = match tid with None -> -1 | Some tid -> Tid.to_int tid in
@@ -78,6 +78,7 @@ let record t ~pid ~tid ~oid ~prim ~response ~changed =
   Intvec.push t.oids (Oid.to_int oid);
   Objvec.push t.prims prim;
   Objvec.push t.resps response;
+  if pid >= Array.length t.pid_last then grow_heads t pid;
   Array.unsafe_set t.pid_last pid i;
   Array.unsafe_set t.pid_count pid (Array.unsafe_get t.pid_count pid + 1);
   t.count <- i + 1
