@@ -47,14 +47,6 @@ let create () =
     count = 0;
   }
 
-(* Pids size the per-process heads, so outside input is bounded: 21 bits,
-   the width a schedule path packs a pid into. *)
-let max_pid = 0x1F_FFFF
-
-let bad_pid pid =
-  invalid_arg
-    (Printf.sprintf "Access_log.record: pid %d outside 0..%d" pid max_pid)
-
 (* Grow both head arrays so [pid] is addressable; fresh slots read -1 and
    0.  Off the per-step path: the heads are written in place otherwise. *)
 let grow_heads t pid =
@@ -69,8 +61,7 @@ let grow_heads t pid =
 let length t = t.count
 
 let record t ~pid ~tid ~oid ~prim ~response ~changed =
-  (* one test for both bounds: a negative pid has bits above max_pid set *)
-  if pid land lnot max_pid <> 0 then bad_pid pid;
+  if pid < 0 then invalid_arg "Access_log.record: negative pid";
   let i = t.count in
   Intvec.push t.pcs ((pid lsl 1) lor Bool.to_int changed);
   let tc = match tid with None -> -1 | Some tid -> Tid.to_int tid in

@@ -24,9 +24,6 @@ type t
 
 val create : unit -> t
 
-val max_pid : int
-(** The largest pid a log records, [0x1F_FFFF]. *)
-
 val record :
   t ->
   pid:int ->
@@ -37,8 +34,7 @@ val record :
   changed:bool ->
   unit
 (** Append one step.  The step's index is [length] before the call.
-    @raise Invalid_argument on a pid outside [0 .. max_pid], leaving the
-    log unchanged. *)
+    @raise Invalid_argument on a negative pid. *)
 
 val length : t -> int
 

@@ -269,6 +269,11 @@ let step_json (e : Access_log.entry) : J.t =
       ("resp", value_json e.Access_log.response);
     ]
 
+(* The rebuilt log sizes its per-process heads by the largest pid, so a
+   parsed pid is bounded: 21 bits, the width a schedule path packs a pid
+   into, so no recorded run goes higher. *)
+let max_pid = 0x1F_FFFF
+
 (* A parsed step is appended to the log the parse rebuilds, where its
    index can only be the declared drops plus its position. *)
 let record_step_json t (j : J.t) =
@@ -276,7 +281,9 @@ let record_step_json t (j : J.t) =
   (match int_field "i" j with
   | i when i = expected -> ()
   | i -> bad "step index %d where %d was expected" i expected);
-  Access_log.record t.log ~pid:(int_field "pid" j)
+  let pid = int_field "pid" j in
+  if pid < 0 || pid > max_pid then bad "pid %d outside 0..%d" pid max_pid;
+  Access_log.record t.log ~pid
     ~tid:
       (match field "tid" j with
       | J.Null -> None

@@ -350,24 +350,6 @@ let log_bounds_tests =
           (List.length (Access_log.sub log ~pos:3 ~len:2));
         check "sub empty at end" true
           (Access_log.sub log ~pos:5 ~len:0 = []));
-    Alcotest.test_case "record bounds the pid" `Quick (fun () ->
-        let log = Access_log.create () in
-        let record pid =
-          Access_log.record log ~pid ~tid:None ~oid:(Oid.of_int 0)
-            ~prim:Primitive.Read ~response:Value.unit ~changed:false
-        in
-        let rejected pid =
-          try
-            record pid;
-            false
-          with Invalid_argument _ -> true
-        in
-        record 3;
-        check "max_pid + 1" true (rejected (Access_log.max_pid + 1));
-        check "max_int" true (rejected max_int);
-        check "negative" true (rejected (-1));
-        check_int "rejected steps leave the log as it was" 1
-          (Access_log.length log));
   ]
 
 (* a fuzzed log: random steps over a few objects/transactions and up to

@@ -230,7 +230,7 @@ let test_parse_pid_bound pid () =
   match Flight.parse (String.concat "\n" lines) with
   | Ok _ -> Alcotest.failf "parse accepted pid %d" pid
   | Error msg ->
-      let sub = Printf.sprintf "line 3: Access_log.record: pid %d outside" pid in
+      let sub = Printf.sprintf "line 3: pid %d outside 0..2097151" pid in
       Alcotest.(check bool)
         (Printf.sprintf "error %S names %S" msg sub)
         true (contains ~sub msg)
