@@ -270,8 +270,8 @@ let step_json (e : Access_log.entry) : J.t =
     ]
 
 (* The rebuilt log sizes its per-process heads by the largest pid, so a
-   parsed pid is bounded: 21 bits, the width a schedule path packs a pid
-   into, so no recorded run goes higher. *)
+   parsed pid is bounded.  No recorded run goes higher: a schedule path
+   packs a pid into 21 bits. *)
 let max_pid = 0x1F_FFFF
 
 (* A parsed step is appended to the log the parse rebuilds, where its

@@ -100,7 +100,8 @@ val write_jsonl : t -> string -> unit
 val parse : string -> (t, string) result
 (** Rebuild an artifact: its steps go into a log of the recorder's own,
     indexed from the artifact's [dropped] count.  An error names the
-    offending line, e.g. a step whose index is not the next one. *)
+    offending line, e.g. a step whose index is not the next one or whose
+    pid lies outside [0 .. 0x1F_FFFF]. *)
 
 val load : string -> (t, string) result
 (** [load path] reads and parses a dumped artifact. *)
