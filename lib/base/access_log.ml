@@ -80,6 +80,23 @@ let check t i who =
       (Printf.sprintf "Access_log.%s: index %d out of bounds 0..%d" who i
          (t.count - 1))
 
+(* [n] copies of the last step, column by column: the log [n] {!record}s
+   of that step's fields would leave *)
+let repeat_last t n =
+  if n < 0 then invalid_arg "Access_log.repeat_last: negative count";
+  let last = t.count - 1 in
+  check t last "repeat_last";
+  let pc = Intvec.unsafe_get t.pcs last in
+  Intvec.push_n t.pcs pc n;
+  Intvec.push_n t.tids (Intvec.unsafe_get t.tids last) n;
+  Intvec.push_n t.oids (Intvec.unsafe_get t.oids last) n;
+  Objvec.push_n t.prims (Objvec.unsafe_get t.prims last) n;
+  Objvec.push_n t.resps (Objvec.unsafe_get t.resps last) n;
+  let pid = pc lsr 1 in
+  t.pid_last.(pid) <- last + n;
+  t.pid_count.(pid) <- t.pid_count.(pid) + n;
+  t.count <- t.count + n
+
 (* Per-field reads.  Bounds-checked; the chunk walk itself is unchecked
    because the check above already established validity. *)
 

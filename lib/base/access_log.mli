@@ -36,6 +36,12 @@ val record :
 (** Append one step.  The step's index is [length] before the call.
     @raise Invalid_argument on a negative pid. *)
 
+val repeat_last : t -> int -> unit
+(** [repeat_last t n] appends [n] copies of the last step: the same
+    columns and per-process heads as [n] {!record}s of its fields, filled
+    a chunk at a time.
+    @raise Invalid_argument if the log is empty or [n < 0]. *)
+
 val length : t -> int
 
 (** {2 Random access}

@@ -16,6 +16,7 @@ let create value = { value; lock_holder = None; reservations = Int_set.empty }
 let value t = t.value
 let lock_holder t = t.lock_holder
 let locked t = t.lock_holder <> None
+let reservations t = Int_set.elements t.reservations
 
 (** [apply_into t prim ~changed] atomically applies [prim]; returns the
     response and reports through [changed] whether any component of the

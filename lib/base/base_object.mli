@@ -11,6 +11,9 @@ val value : t -> Value.t
 val lock_holder : t -> int option
 val locked : t -> bool
 
+val reservations : t -> int list
+(** The pids holding a load-linked reservation, ascending. *)
+
 val apply : t -> Primitive.t -> Value.t * bool
 (** [apply t prim] atomically applies [prim] and returns
     [(response, changed)], where [changed] reports whether any component

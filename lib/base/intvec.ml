@@ -44,24 +44,41 @@ let prefix t n =
   done;
   { chunk_bits = t.chunk_bits; spine; chunks; len = n }
 
+(* Open chunk [c] (= [t.chunks]), growing the spine geometrically if
+   full.  Off the per-element path: an append reaches it once per chunk. *)
+let add_chunk t c =
+  if c = Array.length t.spine then begin
+    let cap = max 4 (2 * Array.length t.spine) in
+    let spine = Array.make cap [||] in
+    Array.blit t.spine 0 spine 0 t.chunks;
+    t.spine <- spine
+  end;
+  t.spine.(c) <- Array.make (1 lsl t.chunk_bits) 0;
+  t.chunks <- t.chunks + 1
+
 let push t (v : int) =
   let bits = t.chunk_bits in
   let mask = (1 lsl bits) - 1 in
   let i = t.len land mask in
   let c = t.len lsr bits in
-  if c = t.chunks then begin
-    (* need a fresh chunk; grow the spine geometrically if full *)
-    if c = Array.length t.spine then begin
-      let cap = max 4 (2 * Array.length t.spine) in
-      let spine = Array.make cap [||] in
-      Array.blit t.spine 0 spine 0 t.chunks;
-      t.spine <- spine
-    end;
-    t.spine.(c) <- Array.make (1 lsl bits) 0;
-    t.chunks <- t.chunks + 1
-  end;
+  if c = t.chunks then add_chunk t c;
   t.spine.(c).(i) <- v;
   t.len <- t.len + 1
+
+(* [n] copies of [v], one [Array.fill] per chunk they touch *)
+let push_n t (v : int) n =
+  if n < 0 then invalid_arg "Intvec.push_n: negative count";
+  let size = 1 lsl t.chunk_bits in
+  let left = ref n in
+  while !left > 0 do
+    let i = t.len land (size - 1) in
+    let c = t.len lsr t.chunk_bits in
+    if c = t.chunks then add_chunk t c;
+    let k = min !left (size - i) in
+    Array.fill t.spine.(c) i k v;
+    t.len <- t.len + k;
+    left := !left - k
+  done
 
 let get t i =
   if i < 0 || i >= t.len then

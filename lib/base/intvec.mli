@@ -23,6 +23,11 @@ val prefix : t -> int -> t
 
 val push : t -> int -> unit
 
+val push_n : t -> int -> int -> unit
+(** [push_n t v n] appends [n] copies of [v]: the same vector as [n]
+    {!push}es, filled one chunk at a time.
+    @raise Invalid_argument if [n < 0]. *)
+
 val get : t -> int -> int
 (** @raise Invalid_argument out of bounds. *)
 

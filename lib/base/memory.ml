@@ -148,6 +148,28 @@ let apply t ~pid ?tid (oid : Oid.t) (prim : Primitive.t) : Value.t =
   (match t.hook with Some f -> f t.log index | None -> ());
   response
 
+(* The last step taken [n] more times in one append, when that is exact:
+   a step that changed nothing is a fixed point of its primitive, and
+   only a fault hook could answer a repeat differently. *)
+let repeat_last t n =
+  let last = Access_log.length t.log - 1 in
+  if Option.is_some t.fault || last < 0 || Access_log.changed_at t.log last
+  then false
+  else begin
+    Access_log.repeat_last t.log n;
+    Tm_obs.Metrics.add t.steps_c n;
+    Tm_obs.Metrics.add
+      t.prim_c.(Primitive.kind_index (Access_log.prim_at t.log last))
+      n;
+    (match t.hook with
+    | Some f ->
+        for i = last + 1 to last + n do
+          f t.log i
+        done
+    | None -> ());
+    true
+  end
+
 (** Debugging read that is not a step and is not logged. *)
 let peek t (oid : Oid.t) : Value.t =
   if oid < 0 || oid >= t.n_objects then invalid_arg "Memory.peek: bad oid";

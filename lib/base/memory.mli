@@ -43,6 +43,17 @@ val apply : t -> pid:int -> ?tid:Tid.t -> Oid.t -> Primitive.t -> Value.t
 (** One atomic step: apply the primitive on behalf of process [pid]
     (attributed to [tid] if given), log it, return the response. *)
 
+val repeat_last : t -> int -> bool
+(** [repeat_last t n] logs the last step [n] more times in one bulk
+    append and answers true, when that equals applying it [n] more times:
+    the step reported no change, so it is a fixed point of its primitive,
+    and no fault hook is installed to answer a repeat differently.
+    Otherwise (or on an empty log) it does nothing and answers false.
+    [mem_steps_total] and [mem_prim_total] advance by [n]; the telemetry
+    hook runs once per appended index, after the append.  The caller
+    vouches that the repeats are the steps its process would take next.
+    @raise Invalid_argument if [n < 0]. *)
+
 val peek : t -> Oid.t -> Value.t
 (** Debugging read — not a step, not logged. *)
 

@@ -20,22 +20,39 @@ let create ?(chunk_bits = 7) ~dummy () =
 
 let length t = t.len
 
+(* Open chunk [c] (= [t.chunks]), growing the spine if full. *)
+let add_chunk t c =
+  if c = Array.length t.spine then begin
+    let cap = max 4 (2 * Array.length t.spine) in
+    let spine = Array.make cap [||] in
+    Array.blit t.spine 0 spine 0 t.chunks;
+    t.spine <- spine
+  end;
+  t.spine.(c) <- Array.make (1 lsl t.chunk_bits) t.dummy;
+  t.chunks <- t.chunks + 1
+
 let push t v =
   let bits = t.chunk_bits in
   let i = t.len land ((1 lsl bits) - 1) in
   let c = t.len lsr bits in
-  if c = t.chunks then begin
-    if c = Array.length t.spine then begin
-      let cap = max 4 (2 * Array.length t.spine) in
-      let spine = Array.make cap [||] in
-      Array.blit t.spine 0 spine 0 t.chunks;
-      t.spine <- spine
-    end;
-    t.spine.(c) <- Array.make (1 lsl bits) t.dummy;
-    t.chunks <- t.chunks + 1
-  end;
+  if c = t.chunks then add_chunk t c;
   t.spine.(c).(i) <- v;
   t.len <- t.len + 1
+
+(* [n] copies of [v], one [Array.fill] per chunk they touch *)
+let push_n t v n =
+  if n < 0 then invalid_arg "Objvec.push_n: negative count";
+  let size = 1 lsl t.chunk_bits in
+  let left = ref n in
+  while !left > 0 do
+    let i = t.len land (size - 1) in
+    let c = t.len lsr t.chunk_bits in
+    if c = t.chunks then add_chunk t c;
+    let k = min !left (size - i) in
+    Array.fill t.spine.(c) i k v;
+    t.len <- t.len + k;
+    left := !left - k
+  done
 
 (** Unchecked read — callers that already hold a valid index. *)
 let unsafe_get t i =

@@ -14,6 +14,11 @@ val create : ?chunk_bits:int -> dummy:'a -> unit -> 'a t
 val length : 'a t -> int
 val push : 'a t -> 'a -> unit
 
+val push_n : 'a t -> 'a -> int -> unit
+(** [push_n t v n] appends [n] copies of [v]: the same vector as [n]
+    {!push}es, filled one chunk at a time.
+    @raise Invalid_argument if [n < 0]. *)
+
 val get : 'a t -> int -> 'a
 (** @raise Invalid_argument out of bounds. *)
 

@@ -11,7 +11,9 @@ open Tm_base
 
 type request = { oid : Oid.t; prim : Primitive.t; tid : Tid.t option }
 
-type _ Effect.t += Step : request -> Value.t Effect.t
+type _ Effect.t +=
+  | Step : request -> Value.t Effect.t
+  | Await : request * (Value.t -> bool) -> Value.t Effect.t
 
 (** [access ?tid oid prim] performs one atomic step on [oid].  Must be
     called from code running under a {!Scheduler}.  [tid] attributes the
@@ -55,3 +57,8 @@ let try_lock_t ~tid ~pid oid =
 
 let unlock_t ~tid ~pid oid =
   ignore (access_t ~tid oid (Primitive.Unlock pid))
+
+(* a spin loop as one effect: the scheduler re-issues the request until
+   [until] accepts a response (see the interface) *)
+let await_t ~tid oid prim ~until =
+  Effect.perform (Await ({ oid; prim; tid }, until))

@@ -11,7 +11,10 @@ open Tm_base
 
 type request = { oid : Oid.t; prim : Primitive.t; tid : Tid.t option }
 
-type _ Effect.t += Step : request -> Value.t Effect.t
+type _ Effect.t +=
+  | Step : request -> Value.t Effect.t
+  | Await : request * (Value.t -> bool) -> Value.t Effect.t
+        (** see {!await_t} *)
 
 val access : ?tid:Tid.t -> Oid.t -> Primitive.t -> Value.t
 (** [access ?tid oid prim] performs one atomic step on [oid].  Must be
@@ -44,3 +47,18 @@ val cas_t :
 val fetch_add_t : tid:Tid.t option -> Oid.t -> int -> int
 val try_lock_t : tid:Tid.t option -> pid:int -> Oid.t -> bool
 val unlock_t : tid:Tid.t option -> pid:int -> Oid.t -> unit
+
+(** {1 Awaits} *)
+
+val await_t :
+  tid:Tid.t option -> Oid.t -> Primitive.t -> until:(Value.t -> bool) -> Value.t
+(** [await_t ~tid oid prim ~until] is the spin loop
+    [let rec spin () = let r = access_t ~tid oid prim in
+     if until r then r else spin ()] — the same steps, one per attempt —
+    run by the scheduler: a failed attempt is logged as an ordinary step
+    but does not resume the process, which stays pending on the same
+    request.  A process the scheduler runs alone and whose failed attempt
+    changed nothing therefore repeats that step until its budget ends,
+    and the scheduler appends those repeats in bulk.  [until] is called
+    outside the process and must be pure; an exception it raises is
+    raised in the process at the await. *)

@@ -78,7 +78,9 @@ let of_string s : (atom list, string) result =
             | "~" -> Ok (Poison pid)
             | n -> (
                 match int_of_string_opt n with
-                | Some n -> Ok (Steps (pid, n))
+                | Some n when n >= 0 -> Ok (Steps (pid, n))
+                | Some _ ->
+                    Error (Printf.sprintf "negative step count in %S" tok)
                 | None -> Error (Printf.sprintf "bad step count in %S" tok))))
     | _ ->
         Error

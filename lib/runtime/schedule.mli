@@ -51,7 +51,8 @@ val to_string : atom list -> string
 val of_string : string -> (atom list, string) result
 (** Inverse of {!to_string} (also accepts surrounding whitespace per
     token), so a dumped schedule — faults included — replays
-    bit-identically. *)
+    bit-identically.  A step count must be a non-negative integer: the
+    error for ["pN:K"] with [K < 0] names the token. *)
 
 val stop_reason : stop -> string
 (** Coarse label ("completed" / "budget-exhausted" / "crashed"). *)

@@ -33,13 +33,21 @@ type cell = {
   mutable on_step : ((Value.t, unit) Effect.Deep.continuation -> unit) option;
       (* the effect handler's resume closure, built once per process so
          performing a step allocates neither a closure nor its [Some] *)
+  mutable awaiting : bool;
+      (* the pending request is an [Await]: resume only on a response
+         [until] accepts.  Set by the await handler and cleared when the
+         await resumes, so the [Step] path only tests it *)
+  mutable until : Value.t -> bool;  (* meaningful only while [awaiting] *)
 }
 
 let dummy_req : Proc.request =
   { Proc.oid = Oid.of_int 0; prim = Primitive.Read; tid = None }
 
 let make_cell pid f =
-  let c = { pid; status = Not_started f; req = dummy_req; on_step = None } in
+  let c =
+    { pid; status = Not_started f; req = dummy_req; on_step = None;
+      awaiting = false; until = Fun.const false }
+  in
   c.on_step <- Some (fun k -> c.status <- Pending k);
   c
 
@@ -92,6 +100,11 @@ let handler (c : cell) : (unit, unit) Effect.Deep.handler =
                pre-built resume closure is returned as-is *)
             c.req <- req;
             (c.on_step : ((a, unit) Effect.Deep.continuation -> unit) option)
+        | Proc.Await (req, until) ->
+            c.req <- req;
+            c.until <- until;
+            c.awaiting <- true;
+            (c.on_step : ((a, unit) Effect.Deep.continuation -> unit) option)
         | _ -> None);
   }
 
@@ -104,24 +117,54 @@ let start_if_needed (c : cell) =
 
 type step_result = Stepped | Already_finished | Crashed of exn
 
-(** Advance process [pid] by one atomic step.  Starting a process runs its
-    local code up to (and including) its first primitive. *)
-let step t pid : step_result =
-  let c = cell t pid in
+(* [step]'s outcome as the run loops see it: [Blocked] is a step that was
+   a failed await attempt, after which the process is still pending on
+   the same request. *)
+type advance = Resumed | Blocked | Was_finished | Was_crashed of exn
+
+(* An await attempt's response: resume the process with it if [until]
+   accepts it (or raise [until]'s exception at the await), else leave the
+   process pending on the same request. *)
+let attempt (c : cell) k resp =
+  match c.until resp with
+  | false -> Blocked
+  | true ->
+      c.awaiting <- false;
+      c.status <- Stepping;
+      Effect.Deep.continue k resp;
+      Resumed
+  | exception e ->
+      c.awaiting <- false;
+      c.status <- Stepping;
+      Effect.Deep.discontinue k e;
+      Resumed
+
+let advance t (c : cell) : advance =
   start_if_needed c;
   match c.status with
-  | Finished -> Already_finished
-  | Failed e -> Crashed e
+  | Finished -> Was_finished
+  | Failed e -> Was_crashed e
   | Pending k ->
       let req = c.req in
       let resp =
-        Memory.apply t.mem ~pid ?tid:req.tid req.oid req.prim
+        Memory.apply t.mem ~pid:c.pid ?tid:req.tid req.oid req.prim
       in
-      c.status <- Stepping;
-      Effect.Deep.continue k resp;
-      (* the handler has updated the status to Pending/Finished/Failed *)
-      Stepped
+      if c.awaiting then attempt c k resp
+      else begin
+        c.status <- Stepping;
+        Effect.Deep.continue k resp;
+        (* the handler has updated the status to Pending/Finished/Failed *)
+        Resumed
+      end
   | Not_started _ | Stepping -> assert false
+
+(** Advance process [pid] by one atomic step.  Starting a process runs its
+    local code up to (and including) its first primitive. *)
+let step t pid : step_result =
+  match advance t (cell t pid) with
+  | Resumed | Blocked -> Stepped
+  | Was_finished -> Already_finished
+  | Was_crashed e -> Crashed e
 
 (** Crash-stop process [pid] (the asynchronous model's fault: a crashed
     process is simply never scheduled again).  The pending continuation is
@@ -175,15 +218,26 @@ let pids t =
   in
   go (Array.length t.cells - 1) []
 
+(* The spin fast-forward.  After a [Blocked] step with [left] steps of
+   the atom to go, and only this process running in them, every one of
+   those steps re-issues the failed attempt: if that attempt changed
+   nothing and no fault hook can vary a step, each repeat answers the same
+   response, fails [until] again and changes nothing (the fixed-point law
+   {!Memory.repeat_last} rests on).  So the remainder is one bulk append;
+   true iff it was taken. *)
+let spin_forward t left = left > 0 && Memory.repeat_last t.mem left
+
 (** Run [pid] for at most [n] steps; returns the number of steps taken
     (fewer than [n] only if the process finished or crashed). *)
 let run_steps t pid n =
+  let c = cell t pid in
   let rec go taken =
     if taken >= n then taken
     else
-      match step t pid with
-      | Stepped -> go (taken + 1)
-      | Already_finished | Crashed _ -> taken
+      match advance t c with
+      | Resumed -> go (taken + 1)
+      | Blocked -> if spin_forward t (n - taken - 1) then n else go (taken + 1)
+      | Was_finished | Was_crashed _ -> taken
   in
   go 0
 
@@ -193,18 +247,20 @@ type solo_result = Done of int | Out_of_budget | Crash of exn
     the process finished after [n] further steps.  [Out_of_budget] is how a
     blocking TM's failure to make solo progress manifests. *)
 let run_solo t pid ~budget : solo_result =
+  let c = cell t pid in
   let rec go taken =
-    if finished t pid then Done taken
-    else
-      match crashed t pid with
-      | Some e -> Crash e
-      | None ->
-          if taken >= budget then Out_of_budget
-          else begin
-            match step t pid with
-            | Stepped -> go (taken + 1)
-            | Already_finished -> Done taken
-            | Crashed e -> Crash e
-          end
+    match c.status with
+    | Finished -> Done taken
+    | Failed e -> Crash e
+    | Not_started _ | Pending _ | Stepping -> (
+        if taken >= budget then Out_of_budget
+        else
+          match advance t c with
+          | Resumed -> go (taken + 1)
+          | Blocked ->
+              if spin_forward t (budget - taken - 1) then go budget
+              else go (taken + 1)
+          | Was_finished -> Done taken
+          | Was_crashed e -> Crash e)
   in
   go 0

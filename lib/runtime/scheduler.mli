@@ -29,7 +29,12 @@ type step_result = Stepped | Already_finished | Crashed of exn
 
 val step : t -> int -> step_result
 (** Advance one process by one atomic step.  Starting a process runs its
-    local code up to and including its first primitive.
+    local code up to and including its first primitive.  A process
+    pending on a {!Proc.await_t} takes one attempt: it is resumed only if
+    [until] accepts the response, and otherwise stays pending on the same
+    request ([Stepped] either way).  An exception [until] raises is
+    raised in the process at the await, so it ends as that process's
+    crash unless the process handles it.
     @raise Invalid_argument on an unknown pid. *)
 
 val inject_crash : t -> int -> unit
@@ -50,19 +55,25 @@ val pending : t -> int -> Proc.request option
 (** The request [pid] will issue at its next step, if its local code has
     already run up to a primitive.  [None] for a never-stepped process
     (its first access is unknown until its prelude runs) and for finished
-    or crashed ones.  Stable until [pid] itself is stepped — the conflict
-    oracle a partial-order-reduced search keys on. *)
+    or crashed ones.  Stable until [pid] itself is stepped, and across
+    the failed attempts of an await — the conflict oracle a
+    partial-order-reduced search keys on. *)
 
 val runnable : t -> int -> bool
 val pids : t -> int list
 
 val run_steps : t -> int -> int -> int
 (** [run_steps t pid n] takes at most [n] steps of [pid]; returns how many
-    were actually taken (fewer only if the process finished or crashed). *)
+    were actually taken (fewer only if the process finished or crashed).
+    Equal to [n] calls of {!step}, with one shortcut: once a step is a
+    failed await attempt that changed nothing and no fault hook is
+    installed, the rest of the [n] steps repeat it exactly, so they are
+    appended in bulk ({!Memory.repeat_last}). *)
 
 type solo_result = Done of int | Out_of_budget | Crash of exn
 
 val run_solo : t -> int -> budget:int -> solo_result
 (** Run a process solo until it finishes, up to [budget] steps.
     [Out_of_budget] is how a blocking TM's failure to make solo progress
-    manifests. *)
+    manifests.  The same shortcut as {!run_steps}: a solo spin no other
+    process can end is appended to its budget in bulk. *)

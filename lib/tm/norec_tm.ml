@@ -48,9 +48,11 @@ type ctx = {
 
 (* spin until the sequence word is even (a suspended writer blocks us
    here — NOrec's blocking window) *)
-let rec wait_even c =
-  let s = Value.to_int_exn (Proc.read_t ~tid:c.topt c.t.seq) in
-  if s land 1 = 0 then s else wait_even c
+let even v = Value.to_int_exn v land 1 = 0
+
+let wait_even c =
+  Value.to_int_exn
+    (Proc.await_t ~tid:c.topt c.t.seq Primitive.Read ~until:even)
 
 let begin_txn t ~pid ~tid =
   let c = { t; pid; tid; topt = Some tid; snapshot = 0; rset = []; wset = []; dead = false } in

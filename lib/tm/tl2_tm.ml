@@ -56,6 +56,12 @@ let begin_txn t ~pid ~tid =
 
 let encode owner v ver = Value.list [ Value.int owner; v; Value.int ver ]
 
+(* a cell read whose lock word is free; a malformed cell passes, for the
+   caller to reject *)
+let unowned = function
+  | Value.VList [ Value.VInt owner; _; Value.VInt _ ] -> owner = -1
+  | _ -> true
+
 let read c x =
   if c.dead then Error ()
   else
@@ -102,16 +108,18 @@ let try_commit c =
     if c.wset = [] then Ok () (* read-only fast path, as in TL2 *)
     else begin
       let items = List.sort Int.compare (List.map fst c.wset) in
-      (* lock the write set in item order (spin: the blocking part) *)
+      (* lock the write set in item order (spin until the cell is
+         unowned: the blocking part) *)
       let rec lock_all held = function
         | [] -> held
         | id :: rest as pending -> (
             let oid = Array.unsafe_get c.t.cell_oids id in
-            let cur = Proc.read_t ~tid:c.topt oid in
+            let cur =
+              Proc.await_t ~tid:c.topt oid Primitive.Read ~until:unowned
+            in
             match cur with
-            | Value.VList [ Value.VInt owner; v; Value.VInt ver ] ->
-                if owner <> -1 then lock_all held pending (* spin *)
-                else if
+            | Value.VList [ Value.VInt _; v; Value.VInt ver ] ->
+                if
                   Proc.cas_t ~tid:c.topt oid ~expected:cur
                     ~desired:(encode c.pid v ver)
                 then lock_all ((id, v, ver) :: held) rest

@@ -122,12 +122,12 @@ let try_commit c =
     (* acquire read+write locks in item order; spin — the blocking part *)
     let rec acquire held = function
       | [] -> held
-      | id :: rest as pending ->
-          if
-            Proc.try_lock_t ~tid:c.topt ~pid:c.pid
-              (Array.unsafe_get c.t.lock_oids id)
-          then acquire (id :: held) rest
-          else acquire held pending
+      | id :: rest ->
+          ignore
+            (Proc.await_t ~tid:c.topt
+               (Array.unsafe_get c.t.lock_oids id)
+               (Primitive.Try_lock c.pid) ~until:Value.to_bool_exn);
+          acquire (id :: held) rest
     in
     let held = acquire [] (lock_items c) in
     (* validate the read set: versions unchanged since first read *)

@@ -378,6 +378,45 @@ let build_log ops =
     ops;
   Memory.log m
 
+(* The bulk append the scheduler's spin fast-forward uses: [repeat_last]
+   leaves the log [n] single records of the last step's fields would,
+   across chunk boundaries (128-slot chunks: prefixes up to 300 steps,
+   repeats up to 400) *)
+let repeat_law =
+  QCheck.Test.make ~count:200 ~name:"repeat_last = n records of the last step"
+    QCheck.(pair (list_of_size Gen.(1 -- 300)
+                    (quad (int_range 1 40) (int_range 0 3) (int_range 0 2)
+                       (int_range 0 9)))
+              (int_range 0 400))
+    (fun (ops, n) ->
+      let bulk = build_log ops and single = build_log ops in
+      let last = Access_log.get single (Access_log.length single - 1) in
+      Access_log.repeat_last bulk n;
+      for _ = 1 to n do
+        Access_log.record single ~pid:last.pid ~tid:last.tid ~oid:last.oid
+          ~prim:last.prim ~response:last.response ~changed:last.changed
+      done;
+      let same_at i =
+        Access_log.pid_at bulk i = Access_log.pid_at single i
+        && Access_log.tid_int_at bulk i = Access_log.tid_int_at single i
+        && Access_log.tid_at bulk i = Access_log.tid_at single i
+        && Oid.equal (Access_log.oid_at bulk i) (Access_log.oid_at single i)
+        && Access_log.prim_at bulk i = Access_log.prim_at single i
+        && Value.equal (Access_log.response_at bulk i)
+             (Access_log.response_at single i)
+        && Access_log.changed_at bulk i = Access_log.changed_at single i
+        && Access_log.get bulk i = Access_log.get single i
+      in
+      let same_heads pid =
+        Access_log.last_index_by_pid bulk pid
+        = Access_log.last_index_by_pid single pid
+        && Access_log.pid_step_count bulk pid
+           = Access_log.pid_step_count single pid
+      in
+      Access_log.length bulk = Access_log.length single
+      && List.for_all same_at (List.init (Access_log.length bulk) Fun.id)
+      && List.for_all same_heads (List.init 42 Fun.id))
+
 let log_prop_tests =
   let open QCheck in
   [
@@ -437,13 +476,72 @@ let log_prop_tests =
            List.equal same
              (Contention.summarize_log log)
              (Contention.summarize (Access_log.entries log))));
+    QCheck_alcotest.to_alcotest repeat_law;
   ]
+
+(* An object state (value, lock holder, LL reservations) and one
+   primitive of each of the eight kinds, over small pids and ints *)
+let gen_state_prim =
+  let open QCheck.Gen in
+  let small = int_range 0 3 in
+  let v = map Value.int small in
+  let state = triple small (opt small) (list_size (0 -- 3) small) in
+  let prim =
+    oneof
+      [ return Primitive.Read;
+        map (fun x -> Primitive.Write x) v;
+        map2 (fun expected desired -> Primitive.Cas { expected; desired }) v v;
+        map (fun d -> Primitive.Fetch_add d) (int_range (-1) 1);
+        map (fun p -> Primitive.Try_lock p) small;
+        map (fun p -> Primitive.Unlock p) small;
+        map (fun p -> Primitive.Load_linked p) small;
+        map2 (fun p x -> Primitive.Store_conditional (p, x)) small v ]
+  in
+  pair state prim
+
+let object_of (value, holder, reserved) =
+  let o = Base_object.create (Value.int value) in
+  Option.iter (fun p -> ignore (Base_object.apply o (Primitive.Try_lock p)))
+    holder;
+  List.iter (fun p -> ignore (Base_object.apply o (Primitive.Load_linked p)))
+    reserved;
+  o
+
+let state_of o =
+  (Base_object.value o, Base_object.lock_holder o, Base_object.reservations o)
+
+(* The law the spin fast-forward rests on: a step that reports no change
+   is a fixed point — the same primitive, applied to the state it left,
+   answers an equal response, again reports no change and leaves value,
+   lock holder and reservations equal.  [Load_linked] and [Fetch_add 0]
+   report no change yet may touch the reservations, hence the check of
+   the post-state rather than of the pre-state. *)
+let fixed_point_law =
+  QCheck.Test.make ~count:2000 ~name:"unchanged step is a fixed point"
+    (QCheck.make
+       ~print:(fun ((v, h, rs), p) ->
+         Printf.sprintf "value %d, holder %s, reserved [%s]; %s" v
+           (match h with Some p -> string_of_int p | None -> "-")
+           (String.concat ";" (List.map string_of_int rs))
+           (Primitive.show p))
+       gen_state_prim)
+    (fun (st, prim) ->
+      let o = object_of st in
+      let r1, changed1 = Base_object.apply o prim in
+      changed1
+      ||
+      let after1 = state_of o in
+      let r2, changed2 = Base_object.apply o prim in
+      let v1, h1, rs1 = after1 and v2, h2, rs2 = state_of o in
+      Value.equal r1 r2 && (not changed2) && Value.equal v1 v2 && h1 = h2
+      && rs1 = rs2)
 
 (* property tests *)
 
 let prop_tests =
   let open QCheck in
   [
+    QCheck_alcotest.to_alcotest fixed_point_law;
     QCheck_alcotest.to_alcotest
       (Test.make ~count:200 ~name:"fetch_add accumulates"
          (list (int_range (-50) 50))

@@ -311,6 +311,39 @@ let test_schedule_string_roundtrip () =
   Alcotest.(check bool) "bad token rejected" true
     (Result.is_error (Schedule.of_string "p1:x"))
 
+let test_negative_steps_rejected () =
+  Alcotest.(check (result reject string))
+    "the error names the token"
+    (Error "negative step count in \"p1:-3\"")
+    (Schedule.of_string "p1:-3,p3:*");
+  Alcotest.(check bool) "zero steps still parse" true
+    (Schedule.of_string "p1:0" = Ok [ Schedule.Steps (1, 0) ])
+
+(* The solo spins [pcl_tm trace --log] stalls on: a reader behind a
+   suspended committer re-runs one failing step (a try-lock on tl-lock, a
+   locked-cell read on tl2-clock, a read of the odd sequence word on
+   norec) until the harness's 50,000-step budget ends.  The test rules
+   write each run's stdout and stderr; the digests were taken from runs
+   that stepped every attempt one at a time, so a bulk append that drifts
+   by one entry changes them. *)
+let spin_logs =
+  [ ( "tl-lock", "dbe889b3aae9ce6e754beb93034b90a2",
+      {|{"schema":1,"type":"reason","code":"PCL-E106","message":"p3 stalled; its last step was #50004","pid":3,"step":50004,"object":"lock:b1","prim":"trylock"}|}
+    );
+    ( "tl2-clock", "8498407988b7bbe4dcfaaae1e6f9b660",
+      {|{"schema":1,"type":"reason","code":"PCL-E106","message":"p2 stalled; its last step was #50022","pid":2,"step":50022,"object":"tv:a","prim":"read"}|}
+    );
+    ( "norec", "3d366b52a992fbaef90a37495d791315",
+      {|{"schema":1,"type":"reason","code":"PCL-E106","message":"p3 stalled; its last step was #50007","pid":3,"step":50007,"object":"seq","prim":"read"}|}
+    ) ]
+
+let test_spin_log (tm, digest, reason) () =
+  let file ext = Printf.sprintf "spin-%s.%s" tm ext in
+  Alcotest.(check string) "stdout digest" digest
+    (Digest.to_hex (Digest.file (file "log")));
+  Alcotest.(check string) "reason line" (reason ^ "\n")
+    (In_channel.with_open_bin (file "err") In_channel.input_all)
+
 (* ------------------------------------------------------------------ *)
 (* golden render: Figure 1 (top) for the candidate TM *)
 
@@ -419,7 +452,14 @@ let () =
             test_replay_from_artifact;
           Alcotest.test_case "schedule strings" `Quick
             test_schedule_string_roundtrip;
+          Alcotest.test_case "negative step count rejected" `Quick
+            test_negative_steps_rejected;
         ] );
+      ( "spin logs",
+        List.map
+          (fun ((tm, _, _) as pin) ->
+            Alcotest.test_case tm `Quick (test_spin_log pin))
+          spin_logs );
       ( "timeline",
         [ Alcotest.test_case "figure 1 golden" `Quick test_golden_figure1 ] );
       ( "registry",

@@ -171,6 +171,231 @@ let sim_tests =
           = Some 3));
   ]
 
+(* -- awaits ------------------------------------------------------------ *)
+
+(* p1 awaits [o] = 1, then marks [after] with the response it got; p2
+   writes 1 to [o] *)
+let await_world ?(until = fun v -> Value.equal v (Value.int 1)) () =
+  let mem = Memory.create () in
+  let sched = Scheduler.create mem in
+  let o = Memory.alloc mem ~name:"o" (Value.int 0) in
+  let after = ref None in
+  Scheduler.spawn sched ~pid:1 (fun () ->
+      after := Some (Proc.await_t ~tid:None o Primitive.Read ~until));
+  Scheduler.spawn sched ~pid:2 (fun () -> Proc.write o (Value.int 1));
+  (mem, sched, o, after)
+
+let await_req o = Some { Proc.oid = o; prim = Primitive.Read; tid = None }
+
+(* the same await under [Sim]: p1 alone, awaiting object 0 *)
+let await_setup until : Sim.setup =
+ fun mem _ ->
+  let o = Memory.alloc mem ~name:"o" (Value.int 0) in
+  [ (1, fun () -> ignore (Proc.await_t ~tid:None o Primitive.Read ~until)) ]
+
+let await_tests =
+  [
+    Alcotest.test_case "a failed attempt does not resume the process" `Quick
+      (fun () ->
+        let mem, sched, _, after = await_world () in
+        for _ = 1 to 3 do
+          check "stepped" true (Scheduler.step sched 1 = Scheduler.Stepped)
+        done;
+        check "code after the await not run" true (!after = None);
+        check_int "three attempts logged" 3 (Memory.step_count mem);
+        check "not finished" false (Scheduler.finished sched 1));
+    Alcotest.test_case "pending keeps returning the await's request" `Quick
+      (fun () ->
+        let _, sched, o, _ = await_world () in
+        ignore (Scheduler.step sched 1);
+        check "after one attempt" true
+          (Scheduler.pending sched 1 = await_req o);
+        ignore (Scheduler.step sched 1);
+        check "after two" true (Scheduler.pending sched 1 = await_req o);
+        let c = Sim.start (await_setup (Fun.const false)) in
+        for i = 1 to 3 do
+          check "sim step progressed" true (Sim.step c 1);
+          check (Printf.sprintf "sim pending after %d" i) true
+            (Sim.pending c 1 = await_req (Oid.of_int 0))
+        done);
+    Alcotest.test_case "a successful attempt resumes with its response" `Quick
+      (fun () ->
+        let mem, sched, _, after = await_world () in
+        ignore (Scheduler.step sched 1);
+        ignore (Scheduler.run_solo sched 2 ~budget:10);
+        check "still waiting" true (!after = None);
+        check "stepped" true (Scheduler.step sched 1 = Scheduler.Stepped);
+        check "resumed with the accepted response" true
+          (!after = Some (Value.int 1));
+        check "finished" true (Scheduler.finished sched 1);
+        check_int "two attempts and the write" 3 (Memory.step_count mem));
+    Alcotest.test_case "inject_crash drops an awaiting process" `Quick
+      (fun () ->
+        let _, sched, _, after = await_world () in
+        ignore (Scheduler.step sched 1);
+        Scheduler.inject_crash sched 1;
+        check "injected crash" true
+          (match Scheduler.crashed sched 1 with
+          | Some e -> Scheduler.injected e
+          | None -> false);
+        check "no pending request" true (Scheduler.pending sched 1 = None);
+        check "step reports the crash" true
+          (match Scheduler.step sched 1 with
+          | Scheduler.Crashed e -> Scheduler.injected e
+          | _ -> false);
+        check "never resumed" true (!after = None));
+    Alcotest.test_case "Steps (pid, 1) on an awaiting process takes one step"
+      `Quick (fun () ->
+        let mem, sched, _, _ = await_world () in
+        let s = Schedule.session sched in
+        let one = Schedule.Steps (1, 1) in
+        check_int "first attempt" 1 (Schedule.feed_steps s one);
+        for i = 2 to 4 do
+          check_int "one step" 1 (Schedule.feed_steps s one);
+          check_int "one more log entry" i (Memory.step_count mem)
+        done);
+    Alcotest.test_case "a raising predicate is the process's crash" `Quick
+      (fun () ->
+        let _, sched, _, after =
+          await_world ~until:(fun _ -> failwith "until") ()
+        in
+        check "attempt stepped" true
+          (Scheduler.step sched 1 = Scheduler.Stepped);
+        check "failed with the predicate's exception" true
+          (Scheduler.crashed sched 1 = Some (Failure "until"));
+        check "never resumed" true (!after = None);
+        let r =
+          Sim.replay
+            (await_setup (fun _ -> failwith "until"))
+            [ Schedule.Until_done 1 ]
+        in
+        check "crashed stop" true
+          (match r.Sim.report.Schedule.stop with
+          | Schedule.Crashed (1, Failure m) -> m = "until"
+          | _ -> false));
+  ]
+
+(* -- the spin fast-forward against stepping --------------------------- *)
+
+(* The paper's seven transactions on a TM (the [pcl_tm trace] world).
+   [stepped] installs a fault hook that never fires, which keeps every
+   step on the one-at-a-time path: the oracle for the bulk append. *)
+let txns_setup impl ~stepped : Sim.setup =
+ fun mem recorder ->
+  let handle = Txn_api.instantiate impl mem recorder ~items:Pcl_txns.items in
+  if stepped then
+    Memory.set_fault_hook mem (fun ~pid:_ ~tid:_ ~step:_ _ _ -> None);
+  let outcomes = Hashtbl.create 8 in
+  List.map
+    (fun sp -> (sp.Static_txn.pid, Static_txn.program handle sp ~outcomes))
+    Pcl_txns.specs
+
+(* Seven processes awaiting on shared words, with every kind of failed
+   attempt: reads, LL, failing try-locks and CASes change nothing, while a
+   fetch-and-add attempt changes its word every time, so a bulk append of
+   it would be wrong. *)
+let spin_setup ~stepped : Sim.setup =
+ fun mem _ ->
+  if stepped then
+    Memory.set_fault_hook mem (fun ~pid:_ ~tid:_ ~step:_ _ _ -> None);
+  let ticket = Memory.alloc mem ~name:"ticket" (Value.int 0) in
+  let flag = Memory.alloc mem ~name:"flag" (Value.int 0) in
+  let lock = Memory.alloc mem ~name:"lock" Value.unit in
+  let await oid prim until =
+    ignore (Proc.await_t ~tid:None oid prim ~until)
+  in
+  let at_least k v = Value.to_int_exn v >= k in
+  let is v r = Value.equal r (Value.int v) in
+  [ (1, fun () -> await ticket (Primitive.Fetch_add 1) (at_least 300));
+    (2, fun () -> await flag Primitive.Read (is 1));
+    (3, fun () ->
+        await ticket (Primitive.Fetch_add 1) (at_least 600);
+        Proc.write flag (Value.int 1));
+    (4, fun () ->
+        ignore (Proc.try_lock ~pid:4 lock);
+        await flag Primitive.Read (is 1);
+        Proc.unlock ~pid:4 lock);
+    (5, fun () ->
+        await lock (Primitive.Try_lock 5) Value.to_bool_exn;
+        Proc.unlock ~pid:5 lock);
+    (6, fun () -> await flag (Primitive.Load_linked 6) (is 1));
+    (7, fun () ->
+        await flag
+          (Primitive.Cas { expected = Value.int 1; desired = Value.int 2 })
+          Value.to_bool_exn) ]
+
+let counted = [ "mem_steps_total"; "mem_prim_total"; "tm_mem_prim_total" ]
+
+let counter_values () =
+  List.filter_map
+    (fun (smp : Metrics.sample) ->
+      match smp.value with
+      | Metrics.VCounter n when List.mem smp.name counted ->
+          Some ((smp.name, smp.labels), n)
+      | _ -> None)
+    (Metrics.snapshot (Sink.metrics Sink.default))
+
+(* everything a run leaves behind: the log, the history, the report, the
+   per-pid step counts and the step counters it moved *)
+let run_signature ~budget setup atoms =
+  let before = counter_values () in
+  let r = Sim.replay ~budget setup atoms in
+  let deltas =
+    List.map
+      (fun (k, n) -> (k, n - Option.value ~default:0 (List.assoc_opt k before)))
+      (counter_values ())
+  in
+  let rep = r.Sim.report in
+  let stop =
+    match rep.Schedule.stop with
+    | Schedule.Completed -> `Completed
+    | Schedule.Budget_exhausted stall -> `Stall stall
+    | Schedule.Crashed (pid, e) -> `Crashed (pid, Printexc.to_string e)
+  in
+  ( Access_log.entries (Memory.log r.Sim.mem),
+    Wire.print r.Sim.history,
+    (stop, rep.Schedule.steps_per_atom, rep.Schedule.crashes),
+    List.init 9 r.Sim.steps_of,
+    deltas )
+
+(* a mid-commit suspension, then solo segments and large quanta over the
+   seven processes, with parks, unparks and crashes between them *)
+let gen_spin_schedule =
+  let open QCheck.Gen in
+  let pid = int_range 1 7 in
+  let atom =
+    frequency
+      [ (4, map (fun p -> Schedule.Until_done p) pid);
+        (4, map2 (fun p n -> Schedule.Steps (p, n)) pid (int_range 20 2000));
+        (2, map2 (fun p n -> Schedule.Steps (p, n)) pid (int_range 1 6));
+        (1, map (fun p -> Schedule.Park p) pid);
+        (1, map (fun p -> Schedule.Unpark p) pid);
+        (1, map (fun p -> Schedule.Crash p) pid) ]
+  in
+  triple
+    (map2 (fun p n -> Schedule.Steps (p, n)) pid (int_range 1 12))
+    (list_size (1 -- 8) atom) (int_range 20 2000)
+
+let worlds =
+  spin_setup
+  :: List.map (fun impl ~stepped -> txns_setup impl ~stepped) Registry.all
+
+let fast_forward_law =
+  QCheck.Test.make ~count:60
+    ~name:"fast-forward = stepping: ten TMs and a spin world"
+    (QCheck.make
+       ~print:(fun (first, rest, budget) ->
+         Printf.sprintf "budget %d: %s" budget
+           (Schedule.to_string (first :: rest)))
+       gen_spin_schedule)
+    (fun (first, rest, budget) ->
+      let atoms = first :: rest in
+      List.for_all
+        (fun world ->
+          run_signature ~budget (world ~stepped:false) atoms
+          = run_signature ~budget (world ~stepped:true) atoms)
+        worlds)
+
 let explorer_tests =
   [
     Alcotest.test_case "enumerates all interleavings" `Quick (fun () ->
@@ -219,5 +444,6 @@ let () =
     [
       ("scheduler", scheduler_tests);
       ("sim", sim_tests);
+      ("await", await_tests @ [ QCheck_alcotest.to_alcotest fast_forward_law ]);
       ("explorer", explorer_tests);
     ]
