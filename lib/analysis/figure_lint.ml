@@ -79,7 +79,12 @@ let stall_probe (cfg : config) (impl : Tm_intf.impl) : string list =
   in
   scan 1
 
+(* The expectation table states the theorem, which is about strict DAP,
+   and [fired] asks only whether a pass found anything: the inner passes
+   run under direct connectivity with one finding each, whatever the
+   output settings.  The horizon stays the caller's. *)
 let observe ?(config = default) (impl : Tm_intf.impl) : observation =
+  let config = { config with dap_connectivity = `Direct; max_findings = 1 } in
   let serial = fired_passes config impl Constructions.delta1 in
   let stall = stall_probe config impl in
   let outcome =

@@ -43,7 +43,10 @@ type observation = {
 
 val observe : ?config:Lint.config -> Tm_intf.impl -> observation
 (** Replay delta1, the construction and the stall probes with a private
-    flight recorder, running every trace pass on each recording. *)
+    flight recorder, running every trace pass on each recording.  Only
+    [config.horizon] is used: the passes judge strict DAP with [`Direct]
+    connectivity, as the theorem states it, whatever the output
+    settings. *)
 
 type expectation = {
   build : [ `Ok | `Blocks | `No_flip ];

@@ -74,6 +74,10 @@ type config = {
 
 let default = { horizon = 128; dap_connectivity = `Direct; max_findings = 16 }
 
+let cap (cfg : config) findings =
+  if List.length findings <= cfg.max_findings then findings
+  else List.filteri (fun i _ -> i < cfg.max_findings) findings
+
 type input = {
   log : Access_log.entry list;
   history : History.t;

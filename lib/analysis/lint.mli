@@ -54,6 +54,9 @@ type config = {
 
 val default : config
 
+val cap : config -> finding list -> finding list
+(** The first [max_findings] findings (none when it is 0 or less). *)
+
 (** {1 Inputs} *)
 
 type input = {

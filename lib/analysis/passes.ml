@@ -13,15 +13,6 @@ open Tm_trace
 open Tm_dap
 open Lint
 
-let cap (cfg : config) findings =
-  if List.length findings <= cfg.max_findings then findings
-  else
-    let rec take n = function
-      | x :: rest when n > 0 -> x :: take (n - 1) rest
-      | _ -> []
-    in
-    take cfg.max_findings findings
-
 let tid_list tids = List.sort_uniq Tid.compare tids
 
 (* ------------------------------------------------------------------ *)
@@ -136,81 +127,103 @@ let race : pass =
 (* strict-dap: contention between disjoint (or graph-disconnected)
    transactions, flagged at the step where the second access lands — the
    per-step version of Dap.Strict_dap over Access_log summaries and
-   Conflict data sets. *)
+   Conflict data sets.
+
+   A transaction's access to an object is compared with the object's
+   earlier transactions only when it is the transaction's first access to
+   the object or its first non-trivial one.  Any other access repeats one
+   whose flag is as strong, and each pair it could report was already
+   judged when one of the two transactions last compared, so the step that
+   first reports a pair and its witness are the same as comparing at every
+   access.  Findings come out in output order, so the pass stops at
+   [max_findings]. *)
+
+(* a transaction's contact with one object: its first access, and whether
+   any of its accesses so far was non-trivial *)
+type contact = { c_tid : Tid.t; c_idx : int; mutable c_nt : bool }
 
 let dap_run (cfg : config) (i : input) : finding list =
-  let data_sets = effective_data_sets i in
-  let related =
-    match cfg.dap_connectivity with
-    | `Direct -> Conflict.conflict data_sets
-    | `Path ->
-        let tids = List.map fst data_sets in
-        let g = Conflict.graph data_sets tids in
-        fun t1 t2 -> Conflict.connected g t1 t2
-  in
-  (* per object: every transaction that touched it, with first index and
-     whether any of its accesses was non-trivial *)
-  let per_obj : (Oid.t, (Tid.t * int * bool) list) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let seen_pair : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let findings = ref [] in
-  List.iter
-    (fun (e : Access_log.entry) ->
-      match e.Access_log.tid with
-      | None -> ()
-      | Some t ->
-          let o = e.Access_log.oid in
-          let nt = Primitive.non_trivial e.Access_log.prim in
-          let prior = Option.value ~default:[] (Hashtbl.find_opt per_obj o) in
-          List.iter
-            (fun (t', idx', nt') ->
-              if
-                (not (Tid.equal t t'))
-                && (nt || nt')
-                && not (related t t')
-              then begin
-                let key =
-                  ( min (Tid.to_int t) (Tid.to_int t'),
-                    max (Tid.to_int t) (Tid.to_int t') )
-                in
-                if not (Hashtbl.mem seen_pair key) then begin
-                  Hashtbl.add seen_pair key ();
-                  findings :=
-                    {
-                      pass = "strict-dap";
-                      severity = Error;
-                      step = Some e.Access_log.index;
-                      txns = tid_list [ t; t' ];
-                      oids = [ o ];
-                      witness_steps = [ idx'; e.Access_log.index ];
-                      message =
-                        Printf.sprintf
-                          "%s and %s have %s data sets but contend on %s \
-                           (first contact at step %d)"
-                          (Tid.name t') (Tid.name t)
-                          (match cfg.dap_connectivity with
-                          | `Direct -> "disjoint"
-                          | `Path -> "conflict-graph-disconnected")
-                          (i.name_of o) e.Access_log.index;
-                    }
-                    :: !findings
-                end
-              end)
-            prior;
-          (* keep one record per transaction, upgrading the nontrivial flag *)
-          let prior' =
-            if List.exists (fun (t', _, _) -> Tid.equal t t') prior then
-              List.map
-                (fun (t', idx', nt') ->
-                  if Tid.equal t t' then (t', idx', nt' || nt)
-                  else (t', idx', nt'))
-                prior
-            else (t, e.Access_log.index, nt) :: prior
-          in
-          Hashtbl.replace per_obj o prior')
-    i.log;
-  cap cfg (List.rev !findings)
+  if cfg.max_findings <= 0 then []
+  else
+    let data_sets = effective_data_sets i in
+    let related =
+      match cfg.dap_connectivity with
+      | `Direct -> Conflict.conflict data_sets
+      | `Path ->
+          let tids = List.map fst data_sets in
+          let g = Conflict.graph data_sets tids in
+          fun t1 t2 -> Conflict.connected g t1 t2
+    in
+    (* per object, its contacts, latest first *)
+    let per_obj : (Oid.t, contact list) Hashtbl.t = Hashtbl.create 64 in
+    let contact_of : (Oid.t * Tid.t, contact) Hashtbl.t =
+      Hashtbl.create 256
+    in
+    let seen_pair : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
+    let findings = ref [] and n = ref 0 in
+    let judge (e : Access_log.entry) t o nt prior =
+      List.iter
+        (fun c ->
+          let t' = c.c_tid in
+          if (not (Tid.equal t t')) && (nt || c.c_nt) && not (related t t')
+          then begin
+            let key =
+              ( min (Tid.to_int t) (Tid.to_int t'),
+                max (Tid.to_int t) (Tid.to_int t') )
+            in
+            if not (Hashtbl.mem seen_pair key) then begin
+              Hashtbl.add seen_pair key ();
+              findings :=
+                {
+                  pass = "strict-dap";
+                  severity = Error;
+                  step = Some e.Access_log.index;
+                  txns = tid_list [ t; t' ];
+                  oids = [ o ];
+                  witness_steps = [ c.c_idx; e.Access_log.index ];
+                  message =
+                    Printf.sprintf
+                      "%s and %s have %s data sets but contend on %s (first \
+                       contact at step %d)"
+                      (Tid.name t') (Tid.name t)
+                      (match cfg.dap_connectivity with
+                      | `Direct -> "disjoint"
+                      | `Path -> "conflict-graph-disconnected")
+                      (i.name_of o) e.Access_log.index;
+                }
+                :: !findings;
+              incr n;
+              if !n >= cfg.max_findings then raise_notrace Exit
+            end
+          end)
+        prior
+    in
+    (try
+       List.iter
+         (fun (e : Access_log.entry) ->
+           match e.Access_log.tid with
+           | None -> ()
+           | Some t -> (
+               let o = e.Access_log.oid in
+               let nt = Primitive.non_trivial e.Access_log.prim in
+               match Hashtbl.find_opt contact_of (o, t) with
+               | Some c when c.c_nt || not nt -> ()
+               | known -> (
+                   let prior =
+                     Option.value ~default:[] (Hashtbl.find_opt per_obj o)
+                   in
+                   judge e t o nt prior;
+                   match known with
+                   | Some c -> c.c_nt <- true
+                   | None ->
+                       let c =
+                         { c_tid = t; c_idx = e.Access_log.index; c_nt = nt }
+                       in
+                       Hashtbl.replace contact_of (o, t) c;
+                       Hashtbl.replace per_obj o (c :: prior))))
+         i.log
+     with Exit -> ());
+    List.rev !findings
 
 let strict_dap : pass =
   {

@@ -36,15 +36,6 @@ open Tm_impl
 open Tm_runtime
 open Lint
 
-let cap (cfg : config) findings =
-  if List.length findings <= cfg.max_findings then findings
-  else
-    let rec take n = function
-      | x :: rest when n > 0 -> x :: take (n - 1) rest
-      | _ -> []
-    in
-    take cfg.max_findings findings
-
 (* ------------------------------------------------------------------ *)
 (* progressiveness *)
 
@@ -187,25 +178,7 @@ let progressiveness : pass =
 (* ------------------------------------------------------------------ *)
 (* pwf: the partial-wait-freedom probes *)
 
-let x_item = Item.v "x"
-let y_item = Item.v "y"
-
-let spec tid pid reads writes =
-  {
-    Static_txn.tid = Tid.v tid;
-    pid;
-    reads;
-    writes = List.map (fun (i, v) -> (i, Value.int v)) writes;
-  }
-
-let static_setup impl specs outcomes : Sim.setup =
- fun mem recorder ->
-  let handle =
-    Txn_api.instantiate impl mem recorder ~items:(Static_txn.items_of specs)
-  in
-  List.map
-    (fun s -> (s.Static_txn.pid, Static_txn.program handle s ~outcomes))
-    specs
+open Tm_probe.Liveness_class
 
 type reader_outcome =
   | Reader_wait_free
@@ -248,71 +221,31 @@ let reader_scan (cfg : config) impl : reader_outcome =
   go 0
 
 (* probe (b): reader vs updater under fair round-robin contention; count
-   the read-only aborts.  Bounded and deterministic. *)
-let reader_client (handle : Txn_api.handle) ~pid ~committed () =
-  let rec attempt n =
-    if !committed >= 20 then ()
-    else begin
-      let tid = Tid.v ((pid * 1000) + n) in
-      let txn = handle.Txn_api.begin_txn ~pid ~tid in
-      let result : (unit, unit) result =
-        match txn.Txn_api.read x_item with
-        | Stdlib.Error () -> Stdlib.Error ()
-        | Ok _ -> (
-            match txn.Txn_api.read y_item with
-            | Stdlib.Error () -> Stdlib.Error ()
-            | Ok _ -> txn.Txn_api.try_commit ())
-      in
-      (match result with Ok () -> incr committed | Stdlib.Error () -> ());
-      attempt (n + 1)
+   the read-only aborts.  Bounded and deterministic: each client stops
+   after 20 commits.  [ops txn n] is attempt [n]'s operations before its
+   commit. *)
+let bounded_client ops (handle : Txn_api.handle) ~pid () =
+  let rec attempt n committed =
+    if committed < 20 then begin
+      let txn = handle.Txn_api.begin_txn ~pid ~tid:(Tid.v ((pid * 1000) + n)) in
+      let ok = Result.is_ok (Result.bind (ops txn n) txn.Txn_api.try_commit) in
+      attempt (n + 1) (if ok then committed + 1 else committed)
     end
   in
-  attempt 0
+  attempt 0 0
 
-let updater_client (handle : Txn_api.handle) ~pid ~committed () =
-  let rec attempt n =
-    if !committed >= 20 then ()
-    else begin
-      let tid = Tid.v ((pid * 1000) + n) in
-      let txn = handle.Txn_api.begin_txn ~pid ~tid in
-      let result : (unit, unit) result =
-        match txn.Txn_api.write x_item (Value.int n) with
-        | Stdlib.Error () -> Stdlib.Error ()
-        | Ok () -> (
-            match txn.Txn_api.write y_item (Value.int n) with
-            | Stdlib.Error () -> Stdlib.Error ()
-            | Ok () -> txn.Txn_api.try_commit ())
-      in
-      (match result with Ok () -> incr committed | Stdlib.Error () -> ());
-      attempt (n + 1)
-    end
-  in
-  attempt 0
+let reader_client =
+  bounded_client (fun txn _ ->
+      Result.bind (txn.Txn_api.read x_item) (fun _ ->
+          Result.map ignore (txn.Txn_api.read y_item)))
+
+let updater_client =
+  bounded_client (fun txn n ->
+      Result.bind (txn.Txn_api.write x_item (Value.int n)) (fun () ->
+          txn.Txn_api.write y_item (Value.int n)))
 
 let reader_aborts_under_contention impl : int =
-  let rc = ref 0 and uc = ref 0 in
-  let mem = Memory.create () in
-  let recorder = Recorder.create () in
-  let handle =
-    Txn_api.instantiate impl mem recorder ~items:[ x_item; y_item ]
-  in
-  let sched = Scheduler.create mem in
-  Scheduler.spawn sched ~pid:1 (reader_client handle ~pid:1 ~committed:rc);
-  Scheduler.spawn sched ~pid:2 (updater_client handle ~pid:2 ~committed:uc);
-  let steps = ref 0 in
-  while
-    !steps < 5_000
-    && not (Scheduler.finished sched 1 && Scheduler.finished sched 2)
-  do
-    List.iter
-      (fun pid ->
-        if not (Scheduler.finished sched pid) then begin
-          ignore (Scheduler.step sched pid);
-          incr steps
-        end)
-      [ 1; 2 ]
-  done;
-  let h = Recorder.history recorder in
+  let h = contend impl reader_client updater_client in
   List.length
     (List.filter
        (fun t -> Tid.to_int t < 2000 && History.aborted h t)

@@ -13,10 +13,11 @@
                          abort under contention (no individual bound);
      Wait_free         — no aborts and no stalls under any probe.
 
-   The classical placements come out: pram-local is wait-free, si-clock
-   lock-free (commits never fail, installs retry under contention), dstm
-   obstruction-free only (the textbook mutual-abort livelock is found and
-   replayed), tl-lock / tl2-clock / norec blocking. *)
+   The classical placements come out: pram-local and si-clock are
+   wait-free (si-clock's commits never fail and its install retries are
+   contention-bounded), dstm obstruction-free only (the textbook
+   mutual-abort livelock is found and replayed), candidate and
+   llsc-candidate lock-free, tl-lock / tl2-clock / norec blocking. *)
 
 open Tm_base
 open Tm_runtime
@@ -95,7 +96,7 @@ let solo_progress impl : solo_result =
    alternation; if neither ever commits over many rounds for some phase
    [k], a livelock is witnessed. *)
 
-let retry_client (handle : Txn_api.handle) ~pid ~committed () =
+let retry_client (handle : Txn_api.handle) ~pid () =
   let rec attempt n =
     let tid = Tid.v ((pid * 1000) + n) in
     let txn = handle.Txn_api.begin_txn ~pid ~tid in
@@ -110,59 +111,40 @@ let retry_client (handle : Txn_api.handle) ~pid ~committed () =
           | Error () -> Error ()
           | Ok () -> txn.Txn_api.try_commit ())
     in
-    match result with
-    | Ok () -> incr committed
-    | Error () -> attempt (n + 1)
+    match result with Ok () -> () | Error () -> attempt (n + 1)
   in
   attempt 0
 
-let livelock_setup impl committed1 committed2 : Sim.setup =
+let livelock_setup impl : Sim.setup =
  fun mem recorder ->
   let handle =
     Txn_api.instantiate impl mem recorder ~items:[ x_item; y_item ]
   in
-  [
-    (1, retry_client handle ~pid:1 ~committed:committed1);
-    (2, retry_client handle ~pid:2 ~committed:committed2);
-  ]
+  [ (1, retry_client handle ~pid:1); (2, retry_client handle ~pid:2) ]
 
-(** The adaptive commit-avoiding adversary.
-
-    Two conflicting retry-forever clients; at every decision point the
-    adversary replays the extended path and steps a process only if that
-    step does not commit anybody.  If it can keep both clients stepping
-    for [horizon] steps with zero commits, a mutual-abort livelock pattern
-    is witnessed (obstruction-freedom's adversary); if at some point every
-    available step commits someone, system-wide progress is unavoidable —
-    the lock-freedom signature.
-
-    This cleanly separates DSTM-style designs (aborting an enemy is a step
-    that commits nobody, so the adversary can starve everyone forever)
-    from invalidation-by-commit designs like the candidate TM (the only
-    step that invalidates a peer is itself a committing step). *)
+(* The adaptive commit-avoiding adversary (see the interface).  The path
+   lives in one cursor: a try steps it in place, with an O(1) fork taken
+   first as its undo, and a rejected try resumes from the fork, which
+   rebuilds its world with one replay.  A client ends exactly when it
+   commits, so "the step committed nobody" is "the stepped client has not
+   finished". *)
 let find_livelock ?(horizon = 300) impl : int option =
-  let run_path path_rev =
-    let c1 = ref 0 and c2 = ref 0 in
-    let atoms = List.rev_map (fun pid -> Schedule.Steps (pid, 1)) path_rev in
-    let r = Sim.replay ~budget:10_000 (livelock_setup impl c1 c2) atoms in
-    (!c1 + !c2, r)
-  in
-  let rec go path_rev n last =
+  let rec go cur n last =
     if n >= horizon then Some n
     else
       (* prefer alternation so both clients keep taking steps *)
       let order = if last = 1 then [ 2; 1 ] else [ 1; 2 ] in
-      let rec try_pids = function
+      let rec try_pids cur = function
         | [] -> None
         | pid :: rest ->
-            let commits, r = run_path (pid :: path_rev) in
-            if commits = 0 && not (r.Sim.finished pid) then
-              go (pid :: path_rev) (n + 1) pid
-            else try_pids rest
+            let back = Sim.fork cur in
+            ignore (Sim.step cur pid);
+            if not (Sim.finished cur pid) then go cur (n + 1) pid
+            else try_pids back rest
       in
-      try_pids order
+      try_pids cur order
   in
-  go [] 0 2
+  go (Sim.start ~budget:10_000 (livelock_setup impl)) 0 2
 
 (* --------------------------------------------------------------- *)
 (* Probe 3: individual progress under fair contention.  Run the two
@@ -170,16 +152,15 @@ let find_livelock ?(horizon = 300) impl : int option =
    abort (some transaction needed unboundedly many attempts under an
    adversarial extension of the same pattern). *)
 
-let aborts_under_contention impl : int =
-  let c1 = ref 0 and c2 = ref 0 in
+let contend impl client1 client2 : Tm_trace.History.t =
   let mem = Memory.create () in
   let recorder = Tm_trace.Recorder.create () in
   let handle =
     Txn_api.instantiate impl mem recorder ~items:[ x_item; y_item ]
   in
   let sched = Scheduler.create mem in
-  Scheduler.spawn sched ~pid:1 (retry_client handle ~pid:1 ~committed:c1);
-  Scheduler.spawn sched ~pid:2 (retry_client handle ~pid:2 ~committed:c2);
+  Scheduler.spawn sched ~pid:1 (client1 handle ~pid:1);
+  Scheduler.spawn sched ~pid:2 (client2 handle ~pid:2);
   let steps = ref 0 in
   while
     !steps < 5_000
@@ -193,10 +174,12 @@ let aborts_under_contention impl : int =
         end)
       [ 1; 2 ]
   done;
-  let h = Tm_trace.Recorder.history recorder in
+  Tm_trace.Recorder.history recorder
+
+let aborts_under_contention impl : int =
+  let h = contend impl retry_client retry_client in
   List.length
-    (List.filter (fun t -> Tm_trace.History.aborted h t)
-       (Tm_trace.History.txns h))
+    (List.filter (Tm_trace.History.aborted h) (Tm_trace.History.txns h))
 
 (* --------------------------------------------------------------- *)
 

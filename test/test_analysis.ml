@@ -375,6 +375,60 @@ let progress_laws =
           = progressiveness_verdicts ~por:false impl);
     ]
 
+(* the qcheck law: strict-dap, which compares only at a transaction's
+   first and first non-trivial access to an object and stops at its
+   finding cap, reports exactly the findings of Strict_dap_ref, which
+   compares at every access and caps at the end; over live workload
+   recordings of every TM *)
+let dap_law_case =
+  QCheck.Gen.(
+    quad
+      (int_bound (List.length Registry.all - 1))
+      (int_bound 1_000_000) (int_bound 100) (int_range 1 12))
+
+let dap_laws =
+  let json fs =
+    List.map (fun f -> Obs_json.to_string (Lint.finding_json f)) fs
+  in
+  List.map QCheck_alcotest.to_alcotest
+    [
+      qtest "strict-dap = the compare-every-access oracle" 80
+        (QCheck.make
+           ~print:(fun (tm, seed, pct, n) ->
+             Printf.sprintf "%s seed=%d conflict_pct=%d txns_per_proc=%d"
+               (Registry.name (List.nth Registry.all tm))
+               seed pct n)
+           dap_law_case)
+        (fun (tm, seed, conflict_pct, txns_per_proc) ->
+          let impl = List.nth Registry.all tm in
+          let fl = Flight.create () in
+          Flight.with_recorder fl (fun () ->
+              ignore
+                (Workload.run impl
+                   { Workload.default with
+                     Workload.seed; conflict_pct; txns_per_proc }));
+          let input =
+            { (Lint.input_of_flight fl) with
+              Lint.tm = Some (Registry.name impl) }
+          in
+          (* the oracle finds every finding and then caps, so it runs
+             once per connectivity *)
+          List.for_all
+            (fun dap_connectivity ->
+              let cfg = { Lint.default with Lint.dap_connectivity } in
+              let all =
+                Strict_dap_ref.dap_run { cfg with Lint.max_findings = max_int }
+                  input
+              in
+              List.for_all
+                (fun max_findings ->
+                  let cfg = { cfg with Lint.max_findings } in
+                  json (Lint_passes.strict_dap.Lint.run cfg input)
+                  = json (Strict_dap_ref.cap cfg all))
+                [ 0; 1; 2; 16; max_int ])
+            [ `Direct; `Path ]);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* the figure-consistency pass *)
 
@@ -409,6 +463,26 @@ let test_figure_observation_kinds () =
       Alcotest.(check (list string))
         "candidate's beta races" [ "race" ] fires
   | _ -> Alcotest.fail "candidate's construction should build"
+
+(* the observation judges the theorem, not the output settings: neither
+   graph connectivity nor the finding cap changes what fires *)
+let test_observation_ignores_output_settings () =
+  List.iter
+    (fun impl ->
+      let default = Figure_lint.observe impl in
+      List.iter
+        (fun (what, config) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s observation = default" (Registry.name impl)
+               what)
+            true
+            (Figure_lint.observe ~config impl = default))
+        [
+          ("path", { Lint.default with Lint.dap_connectivity = `Path });
+          ("cap 0", { Lint.default with Lint.max_findings = 0 });
+          ("cap max_int", { Lint.default with Lint.max_findings = max_int });
+        ])
+    Registry.all
 
 (* the stall probe without its early stop: every pause depth 1..40 is
    replayed, and the first whose recording trips of-stall yields every
@@ -574,6 +648,7 @@ let () =
             test_pram_wait_free_but_inconsistent;
         ] );
       ("progress-laws", progress_laws);
+      ("dap-laws", dap_laws);
       ( "figure-consistency",
         [
           Alcotest.test_case "expectations hold" `Slow
@@ -582,6 +657,8 @@ let () =
             test_figure_observation_kinds;
           Alcotest.test_case "stall probe early stop = full scan" `Quick
             test_stall_probe_early_stop;
+          Alcotest.test_case "observation ignores output settings" `Quick
+            test_observation_ignores_output_settings;
         ] );
       ( "registry",
         [

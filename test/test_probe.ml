@@ -30,6 +30,11 @@ let class_tests =
        retries are contention-bounded, so the observational class is
        wait-free *)
     expect "si-clock" Liveness_class.Wait_free;
+    (* a transaction running solo aborts on a suspended enemy's lock *)
+    expect "lp-progressive" Liveness_class.Blocking;
+    (* updaters abort under fair contention, but the adversary cannot
+       keep both from committing *)
+    expect "pwf-readers" Liveness_class.Lock_free;
   ]
 
 let probe_tests =
@@ -48,8 +53,9 @@ let probe_tests =
         | Liveness_class.Solo_abort _ -> ()
         | _ -> Alcotest.fail "expected a solo abort");
     Alcotest.test_case "adversary finds dstm's livelock" `Slow (fun () ->
-        check "found" true
-          (Liveness_class.find_livelock (Registry.find_exn "dstm") <> None));
+        Alcotest.(check (option int))
+          "survives the whole horizon" (Some 300)
+          (Liveness_class.find_livelock (Registry.find_exn "dstm")));
     Alcotest.test_case "adversary cannot starve the candidate" `Slow
       (fun () ->
         check "not found" true
@@ -61,6 +67,27 @@ let probe_tests =
           = None));
   ]
 
+(* the live-cursor adversary against the replay-per-decision oracle, on
+   every TM, at horizons around each boundary the probe can stop on *)
+let oracle_tests =
+  List.map
+    (fun impl ->
+      let name = Registry.name impl in
+      Alcotest.test_case (name ^ ": live cursor = replay oracle") `Slow
+        (fun () ->
+          List.iter
+            (fun horizon ->
+              Alcotest.(check (option int))
+                (Printf.sprintf "%s at horizon %d" name horizon)
+                (Livelock_ref.find_livelock ~horizon impl)
+                (Liveness_class.find_livelock ~horizon impl))
+            [ 0; 1; 2; 3; 5; 8; 13; 50; 120; 299; 300; 301; 450 ]))
+    Registry.all
+
 let () =
   Alcotest.run "probe"
-    [ ("classes", class_tests); ("probes", probe_tests) ]
+    [
+      ("classes", class_tests);
+      ("probes", probe_tests);
+      ("adversary oracle", oracle_tests);
+    ]
