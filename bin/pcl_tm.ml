@@ -16,50 +16,10 @@
 open Core
 open Cmdliner
 
-let tm_arg =
-  let doc = "TM implementation (see `pcl_tm list')." in
-  Arg.(value & opt (some string) None & info [ "t"; "tm" ] ~docv:"TM" ~doc)
-
-let impls_of = function
-  | None -> Registry.all
-  | Some n -> (
-      match Registry.lookup n with
-      | Registry.Found i -> [ i ]
-      | Registry.Ambiguous candidates ->
-          Fmt.failwith "ambiguous TM %S: matches %s" n
-            (String.concat ", " candidates)
-      | Registry.Unknown -> Fmt.failwith "unknown TM %S (try `pcl_tm list')" n)
-
 let width_arg =
   Arg.(
     value & opt int 72
     & info [ "width" ] ~docv:"COLS" ~doc:"Timeline band width in columns.")
-
-let watch_arg =
-  Arg.(
-    value & flag
-    & info [ "watch" ]
-        ~doc:
-          "Live telemetry: render a one-line progress/metrics snapshot on \
-           stderr every few hundred progress ticks (executions, \
-           iterations, cells), read from the metrics registry.  Never \
-           touches stdout, so $(b,--json) output stays clean.")
-
-(* the metric names a watch line samples, by command *)
-let watch_counters =
-  [
-    ("nodes", "explorer_nodes_total");
-    ("pruned", "explorer_sleep_pruned_total");
-    ("commits", "tm_commit_total");
-    ("aborts", "tm_abort_total");
-    ("rmrs", "cost_rmr_total");
-  ]
-
-let make_watch ~enabled ~label ~every =
-  if enabled then Some (Watch.create ~every ~label watch_counters) else None
-
-let watch_tick = Option.iter Watch.tick
-let watch_finish = Option.iter Watch.finish
 
 (* ------------------------------------------------------------------ *)
 
@@ -89,12 +49,12 @@ let verdict_cmd =
       (fun impl ->
         let v = Pcl_verdict.assess impl in
         Format.printf "%a@.@." Pcl_verdict.pp v)
-      (impls_of tm)
+      (Sweep.impls_of tm)
   in
   Cmd.v
     (Cmd.info "verdict"
        ~doc:"Run the PCL harness and report the P/C/L triangle verdict.")
-    Term.(const run $ tm_arg)
+    Term.(const run $ Sweep.tm)
 
 let figures_cmd =
   let render =
@@ -122,14 +82,14 @@ let figures_cmd =
         else
           let report = Pcl_claims.analyse impl in
           Format.printf "%a@." Pcl_figures.pp_report report)
-      (impls_of tm)
+      (Sweep.impls_of tm)
   in
   Cmd.v
     (Cmd.info "figures"
        ~doc:
          "Re-enact the proof construction (Figures 1-6, Claims 1-5) against \
           a TM; $(b,--render) draws them as step-level timelines.")
-    Term.(const run $ tm_arg $ render $ width_arg)
+    Term.(const run $ Sweep.tm $ render $ width_arg)
 
 let anomalies_cmd =
   let run () =
@@ -234,7 +194,7 @@ let liveness_cmd =
         Format.printf "%-12s %-18s %s@." M.name
           (Liveness_class.cls_to_string r.Liveness_class.cls)
           r.Liveness_class.evidence)
-      (impls_of tm)
+      (Sweep.impls_of tm)
   in
   Cmd.v
     (Cmd.info "liveness"
@@ -243,27 +203,7 @@ let liveness_cmd =
           obstruction-free / blocking) with probe witnesses, including the \
           adaptive commit-avoiding adversary that exhibits DSTM's \
           mutual-abort livelock.")
-    Term.(const run $ tm_arg)
-
-(* --record / --dump-dir: dump failing executions as replayable
-   flight-recorder artifacts *)
-
-let record_arg =
-  Arg.(
-    value & flag
-    & info [ "record" ]
-        ~doc:
-          "Record executions with the flight recorder and dump every \
-           violating one as a replayable .trace.jsonl artifact (see \
-           $(b,--dump-dir) and `pcl_tm explain').")
-
-let dump_dir_arg =
-  Arg.(
-    value & opt string "traces"
-    & info [ "dump-dir" ] ~docv:"DIR"
-        ~doc:"Directory for dumped trace artifacts (created if missing).")
-
-let ensure_dir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+    Term.(const run $ Sweep.tm)
 
 let lint_flag =
   Arg.(
@@ -294,6 +234,18 @@ let por_flag =
                  behaviour)." );
         ])
 
+(** The pclsan trace passes over one simulated run. *)
+let lint_sim ~data_sets ~tm ~log (r : Sim.result) =
+  Lints.run_passes Lint_passes.trace_passes
+    {
+      Lint.log;
+      history = r.Sim.history;
+      name_of = Memory.name_of r.Sim.mem;
+      data_sets = Some data_sets;
+      tm = Some tm;
+      meta = [];
+    }
+
 (** Sweep the standard writer/reader pair ({!Explore_sweep}) on one TM.
     With [dump_dir], the first execution satisfying nothing at all is
     dumped as a trace artifact; with [lint], the pclsan trace passes run
@@ -302,158 +254,105 @@ let por_flag =
 let run_explore ?dump_dir ?(lint = false) ?(por = true)
     ?(on_progress = fun () -> ()) impl :
     (string * int) list * Explorer.stats * string list * int =
-  let dumped = ref [] in
-  let dump_violation (r : Sim.result) =
-    match (dump_dir, Flight.default ()) with
-    | Some dir, Some fl when !dumped = [] ->
-        (* even the weakest condition rejects this execution; its unsat
-           core is the provenance to attach *)
-        let weakest = List.nth Checkers.all (List.length Checkers.all - 1) in
-        (match
-           Provenance.of_unsat
-             ~log:(Access_log.entries (Memory.log r.Sim.mem))
-             weakest r.Sim.history
-         with
-        | Some p -> Flight.add_verdict fl (Provenance.to_flight p)
-        | None -> ());
-        Flight.set_meta fl "tm" (Registry.name impl);
-        Flight.set_meta fl "workload" "explore";
-        let path =
-          Filename.concat dir
-            (Printf.sprintf "explore-%s.trace.jsonl" (Registry.name impl))
-        in
-        Flight.write_jsonl fl path;
-        dumped := [ path ]
-    | _ -> ()
-  in
-  let lint_unexpected = ref 0 in
-  let on_execution ~strongest (r : Sim.result) =
-    on_progress ();
-    if strongest = "none" then dump_violation r;
-    if lint then begin
-      let input =
-        {
-          Lint.log = Access_log.entries (Memory.log r.Sim.mem);
-          history = r.Sim.history;
-          name_of = Memory.name_of r.Sim.mem;
-          data_sets = Some Explore_sweep.data_sets;
-          tm = Some (Registry.name impl);
-          meta = [];
-        }
-      in
-      let res = Lints.run_passes Lint_passes.trace_passes input in
-      if res.Lints.unexpected <> [] then incr lint_unexpected
-    end
-  in
-  let sweep () = Explore_sweep.run ~por ~on_execution impl in
+  let name = Registry.name impl in
+  let dumped = ref [] and lint_unexpected = ref 0 in
   let profiles, stats =
-    match dump_dir with
-    | Some dir ->
-        ensure_dir dir;
-        Flight.with_recorder (Flight.create ()) sweep
-    | None -> sweep ()
+    Sweep.recording dump_dir (fun dump ->
+        let on_execution ~strongest (r : Sim.result) =
+          on_progress ();
+          let log = lazy (Access_log.entries (Memory.log r.Sim.mem)) in
+          (match dump with
+          | Some dump when strongest = "none" && !dumped = [] ->
+              (* even the weakest condition rejects this execution; its
+                 unsat core is the provenance to attach *)
+              let weakest =
+                List.nth Checkers.all (List.length Checkers.all - 1)
+              in
+              let verdicts =
+                Provenance.of_unsat ~log:(Lazy.force log) weakest
+                  r.Sim.history
+                |> Option.map Provenance.to_flight
+                |> Option.to_list
+              in
+              dumped :=
+                [
+                  dump ~verdicts ("explore-" ^ name)
+                    [ ("tm", name); ("workload", "explore") ];
+                ]
+          | _ -> ());
+          if
+            lint
+            && (lint_sim ~data_sets:Explore_sweep.data_sets ~tm:name
+                  ~log:(Lazy.force log) r)
+                 .Lints.unexpected
+               <> []
+          then incr lint_unexpected
+        in
+        Explore_sweep.run ~por ~on_execution impl)
   in
   (profiles, stats, !dumped, !lint_unexpected)
 
 let explore_cmd =
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Sweep seed, stamped into the JSONL rows.  The sweep itself \
-             is exhaustive and deterministic — every seed yields the \
-             same verdict profile; the flag exists so every sweep \
-             subcommand shares the $(b,--seed)/$(b,--json)/$(b,-o)/\
-             $(b,--watch) vocabulary.")
+    Sweep.seed
+      "Sweep seed, stamped into the JSONL rows.  The sweep itself is \
+       exhaustive and deterministic — every seed yields the same verdict \
+       profile."
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit one JSONL row per TM on stdout instead of the table.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the JSONL rows to $(docv).")
-  in
-  let run tm record dump_dir lint por seed json output watch =
+  let run tm dump_dir lint por seed out =
     let violations = ref 0 and executions = ref 0 in
-    let impls = impls_of tm in
-    let json_lines = ref [] in
-    List.iter
-      (fun impl ->
-        let (module M : Tm_intf.S) = impl in
-        let w =
-          make_watch ~enabled:watch ~label:("explore:" ^ M.name) ~every:200
-        in
+    let impls = Sweep.impls_of tm in
+    Sweep.run out ~label:"explore" ~every:200 ~name:Registry.name impls
+      ~row:(fun ~tick impl ->
+        let name = Registry.name impl in
         let profiles, stats, dumped, lint_unexpected =
-          run_explore
-            ?dump_dir:(if record then Some dump_dir else None)
-            ~lint ~por
-            ~on_progress:(fun () -> watch_tick w)
-            impl
+          run_explore ?dump_dir ~lint ~por ~on_progress:tick impl
         in
-        watch_finish w;
         executions := !executions + stats.Explorer.executions;
-        json_lines :=
-          Explore_sweep.row_json ~tm:M.name ~seed (profiles, stats)
-          :: !json_lines;
-        if not json then begin
-          Format.printf
-            "%s: %d complete interleavings (%d nodes%s%s), strongest \
-             condition satisfied:@."
-            M.name stats.Explorer.executions stats.Explorer.nodes
-            (if por then
-               Printf.sprintf ", %d sleep-set prunes, %d replays"
-                 stats.Explorer.sleep_pruned stats.Explorer.replays
-             else "")
-            (if stats.Explorer.truncated then ", truncated" else "")
-        end;
         List.iter
-          (fun (name, n) ->
-            if name = "none" then violations := !violations + n;
-            if not json then Format.printf "  %-26s %d executions@." name n)
+          (fun (p, n) -> if p = "none" then violations := !violations + n)
           profiles;
-        if lint then begin
-          violations := !violations + lint_unexpected;
-          if not json then
-            Format.printf "  %-26s %d executions@." "unexpected-lint"
-              lint_unexpected
-        end;
-        if not json then
-          List.iter
-            (fun path ->
-              Format.printf "  violating trace dumped to %s@." path)
-            dumped)
-      impls;
-    let jsonl =
-      String.concat ""
-        (List.rev_map (fun j -> Obs_json.to_string j ^ "\n") !json_lines)
-    in
-    (match output with
-    | Some f ->
-        let oc = open_out f in
-        output_string oc jsonl;
-        close_out oc
-    | None -> ());
-    if json then print_string jsonl;
-    if !violations > 0 then begin
-      if not json then
-        Format.printf
-          "%d execution(s) satisfy no consistency condition at all@."
-          !violations;
-      Reason.exit_with
-        (Reason.No_consistency
-           {
-             failing = !violations;
-             executions = !executions;
-             tms = List.map Registry.name impls;
-           })
-    end
+        if lint then violations := !violations + lint_unexpected;
+        ( [
+            Obs_json.to_string
+              (Explore_sweep.row_json ~tm:name ~seed (profiles, stats));
+          ],
+          fun ppf ->
+            Format.fprintf ppf
+              "%s: %d complete interleavings (%d nodes%s%s), strongest \
+               condition satisfied:@."
+              name stats.Explorer.executions stats.Explorer.nodes
+              (if por then
+                 Printf.sprintf ", %d sleep-set prunes, %d replays"
+                   stats.Explorer.sleep_pruned stats.Explorer.replays
+               else "")
+              (if stats.Explorer.truncated then ", truncated" else "");
+            List.iter
+              (fun (p, n) -> Format.fprintf ppf "  %-26s %d executions@." p n)
+              profiles;
+            if lint then
+              Format.fprintf ppf "  %-26s %d executions@." "unexpected-lint"
+                lint_unexpected;
+            List.iter
+              (Format.fprintf ppf "  violating trace dumped to %s@.")
+              dumped ))
+      ~footer:(fun () ->
+        ( [],
+          fun ppf ->
+            if !violations > 0 then
+              Format.fprintf ppf
+                "%d execution(s) satisfy no consistency condition at all@."
+                !violations ))
+      ~reason:(fun () ->
+        if !violations = 0 then None
+        else
+          Some
+            (Reason.No_consistency
+               {
+                 failing = !violations;
+                 executions = !executions;
+                 tms = List.map Registry.name impls;
+               }))
   in
   Cmd.v
     (Cmd.info "explore"
@@ -467,8 +366,8 @@ let explore_cmd =
           the first such execution is dumped as a replayable trace; with \
           $(b,--lint) the pclsan trace passes run on every execution.")
     Term.(
-      const run $ tm_arg $ record_arg $ dump_dir_arg $ lint_flag $ por_flag
-      $ seed $ json $ output $ watch_arg)
+      const run $ Sweep.tm $ Sweep.dump_dir $ lint_flag $ por_flag $ seed
+      $ Sweep.out)
 
 let trace_cmd =
   let schedule_arg =
@@ -536,7 +435,7 @@ let trace_cmd =
          "Run the paper's seven transactions under an explicit adversarial \
           schedule, print the resulting history in the wire format, and \
           report which conditions it satisfies.")
-    Term.(const run $ tm_arg $ schedule_arg $ show_log)
+    Term.(const run $ Sweep.tm $ schedule_arg $ show_log)
 
 type fuzz_totals = {
   wf_bad : int;
@@ -568,15 +467,8 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
   and lint_bad = ref 0
   and stalled = ref 0
   and dumped = ref [] in
-  let target_checker =
-    (* weakest claim each TM makes about committed transactions *)
-    match M.name with
-    | "pram-local" -> Checkers.find_exn "pram"
-    | "si-clock" -> Checkers.find_exn "snapshot-isolation"
-    | "candidate" | "llsc-candidate" -> Checkers.find_exn "weak-adaptive"
-    | _ -> Checkers.find_exn "strict-serializability"
-  in
-  let iteration i =
+  let target_checker = Checkers.find_exn (Chaos_run.weakest_claim M.name) in
+  let iteration dump i =
     (* random static transactions over three items *)
     let spec tid pid =
       let pick () = List.nth items (Random.State.int st 3) in
@@ -712,17 +604,10 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
         | None -> ())
     | Spec.Sat | Spec.Out_of_budget -> ());
     if lint then begin
-      let input =
-        {
-          Lint.log = Lazy.force log;
-          history = r.Sim.history;
-          name_of = Memory.name_of r.Sim.mem;
-          data_sets = Some (Static_txn.data_sets specs);
-          tm = Some M.name;
-          meta = [];
-        }
+      let res =
+        lint_sim ~data_sets:(Static_txn.data_sets specs) ~tm:M.name
+          ~log:(Lazy.force log) r
       in
-      let res = Lints.run_passes Lint_passes.trace_passes input in
       if res.Lints.unexpected <> [] then begin
         incr lint_bad;
         List.iter
@@ -730,33 +615,25 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
           res.Lints.unexpected
       end
     end;
-    match (dump_dir, Flight.default (), List.rev !verdicts) with
-    | Some dir, Some fl, (_ :: _ as vs) ->
-        List.iter (Flight.add_verdict fl) vs;
-        Flight.set_meta fl "tm" M.name;
-        Flight.set_meta fl "workload" "fuzz";
-        Flight.set_meta fl "seed" (string_of_int seed);
-        Flight.set_meta fl "iteration" (string_of_int i);
-        let path =
-          Filename.concat dir
-            (Printf.sprintf "fuzz-%s-seed%d-iter%d.trace.jsonl" M.name seed
-               i)
-        in
-        Flight.write_jsonl fl path;
-        dumped := path :: !dumped
+    match (dump, List.rev !verdicts) with
+    | Some dump, (_ :: _ as verdicts) ->
+        dumped :=
+          dump ~verdicts
+            (Printf.sprintf "fuzz-%s-seed%d-iter%d" M.name seed i)
+            [
+              ("tm", M.name);
+              ("workload", "fuzz");
+              ("seed", string_of_int seed);
+              ("iteration", string_of_int i);
+            ]
+          :: !dumped
     | _ -> ()
   in
-  let loop () =
-    for i = 1 to iters do
-      iteration i;
-      on_progress ()
-    done
-  in
-  (match dump_dir with
-  | Some dir ->
-      ensure_dir dir;
-      Flight.with_recorder (Flight.create ()) loop
-  | None -> loop ());
+  Sweep.recording dump_dir (fun dump ->
+      for i = 1 to iters do
+        iteration dump i;
+        on_progress ()
+      done);
   {
     wf_bad = !wf_bad;
     of_bad = !of_bad;
@@ -769,27 +646,11 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
 
 let fuzz_cmd =
   let iters =
-    Arg.(
-      value & opt int 200
-      & info [ "n"; "iterations" ] ~docv:"N" ~doc:"Random executions to try.")
+    Sweep.count [ "n"; "iterations" ] ~default:200 ~docv:"N"
+      "Random executions to try."
   in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit one JSONL row per TM on stdout instead of the table.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the JSONL rows to $(docv).")
-  in
-  let run tm iters seed record dump_dir lint json output watch =
+  let seed = Sweep.seed "RNG seed." in
+  let run tm iters seed dump_dir lint out =
     let violations = ref 0 and runs = ref 0 in
     let kinds = Hashtbl.create 8 in
     let count kind n =
@@ -797,21 +658,11 @@ let fuzz_cmd =
         Hashtbl.replace kinds kind
           (n + Option.value ~default:0 (Hashtbl.find_opt kinds kind))
     in
-    let json_lines = ref [] in
-    List.iter
-      (fun impl ->
-        let (module M : Tm_intf.S) = impl in
-        let w =
-          make_watch ~enabled:watch ~label:("fuzz:" ^ M.name) ~every:50
-        in
-        let t =
-          run_fuzz
-            ?dump_dir:(if record then Some dump_dir else None)
-            ~lint
-            ~on_progress:(fun () -> watch_tick w)
-            impl ~iters ~seed
-        in
-        watch_finish w;
+    Sweep.run out ~label:"fuzz" ~every:50 ~name:Registry.name
+      (Sweep.impls_of tm)
+      ~row:(fun ~tick impl ->
+        let name = Registry.name impl in
+        let t = run_fuzz ?dump_dir ~lint ~on_progress:tick impl ~iters ~seed in
         violations := !violations + fuzz_violations t;
         runs := !runs + iters;
         count "ill-formed" t.wf_bad;
@@ -819,62 +670,54 @@ let fuzz_cmd =
         count "strict-dap" t.dap_bad;
         count "consistency" t.cons_bad;
         count "lint" t.lint_bad;
-        json_lines :=
-          Obs_json.Obj
-            [
-              Schema.field;
-              ("type", Obs_json.String "fuzz");
-              ("tm", Obs_json.String M.name);
-              ("seed", Obs_json.Int seed);
-              ("runs", Obs_json.Int iters);
-              ("ill_formed", Obs_json.Int t.wf_bad);
-              ("of_violations", Obs_json.Int t.of_bad);
-              ("dap_violations", Obs_json.Int t.dap_bad);
-              ("consistency_violations", Obs_json.Int t.cons_bad);
-              ("lint_unexpected", Obs_json.Int t.lint_bad);
-              ("stalled", Obs_json.Int t.stalled);
-            ]
-          :: !json_lines;
-        if not json then begin
-          Format.printf
-            "%-12s %d runs: ill-formed %d, OF violations %d, strict-DAP \
-             violations %d, consistency-target violations %d%s, stalled \
-             %d@."
-            M.name iters t.wf_bad t.of_bad t.dap_bad t.cons_bad
-            (if lint then
-               Printf.sprintf ", unexpected lint findings %d" t.lint_bad
-             else "")
-            t.stalled;
-          List.iter
-            (fun path ->
-              Format.printf "  violating trace dumped to %s@." path)
-            t.dumped
-        end)
-      (impls_of tm);
-    let jsonl =
-      String.concat ""
-        (List.rev_map (fun j -> Obs_json.to_string j ^ "\n") !json_lines)
-    in
-    (match output with
-    | Some f ->
-        let oc = open_out f in
-        output_string oc jsonl;
-        close_out oc
-    | None -> ());
-    if json then print_string jsonl;
-    if !violations > 0 then begin
-      if not json then
-        Format.printf "%d contract violation(s) found@." !violations;
-      Reason.exit_with
-        (Reason.Contract_violation
-           {
-             violations = !violations;
-             runs = !runs;
-             kinds =
-               List.sort compare
-                 (Hashtbl.fold (fun k v acc -> (k, v) :: acc) kinds []);
-           })
-    end
+        ( [
+            Obs_json.to_string
+              (Obs_json.Obj
+                 [
+                   Schema.field;
+                   ("type", Obs_json.String "fuzz");
+                   ("tm", Obs_json.String name);
+                   ("seed", Obs_json.Int seed);
+                   ("runs", Obs_json.Int iters);
+                   ("ill_formed", Obs_json.Int t.wf_bad);
+                   ("of_violations", Obs_json.Int t.of_bad);
+                   ("dap_violations", Obs_json.Int t.dap_bad);
+                   ("consistency_violations", Obs_json.Int t.cons_bad);
+                   ("lint_unexpected", Obs_json.Int t.lint_bad);
+                   ("stalled", Obs_json.Int t.stalled);
+                 ]);
+          ],
+          fun ppf ->
+            Format.fprintf ppf
+              "%-12s %d runs: ill-formed %d, OF violations %d, strict-DAP \
+               violations %d, consistency-target violations %d%s, stalled \
+               %d@."
+              name iters t.wf_bad t.of_bad t.dap_bad t.cons_bad
+              (if lint then
+                 Printf.sprintf ", unexpected lint findings %d" t.lint_bad
+               else "")
+              t.stalled;
+            List.iter
+              (Format.fprintf ppf "  violating trace dumped to %s@.")
+              t.dumped ))
+      ~footer:(fun () ->
+        ( [],
+          fun ppf ->
+            if !violations > 0 then
+              Format.fprintf ppf "%d contract violation(s) found@." !violations
+        ))
+      ~reason:(fun () ->
+        if !violations = 0 then None
+        else
+          Some
+            (Reason.Contract_violation
+               {
+                 violations = !violations;
+                 runs = !runs;
+                 kinds =
+                   List.sort compare
+                     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) kinds []);
+               }))
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -887,8 +730,9 @@ let fuzz_cmd =
           is dumped as a replayable trace for `pcl_tm explain'; with \
           $(b,--lint) the pclsan trace passes run on every execution and \
           findings outside the TM's expected set count as violations.")
-    Term.(const run $ tm_arg $ iters $ seed $ record_arg $ dump_dir_arg
-          $ lint_flag $ json $ output $ watch_arg)
+    Term.(
+      const run $ Sweep.tm $ iters $ seed $ Sweep.dump_dir $ lint_flag
+      $ Sweep.out)
 
 (* ------------------------------------------------------------------ *)
 (* explain: replay a dumped trace artifact — render its timeline with the
@@ -1031,7 +875,7 @@ let explain_cmd =
           @ List.map snd crash_steps
           |> List.sort_uniq compare
         in
-        print_string
+        Format.printf "%s"
           (Timeline.render ~width ~highlight
              ~names:(Flight.name_of fl)
              history log);
@@ -1042,7 +886,8 @@ let explain_cmd =
           Format.printf "@.no verdicts: the recorded history is consistent@.";
         (match chrome with
         | Some out ->
-            Flight.write_chrome fl out;
+            Sweep.write_file out
+              (Obs_json.to_string (Flight.to_chrome fl) ^ "\n");
             Format.printf "@.chrome trace written to %s@." out
         | None -> ());
         (* a trace judged a violation (stored or recomputed verdicts) makes
@@ -1091,21 +936,11 @@ let lint_cmd =
              e.g. $(b,-p tor) for torn-snapshot).  Default: all trace \
              passes, plus figure-consistency when linting live TMs.")
   in
-  let all_tms =
-    Arg.(
-      value & flag
-      & info [ "all-tms" ]
-          ~doc:
-            "Lint live runs of every TM in the registry (the default when \
-             no TRACE and no $(b,-t) is given).")
-  in
   let horizon =
-    Arg.(
-      value & opt int Lint.default.Lint.horizon
-      & info [ "horizon" ] ~docv:"STEPS"
-          ~doc:
-            "of-stall: solo steps a transaction may run contention-free \
-             without completing before it is flagged.")
+    Sweep.count [ "horizon" ] ~default:Lint.default.Lint.horizon
+      ~docv:"STEPS"
+      "of-stall: solo steps a transaction may run contention-free without \
+       completing before it is flagged."
   in
   let connectivity =
     Arg.(
@@ -1118,208 +953,180 @@ let lint_cmd =
              only between conflict-graph-disconnected ones ($(b,path)).")
   in
   let max_findings =
-    Arg.(
-      value & opt int Lint.default.Lint.max_findings
-      & info [ "max-findings" ] ~docv:"N" ~doc:"Findings reported per pass.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit findings as JSONL on stdout.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the JSONL export to $(docv).")
+    Sweep.count [ "max-findings" ] ~default:Lint.default.Lint.max_findings
+      ~docv:"N" "Findings reported per pass."
   in
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Seed of the live recorded workload runs (ignored when \
-             linting TRACE files, which carry their own seed in their \
-             meta).")
+    Sweep.seed
+      "Seed of the live recorded workload runs (ignored when linting TRACE \
+       files, which carry their own seed in their meta)."
   in
   let run tm traces pass_filter all_tms horizon connectivity max_findings
-      seed json output watch =
+      seed out =
     let config =
       { Lint.horizon; dap_connectivity = connectivity; max_findings }
     in
-    (* one watch tick per lint target (trace file or live TM run) *)
-    let w = make_watch ~enabled:watch ~label:"lint" ~every:1 in
     let chosen ~default =
       match pass_filter with
       | [] -> default
       | names -> List.map Lints.find_exn names
     in
-    let json_lines = ref [] in
     let findings_total = ref 0 and unexpected_total = ref 0 in
     let unexpected_passes = ref [] in
     (* first unexpected progress-guarantee finding, kept whole so the exit
        can go through PCL-E109 with a step-level witness *)
     let progress_failure = ref None in
-    let lint_one ~target (input : Lint.input) passes =
-      let res = Lints.run_passes ~config passes input in
-      watch_tick w;
-      findings_total := !findings_total + List.length res.Lints.findings;
-      unexpected_total := !unexpected_total + List.length res.Lints.unexpected;
-      unexpected_passes :=
-        List.map (fun (f : Lint.finding) -> f.Lint.pass) res.Lints.unexpected
-        @ !unexpected_passes;
-      List.iter
-        (fun (f : Lint.finding) ->
-          match !progress_failure with
-          | Some _ -> ()
-          | None when f.Lint.pass <> "progressiveness" && f.Lint.pass <> "pwf"
-            ->
-              ()
-          | None ->
-              let txn =
-                match f.Lint.txns with t :: _ -> Some t | [] -> None
-              in
-              let witness_step =
-                match (f.Lint.step, f.Lint.witness_steps) with
-                | Some s, _ -> Some s
-                | None, s :: _ -> Some s
-                | None, [] -> None
-              in
-              progress_failure :=
-                Some
-                  ( res.Lints.tm,
-                    f.Lint.pass,
-                    Option.bind txn (History.pid_of_txn input.Lint.history),
-                    Option.map Tid.to_int txn,
-                    witness_step ))
-        res.Lints.unexpected;
-      if not json then begin
-        Format.printf "== %s (tm: %s)@." target
-          (Option.value ~default:"unknown" res.Lints.tm);
-        if res.Lints.findings = [] then
-          Format.printf "  clean (%s)@."
-            (String.concat ", " res.Lints.passes_run)
-        else
-          List.iter
-            (fun f ->
-              let tag =
-                if Lints.is_expected ~tm:res.Lints.tm f then "expected"
-                else "UNEXPECTED"
-              in
-              Format.printf "  @[<v>(%s) %a@]@." tag
-                (Lint.pp_finding ~name_of:input.Lint.name_of)
-                f)
-            res.Lints.findings
-      end;
-      json_lines :=
-        Obs_json.Obj
-          [
-            Schema.field;
-            ("type", Obs_json.String "lint-run");
-            ("target", Obs_json.String target);
-            ( "tm",
-              match res.Lints.tm with
-              | Some t -> Obs_json.String t
-              | None -> Obs_json.Null );
-            ( "passes",
-              Obs_json.List
-                (List.map (fun p -> Obs_json.String p) res.Lints.passes_run)
-            );
-            ("findings", Obs_json.Int (List.length res.Lints.findings));
-            ("unexpected", Obs_json.Int (List.length res.Lints.unexpected));
-          ]
-        :: List.map
-             (fun f ->
-               match Lint.finding_json f with
-               | Obs_json.Obj fields ->
-                   Obs_json.Obj
-                     (fields
-                     @ [
-                         ("target", Obs_json.String target);
-                         ( "expected",
-                           Obs_json.Bool
-                             (Lints.is_expected ~tm:res.Lints.tm f) );
-                       ])
-               | j -> j)
-             res.Lints.findings
-        |> List.append !json_lines
+    (* a lint target: a trace file, or a live recorded workload run *)
+    let input_of = function
+      | `Trace file -> (
+          match Flight.load file with
+          | Error msg -> Fmt.failwith "cannot load %s: %s" file msg
+          | Ok fl ->
+              ( file,
+                Lint.input_of_flight fl,
+                chosen
+                  ~default:
+                    (Lint_passes.trace_passes
+                    @ [ Progress_lint.progressiveness ]
+                    @ Lint.registered ()) ))
+      | `Live impl ->
+          let name = Registry.name impl in
+          let fl = Flight.create () in
+          Flight.with_recorder fl (fun () ->
+              ignore
+                (Workload.run impl
+                   {
+                     Workload.default with
+                     Workload.conflict_pct = 50;
+                     txns_per_proc = 10;
+                     seed;
+                   }));
+          ( "workload:" ^ name,
+            { (Lint.input_of_flight fl) with Lint.tm = Some name },
+            chosen ~default:(Lints.all ()) )
     in
-    List.iter
-      (fun file ->
-        match Flight.load file with
-        | Error msg -> Fmt.failwith "cannot load %s: %s" file msg
-        | Ok fl ->
-            lint_one ~target:file
-              (Lint.input_of_flight fl)
-              (chosen
-                 ~default:
-                   (Lint_passes.trace_passes
-                   @ [ Progress_lint.progressiveness ]
-                   @ Lint.registered ())))
-      traces;
     let impls =
       if all_tms then Registry.all
       else
         match tm with
-        | Some _ -> impls_of tm
+        | Some _ -> Sweep.impls_of tm
         | None -> if traces = [] then Registry.all else []
     in
-    List.iter
-      (fun impl ->
-        let (module M : Tm_intf.S) = impl in
-        let fl = Flight.create () in
-        Flight.with_recorder fl (fun () ->
-            ignore
-              (Workload.run impl
-                 {
-                   Workload.default with
-                   Workload.conflict_pct = 50;
-                   txns_per_proc = 10;
-                   seed;
-                 }));
-        lint_one
-          ~target:(Printf.sprintf "workload:%s" M.name)
-          { (Lint.input_of_flight fl) with Lint.tm = Some M.name }
-          (chosen ~default:(Lints.all ())))
-      impls;
-    watch_finish w;
-    let jsonl =
-      String.concat ""
-        (List.map (fun j -> Obs_json.to_string j ^ "\n") !json_lines)
-    in
-    (match output with
-    | Some f ->
-        let oc = open_out f in
-        output_string oc jsonl;
-        close_out oc
-    | None -> ());
-    if json then print_string jsonl
-    else
-      Format.printf "@.%d finding(s), %d unexpected@." !findings_total
-        !unexpected_total;
-    if !unexpected_total > 0 then
-      Reason.exit_with
-        (match !progress_failure with
-        | Some (tm, pass, pid, txn, witness_step) ->
-            (* a progress-guarantee detector tripped: exit PCL-E109 naming
-               the witness rather than the generic unexpected-findings code *)
-            Reason.Progress_violation
-              {
-                tm;
-                pass;
-                pid;
-                txn;
-                witness_step;
-                unexpected = !unexpected_total;
-              }
-        | None ->
-            Reason.Unexpected_findings
-              {
-                unexpected = !unexpected_total;
-                total = !findings_total;
-                lints = List.sort_uniq compare !unexpected_passes;
-              })
+    (* one watch tick per lint target *)
+    Sweep.run out ~label:"lint" ~every:1
+      (List.map (fun f -> `Trace f) traces @ List.map (fun i -> `Live i) impls)
+      ~row:(fun ~tick target ->
+        let target, input, passes = input_of target in
+        let res = Lints.run_passes ~config passes input in
+        tick ();
+        findings_total := !findings_total + List.length res.Lints.findings;
+        unexpected_total :=
+          !unexpected_total + List.length res.Lints.unexpected;
+        unexpected_passes :=
+          List.map (fun (f : Lint.finding) -> f.Lint.pass) res.Lints.unexpected
+          @ !unexpected_passes;
+        List.iter
+          (fun (f : Lint.finding) ->
+            match !progress_failure with
+            | Some _ -> ()
+            | None
+              when f.Lint.pass <> "progressiveness" && f.Lint.pass <> "pwf" ->
+                ()
+            | None ->
+                let txn =
+                  match f.Lint.txns with t :: _ -> Some t | [] -> None
+                in
+                let witness_step =
+                  match (f.Lint.step, f.Lint.witness_steps) with
+                  | Some s, _ -> Some s
+                  | None, s :: _ -> Some s
+                  | None, [] -> None
+                in
+                progress_failure :=
+                  Some
+                    ( res.Lints.tm,
+                      f.Lint.pass,
+                      Option.bind txn (History.pid_of_txn input.Lint.history),
+                      Option.map Tid.to_int txn,
+                      witness_step ))
+          res.Lints.unexpected;
+        let expected f = Lints.is_expected ~tm:res.Lints.tm f in
+        ( Obs_json.to_string
+            (Obs_json.Obj
+               [
+                 Schema.field;
+                 ("type", Obs_json.String "lint-run");
+                 ("target", Obs_json.String target);
+                 ( "tm",
+                   match res.Lints.tm with
+                   | Some t -> Obs_json.String t
+                   | None -> Obs_json.Null );
+                 ( "passes",
+                   Obs_json.List
+                     (List.map
+                        (fun p -> Obs_json.String p)
+                        res.Lints.passes_run) );
+                 ("findings", Obs_json.Int (List.length res.Lints.findings));
+                 ( "unexpected",
+                   Obs_json.Int (List.length res.Lints.unexpected) );
+               ])
+          :: List.map
+               (fun f ->
+                 Obs_json.to_string
+                   (match Lint.finding_json f with
+                   | Obs_json.Obj fields ->
+                       Obs_json.Obj
+                         (fields
+                         @ [
+                             ("target", Obs_json.String target);
+                             ("expected", Obs_json.Bool (expected f));
+                           ])
+                   | j -> j))
+               res.Lints.findings,
+          fun ppf ->
+            Format.fprintf ppf "== %s (tm: %s)@." target
+              (Option.value ~default:"unknown" res.Lints.tm);
+            if res.Lints.findings = [] then
+              Format.fprintf ppf "  clean (%s)@."
+                (String.concat ", " res.Lints.passes_run)
+            else
+              List.iter
+                (fun f ->
+                  Format.fprintf ppf "  @[<v>(%s) %a@]@."
+                    (if expected f then "expected" else "UNEXPECTED")
+                    (Lint.pp_finding ~name_of:input.Lint.name_of)
+                    f)
+                res.Lints.findings ))
+      ~footer:(fun () ->
+        ( [],
+          fun ppf ->
+            Format.fprintf ppf "@.%d finding(s), %d unexpected@."
+              !findings_total !unexpected_total ))
+      ~reason:(fun () ->
+        if !unexpected_total = 0 then None
+        else
+          Some
+            (match !progress_failure with
+            | Some (tm, pass, pid, txn, witness_step) ->
+                (* a progress-guarantee detector tripped: exit PCL-E109
+                   naming the witness rather than the generic
+                   unexpected-findings code *)
+                Reason.Progress_violation
+                  {
+                    tm;
+                    pass;
+                    pid;
+                    txn;
+                    witness_step;
+                    unexpected = !unexpected_total;
+                  }
+            | None ->
+                Reason.Unexpected_findings
+                  {
+                    unexpected = !unexpected_total;
+                    total = !findings_total;
+                    lints = List.sort_uniq compare !unexpected_passes;
+                  }))
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1331,22 +1138,14 @@ let lint_cmd =
           TM's expected set (the lint confirming what the theorem says \
           about it); exits non-zero on any unexpected finding.")
     Term.(
-      const run $ tm_arg $ traces $ pass_filter $ all_tms $ horizon
-      $ connectivity $ max_findings $ seed $ json $ output $ watch_arg)
+      const run $ Sweep.tm $ traces $ pass_filter $ Sweep.all_tms $ horizon
+      $ connectivity $ max_findings $ seed $ Sweep.out)
 
 (* ------------------------------------------------------------------ *)
 (* chaos: fault injection x contention management, the per-TM robustness
    matrix. *)
 
 let chaos_cmd =
-  let all_tms =
-    Arg.(
-      value & flag
-      & info [ "all-tms" ]
-          ~doc:
-            "Sweep every TM in the registry (the default when no $(b,-t) \
-             is given).")
-  in
   let faults =
     Arg.(
       value & opt_all string []
@@ -1372,29 +1171,13 @@ let chaos_cmd =
              smoke size).")
   in
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Sweep seed: victim selection, fault placement and backoff \
-             jitter all derive from it, so the same seed reproduces the \
-             matrix byte for byte.")
+    Sweep.seed
+      "Sweep seed: victim selection, fault placement and backoff jitter \
+       all derive from it, so the same seed reproduces the matrix byte for \
+       byte."
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the matrix as JSONL on stdout.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the JSONL matrix to $(docv).")
-  in
-  let run tm all_tms faults cms iters seed json output record dump_dir watch
-      =
-    let tms = if all_tms then Registry.all else impls_of tm in
+  let run tm all_tms faults cms iters seed out dump_dir =
+    let tms = Sweep.select ~all_tms tm in
     let base =
       match iters with
       | "default" -> Chaos_run.default
@@ -1414,100 +1197,89 @@ let chaos_cmd =
       match cms with [] -> Cm.all | names -> List.map Cm.find_exn names
     in
     let cfg = { base with Chaos_run.tms; faults; cms; seed } in
-    if record then ensure_dir dump_dir;
-    let artifacts = ref [] in
-    let w = make_watch ~enabled:watch ~label:"chaos" ~every:10 in
-    let cells =
-      Chaos_run.finalize cfg
-        (List.map
-           (fun (impl, klass, policy) ->
-             watch_tick w;
-             if not record then Chaos_run.run_cell cfg impl klass policy
-             else begin
-               let fl = Flight.create () in
-               let c =
-                 Flight.with_recorder fl (fun () ->
-                     Chaos_run.run_cell cfg impl klass policy)
-               in
-               Flight.set_meta fl "tm" c.Chaos_run.tm;
-               Flight.set_meta fl "fault" c.Chaos_run.fault;
-               Flight.set_meta fl "cm" c.Chaos_run.cm;
-               Flight.set_meta fl "seed" (string_of_int seed);
-               let file =
-                 Filename.concat dump_dir
-                   (Printf.sprintf "chaos-%s-%s-%s.trace.jsonl"
-                      c.Chaos_run.tm c.Chaos_run.fault c.Chaos_run.cm)
-               in
-               Flight.write_jsonl fl file;
-               artifacts := file :: !artifacts;
-               c
-             end)
-           (Chaos_run.combos cfg))
+    let cells = ref 0 and violations = ref 0 and wac = ref 0 in
+    let witnesses = ref [] and artifacts = ref 0 in
+    let run_cell tick (impl, klass, policy) =
+      tick ();
+      Sweep.recording dump_dir (fun dump ->
+          let c = Chaos_run.run_cell cfg impl klass policy in
+          Option.iter
+            (fun dump ->
+              ignore
+                (dump ~verdicts:[]
+                   (Printf.sprintf "chaos-%s-%s-%s" c.Chaos_run.tm
+                      c.Chaos_run.fault c.Chaos_run.cm)
+                   [
+                     ("tm", c.Chaos_run.tm);
+                     ("fault", c.Chaos_run.fault);
+                     ("cm", c.Chaos_run.cm);
+                     ("seed", string_of_int seed);
+                   ]);
+              incr artifacts)
+            dump;
+          c)
     in
-    watch_finish w;
-    let violations =
-      List.fold_left
-        (fun acc c -> acc + c.Chaos_run.closure_violations)
-        0 cells
-    in
-    let jsonl =
-      String.concat ""
-        (List.map
-           (fun c -> Obs_json.to_string (Chaos_run.cell_json c) ^ "\n")
-           cells)
-    in
-    (match output with
-    | Some f ->
-        let oc = open_out f in
-        output_string oc jsonl;
-        close_out oc
-    | None -> ());
-    if json then print_string jsonl
-    else begin
-      Format.printf "%-14s %-9s %-10s %-14s %-8s %-8s %-11s %s@." "TM"
-        "fault" "cm" "commits/exp" "gave-up" "skipped" "degradation" "stop";
-      List.iter
-        (fun (c : Chaos_run.cell) ->
-          Format.printf "%-14s %-9s %-10s %5d/%-8d %-8d %-8d %-11s %s%s@."
-            c.Chaos_run.tm c.Chaos_run.fault c.Chaos_run.cm
-            c.Chaos_run.commits c.Chaos_run.expected c.Chaos_run.gave_up
-            c.Chaos_run.skipped c.Chaos_run.degradation c.Chaos_run.stop
-            (if c.Chaos_run.closure_violations > 0 then
-               Printf.sprintf "  ** %d crash-closure violation(s)"
-                 c.Chaos_run.closure_violations
-             else ""))
-        cells;
-      let wac =
-        List.fold_left
-          (fun acc c -> acc + c.Chaos_run.wac_witnesses)
-          0 cells
-      in
-      Format.printf
-        "@.%d cell(s), %d crash-closure violation(s), %d wac-adaptivity \
-         witness(es)@."
-        (List.length cells) violations wac;
-      if !artifacts <> [] then
-        Format.printf "recorded %d artifact(s) under %s/@."
-          (List.length !artifacts) dump_dir
-    end;
-    (* an unexpected Sat -> Unsat flip under crash truncation is a checker
-       bug by definition — fail the sweep so CI catches it *)
-    if violations > 0 then
-      Reason.exit_with
-        (Reason.Closure_violation
-           {
-             violations;
-             cells = List.length cells;
-             witnesses =
-               List.filter_map
-                 (fun (c : Chaos_run.cell) ->
-                   if c.Chaos_run.closure_violations > 0 then
-                     Some
-                       (Printf.sprintf "%s/%s/%s" c.Chaos_run.tm
-                          c.Chaos_run.fault c.Chaos_run.cm)
-                   else None)
-                 cells;
-           })
+    (* a TM's cells are finalized together: each degradation is judged
+       against the same TM and CM's fault-free cell *)
+    Sweep.run out ~label:"chaos" ~every:10 tms
+      ~header:(fun ppf ->
+        Format.fprintf ppf "%-14s %-9s %-10s %-14s %-8s %-8s %-11s %s@." "TM"
+          "fault" "cm" "commits/exp" "gave-up" "skipped" "degradation" "stop")
+      ~row:(fun ~tick impl ->
+        let row =
+          Chaos_run.finalize cfg
+            (List.map (run_cell tick)
+               (Chaos_run.combos { cfg with Chaos_run.tms = [ impl ] }))
+        in
+        List.iter
+          (fun (c : Chaos_run.cell) ->
+            incr cells;
+            violations := !violations + c.Chaos_run.closure_violations;
+            wac := !wac + c.Chaos_run.wac_witnesses;
+            if c.Chaos_run.closure_violations > 0 then
+              witnesses :=
+                Printf.sprintf "%s/%s/%s" c.Chaos_run.tm c.Chaos_run.fault
+                  c.Chaos_run.cm
+                :: !witnesses)
+          row;
+        ( List.map (fun c -> Obs_json.to_string (Chaos_run.cell_json c)) row,
+          fun ppf ->
+            List.iter
+              (fun (c : Chaos_run.cell) ->
+                Format.fprintf ppf
+                  "%-14s %-9s %-10s %5d/%-8d %-8d %-8d %-11s %s%s@."
+                  c.Chaos_run.tm c.Chaos_run.fault c.Chaos_run.cm
+                  c.Chaos_run.commits c.Chaos_run.expected c.Chaos_run.gave_up
+                  c.Chaos_run.skipped c.Chaos_run.degradation c.Chaos_run.stop
+                  (if c.Chaos_run.closure_violations > 0 then
+                     Printf.sprintf "  ** %d crash-closure violation(s)"
+                       c.Chaos_run.closure_violations
+                   else ""))
+              row ))
+      ~footer:(fun () ->
+        ( [],
+          fun ppf ->
+            Format.fprintf ppf
+              "@.%d cell(s), %d crash-closure violation(s), %d \
+               wac-adaptivity witness(es)@."
+              !cells !violations !wac;
+            match dump_dir with
+            | Some dir when !artifacts > 0 ->
+                Format.fprintf ppf "recorded %d artifact(s) under %s/@."
+                  !artifacts dir
+            | _ -> () ))
+      ~reason:(fun () ->
+        (* an unexpected Sat -> Unsat flip under crash truncation is a
+           checker bug by definition — fail the sweep so CI catches it *)
+        if !violations = 0 then None
+        else
+          Some
+            (Reason.Closure_violation
+               {
+                 violations = !violations;
+                 cells = !cells;
+                 witnesses = List.rev !witnesses;
+               }))
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -1521,34 +1293,14 @@ let chaos_cmd =
           $(b,--record), each cell dumps a replayable trace artifact that \
           `pcl_tm explain' and `pcl_tm lint' consume.")
     Term.(
-      const run $ tm_arg $ all_tms $ faults $ cms $ iters $ seed $ json
-      $ output $ record_arg $ dump_dir_arg $ watch_arg)
+      const run $ Sweep.tm $ Sweep.all_tms $ faults $ cms $ iters $ seed
+      $ Sweep.out $ Sweep.dump_dir)
 
 (* ------------------------------------------------------------------ *)
 (* cost: the synchronization-cost observatory — RMR/RMW metering over
    the figure schedules and the explore sweep, per TM. *)
 
 let cost_cmd =
-  let all_tms =
-    Arg.(
-      value & flag
-      & info [ "all-tms" ]
-          ~doc:
-            "Meter every TM in the registry (the default when no $(b,-t) \
-             is given).")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the cost matrix as JSONL on stdout.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the JSONL matrix to $(docv).")
-  in
   let per_txn =
     Arg.(
       value & flag
@@ -1558,66 +1310,46 @@ let cost_cmd =
              workload (table mode only).")
   in
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Accepted for sweep-flag uniformity ($(b,--seed)/$(b,--json)/\
-             $(b,-o)/$(b,--watch) across every sweep subcommand).  The \
-             cost matrix derives from the fixed figure schedules and the \
-             exhaustive explore sweep, so it is seed-free: every seed \
-             yields the identical matrix.")
+    Sweep.seed
+      "Accepted for sweep-flag uniformity.  The cost matrix derives from \
+       the fixed figure schedules and the exhaustive explore sweep, so it \
+       is seed-free: every seed yields the identical matrix."
   in
-  let run tm all_tms json output per_txn _seed watch =
-    let impls = if all_tms then Registry.all else impls_of tm in
-    let rows =
-      List.concat_map
-        (fun impl ->
-          let w =
-            make_watch ~enabled:watch
-              ~label:("cost:" ^ Registry.name impl)
-              ~every:200
-          in
-          let rows =
-            Cost_run.rows_for ~on_execution:(fun () -> watch_tick w) impl
-          in
-          watch_finish w;
-          rows)
-        impls
-    in
-    let jsonl = Cost_run.to_jsonl rows in
-    (match output with
-    | Some f ->
-        let oc = open_out f in
-        output_string oc jsonl;
-        close_out oc
-    | None -> ());
-    if json then print_string jsonl
-    else begin
-      Format.printf "%a@." Cost_run.pp_table rows;
-      if per_txn then
-        List.iter
-          (fun impl ->
-            List.iter
-              (fun (r : Cost_run.row) ->
-                if r.Cost_run.status = "ok" && r.Cost_run.cost.Cost.txns <> []
-                then begin
-                  Format.printf "@.%s / %s:@." r.Cost_run.tm
-                    r.Cost_run.workload;
-                  List.iter
-                    (fun txn -> Format.printf "  %a@." Cost.pp_txn txn)
-                    r.Cost_run.cost.Cost.txns
-                end)
-              (Cost_run.figure_rows impl))
-          impls;
-      Format.printf "@.%a@." Cost_run.pp_expectations ()
-    end;
-    match Cost_run.check rows with
-    | [] -> ()
-    | (tm, workload, violated) :: _ as all ->
-        Format.eprintf "%d cost expectation violation(s)@."
-          (List.length all);
-        Reason.exit_with (Reason.Cost_expectation { tm; workload; violated })
+  let run tm all_tms per_txn _seed out =
+    let rows = ref [] in
+    Sweep.run out ~label:"cost" ~every:200 ~name:Registry.name
+      (Sweep.select ~all_tms tm)
+      ~row:(fun ~tick impl ->
+        rows := !rows @ Cost_run.rows_for ~on_execution:tick impl;
+        ([], ignore))
+      ~footer:(fun () ->
+        let rows = !rows in
+        ( List.map Obs_json.to_string (Cost_run.jsonl_values rows),
+          fun ppf ->
+            Format.fprintf ppf "%a@." Cost_run.pp_table rows;
+            if per_txn then
+              List.iter
+                (fun (r : Cost_run.row) ->
+                  if
+                    r.Cost_run.workload <> "explore"
+                    && r.Cost_run.status = "ok"
+                    && r.Cost_run.cost.Cost.txns <> []
+                  then begin
+                    Format.fprintf ppf "@.%s / %s:@." r.Cost_run.tm
+                      r.Cost_run.workload;
+                    List.iter
+                      (Format.fprintf ppf "  %a@." Cost.pp_txn)
+                      r.Cost_run.cost.Cost.txns
+                  end)
+                rows;
+            Format.fprintf ppf "@.%a@." Cost_run.pp_expectations () ))
+      ~reason:(fun () ->
+        match Cost_run.check !rows with
+        | [] -> None
+        | (tm, workload, violated) :: _ as all ->
+            Format.eprintf "%d cost expectation violation(s)@."
+              (List.length all);
+            Some (Reason.Cost_expectation { tm; workload; violated }))
   in
   Cmd.v
     (Cmd.info "cost"
@@ -1630,9 +1362,7 @@ let cost_cmd =
           Deterministic: the JSONL is byte-identical across runs.  Exits \
           non-zero when the observed matrix violates the expected-cost \
           (\"PCL tax\") table or a universal cost law.")
-    Term.(
-      const run $ tm_arg $ all_tms $ json $ output $ per_txn $ seed
-      $ watch_arg)
+    Term.(const run $ Sweep.tm $ Sweep.all_tms $ per_txn $ seed $ Sweep.out)
 
 (* ------------------------------------------------------------------ *)
 (* soak: million-transaction endurance runs with continuous phase
@@ -1644,70 +1374,36 @@ let cost_cmd =
 
 let soak_cmd =
   let txns =
-    Arg.(
-      value & opt int 1_000_000
-      & info [ "n"; "txns" ] ~docv:"N"
-          ~doc:"Committed-transaction target per TM.")
-  in
-  let all_tms =
-    Arg.(
-      value & flag
-      & info [ "all-tms" ]
-          ~doc:
-            "Soak every TM in the registry (the default when no $(b,-t) \
-             is given).")
+    Sweep.count [ "n"; "txns" ] ~default:1_000_000 ~docv:"N"
+      "Committed-transaction target per TM."
   in
   let procs =
-    Arg.(
-      value & opt int Soak.default.Soak.n_procs
-      & info [ "procs" ] ~docv:"P" ~doc:"Concurrent processes.")
+    Sweep.count ~min:1 [ "procs" ] ~default:Soak.default.Soak.n_procs
+      ~docv:"P" "Concurrent processes."
   in
   let conflict =
-    Arg.(
-      value & opt int Soak.default.Soak.conflict_pct
-      & info [ "conflict" ] ~docv:"PCT"
-          ~doc:"Probability (0..100) a transaction touches shared items.")
+    Sweep.count ~max:100 [ "conflict" ]
+      ~default:Soak.default.Soak.conflict_pct ~docv:"PCT"
+      "Probability (0..100) a transaction touches shared items."
   in
-  let seed =
-    Arg.(
-      value & opt int Soak.default.Soak.seed
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Base RNG seed.")
-  in
+  let seed = Sweep.seed ~default:Soak.default.Soak.seed "Base RNG seed." in
   let segment =
-    Arg.(
-      value & opt int Soak.default.Soak.segment_txns
-      & info [ "segment" ] ~docv:"TXNS"
-          ~doc:
-            "Transactions per process per segment (each segment is a \
-             fresh bounded simulator world, so memory stays flat).")
+    Sweep.count [ "segment" ] ~default:Soak.default.Soak.segment_txns
+      ~docv:"TXNS"
+      "Transactions per process per segment (each segment is a fresh \
+       bounded simulator world, so memory stays flat)."
   in
   let budget =
-    Arg.(
-      value & opt int Soak.default.Soak.budget
-      & info [ "budget" ] ~docv:"STEPS"
-          ~doc:
-            "Step budget per segment — the liveness fence; a segment \
-             that exhausts it stalls the soak (PCL-E108).")
+    Sweep.count [ "budget" ] ~default:Soak.default.Soak.budget
+      ~docv:"STEPS"
+      "Step budget per segment — the liveness fence; a segment that \
+       exhausts it stalls the soak (PCL-E108)."
   in
   let tick =
-    Arg.(
-      value & opt int Soak.default.Soak.tick_steps
-      & info [ "tick" ] ~docv:"STEPS"
-          ~doc:
-            "Steps between observer ticks (watch snapshots, GC \
-             samples); tick boundaries are deterministic.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the soak/perf records as JSONL on stdout.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the JSONL records to $(docv).")
+    Sweep.count [ "tick" ] ~default:Soak.default.Soak.tick_steps
+      ~docv:"STEPS"
+      "Steps between observer ticks (watch snapshots, GC samples); tick \
+       boundaries are deterministic."
   in
   let profile_arg =
     Arg.(
@@ -1737,178 +1433,156 @@ let soak_cmd =
              (the closing perf record is always emitted on the main \
              stream).")
   in
-  let run tm all_tms txns procs conflict seed segment budget tick json
-      output profile_file chrome_file gc_file watch =
-    let impls = if all_tms then Registry.all else impls_of tm in
+  let run tm all_tms txns procs conflict seed segment budget tick out
+      profile_file chrome_file gc_file =
+    let cfg =
+      {
+        Soak.default with
+        Soak.txns;
+        n_procs = procs;
+        conflict_pct = conflict;
+        seed;
+        segment_txns = segment;
+        budget;
+        tick_steps = tick;
+      }
+    in
     let profiling = profile_file <> None || chrome_file <> None in
     let tracer = Sink.tracer Sink.default in
     let prof = Prof.create () in
     let chrome_spans = ref [] in
     let gc_lines = ref [] in
-    let lines = ref [] in
     let first_stall = ref None in
-    List.iter
-      (fun impl ->
-        let (module M : Tm_intf.S) = impl in
-        if !first_stall = None then begin
-          let cfg =
-            {
-              Soak.default with
-              Soak.txns;
-              n_procs = procs;
-              conflict_pct = conflict;
-              seed;
-              segment_txns = segment;
-              budget;
-              tick_steps = tick;
-            }
+    Sweep.run out ~label:"soak" ~every:10 ~name:Registry.name
+      (Sweep.select ~all_tms tm)
+      ~stop:(fun () -> !first_stall <> None)
+      ~row:(fun ~tick:watch_tick impl ->
+        let name = Registry.name impl in
+        let gcm = Gcstat.create () in
+        if profiling then Span.reset tracer;
+        let on_tick (p : Soak.progress) =
+          watch_tick ();
+          let s =
+            Gcstat.sample gcm
+              ~tick:(p.Soak.steps / max 1 tick)
+              ~steps:p.Soak.steps ~txns:p.Soak.txns_done
           in
-          let w =
-            make_watch ~enabled:watch ~label:("soak:" ^ M.name) ~every:10
-          in
-          let gcm = Gcstat.create () in
-          if profiling then Span.reset tracer;
-          let on_tick (p : Soak.progress) =
-            watch_tick w;
-            let s =
-              Gcstat.sample gcm
-                ~tick:(p.Soak.steps / max 1 tick)
-                ~steps:p.Soak.steps ~txns:p.Soak.txns_done
-            in
-            if gc_file <> None then
-              gc_lines :=
-                Obs_json.Obj
-                  [
-                    Schema.field;
-                    ("type", Obs_json.String "perf_sample");
-                    ("tm", Obs_json.String M.name);
-                    ("tick", Obs_json.Int s.Gcstat.tick);
-                    ("steps", Obs_json.Int s.Gcstat.steps);
-                    ("txns", Obs_json.Int s.Gcstat.txns);
-                    ("alloc_words", Obs_json.Float s.Gcstat.alloc_words);
-                    ( "minor_collections",
-                      Obs_json.Int s.Gcstat.minor_collections );
-                    ( "major_collections",
-                      Obs_json.Int s.Gcstat.major_collections );
-                  ]
-                :: !gc_lines
-          in
-          (* fold each segment's spans into the profile and reset the
-             tracer, so the span buffer never overflows over a million
-             transactions *)
-          let on_segment (_ : Soak.progress) =
-            if profiling then begin
-              let spans = Span.spans tracer in
-              Prof.add_spans prof spans;
-              if chrome_file <> None then
-                chrome_spans := List.rev_append spans !chrome_spans;
-              Span.reset tracer
-            end
-          in
-          let t0 = Unix.gettimeofday () in
-          let o = Soak.run ~on_tick ~on_segment impl cfg in
-          let wall_ns =
-            int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
-          in
-          watch_finish w;
-          let p = o.Soak.progress in
-          (* the byte-deterministic totals line *)
-          lines :=
-            Obs_json.Obj
-              [
-                Schema.field;
-                ("type", Obs_json.String "soak");
-                ("tm", Obs_json.String M.name);
-                ("txns", Obs_json.Int p.Soak.txns_done);
-                ("target", Obs_json.Int txns);
-                ("aborts", Obs_json.Int p.Soak.aborts);
-                ("steps", Obs_json.Int p.Soak.steps);
-                ("segments", Obs_json.Int p.Soak.segments);
-                ( "stop",
-                  Obs_json.String
-                    (match o.Soak.stall with
-                    | None -> "completed"
-                    | Some _ -> "stalled") );
-              ]
-            :: !lines;
-          (* the perf record: the one place wall-clock and GC numbers
-             are allowed *)
-          (match
-             Gcstat.report gcm ~wall_ns ~steps:p.Soak.steps
-               ~txns:p.Soak.txns_done
-           with
-          | Obs_json.Obj fields ->
-              lines :=
-                Obs_json.Obj (fields @ [ ("tm", Obs_json.String M.name) ])
-                :: !lines
-          | j -> lines := j :: !lines);
-          if not json then begin
-            Format.printf "soak %-12s %d/%d txns (%d aborts) in %d steps, \
-                           %d segments [%s]@."
-              M.name p.Soak.txns_done txns p.Soak.aborts p.Soak.steps
+          if gc_file <> None then
+            gc_lines :=
+              Obs_json.Obj
+                [
+                  Schema.field;
+                  ("type", Obs_json.String "perf_sample");
+                  ("tm", Obs_json.String name);
+                  ("tick", Obs_json.Int s.Gcstat.tick);
+                  ("steps", Obs_json.Int s.Gcstat.steps);
+                  ("txns", Obs_json.Int s.Gcstat.txns);
+                  ("alloc_words", Obs_json.Float s.Gcstat.alloc_words);
+                  ( "minor_collections",
+                    Obs_json.Int s.Gcstat.minor_collections );
+                  ( "major_collections",
+                    Obs_json.Int s.Gcstat.major_collections );
+                ]
+              :: !gc_lines
+        in
+        (* fold each segment's spans into the profile and reset the
+           tracer, so the span buffer never overflows over a million
+           transactions *)
+        let on_segment (_ : Soak.progress) =
+          if profiling then begin
+            let spans = Span.spans tracer in
+            Prof.add_spans prof spans;
+            if chrome_file <> None then
+              chrome_spans := List.rev_append spans !chrome_spans;
+            Span.reset tracer
+          end
+        in
+        let t0 = Unix.gettimeofday () in
+        let o = Soak.run ~on_tick ~on_segment impl cfg in
+        let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+        let p = o.Soak.progress in
+        (* the perf record: the one place wall-clock and GC numbers are
+           allowed *)
+        let perf =
+          Gcstat.report gcm ~wall_ns ~steps:p.Soak.steps
+            ~txns:p.Soak.txns_done
+        in
+        let rate key =
+          Option.value ~default:0.
+            (Option.bind (Obs_json.member key perf) Obs_json.to_float)
+        in
+        Option.iter
+          (fun (st : Soak.stall) ->
+            first_stall :=
+              Some
+                (Reason.Soak_stall
+                   {
+                     tm = name;
+                     pid = st.Soak.pid;
+                     step = st.Soak.step;
+                     obj = st.Soak.obj;
+                     prim = st.Soak.prim;
+                     txns = p.Soak.txns_done;
+                     target = txns;
+                   }))
+          o.Soak.stall;
+        ( [
+            (* the byte-deterministic totals line *)
+            Obs_json.to_string
+              (Obs_json.Obj
+                 [
+                   Schema.field;
+                   ("type", Obs_json.String "soak");
+                   ("tm", Obs_json.String name);
+                   ("txns", Obs_json.Int p.Soak.txns_done);
+                   ("target", Obs_json.Int txns);
+                   ("aborts", Obs_json.Int p.Soak.aborts);
+                   ("steps", Obs_json.Int p.Soak.steps);
+                   ("segments", Obs_json.Int p.Soak.segments);
+                   ( "stop",
+                     Obs_json.String
+                       (if o.Soak.stall = None then "completed" else "stalled")
+                   );
+                 ]);
+            Obs_json.to_string
+              (match perf with
+              | Obs_json.Obj fields ->
+                  Obs_json.Obj (fields @ [ ("tm", Obs_json.String name) ])
+              | j -> j);
+          ],
+          fun ppf ->
+            Format.fprintf ppf
+              "soak %-12s %d/%d txns (%d aborts) in %d steps, %d segments \
+               [%s]@."
+              name p.Soak.txns_done txns p.Soak.aborts p.Soak.steps
               p.Soak.segments
-              (match o.Soak.stall with
-              | None -> "completed"
-              | Some _ -> "STALLED");
-            let fsteps = float_of_int (max 1 p.Soak.steps) in
-            Format.printf "  perf: %.1f ns/step, %.1f words/step@."
-              (float_of_int wall_ns /. fsteps)
-              (Gcstat.allocated_words gcm /. fsteps)
-          end;
-          match o.Soak.stall with
-          | None -> ()
-          | Some st ->
-              first_stall :=
-                Some
-                  (Reason.Soak_stall
-                     {
-                       tm = M.name;
-                       pid = st.Soak.pid;
-                       step = st.Soak.step;
-                       obj = st.Soak.obj;
-                       prim = st.Soak.prim;
-                       txns = p.Soak.txns_done;
-                       target = txns;
-                     })
-        end)
-      impls;
-    let jsonl =
-      String.concat ""
-        (List.rev_map (fun j -> Obs_json.to_string j ^ "\n") !lines)
-    in
-    (match output with
-    | Some f ->
-        let oc = open_out f in
-        output_string oc jsonl;
-        close_out oc
-    | None -> ());
-    if json then print_string jsonl;
-    (match profile_file with
-    | Some f ->
-        let oc = open_out f in
-        output_string oc (Prof.to_collapsed ~metric:Prof.Wall_ns prof);
-        close_out oc;
-        if not json then Format.printf "@.%a@." Prof.pp prof
-    | None -> ());
-    (match chrome_file with
-    | Some f ->
-        let oc = open_out f in
-        output_string oc
-          (Obs_json.to_string
-             (Prof.spans_to_chrome (List.rev !chrome_spans)));
-        close_out oc
-    | None -> ());
-    (match gc_file with
-    | Some f ->
-        let oc = open_out f in
-        List.iter
-          (fun j -> output_string oc (Obs_json.to_string j ^ "\n"))
-          (List.rev !gc_lines);
-        close_out oc
-    | None -> ());
-    match !first_stall with
-    | Some r -> Reason.exit_with r
-    | None -> ()
+              (if o.Soak.stall = None then "completed" else "STALLED");
+            Format.fprintf ppf "  perf: %.1f ns/step, %.1f words/step@."
+              (rate "ns_per_step") (rate "words_per_step") ))
+      ~footer:(fun () ->
+        Option.iter
+          (fun f ->
+            Sweep.write_file f (Prof.to_collapsed ~metric:Prof.Wall_ns prof))
+          profile_file;
+        Option.iter
+          (fun f ->
+            Sweep.write_file f
+              (Obs_json.to_string
+                 (Prof.spans_to_chrome (List.rev !chrome_spans))))
+          chrome_file;
+        Option.iter
+          (fun f ->
+            Sweep.write_file f
+              (String.concat ""
+                 (List.rev_map
+                    (fun j -> Obs_json.to_string j ^ "\n")
+                    !gc_lines)))
+          gc_file;
+        ( [],
+          fun ppf ->
+            if profile_file <> None then
+              Format.fprintf ppf "@.%a@." Prof.pp prof ))
+      ~reason:(fun () -> !first_stall)
   in
   Cmd.v
     (Cmd.info "soak"
@@ -1924,9 +1598,9 @@ let soak_cmd =
           machine-readable PCL-E108 reason line naming the wedged \
           process, step and object, and a nonzero exit.")
     Term.(
-      const run $ tm_arg $ all_tms $ txns $ procs $ conflict $ seed
-      $ segment $ budget $ tick $ json $ output $ profile_arg
-      $ chrome_arg $ gc_arg $ watch_arg)
+      const run $ Sweep.tm $ Sweep.all_tms $ txns $ procs $ conflict $ seed
+      $ segment $ budget $ tick $ Sweep.out $ profile_arg $ chrome_arg
+      $ gc_arg)
 
 (* ------------------------------------------------------------------ *)
 (* conform: the scenario catalogue — run every scenario's TM x CM cells
@@ -1967,25 +1641,9 @@ let conform_cmd =
           ~doc:"Run only this scenario id (repeatable).")
   in
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Sweep seed: per-cell sub-seeds derive from it and the \
-             scenario id, so the same seed reproduces the run byte for \
-             byte.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the conformance rows as JSONL on stdout.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the JSONL rows to $(docv).")
+    Sweep.seed
+      "Sweep seed: per-cell sub-seeds derive from it and the scenario id, \
+       so the same seed reproduces the run byte for byte."
   in
   let cells_flag =
     Arg.(
@@ -2042,9 +1700,8 @@ let conform_cmd =
              to a handful of steps, forcing a budget-exhaustion (timeout) \
              failure attributed to that cell.")
   in
-  let run tm files dir _all scenario_filter seed json output cells_flag
-      journal_file resume check_only list_only inject_crash inject_stall
-      watch =
+  let run tm files dir _all scenario_filter seed out cells_flag
+      journal_file resume check_only list_only inject_crash inject_stall =
     let scenarios =
       match
         (match files with
@@ -2076,7 +1733,7 @@ let conform_cmd =
       | None -> scenarios
       | Some _ ->
           let name =
-            match impls_of tm with
+            match Sweep.impls_of tm with
             | [ impl ] -> Registry.name impl
             | _ -> assert false
           in
@@ -2101,7 +1758,7 @@ let conform_cmd =
             s.Scenario.describe)
         scenarios
     else begin
-      (* journal-reused rows for --resume: id -> (status, raw line), last
+      (* journal-reused rows for --resume: id -> raw line, last
          occurrence wins (a re-run scenario appends a newer row) *)
       let reusable = Hashtbl.create 64 in
       if resume then
@@ -2110,25 +1767,23 @@ let conform_cmd =
             if status = "pass" || status = "quarantine" then
               Hashtbl.replace reusable id line
             else Hashtbl.remove reusable id)
-          (Scenario_run.journal_load journal_file);
-      let journal =
-        open_out_gen
-          (if resume then [ Open_append; Open_creat ]
-           else [ Open_wronly; Open_trunc; Open_creat ])
-          0o644 journal_file
-      in
-      let w = make_watch ~enabled:watch ~label:"conform" ~every:10 in
-      let lines = ref [] in
+          (Scenario_run.journal_load journal_file)
+      else Sweep.write_file journal_file "";
       let failed = ref [] and timeouts = ref [] in
       let quarantined = ref 0 and total_cells = ref 0 and reused = ref 0 in
-      let table = ref [] in
-      List.iter
-        (fun s ->
+      let table_row ppf (id, status, cells, failed, from_journal) =
+        Format.fprintf ppf "%-32s %-11s %5d %6d%s@." id status cells failed
+          (if from_journal then "  (journal)" else "")
+      in
+      Sweep.run out ~label:"conform" ~every:10 scenarios
+        ~header:(fun ppf ->
+          Format.fprintf ppf "%-32s %-11s %5s %6s@." "scenario" "status"
+            "cells" "failed")
+        ~row:(fun ~tick s ->
           let id = s.Scenario.id in
           match Hashtbl.find_opt reusable id with
           | Some line ->
               incr reused;
-              lines := (line ^ "\n") :: !lines;
               let status, cells =
                 match Obs_json.parse line with
                 | Ok j ->
@@ -2142,53 +1797,44 @@ let conform_cmd =
               in
               if status = "quarantine" then incr quarantined;
               total_cells := !total_cells + cells;
-              table := (id, status, cells, 0, true) :: !table
+              ([ line ], fun ppf -> table_row ppf (id, status, cells, 0, true))
           | None ->
               let inject =
                 if inject_crash = Some id then Scenario_run.Inject_crash
                 else if inject_stall = Some id then Scenario_run.Inject_stall
                 else Scenario_run.No_inject
               in
-              let cell_lines = ref [] in
-              let row = Scenario_run.run_row ~tick:(fun () -> watch_tick w)
-                  ~inject ~seed s
+              let row = Scenario_run.run_row ~tick ~inject ~seed s in
+              (* cell rows ride the same sweep, rendered from the row's
+                 failures plus the passing cell list, latest cell first *)
+              let cell_lines =
+                if not cells_flag then []
+                else
+                  List.rev_map
+                    (fun (impl, policy) ->
+                      let tm = Registry.name impl in
+                      let cm = policy.Cm.name in
+                      let c =
+                        match
+                          List.find_opt
+                            (fun (f : Scenario_run.cell) ->
+                              f.Scenario_run.tm = tm && f.Scenario_run.cm = cm)
+                            row.Scenario_run.failures
+                        with
+                        | Some f -> f
+                        | None ->
+                            {
+                              Scenario_run.tm;
+                              cm;
+                              reason = None;
+                              detail = "";
+                            }
+                      in
+                      Obs_json.to_string (Scenario_run.cell_json ~id c))
+                    (Scenario_run.cells_of s)
               in
-              if cells_flag then begin
-                (* re-run cells are not re-executed here: cell rows ride
-                   the same sweep, rendered from the row's failures plus
-                   the passing cell list *)
-                let failures = row.Scenario_run.failures in
-                List.iter
-                  (fun (impl, policy) ->
-                    let tm = Registry.name impl in
-                    let cm = policy.Cm.name in
-                    let c =
-                      match
-                        List.find_opt
-                          (fun (f : Scenario_run.cell) ->
-                            f.Scenario_run.tm = tm
-                            && f.Scenario_run.cm = cm)
-                          failures
-                      with
-                      | Some f -> f
-                      | None ->
-                          {
-                            Scenario_run.tm;
-                            cm;
-                            reason = None;
-                            detail = "";
-                          }
-                    in
-                    cell_lines :=
-                      (Obs_json.to_string (Scenario_run.cell_json ~id c)
-                      ^ "\n")
-                      :: !cell_lines)
-                  (Scenario_run.cells_of s)
-              end;
               let line = Obs_json.to_string (Scenario_run.row_json row) in
-              output_string journal (line ^ "\n");
-              flush journal;
-              lines := (line ^ "\n") :: List.rev_append !cell_lines !lines;
+              Sweep.write_file ~append:true journal_file (line ^ "\n");
               if row.Scenario_run.status = "fail" then begin
                 failed := id :: !failed;
                 if
@@ -2198,48 +1844,36 @@ let conform_cmd =
                     row.Scenario_run.failures
                 then timeouts := id :: !timeouts
               end;
-              if row.Scenario_run.status = "quarantine" then
-                incr quarantined;
+              if row.Scenario_run.status = "quarantine" then incr quarantined;
               total_cells := !total_cells + row.Scenario_run.cells;
-              table :=
-                (id, row.Scenario_run.status, row.Scenario_run.cells,
-                 row.Scenario_run.failed, false)
-                :: !table)
-        scenarios;
-      close_out journal;
-      watch_finish w;
-      let jsonl = String.concat "" (List.rev !lines) in
-      (match output with
-      | Some f ->
-          let oc = open_out f in
-          output_string oc jsonl;
-          close_out oc
-      | None -> ());
-      if json then print_string jsonl
-      else begin
-        Format.printf "%-32s %-11s %5s %6s@." "scenario" "status" "cells"
-          "failed";
-        List.iter
-          (fun (id, status, cells, failed, from_journal) ->
-            Format.printf "%-32s %-11s %5d %6d%s@." id status cells failed
-              (if from_journal then "  (journal)" else ""))
-          (List.rev !table);
-        Format.printf
-          "@.%d scenario(s) (%d from the journal), %d cell(s), %d \
-           failed, %d quarantined@."
-          (List.length scenarios) !reused !total_cells
-          (List.length !failed) !quarantined
-      end;
-      if !failed <> [] then
-        Reason.exit_with
-          (Reason.Conform_failure
-             {
-               failed = List.rev !failed;
-               timeouts = List.rev !timeouts;
-               scenarios = List.length scenarios;
-               cells = !total_cells;
-               quarantined = !quarantined;
-             })
+              ( cell_lines @ [ line ],
+                fun ppf ->
+                  table_row ppf
+                    ( id,
+                      row.Scenario_run.status,
+                      row.Scenario_run.cells,
+                      row.Scenario_run.failed,
+                      false ) ))
+        ~footer:(fun () ->
+          ( [],
+            fun ppf ->
+              Format.fprintf ppf
+                "@.%d scenario(s) (%d from the journal), %d cell(s), %d \
+                 failed, %d quarantined@."
+                (List.length scenarios) !reused !total_cells
+                (List.length !failed) !quarantined ))
+        ~reason:(fun () ->
+          if !failed = [] then None
+          else
+            Some
+              (Reason.Conform_failure
+                 {
+                   failed = List.rev !failed;
+                   timeouts = List.rev !timeouts;
+                   scenarios = List.length scenarios;
+                   cells = !total_cells;
+                   quarantined = !quarantined;
+                 }))
     end
   in
   Cmd.v
@@ -2255,9 +1889,9 @@ let conform_cmd =
           Exits non-zero (one PCL-E110 reason line naming the failed \
           ids) when any non-quarantined scenario fails.")
     Term.(
-      const run $ tm_arg $ files $ dir $ all $ scenario_filter $ seed
-      $ json $ output $ cells_flag $ journal_arg $ resume $ check_only
-      $ list_only $ inject_crash $ inject_stall $ watch_arg)
+      const run $ Sweep.tm $ files $ dir $ all $ scenario_filter $ seed
+      $ Sweep.out $ cells_flag $ journal_arg $ resume $ check_only
+      $ list_only $ inject_crash $ inject_stall)
 
 (* ------------------------------------------------------------------ *)
 (* report: run a workload silently, then dump the telemetry sink. *)
@@ -2309,29 +1943,12 @@ let report_cmd =
              $(b,verdict), $(b,liveness) or $(b,explore).")
   in
   let iters =
-    Arg.(
-      value & opt int 10
-      & info [ "n"; "iterations" ] ~docv:"N"
-          ~doc:"Iterations (fuzz runs / txns per process).")
+    Sweep.count [ "n"; "iterations" ] ~default:10 ~docv:"N"
+      "Iterations (fuzz runs / txns per process)."
   in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the sink as JSONL on stdout instead of a table.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the JSONL export to $(docv).")
-  in
-  let run tm workload iters seed json output =
-    let impls = impls_of tm in
+  let seed = Sweep.seed "RNG seed." in
+  let run tm workload iters seed out =
+    let impls = Sweep.impls_of tm in
     let sink = Sink.default in
     Sink.reset sink;
     Sink.set_meta sink "tool" "pcl_tm report";
@@ -2343,9 +1960,9 @@ let report_cmd =
       | Some _, [ (module M : Tm_intf.S) ] -> M.name
       | _ -> "all");
     List.iter (report_drive workload ~iters ~seed) impls;
-    (match output with Some f -> Sink.write_jsonl sink f | None -> ());
-    if json then print_string (Sink.to_jsonl sink)
-    else if output = None then Format.printf "%a@." Sink.pp_table sink
+    if out.Sweep.json || out.Sweep.output <> None then
+      Sweep.emit out (Sink.to_jsonl sink)
+    else Format.printf "%a@." Sink.pp_table sink
   in
   Cmd.v
     (Cmd.info "report"
@@ -2353,7 +1970,7 @@ let report_cmd =
          "Run a workload with the telemetry sink enabled and report the \
           aggregated counters, histograms and spans — as a table, as JSONL \
           on stdout ($(b,--json)), or to a file ($(b,-o)).")
-    Term.(const run $ tm_arg $ workload $ iters $ seed $ json $ output)
+    Term.(const run $ Sweep.tm $ workload $ iters $ seed $ Sweep.outputs)
 
 (* The exit funnel: every nonzero exit leaves through here with exactly
    one machine-readable reason line on stderr.  Commands raise

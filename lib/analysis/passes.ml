@@ -411,6 +411,11 @@ let lost_update : pass =
 let write_skew_run (cfg : config) (i : input) : finding list =
   let h = i.history in
   let committed = List.filter (History.committed h) (History.txns h) in
+  let wrote tu item v =
+    List.exists
+      (fun (yi, wv) -> Item.equal yi item && Value.equal wv v)
+      (History.writes h tu)
+  in
   let findings =
     List.filter_map
       (fun (t1, t2) ->
@@ -428,35 +433,33 @@ let write_skew_run (cfg : config) (i : input) : finding list =
           in
           (* a read of [item] counts as a pre-state read w.r.t. [writer]
              only when the observed value cannot come from [writer] or
-             from anything later: it differs from [writer]'s value and
-             every transaction that installed it completed before
-             [writer] began (the initial value qualifies vacuously) *)
-          let pre_state_read rr ~item ~not_value ~writer =
+             from anything later: it differs from every value [writer]
+             wrote to [item] and every transaction that installed it
+             completed before [writer] began (the initial value
+             qualifies vacuously) *)
+          let pre_state_read rr ~item ~writer =
             List.find_opt
               (fun (it, v, _) ->
                 Item.equal it item
-                && (not (Value.equal v not_value))
+                && (not (wrote writer item v))
                 && not
                      (List.exists
                         (fun tu ->
                           (not (Tid.equal tu writer))
-                          && List.exists
-                               (fun (yi, wv) ->
-                                 Item.equal yi item && Value.equal wv v)
-                               (History.writes h tu)
+                          && wrote tu item v
                           && not (History.precedes h tu writer))
                         (History.txns h)))
               rr
           in
           List.find_map
-            (fun (x, vx) ->
+            (fun (x, _) ->
               List.find_map
-                (fun (y, vy) ->
+                (fun (y, _) ->
                   if Item.equal x y then None
                   else
                     match
-                      ( pre_state_read r1 ~item:y ~not_value:vy ~writer:t2,
-                        pre_state_read r2 ~item:x ~not_value:vx ~writer:t1 )
+                      ( pre_state_read r1 ~item:y ~writer:t2,
+                        pre_state_read r2 ~item:x ~writer:t1 )
                     with
                     | Some (_, _, at1), Some (_, _, at2) ->
                         let step =

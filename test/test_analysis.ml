@@ -219,6 +219,94 @@ let test_serial_clean () =
               Pcl_constructions.delta1)))
     [ "tl-lock"; "candidate"; "si-clock"; "llsc-candidate" ]
 
+(* `fuzz -t norec --lint --record', seed 1, iteration 61: T3 writes
+   y = 300 then y = 301 and commits; T1 then reads y = 301 and writes x.
+   The read returns T3's final value, so it is no pre-state read of y,
+   and T2 . T3 . T1 is a strict serialization *)
+let test_write_skew_final_value () =
+  let h =
+    match
+      Wire.parse
+        "+b1@1 -ok1 +r1(y) +b2@2 -ok2 +r2(x) -v2=0 +w2(y)=200 -ok2 +c2 -C2 \
+         +b3@3 -ok3 +r3(x) -v3=0 +w3(y)=300 -ok3 +w3(y)=301 -ok3 +c3 -C3 \
+         -v1=301 +r1(y) -v1=301 +w1(z)=100 -ok1 +w1(x)=101 -ok1 +c1 -C1"
+    with
+    | Ok h -> h
+    | Error msg -> Alcotest.fail msg
+  in
+  Alcotest.(check bool)
+    "strictly serializable" true
+    (Spec.sat ((Checkers.find_exn "strict-serializability").Spec.check h));
+  Alcotest.(check (list string))
+    "no anomaly finding" []
+    (fired [ Lint_passes.lost_update; Lint_passes.write_skew ]
+       (input_of_history h))
+
+(* a fuzz-style run, drawn the way `pcl_tm fuzz' draws one: three static
+   transactions over x, y and z with unique write values, eight random
+   step atoms, then every process to completion *)
+let fuzz_case =
+  QCheck.Gen.(
+    let items = list_size (int_range 1 2) (int_bound 2) in
+    triple
+      (int_bound (List.length Registry.all - 1))
+      (list_repeat 3 (pair items items))
+      (list_repeat 8 (pair (int_range 1 3) (int_range 1 5))))
+
+let fuzz_run (tm, txns, steps) =
+  let impl = List.nth Registry.all tm in
+  let item i = List.nth [ Item.v "x"; Item.v "y"; Item.v "z" ] i in
+  let specs =
+    List.mapi
+      (fun i (reads, writes) ->
+        let tid = i + 1 in
+        {
+          Static_txn.tid = Tid.v tid;
+          pid = tid;
+          reads = List.map item reads;
+          writes =
+            List.mapi (fun j x -> (item x, Value.int ((100 * tid) + j))) writes;
+        })
+      txns
+  in
+  let schedule =
+    List.map (fun (pid, k) -> Schedule.Steps (pid, k)) steps
+    @ [ Schedule.Until_done 1; Schedule.Until_done 2; Schedule.Until_done 3 ]
+  in
+  let outcomes = Hashtbl.create 8 in
+  let setup mem recorder =
+    let handle =
+      Txn_api.instantiate impl mem recorder ~items:(Static_txn.items_of specs)
+    in
+    List.map
+      (fun s -> (s.Static_txn.pid, Static_txn.program handle s ~outcomes))
+      specs
+  in
+  (impl, (Sim.replay ~budget:3_000 setup schedule).Sim.history)
+
+(* lost-update and write-skew name histories no serialization explains,
+   so a strictly serializable run must give neither *)
+let anomaly_laws =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      qtest "strictly serializable runs: no lost-update or write-skew" 3000
+        (QCheck.make
+           ~print:(fun case ->
+             let impl, h = fuzz_run case in
+             Registry.name impl ^ ": " ^ Wire.print h)
+           fuzz_case)
+        (fun case ->
+          let _, h = fuzz_run case in
+          (not
+             (Spec.sat
+                ((Checkers.find_exn "strict-serializability").Spec.check
+                   ~budget:400_000 h)))
+          || fired
+               [ Lint_passes.lost_update; Lint_passes.write_skew ]
+               (input_of_history h)
+             = []);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* the progress-guarantee passes *)
 
@@ -634,7 +722,10 @@ let () =
             test_anomaly_catalogue;
           Alcotest.test_case "serial executions clean" `Quick
             test_serial_clean;
+          Alcotest.test_case "write-skew: a read of the final write" `Quick
+            test_write_skew_final_value;
         ] );
+      ("anomaly-laws", anomaly_laws);
       ( "progress",
         [
           Alcotest.test_case "progressiveness pos/neg" `Quick

@@ -1,7 +1,7 @@
 (* The cost observatory: RMR/RMW metering laws on hand-built logs, the
    golden per-TM cost rows (Figure 2 and the explore sweep), byte-level
-   determinism of the JSONL artifact, and the reason-code registry —
-   including the audit that the CLI has no bare `exit 1' left. *)
+   determinism of the JSONL artifact, the reason-code registry, the
+   audit of the CLI's modules, and the CLI's count ranges. *)
 
 open Core
 
@@ -205,48 +205,146 @@ let test_reason_catalogue () =
             (Obs_json.to_string j))
     reasons
 
-(* the CLI audit: every nonzero exit goes through Reason.exit_with, so
-   the source must contain no bare `exit 1' *)
+(* ------------------------------------------------------------------ *)
+(* the CLI audit over every module of bin/ (declared test dependencies,
+   so a missing module fails instead of skipping) *)
+
+let bin_sources () =
+  let files =
+    List.filter
+      (fun f -> Filename.check_suffix f ".ml")
+      (Array.to_list (Sys.readdir "../bin"))
+  in
+  List.iter
+    (fun f ->
+      if not (List.mem f files) then Alcotest.failf "../bin/%s is missing" f)
+    [ "pcl_tm.ml"; "sweep.ml" ];
+  List.map
+    (fun f ->
+      (f, In_channel.with_open_bin (Filename.concat "../bin" f) In_channel.input_all))
+    (List.sort compare files)
+
+let occurrences sub src =
+  let n = ref 0 in
+  String.iteri
+    (fun i _ ->
+      if
+        String.length sub <= String.length src - i
+        && String.sub src i (String.length sub) = sub
+      then incr n)
+    src;
+  !n
+
+let in_bin sub =
+  List.fold_left (fun acc (_, src) -> acc + occurrences sub src) 0
+    (bin_sources ())
+
+(* every nonzero exit goes through Reason.exit_with, so no module holds a
+   bare `exit 1', and the sweeps' failures keep their reason codes *)
 let test_cli_no_bare_exits () =
-  let file = "../bin/pcl_tm.ml" in
-  if not (Sys.file_exists file) then ()
-  else begin
-    let ic = open_in file in
-    let n = in_channel_length ic in
-    let src = really_input_string ic n in
-    close_in ic;
-    let contains_at i sub =
-      String.length sub <= String.length src - i
-      && String.sub src i (String.length sub) = sub
-    in
-    let bare = ref 0 in
-    String.iteri
-      (fun i _ -> if contains_at i "exit 1" then incr bare)
-      src;
-    Alcotest.(check int) "no bare `exit 1' in the CLI" 0 !bare;
-    (* and the soak command's stall exit goes through the registry *)
-    let found = ref false in
-    String.iteri
-      (fun i _ -> if contains_at i "Reason.Soak_stall" then found := true)
-      src;
-    Alcotest.(check bool) "soak stall uses Reason.Soak_stall" true !found;
-    (* and lint's progress-guarantee exit goes through PCL-E109 *)
-    let progress = ref false in
-    String.iteri
-      (fun i _ ->
-        if contains_at i "Reason.Progress_violation" then progress := true)
-      src;
-    Alcotest.(check bool)
-      "lint progress failures use Reason.Progress_violation" true !progress;
-    (* and conform's sweep failures go through PCL-E110 *)
-    let conform = ref false in
-    String.iteri
-      (fun i _ ->
-        if contains_at i "Reason.Conform_failure" then conform := true)
-      src;
-    Alcotest.(check bool)
-      "conform failures use Reason.Conform_failure" true !conform
-  end
+  Alcotest.(check int) "no bare `exit 1' in the CLI" 0 (in_bin "exit 1");
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) (r ^ " is raised by the CLI") true (in_bin r > 0))
+    [ "Reason.Soak_stall"; "Reason.Progress_violation"; "Reason.Conform_failure" ]
+
+(* the sweep skeleton is the one module that writes: no other opens an
+   output file or prints JSONL *)
+let test_cli_one_writer () =
+  List.iter
+    (fun (f, src) ->
+      if f <> "sweep.ml" then
+        List.iter
+          (fun tok -> Alcotest.(check int) (f ^ ": " ^ tok) 0 (occurrences tok src))
+          [
+            "open_out"; "Out_channel"; "output_string"; "print_string";
+            "print_endline"; "Printf.printf"; "write_jsonl"; "write_chrome";
+          ])
+    (bin_sources ())
+
+(* and the flags the sweeps share are defined once *)
+let test_cli_flags_defined_once () =
+  List.iter
+    (fun flag -> Alcotest.(check int) flag 1 (in_bin ("info [ " ^ flag)))
+    [
+      {|"json" ]|}; {|"o"; "output" ]|}; {|"seed" ]|}; {|"all-tms" ]|};
+      {|"watch" ]|}; {|"record" ]|}; {|"dump-dir" ]|};
+    ]
+
+(* run the CLI: its exit code and the reason lines on its stderr *)
+let pcl_tm args =
+  let err = Filename.temp_file "pcl_tm" ".err" in
+  let rc =
+    Sys.command
+      (Filename.quote_command "../bin/pcl_tm.exe" args ~stdout:Filename.null
+         ~stderr:err)
+  in
+  let stderr = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  let reasons =
+    List.filter
+      (fun l -> occurrences {|"type":"reason"|} l > 0)
+      (String.split_on_char '\n' stderr)
+  in
+  (rc, stderr, reasons)
+
+(* an out-of-range count is a usage error before anything runs: cmdliner
+   names the flag, then exactly one PCL-E001 line *)
+let rejects cmd flag values () =
+  List.iter
+    (fun v ->
+      let arg = Printf.sprintf "--%s=%d" flag v in
+      let rc, stderr, reasons = pcl_tm [ cmd; arg ] in
+      Alcotest.(check int) (arg ^ ": usage exit") 124 rc;
+      Alcotest.(check bool)
+        (arg ^ ": names the flag") true
+        (occurrences ("'--" ^ flag ^ "'") stderr > 0);
+      match reasons with
+      | [ r ] ->
+          Alcotest.(check bool)
+            (arg ^ ": PCL-E001") true
+            (occurrences {|"code":"PCL-E001"|} r > 0)
+      | rs -> Alcotest.failf "%s: %d reason lines" arg (List.length rs))
+    values
+
+(* the edge values that work today keep working *)
+let test_counts_accepted () =
+  List.iter
+    (fun (args, want) ->
+      let rc, _, reasons = pcl_tm args in
+      let line = String.concat " " args in
+      Alcotest.(check int) (line ^ ": exit") want rc;
+      Alcotest.(check int) (line ^ ": reason lines") want (List.length reasons))
+    [
+      ([ "lint"; "-t"; "dstm"; "--max-findings"; "0" ], 0);
+      ([ "soak"; "-t"; "norec"; "--txns"; "100"; "--segment"; "0" ], 0);
+      ([ "soak"; "-t"; "norec"; "--txns"; "0"; "--procs"; "1" ], 0);
+      ([ "soak"; "-t"; "norec"; "--txns"; "50"; "--conflict"; "100" ], 0);
+      ([ "soak"; "-t"; "norec"; "--txns"; "50"; "--conflict"; "0" ], 0);
+      (* the injected stall: a budget too small to finish is a soak
+         stall, not a usage error *)
+      ([ "soak"; "-t"; "tl-lock"; "--txns"; "1000"; "--budget"; "20" ], 1);
+    ]
+
+let count_cases =
+  List.map
+    (fun (cmd, flag, values) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s --%s out of range" cmd flag)
+        `Quick (rejects cmd flag values))
+    [
+      ("fuzz", "iterations", [ -5 ]);
+      ("report", "iterations", [ -1 ]);
+      ("soak", "txns", [ -5 ]);
+      ("soak", "budget", [ -1 ]);
+      ("soak", "tick", [ -1 ]);
+      ("soak", "segment", [ -1 ]);
+      ("soak", "procs", [ -2; 0 ]);
+      ("soak", "conflict", [ 250; -20; 101 ]);
+      ("lint", "horizon", [ -1 ]);
+      ("lint", "max-findings", [ -1 ]);
+    ]
+  @ [ Alcotest.test_case "edge values accepted" `Quick test_counts_accepted ]
 
 let () =
   Alcotest.run "cost"
@@ -272,5 +370,10 @@ let () =
           Alcotest.test_case "catalogue" `Quick test_reason_catalogue;
           Alcotest.test_case "cli has no bare exits" `Quick
             test_cli_no_bare_exits;
+          Alcotest.test_case "only the sweep skeleton writes" `Quick
+            test_cli_one_writer;
+          Alcotest.test_case "shared flags defined once" `Quick
+            test_cli_flags_defined_once;
         ] );
+      ("counts", count_cases);
     ]
