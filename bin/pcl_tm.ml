@@ -1006,11 +1006,9 @@ let lint_cmd =
             chosen ~default:(Lints.all ()) )
     in
     let impls =
-      if all_tms then Registry.all
-      else
-        match tm with
-        | Some _ -> Sweep.impls_of tm
-        | None -> if traces = [] then Registry.all else []
+      if all_tms || tm <> None then Sweep.select ~all_tms tm
+      else if traces = [] then Registry.all
+      else []
     in
     (* one watch tick per lint target *)
     Sweep.run out ~label:"lint" ~every:1

@@ -34,8 +34,11 @@ let all_tms =
           "Sweep every TM in the registry (the default when no $(b,-t) is \
            given).")
 
-(** Every registered TM under [--all-tms], else those [-t] selects. *)
-let select ~all_tms tm = if all_tms then Registry.all else impls_of tm
+(** Every registered TM under [--all-tms], else those [-t] selects.  A
+    [-t] name is looked up either way, so a misspelt one fails. *)
+let select ~all_tms tm =
+  let chosen = impls_of tm in
+  if all_tms then Registry.all else chosen
 
 (* ------------------------------------------------------------------ *)
 (* flags *)

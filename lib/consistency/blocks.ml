@@ -11,7 +11,13 @@
    - [Whole tid]       — H|T as one atomic block (Defs 3.2, serializability)
    - [Whole_ghost tid] — H|T with reads checked but writes never installed
                          (aborted/live transactions in the opacity checker)
-*)
+
+   The semantics comes twice.  [info] and [eval] are its definition, over
+   lists and a persistent map of item names; Witness.valid re-checks every
+   witness with them.  [table] compiles the same semantics once per check
+   for the placement search: items and values become small integers, a
+   block becomes an array of reads to check and an array of writes to
+   apply, and the committed state becomes one array. *)
 
 open Tm_base
 open Tm_trace
@@ -85,12 +91,6 @@ let info (h : History.t) (tid : Tid.t) : txn_info =
     last_pos;
   }
 
-(** Precompute info for every transaction of a history. *)
-let table (h : History.t) : (Tid.t, txn_info) Hashtbl.t =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun tid -> Hashtbl.replace tbl tid (info h tid)) (History.txns h);
-  tbl
-
 type block =
   | Greads of Tid.t
   | Wblock of Tid.t
@@ -109,25 +109,24 @@ let pp_block ppf = function
   | Whole_ghost t -> Fmt.pf ppf "%s.ghost" (Tid.name t)
 
 (* ------------------------------------------------------------------ *)
-(* Block evaluation over a persistent committed-state map *)
+(* Block evaluation over a persistent committed-state map; every item
+   starts at Value.initial *)
 
 type state = Value.t Item.Map.t
 
-let lookup ~initial (state : state) x =
-  match Item.Map.find_opt x state with Some v -> v | None -> initial x
+let lookup (state : state) x =
+  match Item.Map.find_opt x state with Some v -> v | None -> Value.initial
 
 let apply_writes (state : state) writes =
   List.fold_left (fun st (x, v) -> Item.Map.add x v st) state writes
 
-let check_greads ~initial (state : state) greads =
-  List.for_all
-    (fun (x, v) -> Value.equal v (lookup ~initial state x))
-    greads
+let check_greads (state : state) greads =
+  List.for_all (fun (x, v) -> Value.equal v (lookup state x)) greads
 
 (** Replay H|T against [state]: global reads check the committed state,
     local reads check the transaction's own overlay.  Returns the updated
     overlay (the transaction's writes) on success. *)
-let replay_whole ~initial ~check (state : state) (ops : op list) :
+let replay_whole ~check (state : state) (ops : op list) :
     (Item.t * Value.t) list option =
   (* the overlay keeps one binding per item, so application order of the
      returned list is irrelevant *)
@@ -137,7 +136,7 @@ let replay_whole ~initial ~check (state : state) (ops : op list) :
         let expected =
           match List.assoc_opt x overlay with
           | Some w -> w
-          | None -> lookup ~initial state x
+          | None -> lookup state x
         in
         if (not check) || Value.equal v expected then go overlay rest
         else None
@@ -146,29 +145,182 @@ let replay_whole ~initial ~check (state : state) (ops : op list) :
   in
   go [] ops
 
-(** [eval ~initial ~focus info_of state block] — [None] if a checked read is
+(** [eval ~focus info_of state block] — [None] if a checked read is
     illegal, otherwise the state after the block. *)
-let eval ~initial ~(focus : Tid.t -> bool) (info_of : Tid.t -> txn_info)
+let eval ~(focus : Tid.t -> bool) (info_of : Tid.t -> txn_info)
     (state : state) (block : block) : state option =
   match block with
   | Greads tid ->
       let i = info_of tid in
-      if (not (focus tid)) || check_greads ~initial state i.greads then
-        Some state
+      if (not (focus tid)) || check_greads state i.greads then Some state
       else None
   | Wblock tid -> Some (apply_writes state (info_of tid).writes)
   | Fused tid ->
       let i = info_of tid in
-      if (not (focus tid)) || check_greads ~initial state i.greads then
+      if (not (focus tid)) || check_greads state i.greads then
         Some (apply_writes state i.writes)
       else None
   | Whole tid -> (
       let i = info_of tid in
-      match replay_whole ~initial ~check:(focus tid) state i.ops with
+      match replay_whole ~check:(focus tid) state i.ops with
       | Some writes -> Some (apply_writes state writes)
       | None -> None)
   | Whole_ghost tid -> (
       let i = info_of tid in
-      match replay_whole ~initial ~check:(focus tid) state i.ops with
+      match replay_whole ~check:(focus tid) state i.ops with
       | Some _ -> Some state
       | None -> None)
+
+(* ------------------------------------------------------------------ *)
+(* The compiled table *)
+
+type txn = {
+  tid : Tid.t;
+  pid : int;
+  status : History.status;
+  first_pos : int;
+  last_pos : int;
+  greads : int array;
+  writes : int array;
+  replay_legal : bool;
+}
+
+type frame = {
+  lo : int array;
+  hi : int array;
+  checks : int array array;
+  installs : int array array;
+  placed : Bytes.t;
+  unplaced_preds : int array;
+  succs : int list array;
+  order : int array;
+  values : int array;
+  mutable trail : int array;
+}
+
+type t = { txns : txn array; items : int; mutable frames : frame list }
+
+(* value ids are never negative, so no state satisfies this read *)
+let unreadable = [| 0; -1 |]
+
+(* The distinct elements met so far, newest first: an element's id is
+   its rank in order of first meeting.  Histories name few items and
+   values, so a linear search beats hashing. *)
+type 'a pool = { mutable elts : 'a list; mutable used : int }
+
+let rec find equal x id = function
+  | [] -> -1
+  | y :: rest -> if equal y x then id else find equal x (id - 1) rest
+
+let intern equal pool x =
+  match find equal x (pool.used - 1) pool.elts with
+  | -1 ->
+      pool.elts <- x :: pool.elts;
+      pool.used <- pool.used + 1;
+      pool.used - 1
+  | id -> id
+
+(* The value of [tid]'s last write to [x] that returned ok before position
+   [pos], searching back to [first]. *)
+let rec own_write h tid x ~first pos =
+  if pos < first then None
+  else
+    match History.get h pos with
+    | Event.Resp { tid = t; op = Event.Write (y, v); resp = Event.R_ok; _ }
+      when Tid.equal t tid && Item.equal x y ->
+        Some v
+    | _ -> own_write h tid x ~first (pos - 1)
+
+(* The index of item [x]'s pair among the first [len] entries of [buf],
+   else [len] *)
+let rec slot buf x len k =
+  if k = len || buf.(k) = x then k else slot buf x len (k + 2)
+
+(* One transaction's compiled blocks, from the reads and writes the
+   history's index already holds.  A read is global exactly when no write
+   of the transaction to its item came before it, so in a well-formed
+   history the replay of H|T reads the state at its global reads and
+   nowhere else; its other reads see the transaction's own last write, and
+   are decided here, once. *)
+let compile h ~items ~values tid : txn =
+  let first_pos, last_pos =
+    match History.positions_of_txn h tid with
+    | Some (f, l) -> (f, l)
+    | None -> (0, 0)
+  in
+  let reads = History.reads h tid in
+  let n_global =
+    List.fold_left
+      (fun n (r : History.read) -> if r.global then n + 1 else n)
+      0 reads
+  in
+  let greads = Array.make (2 * n_global) 0 in
+  let replay_legal = ref true in
+  ignore
+    (List.fold_left
+       (fun k (r : History.read) ->
+         if r.global then begin
+           greads.(k) <- intern Item.equal items r.item;
+           greads.(k + 1) <- intern Value.equal values r.value;
+           k + 2
+         end
+         else begin
+           (match own_write h tid r.item ~first:first_pos (r.pos - 1) with
+           | Some v when not (Value.equal v r.value) -> replay_legal := false
+           | _ -> ());
+           k
+         end)
+       0 reads);
+  (* the final writes: the last write to an item wins, as [apply_writes]
+     folds them *)
+  let ws = History.writes h tid in
+  let buf = Array.make (2 * List.length ws) 0 in
+  let len =
+    List.fold_left
+      (fun len (x, v) ->
+        let x = intern Item.equal items x and v = intern Value.equal values v in
+        let k = slot buf x len 0 in
+        buf.(k) <- x;
+        buf.(k + 1) <- v;
+        if k = len then len + 2 else len)
+      0 ws
+  in
+  {
+    tid;
+    pid = Option.value ~default:(-1) (History.pid_of_txn h tid);
+    status = History.status h tid;
+    first_pos;
+    last_pos;
+    greads;
+    writes = (if len = Array.length buf then buf else Array.sub buf 0 len);
+    replay_legal = !replay_legal;
+  }
+
+(** Compile every transaction of a history, interning its items and
+    values; value id 0 is Value.initial, every item's starting value. *)
+let table (h : History.t) : t =
+  let items = { elts = []; used = 0 }
+  and values = { elts = [ Value.initial ]; used = 1 } in
+  let txns =
+    Array.of_list (List.map (compile h ~items ~values) (History.txns h))
+  in
+  { txns; items = items.used; frames = [] }
+
+let txn (t : t) (tid : Tid.t) : txn =
+  let rec find i =
+    if i = Array.length t.txns then
+      invalid_arg "Blocks.txn: unknown transaction"
+    else if Tid.equal t.txns.(i).tid tid then t.txns.(i)
+    else find (i + 1)
+  in
+  find 0
+
+(** Do two transactions write a common item? *)
+let write_common (a : txn) (b : txn) =
+  let rec mem x k =
+    k < Array.length b.writes && (b.writes.(k) = x || mem x (k + 2))
+  in
+  let rec go k =
+    k < Array.length a.writes && (mem a.writes.(k) 0 || go (k + 2))
+  in
+  go 0

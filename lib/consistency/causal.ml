@@ -14,54 +14,47 @@
 open Tm_base
 open Tm_trace
 
-let causal_prec (h : History.t) (info_of : Tid.t -> Blocks.txn_info)
-    (tids : Tid.t list) (index_of : Tid.t -> int option) : (int * int) list =
+let causal_prec (h : History.t) (tbl : Blocks.t) (tids : Tid.t list)
+    (index_of : Tid.t -> int option) : (int * int) list =
   let n = List.length tids in
   let arr = Array.of_list tids in
-  let idx t =
-    let rec find i = if Tid.equal arr.(i) t then i else find (i + 1) in
-    find 0
-  in
+  let txn = Array.map (Blocks.txn tbl) arr in
   let edge = Array.make_matrix n n false in
   (* process order *)
-  List.iter
-    (fun t1 ->
-      List.iter
-        (fun t2 ->
-          if
-            (not (Tid.equal t1 t2))
-            && (info_of t1).Blocks.pid = (info_of t2).Blocks.pid
-            && History.precedes h t1 t2
-          then edge.(idx t1).(idx t2) <- true)
-        tids)
-    tids;
-  (* reads-from *)
-  let last_write_to (i : Blocks.txn_info) x =
-    List.fold_left
-      (fun acc (y, v) -> if Item.equal x y then Some v else acc)
-      None i.Blocks.writes
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if
+        i <> j
+        && txn.(i).Blocks.pid = txn.(j).Blocks.pid
+        && History.precedes h arr.(i) arr.(j)
+      then edge.(i).(j) <- true
+    done
+  done;
+  (* reads-from: interned ids, so equal ids are equal items and values,
+     and value id 0 is the initial value *)
+  let last_write_to (t : Blocks.txn) x =
+    let w = t.Blocks.writes in
+    let rec find k =
+      if k >= Array.length w then -1
+      else if w.(k) = x then w.(k + 1)
+      else find (k + 2)
+    in
+    find 0
   in
-  List.iter
-    (fun t2 ->
-      List.iter
-        (fun (x, v) ->
-          if not (Value.equal v Value.initial) then begin
-            let writers =
-              List.filter
-                (fun t1 ->
-                  (not (Tid.equal t1 t2))
-                  &&
-                  match last_write_to (info_of t1) x with
-                  | Some w -> Value.equal w v
-                  | None -> false)
-                tids
-            in
-            match writers with
-            | [ t1 ] -> edge.(idx t1).(idx t2) <- true
-            | _ -> ()
-          end)
-        (info_of t2).Blocks.greads)
-    tids;
+  for j = 0 to n - 1 do
+    let gr = txn.(j).Blocks.greads in
+    for k = 0 to (Array.length gr / 2) - 1 do
+      let x = gr.(2 * k) and v = gr.((2 * k) + 1) in
+      if v <> 0 then begin
+        let writers =
+          List.filter
+            (fun i -> i <> j && last_write_to txn.(i) x = v)
+            (List.init n Fun.id)
+        in
+        match writers with [ i ] -> edge.(i).(j) <- true | _ -> ()
+      end
+    done
+  done;
   (* transitive closure *)
   for k = 0 to n - 1 do
     for i = 0 to n - 1 do
@@ -84,13 +77,12 @@ let causal_prec (h : History.t) (info_of : Tid.t -> Blocks.txn_info)
 
 let check ?(budget = Spec.default_budget) (h : History.t) : Spec.verdict =
   let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
   let bref = ref budget in
   Checker_util.exists_com h (fun com ->
       let views, pairs =
-        Processor_consistency.build_views h info_of com
-          ~extra_prec:(causal_prec h info_of)
+        Processor_consistency.build_views h tbl com
+          ~extra_prec:(causal_prec h tbl)
       in
-      Views.solve_agreeing ~budget:bref views ~pairs)
+      Views.solve_agreeing ~budget:bref tbl views ~pairs)
 
 let checker : Spec.checker = { Spec.name = "causal-serializability"; check }

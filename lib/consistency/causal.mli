@@ -11,7 +11,7 @@ open Tm_trace
 
 val causal_prec :
   History.t ->
-  (Tid.t -> Blocks.txn_info) ->
+  Blocks.t ->
   Tid.t list ->
   (Tid.t -> int option) ->
   (int * int) list

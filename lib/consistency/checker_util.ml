@@ -23,7 +23,7 @@ let exists_com (h : History.t) (f : Tid.Set.t -> Spec.verdict) : Spec.verdict
   go (Spec.com_candidates h)
 
 (** Gap window spanning the active execution interval of a transaction. *)
-let active_window (i : Blocks.txn_info) = (i.Blocks.first_pos + 1, i.Blocks.last_pos)
+let active_window (t : Blocks.txn) = (t.Blocks.first_pos + 1, t.Blocks.last_pos)
 
 let unbounded (h : History.t) = (0, History.length h)
 
@@ -45,16 +45,16 @@ let realtime_prec (h : History.t) (tids : Tid.t list)
     tids
 
 (** Same-process program-order pairs (Def. 3.2 condition 1a). *)
-let program_order_prec (h : History.t) (info_of : Tid.t -> Blocks.txn_info)
-    (tids : Tid.t list) (index_of : Tid.t -> int option) : (int * int) list =
+let program_order_prec (h : History.t) (tbl : Blocks.t) (tids : Tid.t list)
+    (index_of : Tid.t -> int option) : (int * int) list =
   List.concat_map
     (fun t1 ->
+      let pid = (Blocks.txn tbl t1).Blocks.pid in
       List.filter_map
         (fun t2 ->
-          let i1 = info_of t1 and i2 = info_of t2 in
           if
             (not (Tid.equal t1 t2))
-            && i1.Blocks.pid = i2.Blocks.pid
+            && (Blocks.txn tbl t2).Blocks.pid = pid
             && History.precedes h t1 t2
           then
             match (index_of t1, index_of t2) with
@@ -65,6 +65,6 @@ let program_order_prec (h : History.t) (info_of : Tid.t -> Blocks.txn_info)
     tids
 
 (** Processes executing at least one transaction of [tids]. *)
-let view_pids (info_of : Tid.t -> Blocks.txn_info) (tids : Tid.t list) :
-    int list =
-  List.sort_uniq compare (List.map (fun t -> (info_of t).Blocks.pid) tids)
+let view_pids (tbl : Blocks.t) (tids : Tid.t list) : int list =
+  List.sort_uniq compare
+    (List.map (fun t -> (Blocks.txn tbl t).Blocks.pid) tids)

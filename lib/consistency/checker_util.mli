@@ -7,7 +7,7 @@ val exists_com : History.t -> (Tid.Set.t -> Spec.verdict) -> Spec.verdict
 (** Try every com(alpha) candidate; [Sat] as soon as one works;
     [Out_of_budget] if any candidate ran out and none satisfied. *)
 
-val active_window : Blocks.txn_info -> int * int
+val active_window : Blocks.txn -> int * int
 (** Gap window spanning the active execution interval of a transaction. *)
 
 val unbounded : History.t -> int * int
@@ -18,11 +18,11 @@ val realtime_prec :
 
 val program_order_prec :
   History.t ->
-  (Tid.t -> Blocks.txn_info) ->
+  Blocks.t ->
   Tid.t list ->
   (Tid.t -> int option) ->
   (int * int) list
 (** Same-process program-order pairs (Def. 3.2 condition 1a). *)
 
-val view_pids : (Tid.t -> Blocks.txn_info) -> Tid.t list -> int list
+val view_pids : Blocks.t -> Tid.t list -> int list
 (** Processes executing at least one of the given transactions. *)

@@ -20,7 +20,6 @@ open Tm_trace
 let check_final ?(budget = Spec.default_budget) (h : History.t) :
     Spec.verdict =
   let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
   let bref = ref budget in
   Checker_util.exists_com h (fun com ->
       let tids = History.txns h in
@@ -42,14 +41,8 @@ let check_final ?(budget = Spec.default_budget) (h : History.t) :
         fun x -> Hashtbl.find_opt t x
       in
       let prec = Checker_util.realtime_prec h tids index_of in
-      Placement.satisfiable ~budget:bref
-        {
-          Placement.points;
-          prec;
-          focus = (fun _ -> true);
-          info_of;
-          initial = (fun _ -> Value.initial);
-        })
+      Placement.satisfiable ~budget:bref tbl
+        { Placement.points; prec; focus = (fun _ -> true) })
 
 (** Event prefixes that do not split an invocation from its response. *)
 let prefixes (h : History.t) : History.t Seq.t =

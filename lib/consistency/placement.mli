@@ -11,27 +11,37 @@
     checking, the total orders of the points that respect every window
     (left-to-right, the running maximum of the lows must never exceed a
     point's high), respect the precedence pairs, and induce a legal
-    sequential history for the focused transactions. *)
+    sequential history for the focused transactions.
 
-open Tm_base
+    The search runs on the check's compiled {!Blocks.table}, in one of its
+    frames.  Its order is fixed: every node spends one unit of budget,
+    checked first, then scans for an unplaced point that can no longer
+    fit, then tries the candidates in index order.  Evaluating a block is
+    not a node. *)
 
 type point = { block : Blocks.block; lo : int; hi : int }
 
 type problem = {
   points : point array;
   prec : (int * int) list;  (** (a, b): point a before point b *)
-  focus : Tid.t -> bool;  (** whose reads must be legal *)
-  info_of : Tid.t -> Blocks.txn_info;
-  initial : Item.t -> Value.t;
+  focus : Blocks.txn -> bool;  (** whose reads must be legal *)
 }
 
 type outcome = Exhausted | Stopped | Budget_exceeded
 
 val solve :
-  budget:int ref -> problem -> on_solution:(int list -> bool) -> outcome
+  budget:int ref ->
+  Blocks.t ->
+  problem ->
+  on_solution:(int list -> bool) ->
+  outcome
 (** Every complete order found (as a list of point indices) is passed to
     [on_solution]; returning [true] stops the search.  [budget] is a
-    shared node counter decremented at every search node. *)
+    shared node counter decremented at every search node.  Every block's
+    transaction must be in the table's history.
+    @raise Invalid_argument on a precedence index out of range. *)
 
-val first_solution : budget:int ref -> problem -> int list option * outcome
-val satisfiable : budget:int ref -> problem -> Spec.verdict
+val first_solution :
+  budget:int ref -> Blocks.t -> problem -> int list option * outcome
+
+val satisfiable : budget:int ref -> Blocks.t -> problem -> Spec.verdict

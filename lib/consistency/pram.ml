@@ -7,15 +7,14 @@ open Tm_trace
 
 let check ?(budget = Spec.default_budget) (h : History.t) : Spec.verdict =
   let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
   let bref = ref budget in
   Checker_util.exists_com h (fun com ->
       let views, _pairs =
-        Processor_consistency.build_views h info_of com
+        Processor_consistency.build_views h tbl com
           ~extra_prec:(fun _ _ -> [])
       in
       (* no agreement pairs: each view independent *)
-      Views.solve_agreeing ~budget:bref views ~pairs:[])
+      Views.solve_agreeing ~budget:bref tbl views ~pairs:[||])
 
 let checker : Spec.checker = { Spec.name = "pram"; check }
 

@@ -8,11 +8,12 @@
 open Tm_base
 open Tm_trace
 
-(** Build the per-process views for PC-style checkers.  [pairs_on] turns
-    write-order agreement on/off (PRAM = off). *)
-let build_views (h : History.t) (info_of : Tid.t -> Blocks.txn_info)
-    (com : Tid.Set.t) ~(extra_prec : Tid.t list -> (Tid.t -> int option) -> (int * int) list) :
-    Views.view list * (Tid.t * Tid.t) list =
+(** Build the per-process views for PC-style checkers, and the points
+    carrying the writes of each common-writer pair.  Every view holds the
+    same points, one whole transaction each; only the focus differs. *)
+let build_views (h : History.t) (tbl : Blocks.t) (com : Tid.Set.t)
+    ~(extra_prec : Tid.t list -> (Tid.t -> int option) -> (int * int) list) :
+    Views.view list * (int * int) array =
   let tids = Tid.Set.elements com in
   let lo, hi = Checker_util.unbounded h in
   let index_of =
@@ -24,11 +25,10 @@ let build_views (h : History.t) (info_of : Tid.t -> Blocks.txn_info)
     Array.of_list
       (List.map (fun tid -> { Placement.block = Blocks.Whole tid; lo; hi }) tids)
   in
-  let base_prec =
-    Checker_util.program_order_prec h info_of tids index_of
+  let prec =
+    Checker_util.program_order_prec h tbl tids index_of
     @ extra_prec tids index_of
   in
-  let pids = Checker_util.view_pids info_of tids in
   let views =
     List.map
       (fun pid ->
@@ -37,31 +37,27 @@ let build_views (h : History.t) (info_of : Tid.t -> Blocks.txn_info)
           problem =
             {
               Placement.points;
-              prec = base_prec;
-              focus =
-                (fun t ->
-                  Tid.Set.mem t com && (info_of t).Blocks.pid = pid);
-              info_of;
-              initial = (fun _ -> Value.initial);
+              prec;
+              (* every point is a com(alpha) member *)
+              focus = (fun t -> t.Blocks.pid = pid);
             };
-          w_point =
-            (fun t ->
-              if (info_of t).Blocks.writes <> [] then index_of t else None);
         })
-      pids
+      (Checker_util.view_pids tbl tids)
   in
-  let pairs = Views.common_writer_pairs info_of tids in
+  let pairs =
+    Array.of_list
+      (List.map
+         (fun (a, b) -> (Option.get (index_of a), Option.get (index_of b)))
+         (Views.common_writer_pairs tbl tids))
+  in
   (views, pairs)
 
 let check ?(budget = Spec.default_budget) (h : History.t) : Spec.verdict =
   let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
   let bref = ref budget in
   Checker_util.exists_com h (fun com ->
-      let views, pairs =
-        build_views h info_of com ~extra_prec:(fun _ _ -> [])
-      in
-      Views.solve_agreeing ~budget:bref views ~pairs)
+      let views, pairs = build_views h tbl com ~extra_prec:(fun _ _ -> []) in
+      Views.solve_agreeing ~budget:bref tbl views ~pairs)
 
 let checker : Spec.checker = { Spec.name = "processor-consistency"; check }
 
@@ -70,19 +66,16 @@ let checker : Spec.checker = { Spec.name = "processor-consistency"; check }
 let explain_views ?(budget = Spec.default_budget) ~(with_pairs : bool)
     (h : History.t) : Witness.t option =
   let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
   let bref = ref budget in
   let found = ref None in
   Seq.iter
     (fun com ->
       if !found = None then begin
-        let views, pairs =
-          build_views h info_of com ~extra_prec:(fun _ _ -> [])
-        in
+        let views, pairs = build_views h tbl com ~extra_prec:(fun _ _ -> []) in
         let wref = ref [] in
         match
-          Views.solve_agreeing ~witness:wref ~budget:bref views
-            ~pairs:(if with_pairs then pairs else [])
+          Views.solve_agreeing ~witness:wref ~budget:bref tbl views
+            ~pairs:(if with_pairs then pairs else [||])
         with
         | Spec.Sat ->
             found :=

@@ -13,12 +13,13 @@ val checker : Spec.checker
 
 val build_views :
   History.t ->
-  (Tid.t -> Blocks.txn_info) ->
+  Blocks.t ->
   Tid.Set.t ->
   extra_prec:(Tid.t list -> (Tid.t -> int option) -> (int * int) list) ->
-  Views.view list * (Tid.t * Tid.t) list
+  Views.view list * (int * int) array
 (** The per-process view structure, shared with the PRAM and causal
-    checkers ([extra_prec] adds per-view precedence constraints). *)
+    checkers ([extra_prec] adds per-view precedence constraints), and the
+    write points of the common-writer pairs. *)
 
 val explain_views :
   ?budget:int -> with_pairs:bool -> History.t -> Witness.t option

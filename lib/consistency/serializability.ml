@@ -14,7 +14,6 @@ open Tm_trace
 
 let check ?(budget = Spec.default_budget) (h : History.t) : Spec.verdict =
   let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
   let bref = ref budget in
   Checker_util.exists_com h (fun com ->
       let tids = Tid.Set.elements com in
@@ -30,14 +29,12 @@ let check ?(budget = Spec.default_budget) (h : History.t) : Spec.verdict =
         List.iteri (fun i x -> Hashtbl.replace t x i) tids;
         fun x -> Hashtbl.find_opt t x
       in
-      let prec = Checker_util.program_order_prec h info_of tids index_of in
-      Placement.satisfiable ~budget:bref
+      let prec = Checker_util.program_order_prec h tbl tids index_of in
+      Placement.satisfiable ~budget:bref tbl
         {
           Placement.points;
           prec;
-          focus = (fun t -> Tid.Set.mem t com);
-          info_of;
-          initial = (fun _ -> Value.initial);
+          focus = (fun t -> Tid.Set.mem t.Blocks.tid com);
         })
 
 let checker : Spec.checker = { Spec.name = "serializability"; check }
@@ -46,7 +43,6 @@ let checker : Spec.checker = { Spec.name = "serializability"; check }
 let explain ?(budget = Spec.default_budget) (h : History.t) :
     Witness.t option =
   let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
   let bref = ref budget in
   let found = ref None in
   Seq.iter
@@ -65,12 +61,14 @@ let explain ?(budget = Spec.default_budget) (h : History.t) :
           List.iteri (fun i x -> Hashtbl.replace t x i) tids;
           fun x -> Hashtbl.find_opt t x
         in
-        let prec = Checker_util.program_order_prec h info_of tids index_of in
+        let prec = Checker_util.program_order_prec h tbl tids index_of in
         match
-          Placement.first_solution ~budget:bref
-            { Placement.points; prec;
-              focus = (fun t -> Tid.Set.mem t com);
-              info_of; initial = (fun _ -> Value.initial) }
+          Placement.first_solution ~budget:bref tbl
+            {
+              Placement.points;
+              prec;
+              focus = (fun t -> Tid.Set.mem t.Blocks.tid com);
+            }
         with
         | Some order, _ ->
             found :=

@@ -20,8 +20,7 @@ type plan = {
     per transaction (omitting empty blocks), windows equal to the active
     execution interval, read point before write point.  Shared with the
     weak-adaptive-consistency checker for its SI groups. *)
-let si_points (info_of : Tid.t -> Blocks.txn_info) (tids : Tid.t list) : plan
-    =
+let si_points (tbl : Blocks.t) (tids : Tid.t list) : plan =
   let points = ref [] and prec = ref [] and n = ref 0 in
   let w_tbl = Hashtbl.create 16 in
   let add block window =
@@ -32,14 +31,14 @@ let si_points (info_of : Tid.t -> Blocks.txn_info) (tids : Tid.t list) : plan
   in
   List.iter
     (fun tid ->
-      let i = info_of tid in
+      let i = Blocks.txn tbl tid in
       let window = Checker_util.active_window i in
       let gr =
-        if i.Blocks.greads <> [] then Some (add (Blocks.Greads tid) window)
+        if i.Blocks.greads <> [||] then Some (add (Blocks.Greads tid) window)
         else None
       in
       let w =
-        if i.Blocks.writes <> [] then Some (add (Blocks.Wblock tid) window)
+        if i.Blocks.writes <> [||] then Some (add (Blocks.Wblock tid) window)
         else None
       in
       Option.iter (fun wi -> Hashtbl.replace w_tbl tid wi) w;
@@ -55,18 +54,15 @@ let si_points (info_of : Tid.t -> Blocks.txn_info) (tids : Tid.t list) : plan
 
 let check ?(budget = Spec.default_budget) (h : History.t) : Spec.verdict =
   let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
   let bref = ref budget in
   Checker_util.exists_com h (fun com ->
       let tids = Tid.Set.elements com in
-      let plan = si_points info_of tids in
-      Placement.satisfiable ~budget:bref
+      let plan = si_points tbl tids in
+      Placement.satisfiable ~budget:bref tbl
         {
           Placement.points = plan.points;
           prec = plan.prec;
-          focus = (fun t -> Tid.Set.mem t com);
-          info_of;
-          initial = (fun _ -> Value.initial);
+          focus = (fun t -> Tid.Set.mem t.Blocks.tid com);
         })
 
 let checker : Spec.checker = { Spec.name = "snapshot-isolation"; check }
@@ -75,19 +71,17 @@ let checker : Spec.checker = { Spec.name = "snapshot-isolation"; check }
 let explain ?(budget = Spec.default_budget) (h : History.t) :
     Witness.t option =
   let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
   let bref = ref budget in
   let found = ref None in
   Seq.iter
     (fun com ->
       if !found = None then begin
         let tids = Tid.Set.elements com in
-        let plan = si_points info_of tids in
+        let plan = si_points tbl tids in
         match
-          Placement.first_solution ~budget:bref
+          Placement.first_solution ~budget:bref tbl
             { Placement.points = plan.points; prec = plan.prec;
-              focus = (fun t -> Tid.Set.mem t com);
-              info_of; initial = (fun _ -> Value.initial) }
+              focus = (fun t -> Tid.Set.mem t.Blocks.tid com) }
         with
         | Some order, _ ->
             found :=

@@ -20,7 +20,7 @@ type plan = {
   w_point : Tid.t -> int option;
 }
 
-val si_points : (Tid.t -> Blocks.txn_info) -> Tid.t list -> plan
+val si_points : Blocks.t -> Tid.t list -> plan
 (** Build the SI points for the given transactions: a [Greads] and a
     [Wblock] point per transaction (empty blocks omitted), windows equal to
     the active execution interval, read point before write point. *)

@@ -18,15 +18,14 @@
 open Tm_base
 open Tm_trace
 
-let ei_window (h : History.t) (i : Blocks.txn_info) =
+let ei_window (h : History.t) (i : Blocks.txn) =
   if
     i.Blocks.status = History.Commit_pending
     || i.Blocks.status = History.Live
   then (i.Blocks.first_pos + 1, History.length h)
   else Checker_util.active_window i
 
-let plan (h : History.t) (info_of : Tid.t -> Blocks.txn_info)
-    (tids : Tid.t list) =
+let plan (h : History.t) (tbl : Blocks.t) (tids : Tid.t list) =
   let points = ref [] and prec = ref [] and n = ref 0 in
   let add block window =
     let lo, hi = window in
@@ -36,14 +35,14 @@ let plan (h : History.t) (info_of : Tid.t -> Blocks.txn_info)
   in
   List.iter
     (fun tid ->
-      let i = info_of tid in
+      let i = Blocks.txn tbl tid in
       let window = ei_window h i in
       let gr =
-        if i.Blocks.greads <> [] then Some (add (Blocks.Greads tid) window)
+        if i.Blocks.greads <> [||] then Some (add (Blocks.Greads tid) window)
         else None
       in
       let w =
-        if i.Blocks.writes <> [] then Some (add (Blocks.Wblock tid) window)
+        if i.Blocks.writes <> [||] then Some (add (Blocks.Wblock tid) window)
         else None
       in
       match (gr, w) with
@@ -54,18 +53,15 @@ let plan (h : History.t) (info_of : Tid.t -> Blocks.txn_info)
 
 let check ?(budget = Spec.default_budget) (h : History.t) : Spec.verdict =
   let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
   let bref = ref budget in
   Checker_util.exists_com h (fun com ->
       let tids = Tid.Set.elements com in
-      let points, prec = plan h info_of tids in
-      Placement.satisfiable ~budget:bref
+      let points, prec = plan h tbl tids in
+      Placement.satisfiable ~budget:bref tbl
         {
           Placement.points;
           prec;
-          focus = (fun t -> Tid.Set.mem t com);
-          info_of;
-          initial = (fun _ -> Value.initial);
+          focus = (fun t -> Tid.Set.mem t.Blocks.tid com);
         })
 
 let checker : Spec.checker =

@@ -7,7 +7,6 @@ open Tm_trace
 
 let check ?(budget = Spec.default_budget) (h : History.t) : Spec.verdict =
   let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
   let bref = ref budget in
   Checker_util.exists_com h (fun com ->
       let tids = Tid.Set.elements com in
@@ -24,13 +23,11 @@ let check ?(budget = Spec.default_budget) (h : History.t) : Spec.verdict =
         fun t -> Hashtbl.find_opt tbl t
       in
       let prec = Checker_util.realtime_prec h tids index_of in
-      Placement.satisfiable ~budget:bref
+      Placement.satisfiable ~budget:bref tbl
         {
           Placement.points;
           prec;
-          focus = (fun t -> Tid.Set.mem t com);
-          info_of;
-          initial = (fun _ -> Value.initial);
+          focus = (fun t -> Tid.Set.mem t.Blocks.tid com);
         })
 
 let checker : Spec.checker = { Spec.name = "strict-serializability"; check }

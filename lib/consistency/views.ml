@@ -6,56 +6,34 @@
    same way in every view.  We search views process by process: each
    solution of a view fixes a direction for every common-writer pair, and
    those directions become precedence constraints on the remaining views.
-   Solutions of a view are deduplicated by that direction signature. *)
+   Solutions of a view are deduplicated by that direction signature.
+
+   The pairs are indexed once per call: a signature is one character per
+   pair index, and the string is its own dedup key. *)
 
 open Tm_base
 
-type view = {
-  view_pid : int;
-  problem : Placement.problem;
-  w_point : Tid.t -> int option;
-      (** index of the point carrying the transaction's writes *)
-}
-
-(* a signature maps each common-writer pair to its direction *)
-module Pair_map = Map.Make (struct
-  type t = Tid.t * Tid.t
-
-  let compare = compare
-end)
-
-let signature (v : view) (pairs : (Tid.t * Tid.t) list) (order : int list) :
-    bool Pair_map.t =
-  let pos = Hashtbl.create 16 in
-  List.iteri (fun i pt -> Hashtbl.replace pos pt i) order;
-  List.fold_left
-    (fun acc (a, b) ->
-      match (v.w_point a, v.w_point b) with
-      | Some pa, Some pb -> (
-          match (Hashtbl.find_opt pos pa, Hashtbl.find_opt pos pb) with
-          | Some ia, Some ib -> Pair_map.add (a, b) (ia < ib) acc
-          | _ -> acc)
-      | _ -> acc)
-    Pair_map.empty pairs
-
-let constraints_of_signature (v : view) (sg : bool Pair_map.t) :
-    (int * int) list =
-  Pair_map.fold
-    (fun (a, b) a_first acc ->
-      match (v.w_point a, v.w_point b) with
-      | Some pa, Some pb ->
-          (if a_first then (pa, pb) else (pb, pa)) :: acc
-      | _ -> acc)
-    sg []
+type view = { view_pid : int; problem : Placement.problem }
 
 (** Is there a choice of one placement per view such that all views agree
     on the direction of every pair in [pairs]?  When satisfiable and
     [witness] is given, it receives each view's chosen order (point
     indices) keyed by view pid. *)
 let solve_agreeing ?(witness : (int * int list) list ref option)
-    ~(budget : int ref) (views : view list)
-    ~(pairs : (Tid.t * Tid.t) list) : Spec.verdict =
-  let rec go views (committed_sig : bool Pair_map.t) acc : Spec.verdict =
+    ~(budget : int ref) (tbl : Blocks.t) (views : view list)
+    ~(pairs : (int * int) array) : Spec.verdict =
+  let np = Array.length pairs in
+  (* the constraints of a committed signature: '<' puts the pair's first
+     point first *)
+  let constrain (sg : string) prec =
+    let prec = ref prec in
+    for k = np - 1 downto 0 do
+      let a, b = pairs.(k) in
+      prec := (if sg.[k] = '<' then (a, b) else (b, a)) :: !prec
+    done;
+    !prec
+  in
+  let rec go views (committed : string option) acc : Spec.verdict =
     match views with
     | [] ->
         (match witness with
@@ -63,24 +41,32 @@ let solve_agreeing ?(witness : (int * int list) list ref option)
         | None -> ());
         Spec.Sat
     | v :: rest -> (
-        let extra = constraints_of_signature v committed_sig in
         let problem =
-          { v.problem with Placement.prec = v.problem.Placement.prec @ extra }
+          match committed with
+          | None -> v.problem
+          | Some sg ->
+              {
+                v.problem with
+                Placement.prec = constrain sg v.problem.Placement.prec;
+              }
         in
+        let pos = Array.make (Array.length problem.Placement.points) 0 in
         let seen = Hashtbl.create 16 in
         let result = ref Spec.Unsat in
         let outcome =
-          Placement.solve ~budget problem ~on_solution:(fun order ->
-              let sg = signature v pairs order in
-              let key = Pair_map.bindings sg in
-              if Hashtbl.mem seen key then false
+          Placement.solve ~budget tbl problem ~on_solution:(fun order ->
+              List.iteri (fun i pt -> pos.(pt) <- i) order;
+              let sg =
+                String.init np (fun k ->
+                    let a, b = pairs.(k) in
+                    if pos.(a) < pos.(b) then '<' else '>')
+              in
+              if Hashtbl.mem seen sg then false
               else begin
-                Hashtbl.replace seen key ();
-                (* merge: committed directions stay; new pairs added *)
-                let merged =
-                  Pair_map.union (fun _ dir _ -> Some dir) committed_sig sg
-                in
-                match go rest merged ((v.view_pid, order) :: acc) with
+                Hashtbl.replace seen sg ();
+                (* the constraints made this view agree with every
+                   committed direction, so its signature extends them *)
+                match go rest (Some sg) ((v.view_pid, order) :: acc) with
                 | Spec.Sat ->
                     result := Spec.Sat;
                     true
@@ -95,23 +81,19 @@ let solve_agreeing ?(witness : (int * int list) list ref option)
         | Placement.Budget_exceeded ->
             if !result = Spec.Unsat then Spec.Out_of_budget else !result)
   in
-  go views Pair_map.empty []
+  go views None []
 
 (** Unordered pairs of distinct transactions in [tids] whose write sets
     intersect — the pairs subject to agreement. *)
-let common_writer_pairs (info_of : Tid.t -> Blocks.txn_info)
-    (tids : Tid.t list) : (Tid.t * Tid.t) list =
+let common_writer_pairs (tbl : Blocks.t) (tids : Tid.t list) :
+    (Tid.t * Tid.t) list =
   let rec go = function
     | [] -> []
     | a :: rest ->
+        let ta = Blocks.txn tbl a in
         List.filter_map
           (fun b ->
-            let ia = info_of a and ib = info_of b in
-            if
-              not
-                (Item.Set.is_empty
-                   (Item.Set.inter ia.Blocks.write_set ib.Blocks.write_set))
-            then Some (a, b)
+            if Blocks.write_common ta (Blocks.txn tbl b) then Some (a, b)
             else None)
           rest
         @ go rest

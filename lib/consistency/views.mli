@@ -6,28 +6,26 @@
     identically in every view.  Views are searched process by process:
     each solution of a view fixes a direction for every common-writer
     pair, and those directions become precedence constraints on the
-    remaining views.  Solutions are deduplicated by direction signature. *)
+    remaining views.  Solutions are deduplicated by direction signature:
+    one character per pair index. *)
 
 open Tm_base
 
-type view = {
-  view_pid : int;
-  problem : Placement.problem;
-  w_point : Tid.t -> int option;
-      (** index of the point carrying the transaction's writes *)
-}
+type view = { view_pid : int; problem : Placement.problem }
 
 val solve_agreeing :
   ?witness:(int * int list) list ref ->
   budget:int ref ->
+  Blocks.t ->
   view list ->
-  pairs:(Tid.t * Tid.t) list ->
+  pairs:(int * int) array ->
   Spec.verdict
 (** Is there one placement per view such that all views agree on the
-    direction of every pair?  On Sat, [witness] (if given) receives each
-    view's chosen order of point indices, keyed by view pid. *)
+    direction of every pair?  [pairs.(k)] holds the two points carrying
+    the writes of the k-th common-writer pair, at the same indices in
+    every view.  On Sat, [witness] (if given) receives each view's chosen
+    order of point indices, keyed by view pid. *)
 
-val common_writer_pairs :
-  (Tid.t -> Blocks.txn_info) -> Tid.t list -> (Tid.t * Tid.t) list
+val common_writer_pairs : Blocks.t -> Tid.t list -> (Tid.t * Tid.t) list
 (** Unordered pairs of distinct transactions whose write sets intersect —
     the pairs subject to agreement. *)

@@ -27,83 +27,26 @@ type group = { members : Tid.t list; window : int * int }
     begin order, over *all* transactions of the history.  Each group's
     window is its active execution interval: from the first event of its
     first member to the last event of any member. *)
-let partitions (h : History.t) (info_of : Tid.t -> Blocks.txn_info) :
-    group list Seq.t =
+let partitions (h : History.t) (tbl : Blocks.t) : group list Seq.t =
   let order = History.begin_order h in
   Seq.map
     (List.map (fun members ->
          match members with
          | [] -> { members = []; window = (0, 0) }
          | first :: _ ->
-             let lo = (info_of first).Blocks.first_pos + 1 in
+             let lo = (Blocks.txn tbl first).Blocks.first_pos + 1 in
              let hi =
                List.fold_left
-                 (fun acc t -> max acc (info_of t).Blocks.last_pos)
+                 (fun acc t -> max acc (Blocks.txn tbl t).Blocks.last_pos)
                  0 members
              in
              { members; window = (lo, hi) }))
     (Spec.compositions order)
 
-(** Build one process view for a given partition/assignment/com choice. *)
-let build_view (info_of : Tid.t -> Blocks.txn_info) (com : Tid.Set.t)
-    (groups : group list) (si : bool array) ~view_pid : Views.view =
-  let points = ref [] and prec = ref [] and n = ref 0 in
-  let w_tbl = Hashtbl.create 16 in
-  let add block window =
-    let lo, hi = window in
-    points := { Placement.block; lo; hi } :: !points;
-    incr n;
-    !n - 1
-  in
-  List.iteri
-    (fun g group ->
-      List.iter
-        (fun tid ->
-          if Tid.Set.mem tid com then begin
-            let i = info_of tid in
-            if si.(g) then begin
-              (* snapshot-isolation group: separate points inside the
-                 transaction's own active interval *)
-              let window = Checker_util.active_window i in
-              let gr =
-                if i.Blocks.greads <> [] then
-                  Some (add (Blocks.Greads tid) window)
-                else None
-              in
-              let w =
-                if i.Blocks.writes <> [] then
-                  Some (add (Blocks.Wblock tid) window)
-                else None
-              in
-              Option.iter (fun wi -> Hashtbl.replace w_tbl tid wi) w;
-              match (gr, w) with
-              | Some a, Some b -> prec := (a, b) :: !prec
-              | _ -> ()
-            end
-            else begin
-              (* processor-consistency group: adjacent gr/w, i.e. one fused
-                 point, inside the group's active interval *)
-              if i.Blocks.greads <> [] || i.Blocks.writes <> [] then begin
-                let p = add (Blocks.Fused tid) group.window in
-                if i.Blocks.writes <> [] then Hashtbl.replace w_tbl tid p
-              end
-            end
-          end)
-        group.members)
-    groups;
-  {
-    Views.view_pid;
-    problem =
-      {
-        Placement.points = Array.of_list (List.rev !points);
-        prec = !prec;
-        focus =
-          (fun t -> Tid.Set.mem t com && (info_of t).Blocks.pid = view_pid);
-        info_of;
-        initial = (fun _ -> Value.initial);
-      };
-    w_point = (fun t -> Hashtbl.find_opt w_tbl t);
-  }
+(* A com(alpha) member's points in an SI group, T_gr and T_w inside its
+   own active interval, each absent when its block is empty.  They do not
+   depend on the partition. *)
+type member = { gr : Placement.point option; w : Placement.point option }
 
 (* Stop rule.  Every (com, partition, typing) choice shares one node
    budget, and a choice over a non-empty com(alpha) has at least one view,
@@ -117,46 +60,121 @@ exception Spent
 
 (** The (com, partition, typing) enumeration behind both [check] and
     [explain]: the verdict, and on Sat the first satisfying choice's
-    witness. *)
+    witness.  Each choice builds one point array, shared by its views:
+    the views differ only in whose reads they focus. *)
 let search ~budget ~com_filter (h : History.t) :
     Spec.verdict * Witness.t option =
   let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
-  let parts = partitions h info_of in
+  let parts = partitions h tbl in
+  let order = Array.of_list (History.begin_order h) in
+  let slot tid =
+    let rec find j = if Tid.equal order.(j) tid then j else find (j + 1) in
+    find 0
+  in
   let bref = ref budget in
   (* the witness of the first satisfying (partition, typing) choice over
      [com]: its elements, view pids and common-writer pairs do not depend
      on the choice *)
   let witness_of com : Witness.t option =
     let tids = Tid.Set.elements com in
-    let pids = Checker_util.view_pids info_of tids in
-    let pairs = Views.common_writer_pairs info_of tids in
+    let foci =
+      List.map
+        (fun pid -> (pid, fun (t : Blocks.txn) -> t.Blocks.pid = pid))
+        (Checker_util.view_pids tbl tids)
+    in
+    let pair_slots =
+      Array.of_list
+        (List.map
+           (fun (a, b) -> (slot a, slot b))
+           (Views.common_writer_pairs tbl tids))
+    in
+    (* by begin-order slot; None outside com(alpha) *)
+    let members =
+      Array.map
+        (fun tid ->
+          if not (Tid.Set.mem tid com) then None
+          else
+            let t = Blocks.txn tbl tid in
+            let lo, hi = Checker_util.active_window t in
+            let point nonempty block =
+              if nonempty then Some { Placement.block; lo; hi } else None
+            in
+            Some
+              {
+                gr = point (t.Blocks.greads <> [||]) (Blocks.Greads tid);
+                w = point (t.Blocks.writes <> [||]) (Blocks.Wblock tid);
+              })
+        order
+    in
+    (* one choice's points, in group and member order, in [buf]; [w_at]
+       holds the point carrying each slot's writes *)
+    let buf =
+      Array.make (2 * Array.length order)
+        { Placement.block = Blocks.Whole (-1); lo = 0; hi = 0 }
+    in
+    let w_at = Array.make (Array.length order) (-1) in
     let try_choice groups si =
+      let k = ref 0 and j = ref 0 and prec = ref [] in
+      let add pt =
+        buf.(!k) <- pt;
+        incr k;
+        !k - 1
+      in
+      List.iteri
+        (fun g group ->
+          let lo, hi = group.window in
+          List.iter
+            (fun tid ->
+              (match members.(!j) with
+              | None -> ()
+              | Some m when si.(g) ->
+                  (* snapshot-isolation group: separate points inside the
+                     transaction's own active interval *)
+                  let gr = match m.gr with Some p -> add p | None -> -1 in
+                  let w = match m.w with Some p -> add p | None -> -1 in
+                  w_at.(!j) <- w;
+                  if gr >= 0 && w >= 0 then prec := (gr, w) :: !prec
+              | Some m ->
+                  (* processor-consistency group: adjacent gr/w, i.e. one
+                     fused point, inside the group's active interval *)
+                  if m.gr <> None || m.w <> None then begin
+                    let p =
+                      add { Placement.block = Blocks.Fused tid; lo; hi }
+                    in
+                    w_at.(!j) <- (if m.w <> None then p else -1)
+                  end);
+              incr j)
+            group.members)
+        groups;
+      let points = Array.sub buf 0 !k and prec = !prec in
       let views =
         List.map
-          (fun pid -> build_view info_of com groups si ~view_pid:pid)
-          pids
+          (fun (pid, focus) ->
+            {
+              Views.view_pid = pid;
+              problem = { Placement.points; prec; focus };
+            })
+          foci
       in
+      let pairs = Array.map (fun (a, b) -> (w_at.(a), w_at.(b))) pair_slots in
       let wref = ref [] in
-      match Views.solve_agreeing ~witness:wref ~budget:bref views ~pairs with
+      match
+        Views.solve_agreeing ~witness:wref ~budget:bref tbl views ~pairs
+      with
       | Spec.Sat ->
           Some
             {
               Witness.com = tids;
               (* on Sat, [wref] holds one order per view, in view order *)
               views =
-                List.map2
-                  (fun (v : Views.view) (pid, order) ->
+                List.map
+                  (fun (pid, order) ->
                     {
                       Witness.view_pid = Some pid;
                       order =
-                        List.map
-                          (fun i ->
-                            v.Views.problem.Placement.points.(i)
-                              .Placement.block)
-                          order;
+                        List.map (fun i -> points.(i).Placement.block) order;
                     })
-                  views !wref;
+                  !wref;
               groups =
                 Some
                   (List.mapi

@@ -17,8 +17,7 @@ open Tm_trace
 
 type group = { members : Tid.t list; window : int * int }
 
-val partitions :
-  History.t -> (Tid.t -> Blocks.txn_info) -> group list Seq.t
+val partitions : History.t -> Blocks.t -> group list Seq.t
 (** All consistency partitions P(alpha), lazily, with each group's active
     execution interval as its window. *)
 

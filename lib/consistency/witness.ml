@@ -41,13 +41,12 @@ let pp ppf (w : t) =
 (** Re-evaluate a view's blocks in order against the history: all reads of
     the focused transactions must be legal. *)
 let view_legal (h : History.t) ~(focus : Tid.t -> bool) (v : view) : bool =
-  let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
-  let initial (_ : Item.t) = Value.initial in
+  let infos = List.map (fun tid -> (tid, Blocks.info h tid)) (History.txns h) in
+  let info_of tid = List.assoc tid infos in
   let rec go state = function
     | [] -> true
     | b :: rest -> (
-        match Blocks.eval ~initial ~focus info_of state b with
+        match Blocks.eval ~focus info_of state b with
         | Some state' -> go state' rest
         | None -> false)
   in

@@ -29,8 +29,34 @@ let conflict (ds : data_sets) : Tid.t -> Tid.t -> bool =
     (not (Tid.equal t1 t2))
     && not (Item.Set.disjoint (data_set t1) (data_set t2))
 
-(** Adjacency-list conflict graph over the given transactions. *)
-type graph = { nodes : Tid.t list; adj : (Tid.t, Tid.t list) Hashtbl.t }
+(** Adjacency-list conflict graph over the given transactions, with each
+    node's connected component labelled on first demand. *)
+type graph = {
+  nodes : Tid.t list;
+  adj : (Tid.t, Tid.t list) Hashtbl.t;
+  components : (Tid.t, int) Hashtbl.t Lazy.t;
+}
+
+(* Label every node with its component: a search from each node not yet
+   labelled labels everything it reaches.  Conflict is symmetric, so what
+   a node reaches is its component. *)
+let label nodes adj =
+  let labels = Hashtbl.create 16 in
+  List.iteri
+    (fun c t ->
+      let rec visit = function
+        | [] -> ()
+        | t :: rest ->
+            if Hashtbl.mem labels t then visit rest
+            else begin
+              Hashtbl.replace labels t c;
+              let next = Option.value ~default:[] (Hashtbl.find_opt adj t) in
+              visit (List.rev_append next rest)
+            end
+      in
+      visit [ t ])
+    nodes;
+  labels
 
 let graph (ds : data_sets) (nodes : Tid.t list) : graph =
   let conflict = conflict ds in
@@ -40,7 +66,7 @@ let graph (ds : data_sets) (nodes : Tid.t list) : graph =
       let neighbours = List.filter (conflict t1) nodes in
       Hashtbl.replace adj t1 neighbours)
     nodes;
-  { nodes; adj }
+  { nodes; adj; components = lazy (label nodes adj) }
 
 let neighbours (g : graph) tid =
   Option.value ~default:[] (Hashtbl.find_opt g.adj tid)
@@ -69,4 +95,11 @@ let distance (g : graph) t1 t2 : int option =
     !found
   end
 
-let connected (g : graph) t1 t2 = Option.is_some (distance g t1 t2)
+(** [distance g t1 t2 <> None], from the component labels. *)
+let connected (g : graph) t1 t2 =
+  Tid.equal t1 t2
+  ||
+  let labels = Lazy.force g.components in
+  match (Hashtbl.find_opt labels t1, Hashtbl.find_opt labels t2) with
+  | Some a, Some b -> a = b
+  | _ -> false

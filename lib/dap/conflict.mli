@@ -20,7 +20,12 @@ val conflict : data_sets -> Tid.t -> Tid.t -> bool
 (** [conflict ds t1 t2]: distinct transactions with intersecting data
     sets.  Staged like {!data_set}. *)
 
-type graph = { nodes : Tid.t list; adj : (Tid.t, Tid.t list) Hashtbl.t }
+type graph = {
+  nodes : Tid.t list;
+  adj : (Tid.t, Tid.t list) Hashtbl.t;
+  components : (Tid.t, int) Hashtbl.t Lazy.t;
+      (** each node's connected component, labelled on first demand *)
+}
 
 val graph : data_sets -> Tid.t list -> graph
 val neighbours : graph -> Tid.t -> Tid.t list
@@ -30,3 +35,5 @@ val distance : graph -> Tid.t -> Tid.t -> int option
     transactions, [None] if disconnected. *)
 
 val connected : graph -> Tid.t -> Tid.t -> bool
+(** [distance g t1 t2 <> None], answered from the component labels: the
+    first query labels the whole graph once. *)

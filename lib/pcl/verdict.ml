@@ -172,9 +172,6 @@ let delta1_refuted ?(budget = 2_000_000) impl : bool =
 
 (* ------------------------------------------------------------------ *)
 
-let describe_dap_violation mem_names (v : Tm_dap.Strict_dap.violation) =
-  Fmt.str "%a" (Tm_dap.Strict_dap.pp_violation ~name_of:mem_names) v
-
 let assess ?budget (impl : Tm_intf.impl) : t =
   let (module M : Tm_intf.S) = impl in
   let tm_l = [ ("tm", M.name) ] in
@@ -316,5 +313,3 @@ let pp ppf (t : t) =
   Fmt.pf ppf "%-12s P: %a@\n%-12s C: %a@\n%-12s L: %a" t.impl_name pp_leg
     t.parallelism "" pp_leg t.consistency "" pp_leg t.liveness;
   List.iter (fun n -> Fmt.pf ppf "@\n%-12s note: %s" "" n) t.notes
-
-let _ = describe_dap_violation

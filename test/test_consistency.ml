@@ -71,30 +71,12 @@ let enumerator_tests =
 (* ------------------------------------------------------------------ *)
 (* placement solver *)
 
-let dummy_info : Tid.t -> Blocks.txn_info =
-  let empty tid =
-    {
-      Blocks.tid;
-      pid = 1;
-      status = History.Committed;
-      greads = [];
-      writes = [];
-      write_set = Item.Set.empty;
-      ops = [];
-      first_pos = 0;
-      last_pos = 0;
-    }
-  in
-  empty
+(* T1 begins and commits, reading and writing nothing: its write block is
+   a no-op, so only windows and precedence constrain the points below *)
+let empty_tbl = Blocks.table (h [ B (1, 1); C 1 ])
 
 let mk_problem points prec =
-  {
-    Placement.points = Array.of_list points;
-    prec;
-    focus = (fun _ -> true);
-    info_of = dummy_info;
-    initial = (fun _ -> Value.initial);
-  }
+  { Placement.points = Array.of_list points; prec; focus = (fun _ -> true) }
 
 let pt lo hi = { Placement.block = Blocks.Wblock (Tid.v 1); lo; hi }
 
@@ -105,7 +87,7 @@ let placement_tests =
         let budget = ref 10_000 in
         let sols = ref [] in
         ignore
-          (Placement.solve ~budget (mk_problem [ pt 5 6; pt 1 2 ] [])
+          (Placement.solve ~budget empty_tbl (mk_problem [ pt 5 6; pt 1 2 ] [])
              ~on_solution:(fun o -> sols := o :: !sols; false));
         check "unique order" true (!sols = [ [ 1; 0 ] ]));
     Alcotest.test_case "disjoint windows both orders impossible" `Quick
@@ -113,65 +95,67 @@ let placement_tests =
         let budget = ref 10_000 in
         (* A in [5,6], B in [1,2], but precedence A before B: unsat *)
         check "unsat" true
-          (Placement.satisfiable ~budget
+          (Placement.satisfiable ~budget empty_tbl
              (mk_problem [ pt 5 6; pt 1 2 ] [ (0, 1) ])
           = Spec.Unsat));
     Alcotest.test_case "shared gap allows both orders" `Quick (fun () ->
         let budget = ref 10_000 in
         let n = ref 0 in
         ignore
-          (Placement.solve ~budget (mk_problem [ pt 3 3; pt 3 3 ] [])
+          (Placement.solve ~budget empty_tbl (mk_problem [ pt 3 3; pt 3 3 ] [])
              ~on_solution:(fun _ -> incr n; false));
         check_int "two orders" 2 !n);
     Alcotest.test_case "precedence chain" `Quick (fun () ->
         let budget = ref 10_000 in
         let sols = ref [] in
         ignore
-          (Placement.solve ~budget
+          (Placement.solve ~budget empty_tbl
              (mk_problem [ pt 0 9; pt 0 9; pt 0 9 ] [ (2, 1); (1, 0) ])
              ~on_solution:(fun o -> sols := o :: !sols; false));
         check "only the chain order" true (!sols = [ [ 2; 1; 0 ] ]));
     Alcotest.test_case "precedence cycle is unsat" `Quick (fun () ->
         let budget = ref 10_000 in
         check "unsat" true
-          (Placement.satisfiable ~budget
+          (Placement.satisfiable ~budget empty_tbl
              (mk_problem [ pt 0 9; pt 0 9 ] [ (0, 1); (1, 0) ])
           = Spec.Unsat));
     Alcotest.test_case "budget exhaustion is reported" `Quick (fun () ->
         let budget = ref 3 in
         check "out of budget" true
-          (Placement.satisfiable ~budget
+          (Placement.satisfiable ~budget empty_tbl
              (mk_problem [ pt 0 9; pt 0 9; pt 0 9; pt 0 9 ] [])
           = Spec.Out_of_budget));
     Alcotest.test_case "legality prunes: torn gr block" `Quick (fun () ->
         (* writer installs x=1,y=1 at one point; reader's greads want
            x=1,y=0 — no order can satisfy *)
-        let info tid =
-          if Tid.to_int tid = 1 then
-            {
-              (dummy_info tid) with
-              Blocks.writes = [ (Item.v "x", Value.int 1); (Item.v "y", Value.int 1) ];
-              write_set = Item.set_of_list [ Item.v "x"; Item.v "y" ];
-            }
-          else
-            {
-              (dummy_info tid) with
-              Blocks.greads = [ (Item.v "x", Value.int 1); (Item.v "y", Value.int 0) ];
-            }
+        let hh =
+          h
+            [ B (1, 1); W (1, "x", 1); W (1, "y", 1); C 1;
+              B (2, 2); R (2, "x", 1); R (2, "y", 0); C 2 ]
         in
         let problem =
-          {
-            Placement.points =
-              [| { Placement.block = Blocks.Wblock (Tid.v 1); lo = 0; hi = 9 };
-                 { Placement.block = Blocks.Greads (Tid.v 2); lo = 0; hi = 9 } |];
-            prec = [];
-            focus = (fun _ -> true);
-            info_of = info;
-            initial = (fun _ -> Value.initial);
-          }
+          mk_problem
+            [ { Placement.block = Blocks.Wblock (Tid.v 1); lo = 0; hi = 9 };
+              { Placement.block = Blocks.Greads (Tid.v 2); lo = 0; hi = 9 } ]
+            []
         in
         let budget = ref 10_000 in
-        check "unsat" true (Placement.satisfiable ~budget problem = Spec.Unsat));
+        check "unsat" true
+          (Placement.satisfiable ~budget (Blocks.table hh) problem = Spec.Unsat));
+    Alcotest.test_case "a precedence index out of range is rejected" `Quick
+      (fun () ->
+        let tbl = Blocks.table (h [ B (1, 1); C 1 ]) in
+        let raised p =
+          match Placement.satisfiable ~budget:(ref 10) tbl p with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        in
+        check "b out of range" true (raised (mk_problem [ pt 0 9 ] [ (0, 1) ]));
+        check "a negative" true (raised (mk_problem [ pt 0 9 ] [ (-1, 0) ]));
+        (* the frame the failed search took is back in the table *)
+        check "table still usable" true
+          (Placement.satisfiable ~budget:(ref 10) tbl (mk_problem [ pt 0 9 ] [])
+          = Spec.Sat));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -721,7 +705,6 @@ let si_ei_tests =
 
 let window_strict_ser ?(budget = 500_000) hh =
   let tbl = Blocks.table hh in
-  let info_of tid = Hashtbl.find tbl tid in
   let bref = ref budget in
   Checker_util.exists_com hh (fun com ->
       let tids = Tid.Set.elements com in
@@ -729,14 +712,13 @@ let window_strict_ser ?(budget = 500_000) hh =
         Array.of_list
           (List.map
              (fun tid ->
-               let lo, hi = Checker_util.active_window (info_of tid) in
+               let lo, hi = Checker_util.active_window (Blocks.txn tbl tid) in
                { Placement.block = Blocks.Whole tid; lo; hi })
              tids)
       in
-      Placement.satisfiable ~budget:bref
+      Placement.satisfiable ~budget:bref tbl
         { Placement.points; prec = [];
-          focus = (fun t -> Tid.Set.mem t com);
-          info_of; initial = (fun _ -> Value.initial) })
+          focus = (fun t -> Tid.Set.mem t.Blocks.tid com) })
 
 let equivalence_tests =
   [
@@ -941,7 +923,8 @@ let rec permutations = function
           List.map (fun p -> x :: p) (permutations rest))
         l
 
-let brute_force_satisfiable (p : Placement.problem) : bool =
+let brute_force_satisfiable (h : History.t) (p : Placement.problem) : bool =
+  let info_of = Blocks.info h in
   let n = Array.length p.Placement.points in
   let idxs = List.init n (fun i -> i) in
   List.exists
@@ -962,8 +945,7 @@ let brute_force_satisfiable (p : Placement.problem) : bool =
         | [] -> true
         | i :: rest -> (
             match
-              Blocks.eval ~initial:p.Placement.initial
-                ~focus:p.Placement.focus p.Placement.info_of state
+              Blocks.eval ~focus:(fun _ -> true) info_of state
                 p.Placement.points.(i).Placement.block
             with
             | Some state' -> replay state' rest
@@ -972,36 +954,33 @@ let brute_force_satisfiable (p : Placement.problem) : bool =
       replay Item.Map.empty order)
     (permutations idxs)
 
-(* random small placement problems over the dummy universe *)
-let gen_problem : Placement.problem QCheck.Gen.t =
+(* random small placement problems: each point is a transaction with at
+   most one global read and one write, of x or y, as a Fused or Whole
+   block; every read is focused *)
+let gen_problem : (History.t * Placement.problem) QCheck.Gen.t =
  fun st ->
   let n = 2 + Random.State.int st 3 in
-  let items = [| Item.v "x"; Item.v "y" |] in
-  let infos = Hashtbl.create 8 in
+  let items = [| "x"; "y" |] in
+  let instrs = ref [] in
   let points =
     Array.init n (fun i ->
-        let tid = Tid.v (i + 1) in
-        let greads =
+        let tid = i + 1 in
+        let read =
           if Random.State.bool st then
-            [ (items.(Random.State.int st 2), Value.int (Random.State.int st 3)) ]
+            [ R (tid, items.(Random.State.int st 2), Random.State.int st 3) ]
           else []
         in
-        let writes =
+        let write =
           if Random.State.bool st then
-            [ (items.(Random.State.int st 2), Value.int (Random.State.int st 3)) ]
+            [ W (tid, items.(Random.State.int st 2), Random.State.int st 3) ]
           else []
         in
-        Hashtbl.replace infos tid
-          {
-            (dummy_info tid) with
-            Blocks.greads;
-            writes;
-            write_set = Item.set_of_list (List.map fst writes);
-          };
+        instrs := !instrs @ ((B (tid, tid) :: read) @ write @ [ C tid ]);
         let lo = Random.State.int st 4 in
         let hi = lo + Random.State.int st 4 in
         let block =
-          if Random.State.bool st then Blocks.Fused tid else Blocks.Whole tid
+          if Random.State.bool st then Blocks.Fused (Tid.v tid)
+          else Blocks.Whole (Tid.v tid)
         in
         { Placement.block; lo; hi })
   in
@@ -1012,13 +991,7 @@ let gen_problem : Placement.problem QCheck.Gen.t =
         if a <> b then Some (a, b) else None)
       (List.init (Random.State.int st 3) (fun i -> i))
   in
-  {
-    Placement.points;
-    prec;
-    focus = (fun _ -> true);
-    info_of = (fun tid -> Hashtbl.find infos tid);
-    initial = (fun _ -> Value.initial);
-  }
+  (h !instrs, { Placement.points; prec; focus = (fun _ -> true) })
 
 let brute_force_tests =
   [
@@ -1026,15 +999,265 @@ let brute_force_tests =
       (QCheck.Test.make ~count:300
          ~name:"optimized solver = brute force on small problems"
          (QCheck.make gen_problem)
-         (fun p ->
+         (fun (hh, p) ->
            let budget = ref 1_000_000 in
            let fast =
-             match Placement.satisfiable ~budget p with
+             match Placement.satisfiable ~budget (Blocks.table hh) p with
              | Spec.Sat -> true
              | Spec.Unsat -> false
              | Spec.Out_of_budget -> QCheck.assume_fail ()
            in
-           fast = brute_force_satisfiable p));
+           fast = brute_force_satisfiable hh p));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* the compiled searches against their slow oracles, Placement_ref and
+   Views_ref: the same solutions in the same order, the same outcome and
+   the same budget left *)
+
+(* [n_txn] transactions, one after another, over x, y and z: reads of the
+   state, reads after the transaction's own write (mostly of that write's
+   value, sometimes not), and repeated writes to one item *)
+let gen_txns st n_txn =
+  let rand = Random.State.int st and items = [| "x"; "y"; "z" |] in
+  let instrs = ref [] in
+  for tid = 1 to n_txn do
+    let own = Hashtbl.create 4 in
+    instrs := B (tid, tid) :: !instrs;
+    for _ = 1 to rand 6 do
+      let x = items.(rand 3) in
+      if rand 2 = 0 then begin
+        let v = 1 + rand 2 in
+        Hashtbl.replace own x v;
+        instrs := W (tid, x, v) :: !instrs
+      end
+      else
+        let v =
+          match Hashtbl.find_opt own x with
+          | Some v when rand 3 > 0 -> v
+          | _ -> rand 3
+        in
+        instrs := R (tid, x, v) :: !instrs
+    done;
+    instrs :=
+      (match rand 4 with 0 -> Cp tid | 1 -> Ca tid | _ -> C tid) :: !instrs
+  done;
+  h (List.rev !instrs)
+
+(* 2-9 points over all five block kinds, windows that may be empty, and
+   precedence pairs that may repeat or form cycles *)
+let gen_points st n_txn =
+  let rand = Random.State.int st in
+  let n = 2 + rand 8 in
+  let points =
+    Array.init n (fun _ ->
+        let tid = Tid.v (1 + rand n_txn) in
+        let block =
+          match rand 5 with
+          | 0 -> Blocks.Greads tid
+          | 1 -> Blocks.Wblock tid
+          | 2 -> Blocks.Fused tid
+          | 3 -> Blocks.Whole tid
+          | _ -> Blocks.Whole_ghost tid
+        in
+        let lo = rand 6 in
+        { Placement.block; lo; hi = lo - 1 + rand 7 })
+  in
+  let prec = List.init (rand 5) (fun _ -> (rand n, rand n)) in
+  (points, prec)
+
+let gen_focus st n_txn =
+  let focused = Array.init (n_txn + 1) (fun _ -> Random.State.int st 3 > 0) in
+  fun tid -> focused.(Tid.to_int tid)
+
+let pp_points ppf (points, prec) =
+  Array.iteri
+    (fun i (pt : Placement.point) ->
+      Fmt.pf ppf "%d: %a [%d,%d]@." i Blocks.pp_block pt.Placement.block
+        pt.Placement.lo pt.Placement.hi)
+    points;
+  Fmt.pf ppf "prec %a@."
+    Fmt.(list ~sep:sp (pair ~sep:(any "<") int int))
+    prec
+
+let ref_infos hh =
+  let infos = List.map (fun tid -> (tid, Blocks.info hh tid)) (History.txns hh) in
+  fun tid -> List.assoc tid infos
+
+type search_case = {
+  history : History.t;
+  points : Placement.point array;
+  prec : (int * int) list;
+  focus : Tid.t -> bool;
+  budget : int;
+  stop_at : int;  (** stop at this solution; 0 never stops *)
+}
+
+let gen_search_case : search_case QCheck.Gen.t =
+ fun st ->
+  let n_txn = 1 + Random.State.int st 5 in
+  let history = gen_txns st n_txn in
+  let points, prec = gen_points st n_txn in
+  {
+    history;
+    points;
+    prec;
+    focus = gen_focus st n_txn;
+    budget =
+      (if Random.State.bool st then 1 + Random.State.int st 30
+       else 1 + Random.State.int st 5_000);
+    stop_at = Random.State.int st 4;
+  }
+
+let print_search_case c =
+  Fmt.str "budget %d, stop at %d@.%a@.%a" c.budget c.stop_at History.pp
+    c.history pp_points (c.points, c.prec)
+
+let run_search c solve =
+  let budget = ref c.budget and sols = ref [] and found = ref 0 in
+  let outcome =
+    solve ~budget ~on_solution:(fun order ->
+        sols := order :: !sols;
+        incr found;
+        !found = c.stop_at)
+  in
+  (List.rev !sols, outcome, !budget)
+
+(* views sharing one point array, each with its own focus and precedence;
+   the common-writer pairs are pairs of transactions, each carried by its
+   own point *)
+type views_case = {
+  vhistory : History.t;
+  vpoints : Placement.point array;
+  views : (int * (int * int) list * (Tid.t -> bool)) list;
+  w_point : (Tid.t * int) list;
+  pairs : (Tid.t * Tid.t) list;
+  vbudget : int;
+}
+
+let gen_views_case : views_case QCheck.Gen.t =
+ fun st ->
+  let rand = Random.State.int st in
+  let n_txn = 2 + rand 4 in
+  let vhistory = gen_txns st n_txn in
+  let vpoints, _ = gen_points st n_txn in
+  let n = Array.length vpoints in
+  let views =
+    List.init (1 + rand 3) (fun pid ->
+        let _, prec = gen_points st n_txn in
+        ( pid + 1,
+          List.filter (fun (a, b) -> a < n && b < n) prec,
+          gen_focus st n_txn ))
+  in
+  (* writers get distinct points *)
+  let slots = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = rand (i + 1) in
+    let t = slots.(i) in
+    slots.(i) <- slots.(j);
+    slots.(j) <- t
+  done;
+  let writers =
+    List.filteri (fun i _ -> i < n && rand 3 > 0) (List.init n_txn (fun i -> Tid.v (i + 1)))
+  in
+  let w_point = List.mapi (fun i t -> (t, slots.(i))) writers in
+  let rec pairs = function
+    | [] -> []
+    | a :: rest ->
+        List.filter_map (fun b -> if rand 2 = 0 then Some (a, b) else None) rest
+        @ pairs rest
+  in
+  {
+    vhistory;
+    vpoints;
+    views;
+    w_point;
+    pairs = pairs writers;
+    vbudget =
+      (if Random.State.bool st then 1 + rand 30 else 1 + rand 5_000);
+  }
+
+let print_views_case c =
+  Fmt.str "budget %d, pairs %s, writers %s@.%a@.%a" c.vbudget
+    (String.concat " "
+       (List.map (fun (a, b) -> Tid.name a ^ "/" ^ Tid.name b) c.pairs))
+    (String.concat " "
+       (List.map (fun (t, p) -> Printf.sprintf "%s@%d" (Tid.name t) p) c.w_point))
+    History.pp c.vhistory pp_points (c.vpoints, [])
+
+let compiled_search_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:3_000
+         ~name:"compiled placement search = Placement_ref, node for node"
+         (QCheck.make ~print:print_search_case gen_search_case)
+         (fun c ->
+           let tbl = Blocks.table c.history in
+           let compiled =
+             run_search c (fun ~budget ~on_solution ->
+                 Placement.solve ~budget tbl
+                   {
+                     Placement.points = c.points;
+                     prec = c.prec;
+                     focus = (fun t -> c.focus t.Blocks.tid);
+                   }
+                   ~on_solution)
+           and reference =
+             run_search c (fun ~budget ~on_solution ->
+                 Placement_ref.solve ~budget
+                   {
+                     Placement_ref.points = c.points;
+                     prec = c.prec;
+                     focus = c.focus;
+                     info_of = ref_infos c.history;
+                   }
+                   ~on_solution)
+           in
+           compiled = reference));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:2_000
+         ~name:"indexed view search = Views_ref, node for node"
+         (QCheck.make ~print:print_views_case gen_views_case)
+         (fun c ->
+           let tbl = Blocks.table c.vhistory in
+           let run solve =
+             let budget = ref c.vbudget and witness = ref [] in
+             let v = solve ~budget ~witness in
+             (v, !budget, !witness)
+           in
+           let w t = List.assoc t c.w_point in
+           let compiled =
+             run (fun ~budget ~witness ->
+                 Views.solve_agreeing ~witness ~budget tbl
+                   (List.map
+                      (fun (pid, prec, focus) ->
+                        {
+                          Views.view_pid = pid;
+                          problem =
+                            {
+                              Placement.points = c.vpoints;
+                              prec;
+                              focus = (fun t -> focus t.Blocks.tid);
+                            };
+                        })
+                      c.views)
+                   ~pairs:(Array.of_list (List.map (fun (a, b) -> (w a, w b)) c.pairs)))
+           and reference =
+             let info_of = ref_infos c.vhistory in
+             run (fun ~budget ~witness ->
+                 Views_ref.solve_agreeing ~witness ~budget
+                   (List.map
+                      (fun (pid, prec, focus) ->
+                        {
+                          Views_ref.view_pid = pid;
+                          problem =
+                            { Placement_ref.points = c.vpoints; prec; focus; info_of };
+                          w_point = (fun t -> List.assoc_opt t c.w_point);
+                        })
+                      c.views)
+                   ~pairs:c.pairs)
+           in
+           compiled = reference));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1164,6 +1387,7 @@ let () =
       ("completeness", completeness_tests);
       ("opacity-prefixes", opacity_prefix_tests);
       ("brute-force-cross-validation", brute_force_tests);
+      ("compiled-search", compiled_search_tests);
       ("enumerators", enumerator_tests);
       ("placement", placement_tests);
       ("delta1", delta1_tests);

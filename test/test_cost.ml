@@ -326,6 +326,28 @@ let test_counts_accepted () =
       ([ "soak"; "-t"; "tl-lock"; "--txns"; "1000"; "--budget"; "20" ], 1);
     ]
 
+(* a misspelt or ambiguous -t fails under --all-tms too: exit 1, one
+   PCL-E002 line, before anything runs *)
+let test_all_tms_checks_tm () =
+  List.iter
+    (fun args ->
+      let rc, _, reasons = pcl_tm args in
+      let line = String.concat " " args in
+      Alcotest.(check int) (line ^ ": exit") 1 rc;
+      match reasons with
+      | [ r ] ->
+          Alcotest.(check bool)
+            (line ^ ": PCL-E002") true
+            (occurrences {|"code":"PCL-E002"|} r > 0)
+      | rs -> Alcotest.failf "%s: %d reason lines" line (List.length rs))
+    [
+      [ "cost"; "--all-tms"; "-t"; "bogus" ];
+      [ "lint"; "--all-tms"; "-t"; "bogus" ];
+      [ "soak"; "--all-tms"; "-t"; "bogus"; "--txns"; "10" ];
+      [ "chaos"; "--all-tms"; "-t"; "bogus"; "--iters"; "small" ];
+      [ "lint"; "--all-tms"; "-t"; "tl" ];
+    ]
+
 let count_cases =
   List.map
     (fun (cmd, flag, values) ->
@@ -344,7 +366,11 @@ let count_cases =
       ("lint", "horizon", [ -1 ]);
       ("lint", "max-findings", [ -1 ]);
     ]
-  @ [ Alcotest.test_case "edge values accepted" `Quick test_counts_accepted ]
+  @ [
+      Alcotest.test_case "edge values accepted" `Quick test_counts_accepted;
+      Alcotest.test_case "-t is checked under --all-tms" `Quick
+        test_all_tms_checks_tm;
+    ]
 
 let () =
   Alcotest.run "cost"

@@ -36,6 +36,39 @@ let conflict_tests =
           (Conflict.distance g (Tid.v 1) (Tid.v 4) = None);
         check "connected" true (Conflict.connected g (Tid.v 1) (Tid.v 3));
         check "not connected" false (Conflict.connected g (Tid.v 1) (Tid.v 4)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500
+         ~name:"connected = a shortest path exists, on random data sets"
+         (QCheck.make
+            ~print:(fun (ds, nodes) ->
+              Fmt.str "%s; nodes %s"
+                (String.concat " "
+                   (List.map
+                      (fun (t, s) ->
+                        Tid.name t ^ ":"
+                        ^ String.concat "," (Item.Set.elements s))
+                      ds))
+                (String.concat "," (List.map Tid.name nodes)))
+            (fun st ->
+              let rand = Random.State.int st in
+              let pool = [| "a"; "b"; "c"; "d"; "e"; "f" |] in
+              (* tids 1..8, some with no data set, some bound twice *)
+              let ds =
+                List.init (rand 10) (fun _ ->
+                    ( Tid.v (1 + rand 8),
+                      items (List.init (rand 3) (fun _ -> pool.(rand 6))) ))
+              in
+              (ds, List.init (rand 9) (fun _ -> Tid.v (1 + rand 8)))))
+         (fun (ds, nodes) ->
+           let g = Conflict.graph ds nodes in
+           List.for_all
+             (fun a ->
+               List.for_all
+                 (fun b ->
+                   Conflict.connected g (Tid.v a) (Tid.v b)
+                   = (Conflict.distance g (Tid.v a) (Tid.v b) <> None))
+                 (List.init 9 Fun.id))
+             (List.init 9 Fun.id)));
   ]
 
 (* build a synthetic log via a real Memory *)

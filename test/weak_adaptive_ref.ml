@@ -1,8 +1,9 @@
 (* Weak adaptive consistency as it was decided before the checker stopped
    at a spent budget: every (com(alpha), partition, typing) choice is
-   tried in order, each one rebuilding its com's elements, view pids and
-   common-writer pairs, and a choice tried after the shared budget is
-   spent fails at its first search node.  Test-only: the slow oracle that
+   tried in order, each one rebuilding its com's elements, view pids,
+   common-writer pairs and views, and a choice tried after the shared
+   budget is spent fails at its first search node.  Its views run on
+   Views_ref and Placement_ref.  Test-only: the slow oracle that
    test_consistency checks Weak_adaptive's stop rule against. *)
 
 open Core
@@ -30,9 +31,19 @@ let partitions (h : History.t) (info_of : Tid.t -> Blocks.txn_info) :
              { members; window = (lo, hi) }))
     (Spec.compositions order)
 
+let active_window (i : Blocks.txn_info) = (i.Blocks.first_pos + 1, i.Blocks.last_pos)
+
+let view_pids (info_of : Tid.t -> Blocks.txn_info) (tids : Tid.t list) =
+  List.sort_uniq compare (List.map (fun t -> (info_of t).Blocks.pid) tids)
+
+let info_table (h : History.t) =
+  let tbl = Hashtbl.create 16 in
+  List.iter (fun tid -> Hashtbl.replace tbl tid (Blocks.info h tid)) (History.txns h);
+  fun tid -> Hashtbl.find tbl tid
+
 (** Build one process view for a given partition/assignment/com choice. *)
 let build_view (info_of : Tid.t -> Blocks.txn_info) (com : Tid.Set.t)
-    (groups : group list) (si : bool array) ~view_pid : Views.view =
+    (groups : group list) (si : bool array) ~view_pid : Views_ref.view =
   let points = ref [] and prec = ref [] and n = ref 0 in
   let w_tbl = Hashtbl.create 16 in
   let add block window =
@@ -50,7 +61,7 @@ let build_view (info_of : Tid.t -> Blocks.txn_info) (com : Tid.Set.t)
             if si.(g) then begin
               (* snapshot-isolation group: separate points inside the
                  transaction's own active interval *)
-              let window = Checker_util.active_window i in
+              let window = active_window i in
               let gr =
                 if i.Blocks.greads <> [] then
                   Some (add (Blocks.Greads tid) window)
@@ -78,34 +89,32 @@ let build_view (info_of : Tid.t -> Blocks.txn_info) (com : Tid.Set.t)
         group.members)
     groups;
   {
-    Views.view_pid;
+    Views_ref.view_pid;
     problem =
       {
-        Placement.points = Array.of_list (List.rev !points);
+        Placement_ref.points = Array.of_list (List.rev !points);
         prec = !prec;
         focus =
           (fun t -> Tid.Set.mem t com && (info_of t).Blocks.pid = view_pid);
         info_of;
-        initial = (fun _ -> Value.initial);
       };
     w_point = (fun t -> Hashtbl.find_opt w_tbl t);
   }
 
 let check ?(budget = Spec.default_budget) ?(com_filter = fun _ -> true)
     (h : History.t) : Spec.verdict =
-  let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
+  let info_of = info_table h in
   let bref = ref budget in
   let hit_budget = ref false in
   let try_choice (com : Tid.Set.t) (groups : group list) (si : bool array) :
       bool =
     let tids = Tid.Set.elements com in
-    let pids = Checker_util.view_pids info_of tids in
+    let pids = view_pids info_of tids in
     let views =
       List.map (fun pid -> build_view info_of com groups si ~view_pid:pid) pids
     in
-    let pairs = Views.common_writer_pairs info_of tids in
-    match Views.solve_agreeing ~budget:bref views ~pairs with
+    let pairs = Views_ref.common_writer_pairs info_of tids in
+    match Views_ref.solve_agreeing ~budget:bref views ~pairs with
     | Spec.Sat -> true
     | Spec.Out_of_budget ->
         hit_budget := true;
@@ -133,19 +142,18 @@ let check ?(budget = Spec.default_budget) ?(com_filter = fun _ -> true)
 
 let explain ?(budget = Spec.default_budget) (h : History.t) :
     Witness.t option =
-  let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
+  let info_of = info_table h in
   let bref = ref budget in
   let found = ref None in
   let try_choice com groups si =
     let tids = Tid.Set.elements com in
-    let pids = Checker_util.view_pids info_of tids in
+    let pids = view_pids info_of tids in
     let views =
       List.map (fun pid -> build_view info_of com groups si ~view_pid:pid) pids
     in
-    let pairs = Views.common_writer_pairs info_of tids in
+    let pairs = Views_ref.common_writer_pairs info_of tids in
     let wref = ref [] in
-    match Views.solve_agreeing ~witness:wref ~budget:bref views ~pairs with
+    match Views_ref.solve_agreeing ~witness:wref ~budget:bref views ~pairs with
     | Spec.Sat ->
         found :=
           Some
@@ -155,14 +163,14 @@ let explain ?(budget = Spec.default_budget) (h : History.t) :
                 List.map
                   (fun (pid, order) ->
                     let v =
-                      List.find (fun v -> v.Views.view_pid = pid) views
+                      List.find (fun v -> v.Views_ref.view_pid = pid) views
                     in
                     {
                       Witness.view_pid = Some pid;
                       order =
                         List.map
                           (fun i ->
-                            v.Views.problem.Placement.points.(i)
+                            v.Views_ref.problem.Placement_ref.points.(i)
                               .Placement.block)
                           order;
                     })
