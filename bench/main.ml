@@ -386,7 +386,7 @@ let lint_overhead ~iters ~seed () =
         let input =
           { (Lint.input_of_flight fl) with Lint.tm = Some M.name }
         in
-        (List.length input.Lint.log, input))
+        (input.Lint.log.Access_log.len, input))
       tms
   in
   (* the happens-before analysis alone: every trace pass pays it *)

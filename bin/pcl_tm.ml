@@ -260,7 +260,7 @@ let run_explore ?dump_dir ?(lint = false) ?(por = true)
     Sweep.recording dump_dir (fun dump ->
         let on_execution ~strongest (r : Sim.result) =
           on_progress ();
-          let log = lazy (Access_log.entries (Memory.log r.Sim.mem)) in
+          let log = Access_log.whole (Memory.log r.Sim.mem) in
           (match dump with
           | Some dump when strongest = "none" && !dumped = [] ->
               (* even the weakest condition rejects this execution; its
@@ -269,8 +269,7 @@ let run_explore ?dump_dir ?(lint = false) ?(por = true)
                 List.nth Checkers.all (List.length Checkers.all - 1)
               in
               let verdicts =
-                Provenance.of_unsat ~log:(Lazy.force log) weakest
-                  r.Sim.history
+                Provenance.of_unsat ~log weakest r.Sim.history
                 |> Option.map Provenance.to_flight
                 |> Option.to_list
               in
@@ -282,8 +281,7 @@ let run_explore ?dump_dir ?(lint = false) ?(por = true)
           | _ -> ());
           if
             lint
-            && (lint_sim ~data_sets:Explore_sweep.data_sets ~tm:name
-                  ~log:(Lazy.force log) r)
+            && (lint_sim ~data_sets:Explore_sweep.data_sets ~tm:name ~log r)
                  .Lints.unexpected
                <> []
           then incr lint_unexpected
@@ -506,8 +504,8 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
         specs
     in
     let r = Sim.replay ~budget:3_000 setup schedule in
-    (* the entry list the detectors below read, built once if one runs *)
-    let log = lazy (Access_log.entries (Memory.log r.Sim.mem)) in
+    let steps = Memory.log r.Sim.mem in
+    let log = Access_log.whole steps in
     (match r.Sim.report.Schedule.stop with
     | Schedule.Completed -> ()
     | _ -> incr stalled);
@@ -534,7 +532,7 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
       M.name <> "tl-lock" && M.name <> "tl2-clock" && M.name <> "norec"
       && M.name <> "lp-progressive"
     then begin
-      match Obstruction_freedom.violations r.Sim.history (Lazy.force log) with
+      match Obstruction_freedom.violations r.Sim.history log with
       | [] -> ()
       | vs ->
           incr of_bad;
@@ -560,9 +558,7 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
       List.mem M.name [ "tl-lock"; "pram-local"; "candidate"; "lp-progressive" ]
     then begin
       match
-        Strict_dap.violations
-          ~data_sets:(Static_txn.data_sets specs)
-          (Lazy.force log)
+        Strict_dap.violations ~data_sets:(Static_txn.data_sets specs) log
       with
       | [] -> ()
       | vs ->
@@ -579,17 +575,13 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
                      common base object";
                   witness_txns = tids;
                   witness_steps =
-                    List.filter_map
-                      (fun (e : Access_log.entry) ->
-                        match e.Access_log.tid with
-                        | Some t
-                          when List.exists (Tid.equal t) tids
-                               && List.exists
-                                    (Oid.equal e.Access_log.oid)
-                                    v.Strict_dap.objects ->
-                            Some e.Access_log.index
-                        | _ -> None)
-                      (Lazy.force log);
+                    (* a live log: its positions are the global indices *)
+                    List.filter
+                      (fun i ->
+                        List.mem (Access_log.tid_int_at steps i) tids
+                        && List.mem (Access_log.oid_at steps i)
+                             v.Strict_dap.objects)
+                      (List.init (Access_log.length steps) Fun.id);
                 })
             vs
     end;
@@ -597,16 +589,15 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
     | Spec.Unsat -> (
         incr cons_bad;
         match
-          Provenance.of_unsat ~budget:400_000 ~log:(Lazy.force log)
-            target_checker r.Sim.history
+          Provenance.of_unsat ~budget:400_000 ~log target_checker
+            r.Sim.history
         with
         | Some p -> add (Provenance.to_flight p)
         | None -> ())
     | Spec.Sat | Spec.Out_of_budget -> ());
     if lint then begin
       let res =
-        lint_sim ~data_sets:(Static_txn.data_sets specs) ~tm:M.name
-          ~log:(Lazy.force log) r
+        lint_sim ~data_sets:(Static_txn.data_sets specs) ~tm:M.name ~log r
       in
       if res.Lints.unexpected <> [] then begin
         incr lint_bad;
@@ -815,7 +806,7 @@ let explain_cmd =
           (Flight.meta fl);
         Format.printf "  %-10s %d recorded, %d retained, %d dropped@.@."
           "ring" (Flight.recorded fl)
-          (List.length (Flight.steps fl))
+          (Flight.steps fl).Access_log.len
           (Flight.dropped fl);
         (* stall attribution: the stop meta names the wedged process and
            the index of its last step; resolve it in the recording if it

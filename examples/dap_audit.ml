@@ -37,7 +37,7 @@ let audit impl name specs schedule =
   let (module M : Tm_intf.S) = impl in
   let r = run impl specs schedule in
   let data_sets = Static_txn.data_sets specs in
-  let log = Access_log.entries (Memory.log r.Sim.mem) in
+  let log = Access_log.whole (Memory.log r.Sim.mem) in
   let contentions = Contention.all_contentions log in
   let strict = Strict_dap.violations ~data_sets log in
   let graph = Graph_dap.violations ~data_sets log in

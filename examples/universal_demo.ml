@@ -49,7 +49,7 @@ let () =
     (Memory.step_count r.Sim.mem)
     (List.length
        (Contention.all_contentions
-          (Access_log.entries (Memory.log r.Sim.mem))));
+          (Access_log.whole (Memory.log r.Sim.mem))));
 
   (* 2. wait-free helping: p1 announces and is suspended; p2's single
      successful CAS applies both operations *)

@@ -25,19 +25,8 @@
 open Tm_base
 open Tm_trace
 
-type step = {
-  pos : int;
-  entry : Access_log.entry;
-  before : Vclock.t;
-  after : Vclock.t;
-  sync : bool;
-}
-
-type t = {
-  arr : step array;
-  by_index : (int, int) Hashtbl.t;  (** global step index -> pos *)
-  final : (int, Vclock.t) Hashtbl.t;  (** pid -> final clock *)
-}
+(* the clock of each step of the window, by offset *)
+type t = Vclock.t array
 
 let is_sync : Primitive.t -> bool = function
   | Primitive.Read | Primitive.Write _ -> false
@@ -46,8 +35,8 @@ let is_sync : Primitive.t -> bool = function
   | Primitive.Store_conditional _ ->
       true
 
-let analyse ?history (log : Access_log.entry list) : t =
-  let items = Array.of_list log in
+let analyse ?history (w : Access_log.window) : t =
+  let { Access_log.log; pos; len; _ } = w in
   let pid_clock : (int, Vclock.t) Hashtbl.t = Hashtbl.create 8 in
   let obj_clock : (Oid.t, Vclock.t) Hashtbl.t = Hashtbl.create 64 in
   let tid_clock : (Tid.t, Vclock.t) Hashtbl.t = Hashtbl.create 8 in
@@ -108,60 +97,44 @@ let analyse ?history (log : Access_log.entry list) : t =
         in
         prefix_join (count 0 (Array.length completions))
   in
-  let by_index = Hashtbl.create (max 16 (Array.length items)) in
-  let arr =
-    Array.mapi
-      (fun pos (e : Access_log.entry) ->
-        let before = clock_of pid_clock e.Access_log.pid in
-        let before =
-          match e.Access_log.tid with
-          | Some t when not (Hashtbl.mem started t) ->
-              Hashtbl.add started t ();
-              Vclock.join before (predecessor_clock t)
-          | _ -> before
-        in
-        let ticked = Vclock.tick before e.Access_log.pid in
-        let sync = is_sync e.Access_log.prim in
-        let after =
-          if sync then begin
-            let joined =
-              Vclock.join ticked (clock_of obj_clock e.Access_log.oid)
-            in
-            Hashtbl.replace obj_clock e.Access_log.oid joined;
-            joined
-          end
-          else ticked
-        in
-        Hashtbl.replace pid_clock e.Access_log.pid after;
-        (match e.Access_log.tid with
-        | Some t -> Hashtbl.replace tid_clock t after
-        | None -> ());
-        Hashtbl.replace by_index e.Access_log.index pos;
-        { pos; entry = e; before; after; sync })
-      items
-  in
-  { arr; by_index; final = pid_clock }
+  Array.init len (fun k ->
+      let p = pos + k in
+      let pid = Access_log.pid_at log p and t = Access_log.tid_int_at log p in
+      let before = clock_of pid_clock pid in
+      let before =
+        if t >= 0 && not (Hashtbl.mem started t) then begin
+          Hashtbl.add started t ();
+          Vclock.join before (predecessor_clock t)
+        end
+        else before
+      in
+      let ticked = Vclock.tick before pid in
+      let after =
+        if is_sync (Access_log.prim_at log p) then begin
+          let o = Access_log.oid_at log p in
+          let joined = Vclock.join ticked (clock_of obj_clock o) in
+          Hashtbl.replace obj_clock o joined;
+          joined
+        end
+        else ticked
+      in
+      Hashtbl.replace pid_clock pid after;
+      if t >= 0 then Hashtbl.replace tid_clock t after;
+      after)
 
-let steps t = Array.to_list t.arr
-let length t = Array.length t.arr
+let length = Array.length
 
-let step t pos =
-  if pos < 0 || pos >= Array.length t.arr then
-    invalid_arg (Printf.sprintf "Hb.step: position %d out of range" pos);
-  t.arr.(pos)
-
-let pos_of_index t index = Hashtbl.find_opt t.by_index index
+let clock t k =
+  if k < 0 || k >= Array.length t then
+    invalid_arg (Printf.sprintf "Hb.clock: offset %d out of range" k);
+  t.(k)
 
 (* a happens-before b iff a's step clock is below b's: a's tick is
-   included in b's knowledge.  Comparing [after a <= after b] plus
-   distinctness gives irreflexivity and matches the epoch reading: step a
-   of pid p is the (get (after a) p)-th step of p, and b knows it iff
-   get (after b) p >= that. *)
-let happens_before t a b =
-  a <> b && Vclock.leq (step t a).after (step t b).after
+   included in b's knowledge.  Comparing the two clocks plus distinctness
+   gives irreflexivity and matches the epoch reading: step a of pid p is
+   the (get (clock a) p)-th step of p, and b knows it iff
+   get (clock b) p >= that. *)
+let happens_before t a b = a <> b && Vclock.leq (clock t a) (clock t b)
 
 let concurrent_pos t a b =
   (not (happens_before t a b)) && not (happens_before t b a)
-
-let clock_of_pid t pid =
-  Option.value ~default:Vclock.empty (Hashtbl.find_opt t.final pid)

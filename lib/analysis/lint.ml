@@ -79,7 +79,7 @@ let cap (cfg : config) findings =
   else List.filteri (fun i _ -> i < cfg.max_findings) findings
 
 type input = {
-  log : Access_log.entry list;
+  log : Access_log.window;
   history : History.t;
   name_of : Oid.t -> string;
   data_sets : Conflict.data_sets option;

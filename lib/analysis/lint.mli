@@ -60,7 +60,7 @@ val cap : config -> finding list -> finding list
 (** {1 Inputs} *)
 
 type input = {
-  log : Access_log.entry list;  (** the step trace, oldest first *)
+  log : Access_log.window;  (** the step trace *)
   history : History.t;
   name_of : Oid.t -> string;
   data_sets : Conflict.data_sets option;

@@ -27,9 +27,9 @@ module Last = Map.Make (Int)
 
 type epoch = {
   e_idx : int;  (** global step index *)
-  e_tid : Tid.t option;
+  e_tid : int;  (** [Tid.to_int], -1 when unattributed *)
   e_kind : string;
-  e_clock : Vclock.t;  (** the access's after-clock *)
+  e_clock : Vclock.t;  (** the access's clock *)
 }
 
 (* Per object we remember, for each pid, its latest access of any kind and
@@ -44,73 +44,73 @@ let empty_obj = { any = Last.empty; nontrivial = Last.empty }
 
 let race_run (cfg : config) (i : input) : finding list =
   let hb = Hb.analyse ~history:i.history i.log in
+  let { Access_log.log; pos; first; _ } = i.log in
   let per_obj : (Oid.t, obj_state) Hashtbl.t = Hashtbl.create 64 in
   let seen_pair : (int * int * int, unit) Hashtbl.t = Hashtbl.create 16 in
   let findings = ref [] in
-  List.iter
-    (fun (s : Hb.step) ->
-      let e = s.Hb.entry in
-      let o = e.Access_log.oid in
-      let pid = e.Access_log.pid in
-      let nt = Primitive.non_trivial e.Access_log.prim in
-      let st = Option.value ~default:empty_obj (Hashtbl.find_opt per_obj o) in
-      let report q (prev : epoch) =
-        (* two sync accesses are always ordered through the object's
-           release clock, so only pairs involving a plain read/write can
-           reach the unordered case *)
-        if not (Vclock.leq prev.e_clock s.Hb.after) then begin
-          let key = (Oid.to_int o, min q pid, max q pid) in
-          if not (Hashtbl.mem seen_pair key) then begin
-            Hashtbl.add seen_pair key ();
-            findings :=
-              {
-                pass = "race";
-                severity = Warning;
-                step = Some e.Access_log.index;
-                txns =
-                  tid_list
-                    (List.filter_map Fun.id [ e.Access_log.tid; prev.e_tid ]);
-                oids = [ o ];
-                witness_steps = [ prev.e_idx; e.Access_log.index ];
-                message =
-                  Printf.sprintf
-                    "unordered conflicting accesses to %s: p%d's %s (step \
-                     %d) and p%d's %s (step %d) have no happens-before edge"
-                    (i.name_of o) q prev.e_kind prev.e_idx pid
-                    (Primitive.kind_name e.Access_log.prim)
-                    e.Access_log.index;
-              }
-              :: !findings
-          end
+  for k = 0 to Hb.length hb - 1 do
+    let p = pos + k and idx = first + k in
+    let clock = Hb.clock hb k in
+    let o = Access_log.oid_at log p in
+    let pid = Access_log.pid_at log p in
+    let prim = Access_log.prim_at log p in
+    let tid = Access_log.tid_int_at log p in
+    let nt = Primitive.non_trivial prim in
+    let st = Option.value ~default:empty_obj (Hashtbl.find_opt per_obj o) in
+    let report q (prev : epoch) =
+      (* two sync accesses are always ordered through the object's
+         release clock, so only pairs involving a plain read/write can
+         reach the unordered case *)
+      if not (Vclock.leq prev.e_clock clock) then begin
+        let key = (Oid.to_int o, min q pid, max q pid) in
+        if not (Hashtbl.mem seen_pair key) then begin
+          Hashtbl.add seen_pair key ();
+          findings :=
+            {
+              pass = "race";
+              severity = Warning;
+              step = Some idx;
+              txns = tid_list (List.filter (fun t -> t >= 0) [ tid; prev.e_tid ]);
+              oids = [ o ];
+              witness_steps = [ prev.e_idx; idx ];
+              message =
+                Printf.sprintf
+                  "unordered conflicting accesses to %s: p%d's %s (step %d) \
+                   and p%d's %s (step %d) have no happens-before edge"
+                  (i.name_of o) q prev.e_kind prev.e_idx pid
+                  (Primitive.kind_name prim) idx;
+            }
+            :: !findings
         end
-      in
-      Last.iter (fun q prev -> if q <> pid then report q prev) st.nontrivial;
-      if nt then
-        Last.iter
-          (fun q prev ->
-            (* skip epochs already compared via the non-trivial map *)
-            let dup =
-              match Last.find_opt q st.nontrivial with
-              | Some p -> p.e_idx = prev.e_idx
-              | None -> false
-            in
-            if q <> pid && not dup then report q prev)
-          st.any;
-      let epoch =
-        {
-          e_idx = e.Access_log.index;
-          e_tid = e.Access_log.tid;
-          e_kind = Primitive.kind_name e.Access_log.prim;
-          e_clock = s.Hb.after;
-        }
-      in
-      Hashtbl.replace per_obj o
-        {
-          any = Last.add pid epoch st.any;
-          nontrivial =
-            (if nt then Last.add pid epoch st.nontrivial else st.nontrivial);
-        })
-    (Hb.steps hb);
+      end
+    in
+    Last.iter (fun q prev -> if q <> pid then report q prev) st.nontrivial;
+    if nt then
+      Last.iter
+        (fun q prev ->
+          (* skip epochs already compared via the non-trivial map *)
+          let dup =
+            match Last.find_opt q st.nontrivial with
+            | Some p -> p.e_idx = prev.e_idx
+            | None -> false
+          in
+          if q <> pid && not dup then report q prev)
+        st.any;
+    let epoch =
+      {
+        e_idx = idx;
+        e_tid = tid;
+        e_kind = Primitive.kind_name prim;
+        e_clock = clock;
+      }
+    in
+    Hashtbl.replace per_obj o
+      {
+        any = Last.add pid epoch st.any;
+        nontrivial =
+          (if nt then Last.add pid epoch st.nontrivial else st.nontrivial);
+      }
+  done;
   cap cfg (List.rev !findings)
 
 let race : pass =
@@ -161,7 +161,7 @@ let dap_run (cfg : config) (i : input) : finding list =
     in
     let seen_pair : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
     let findings = ref [] and n = ref 0 in
-    let judge (e : Access_log.entry) t o nt prior =
+    let judge idx t o nt prior =
       List.iter
         (fun c ->
           let t' = c.c_tid in
@@ -177,10 +177,10 @@ let dap_run (cfg : config) (i : input) : finding list =
                 {
                   pass = "strict-dap";
                   severity = Error;
-                  step = Some e.Access_log.index;
+                  step = Some idx;
                   txns = tid_list [ t; t' ];
                   oids = [ o ];
-                  witness_steps = [ c.c_idx; e.Access_log.index ];
+                  witness_steps = [ c.c_idx; idx ];
                   message =
                     Printf.sprintf
                       "%s and %s have %s data sets but contend on %s (first \
@@ -189,7 +189,7 @@ let dap_run (cfg : config) (i : input) : finding list =
                       (match cfg.dap_connectivity with
                       | `Direct -> "disjoint"
                       | `Path -> "conflict-graph-disconnected")
-                      (i.name_of o) e.Access_log.index;
+                      (i.name_of o) idx;
                 }
                 :: !findings;
               incr n;
@@ -198,30 +198,28 @@ let dap_run (cfg : config) (i : input) : finding list =
           end)
         prior
     in
+    let { Access_log.log; pos; len; first } = i.log in
     (try
-       List.iter
-         (fun (e : Access_log.entry) ->
-           match e.Access_log.tid with
-           | None -> ()
-           | Some t -> (
-               let o = e.Access_log.oid in
-               let nt = Primitive.non_trivial e.Access_log.prim in
-               match Hashtbl.find_opt contact_of (o, t) with
-               | Some c when c.c_nt || not nt -> ()
-               | known -> (
-                   let prior =
-                     Option.value ~default:[] (Hashtbl.find_opt per_obj o)
-                   in
-                   judge e t o nt prior;
-                   match known with
-                   | Some c -> c.c_nt <- true
-                   | None ->
-                       let c =
-                         { c_tid = t; c_idx = e.Access_log.index; c_nt = nt }
-                       in
-                       Hashtbl.replace contact_of (o, t) c;
-                       Hashtbl.replace per_obj o (c :: prior))))
-         i.log
+       for k = 0 to len - 1 do
+         let t = Access_log.tid_int_at log (pos + k) in
+         if t >= 0 then begin
+           let o = Access_log.oid_at log (pos + k) in
+           let nt = Primitive.non_trivial (Access_log.prim_at log (pos + k)) in
+           match Hashtbl.find_opt contact_of (o, t) with
+           | Some c when c.c_nt || not nt -> ()
+           | known -> (
+               let prior =
+                 Option.value ~default:[] (Hashtbl.find_opt per_obj o)
+               in
+               judge (first + k) t o nt prior;
+               match known with
+               | Some c -> c.c_nt <- true
+               | None ->
+                   let c = { c_tid = t; c_idx = first + k; c_nt = nt } in
+                   Hashtbl.replace contact_of (o, t) c;
+                   Hashtbl.replace per_obj o (c :: prior))
+         end
+       done
      with Exit -> ());
     List.rev !findings
 
@@ -245,55 +243,58 @@ let strict_dap : pass =
    Obstruction_freedom.violations.  Either refutes the property: an
    obstruction-free TM must let a solo transaction commit. *)
 
-let of_stall_run (cfg : config) (i : input) : finding list =
-  (* completion stamps: step count at which each transaction committed or
-     aborted, from the history's response events *)
-  let completion : (Tid.t, int) Hashtbl.t = Hashtbl.create 8 in
+(* The transactions that run step-contention-free past [horizon] without
+   ever completing: maximal runs of consecutive steps attributed to one
+   transaction, with no intervening step by any other process.  Each is
+   reported once, at the step that exceeds the horizon. *)
+let solo_stalls ~horizon (i : input) stall =
+  let completed : (Tid.t, unit) Hashtbl.t = Hashtbl.create 8 in
   List.iter
-    (fun ev ->
-      match ev with
-      | Event.Resp { tid; resp = Event.R_committed | Event.R_aborted; at; _ }
-        ->
-          Hashtbl.replace completion tid at
+    (function
+      | Event.Resp { tid; resp = Event.R_committed | Event.R_aborted; _ } ->
+          Hashtbl.replace completed tid ()
       | _ -> ())
     (History.to_list i.history);
-  let findings = ref [] in
   let flagged : (Tid.t, unit) Hashtbl.t = Hashtbl.create 4 in
-  let cur : (Tid.t * int * int) option ref = ref None in
-  (* (txn, first index of the solo run, length) *)
-  List.iter
-    (fun (e : Access_log.entry) ->
-      let continue_run t first len =
-        let len = len + 1 in
-        if len > cfg.horizon && not (Hashtbl.mem flagged t) then begin
-          Hashtbl.add flagged t ();
-          findings :=
-            {
-              pass = "of-stall";
-              severity = Error;
-              step = Some e.Access_log.index;
-              txns = [ t ];
-              oids = [];
-              witness_steps = [ first; e.Access_log.index ];
-              message =
-                Printf.sprintf
-                  "%s has run %d steps step-contention-free (since step %d) \
-                   without committing or aborting (horizon %d)"
-                  (Tid.name t) len first cfg.horizon;
-            }
-            :: !findings
-        end;
-        cur := Some (t, first, len)
-      in
-      match (e.Access_log.tid, !cur) with
-      | Some t, Some (t', first, len)
-        when Tid.equal t t'
-             && not (Hashtbl.mem completion t) ->
-          continue_run t first len
-      | Some t, _ when not (Hashtbl.mem completion t) ->
-          continue_run t e.Access_log.index 0
-      | _ -> cur := None)
-    i.log;
+  let found = ref [] in
+  (* the current run: its transaction (-1: none), first step and length *)
+  let cur = ref (-1) and since = ref 0 and len = ref 0 in
+  let w = i.log in
+  for k = 0 to w.Access_log.len - 1 do
+    let t = Access_log.tid_int_at w.log (w.pos + k) in
+    if t < 0 || Hashtbl.mem completed t then cur := -1
+    else begin
+      if t <> !cur then begin
+        cur := t;
+        since := w.first + k;
+        len := 0
+      end;
+      incr len;
+      if !len > horizon && not (Hashtbl.mem flagged t) then begin
+        Hashtbl.add flagged t ();
+        found := stall t ~since:!since ~len:!len ~at:(w.first + k) :: !found
+      end
+    end
+  done;
+  List.rev !found
+
+let of_stall_run (cfg : config) (i : input) : finding list =
+  let stalls =
+    solo_stalls ~horizon:cfg.horizon i (fun t ~since ~len ~at ->
+        {
+          pass = "of-stall";
+          severity = Error;
+          step = Some at;
+          txns = [ t ];
+          oids = [];
+          witness_steps = [ since; at ];
+          message =
+            Printf.sprintf
+              "%s has run %d steps step-contention-free (since step %d) \
+               without committing or aborting (horizon %d)"
+              (Tid.name t) len since cfg.horizon;
+        })
+  in
   let uncontended_aborts =
     List.map
       (fun (v : Obstruction_freedom.violation) ->
@@ -314,7 +315,7 @@ let of_stall_run (cfg : config) (i : input) : finding list =
         })
       (Obstruction_freedom.violations i.history i.log)
   in
-  cap cfg (List.rev !findings @ uncontended_aborts)
+  cap cfg (stalls @ uncontended_aborts)
 
 let of_stall : pass =
   {

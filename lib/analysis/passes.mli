@@ -5,6 +5,8 @@
     on the pass records; the model behind the race pass is documented in
     {!Hb}. *)
 
+open Tm_base
+
 val race : Lint.pass
 (** Base-object race: two happens-before-unordered accesses to the same
     base object from different processes, at least one non-trivial —
@@ -21,6 +23,17 @@ val of_stall : Lint.pass
     [config.horizon] consecutive steps without committing or aborting, or
     aborted although no other process stepped during its interval
     (reusing [Tm_dap.Obstruction_freedom.violations]). *)
+
+val solo_stalls :
+  horizon:int ->
+  Lint.input ->
+  (Tid.t -> since:int -> len:int -> at:int -> Lint.finding) ->
+  Lint.finding list
+(** [solo_stalls ~horizon input stall]: one finding per transaction that
+    never completes and runs more than [horizon] consecutive steps with no
+    step of another process in between, built by [stall t ~since ~len ~at]
+    at the step [at] that exceeds the horizon ([since]: the run's first
+    step, global indices).  Shared by of-stall and progressiveness. *)
 
 val lost_update : Lint.pass
 (** Two concurrent committed read-modify-writes of one item that both

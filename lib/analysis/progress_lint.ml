@@ -117,52 +117,24 @@ let progressiveness_run (cfg : config) (i : input) : finding list =
   in
   (* arm 2: a step-contention-free run past the horizon without
      completing — the commit obligation of progressiveness *)
-  let completion : (Tid.t, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Event.Resp { tid; resp = Event.R_committed | Event.R_aborted; at; _ }
-        ->
-          Hashtbl.replace completion tid at
-      | _ -> ())
-    (History.to_list h);
-  let stalls = ref [] in
-  let flagged : (Tid.t, unit) Hashtbl.t = Hashtbl.create 4 in
-  let cur : (Tid.t * int * int) option ref = ref None in
-  List.iter
-    (fun (e : Access_log.entry) ->
-      let continue_run t first len =
-        let len = len + 1 in
-        if len > cfg.horizon && not (Hashtbl.mem flagged t) then begin
-          Hashtbl.add flagged t ();
-          stalls :=
-            {
-              pass = "progressiveness";
-              severity = Error;
-              step = Some e.Access_log.index;
-              txns = [ t ];
-              oids = [];
-              witness_steps = [ first; e.Access_log.index ];
-              message =
-                Printf.sprintf
-                  "%s has run %d steps step-contention-free (since step %d) \
-                   without committing: a progressive TM must commit every \
-                   step-contention-free transaction (horizon %d)"
-                  (Tid.name t) len first cfg.horizon;
-            }
-            :: !stalls
-        end;
-        cur := Some (t, first, len)
-      in
-      match (e.Access_log.tid, !cur) with
-      | Some t, Some (t', first, len)
-        when Tid.equal t t' && not (Hashtbl.mem completion t) ->
-          continue_run t first len
-      | Some t, _ when not (Hashtbl.mem completion t) ->
-          continue_run t e.Access_log.index 0
-      | _ -> cur := None)
-    i.log;
-  cap cfg (unattributed @ List.rev !stalls)
+  let stalls =
+    Passes.solo_stalls ~horizon:cfg.horizon i (fun t ~since ~len ~at ->
+        {
+          pass = "progressiveness";
+          severity = Error;
+          step = Some at;
+          txns = [ t ];
+          oids = [];
+          witness_steps = [ since; at ];
+          message =
+            Printf.sprintf
+              "%s has run %d steps step-contention-free (since step %d) \
+               without committing: a progressive TM must commit every \
+               step-contention-free transaction (horizon %d)"
+              (Tid.name t) len since cfg.horizon;
+        })
+  in
+  cap cfg (unattributed @ stalls)
 
 let progressiveness : pass =
   {

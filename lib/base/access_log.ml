@@ -136,12 +136,13 @@ let last_index_by_pid t pid =
 let pid_step_count t pid =
   if pid >= 0 && pid < Array.length t.pid_count then t.pid_count.(pid) else 0
 
-(* Unchecked entry materialization for internal iteration. *)
-let unsafe_get t i =
+(* Unchecked materialization of the step at position [i], numbered
+   [index]. *)
+let unsafe_get t i ~index =
   let pc = Intvec.unsafe_get t.pcs i in
   let tc = Intvec.unsafe_get t.tids i in
   {
-    index = i;
+    index;
     pid = pc lsr 1;
     tid = (if tc < 0 then None else Some (Tid.v tc));
     oid = Oid.of_int (Intvec.unsafe_get t.oids i);
@@ -152,38 +153,40 @@ let unsafe_get t i =
 
 let get t i =
   check t i "get";
-  unsafe_get t i
+  unsafe_get t i ~index:i
 
 let iter t ~f =
   for i = 0 to t.count - 1 do
-    f (unsafe_get t i)
+    f (unsafe_get t i ~index:i)
   done
 
-let to_seq t =
-  let rec aux i () =
-    if i >= t.count then Seq.Nil else Seq.Cons (unsafe_get t i, aux (i + 1))
-  in
-  aux 0
+(* A window: [len] consecutive steps from log position [pos], the first
+   of which has global index [first]. *)
+type window = { log : t; pos : int; len : int; first : int }
 
-let sub t ~pos ~len =
+let window ?first t ~pos ~len =
   if pos < 0 || len < 0 || pos > t.count - len then
     invalid_arg
-      (Printf.sprintf "Access_log.sub: pos %d len %d out of bounds (length %d)"
-         pos len t.count);
-  let rec go i acc = if i < pos then acc else go (i - 1) (unsafe_get t i :: acc) in
-  go (pos + len - 1) []
+      (Printf.sprintf
+         "Access_log.window: pos %d len %d out of bounds (length %d)" pos len
+         t.count);
+  { log = t; pos; len; first = Option.value first ~default:pos }
 
-(* The whole log as an entry list, in step order. *)
-let entries t =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (unsafe_get t i :: acc) in
-  go (t.count - 1) []
+let whole t = { log = t; pos = 0; len = t.count; first = 0 }
+
+let step w k =
+  if k < 0 || k >= w.len then
+    invalid_arg
+      (Printf.sprintf "Access_log.step: offset %d out of bounds 0..%d" k
+         (w.len - 1));
+  unsafe_get w.log (w.pos + k) ~index:(w.first + k)
 
 (** Most recent step taken by process [pid], if any — O(1) via the
     per-process head.  Used to attribute a budget-exhausted stall to the
     exact step a process was wedged on. *)
 let last_by_pid t pid =
   let i = last_index_by_pid t pid in
-  if i < 0 then None else Some (unsafe_get t i)
+  if i < 0 then None else Some (unsafe_get t i ~index:i)
 
 let pp_entry ~name_of ppf e =
   let txn =

@@ -5,8 +5,8 @@
 
     Backed by chunked struct-of-arrays columns (appending never copies,
     ~one word per field per step) plus two O(1) per-process heads: each
-    process's last step and its step count.  Readers use the per-field
-    reads, {!iter}/{!get}/{!sub}, or the {!entries} list. *)
+    process's last step and its step count.  Readers take a {!window} of
+    the log and use the per-field reads; {!get} materializes one step. *)
 
 type entry = {
   index : int;  (** global step number, 0-based *)
@@ -64,21 +64,33 @@ val prim_at : t -> int -> Primitive.t
 val response_at : t -> int -> Value.t
 val changed_at : t -> int -> bool
 
-(** {2 Iteration without list materialization} *)
-
 val iter : t -> f:(entry -> unit) -> unit
 
-val to_seq : t -> entry Seq.t
-(** Ephemeral: the sequence reads through to the live log, so steps
-    recorded after a node is forced appear past it. *)
+(** {2 Windows}
 
-val sub : t -> pos:int -> len:int -> entry list
-(** The [len] entries starting at [pos], in step order.
+    The one form in which detectors read a recording: consecutive steps of
+    a log, read in place.  The step at window offset [k] is at log
+    position [pos + k] and has global index [first + k]; the two differ
+    for a flight artifact that declared dropped steps. *)
+
+type window = private {
+  log : t;
+  pos : int;  (** log position of the first step *)
+  len : int;  (** number of steps *)
+  first : int;  (** global index of the first step *)
+}
+
+val window : ?first:int -> t -> pos:int -> len:int -> window
+(** The [len] steps starting at [pos]; [first] defaults to [pos].
     @raise Invalid_argument unless [0 <= pos], [0 <= len] and
     [pos + len <= length]. *)
 
-val entries : t -> entry list
-(** The whole log, in step order. *)
+val whole : t -> window
+(** Every step recorded so far, indexed from 0. *)
+
+val step : window -> int -> entry
+(** The step at a window offset, indexed by its global index.
+    @raise Invalid_argument outside [0..len-1]. *)
 
 (** {2 Per-process heads}
 

@@ -208,10 +208,3 @@ let take_poison t pid =
     true
   end
   else false
-
-let pp_log ppf t =
-  let name_of oid = name_of t oid in
-  let first = ref true in
-  Access_log.iter t.log ~f:(fun e ->
-      if !first then first := false else Fmt.pf ppf "@\n";
-      Access_log.pp_entry ~name_of ppf e)

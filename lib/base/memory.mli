@@ -89,5 +89,3 @@ val poison : t -> int -> unit
 
 val take_poison : t -> int -> bool
 (** Consume [pid]'s poison flag; true iff it was set. *)
-
-val pp_log : Format.formatter -> t -> unit

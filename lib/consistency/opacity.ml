@@ -51,25 +51,17 @@ let prefixes (h : History.t) : History.t Seq.t =
   let rec go i () =
     if i > n then Seq.Nil
     else
-      let ok =
-        i = n
-        ||
-        match evs.(i) with
-        (* cutting just before a response is fine only for commit
-           invocations (commit-pending); other dangling invocations are
-           dropped to keep prefixes well-formed *)
-        | _ -> true
-      in
       let sub = Array.to_list (Array.sub evs 0 i) in
-      (* drop a trailing non-commit invocation *)
+      (* cutting just before a response is fine only for commit
+         invocations (commit-pending); any other dangling invocation is
+         dropped to keep the prefix well-formed *)
       let sub =
         match List.rev sub with
         | Event.Inv { op = Event.Try_commit; _ } :: _ -> sub
         | Event.Inv _ :: rest -> List.rev rest
         | _ -> sub
       in
-      if ok then Seq.Cons (History.of_list sub, go (i + 1))
-      else go (i + 1) ()
+      Seq.Cons (History.of_list sub, go (i + 1))
   in
   go 0
 

@@ -82,19 +82,21 @@ let unsat_core ?budget (checker : Spec.checker) (h : History.t) :
         (History.txns h);
       Some !core
 
-let of_unsat ?budget ?(log : Access_log.entry list = [])
-    (checker : Spec.checker) (h : History.t) : t option =
+let of_unsat ?budget ?log (checker : Spec.checker) (h : History.t) :
+    t option =
   match unsat_core ?budget checker h with
   | None -> None
   | Some core ->
-      let in_core tid = List.exists (Tid.equal tid) core in
       let steps =
-        List.filter_map
-          (fun (e : Access_log.entry) ->
-            match e.Access_log.tid with
-            | Some tid when in_core tid -> Some e.Access_log.index
-            | _ -> None)
-          log
+        match log with
+        | None -> []
+        | Some { Access_log.log; pos; len; first } ->
+            let steps = ref [] in
+            for k = len - 1 downto 0 do
+              if List.mem (Access_log.tid_int_at log (pos + k)) core then
+                steps := (first + k) :: !steps
+            done;
+            !steps
       in
       Some
         {

@@ -16,25 +16,17 @@ type t = {
   steps : int list;  (** global indices of the core's steps *)
 }
 
-val axiom_of : string -> string
-(** The condition a checker of that name decides, phrased as the violated
-    axiom; a generic phrase for unknown names. *)
-
-val unsat_core : ?budget:int -> Spec.checker -> History.t -> Tid.t list option
-(** [Some core] iff the checker rejects the history; [core] is then a
-    locally-minimal subset of its transactions that it still rejects
-    (greedy element-wise minimization — removing any one remaining
-    transaction makes the rest satisfiable). *)
-
 val of_unsat :
   ?budget:int ->
-  ?log:Access_log.entry list ->
+  ?log:Access_log.window ->
   Spec.checker ->
   History.t ->
   t option
-(** Full provenance for a rejected history.  When the execution's access
-    log is given, [steps] lists the global indices of the core
-    transactions' steps. *)
+(** [Some p] iff the checker rejects the history.  [p.txns] is then a
+    locally-minimal subset of its transactions that the checker still
+    rejects (greedy element-wise minimization: removing any one of them
+    makes the rest satisfiable).  When the execution's steps are given,
+    [p.steps] lists the global indices of the core's steps among them. *)
 
 val to_flight : t -> Flight.verdict
 (** As a flight-recorder verdict line, ready to attach to a trace. *)

@@ -18,8 +18,7 @@ type plan = {
 
 (** Build the SI points for [tids]: a [Greads] point and a [Wblock] point
     per transaction (omitting empty blocks), windows equal to the active
-    execution interval, read point before write point.  Shared with the
-    weak-adaptive-consistency checker for its SI groups. *)
+    execution interval, read point before write point. *)
 let si_points (tbl : Blocks.t) (tids : Tid.t list) : plan =
   let points = ref [] and prec = ref [] and n = ref 0 in
   let w_tbl = Hashtbl.create 16 in

@@ -119,8 +119,9 @@ type acc = {
   mutable a_prot : Oid.Set.t;
 }
 
-let analyse_core ?history ~(each_step : (pid:int -> oid:Oid.t -> prim:Primitive.t -> tid:Tid.t option -> unit) -> unit)
-    ~(contentions : unit -> Tm_dap.Contention.contention list) () : t =
+(* An index walk of the window's columns: no entry records or list
+   materialized. *)
+let analyse ?history (w : Access_log.window) : t =
   (* invalidation epochs: [ver] counts non-trivial steps per object,
      [seen] the epoch each process last observed per object *)
   let ver : (int, int) Hashtbl.t = Hashtbl.create 32 in
@@ -149,52 +150,54 @@ let analyse_core ?history ~(each_step : (pid:int -> oid:Oid.t -> prim:Primitive.
   and rmrs = ref 0
   and rmw = ref 0
   and rarw = ref 0 in
-  each_step (fun ~pid ~oid ~prim ~tid ->
-      let o = Oid.to_int oid in
-      let epoch = Option.value ~default:0 (Hashtbl.find_opt ver o) in
-      let remote =
-        match Hashtbl.find_opt seen (pid, o) with
-        | None -> true (* cold miss: the first access is always remote *)
-        | Some last -> last < epoch
-      in
-      let is_rmw = rmw_class prim in
-      let is_rarw =
-        Primitive.trivial prim
-        &&
-        match Hashtbl.find_opt last_writer o with
-        | Some w -> w <> pid
-        | None -> false
-      in
-      let epoch' =
-        if Primitive.non_trivial prim then begin
-          Hashtbl.replace ver o (epoch + 1);
-          Hashtbl.replace last_writer o pid;
-          epoch + 1
-        end
-        else epoch
-      in
-      (* the step leaves [p] holding a valid copy at the new epoch *)
-      Hashtbl.replace seen (pid, o) epoch';
-      incr steps;
-      if remote then incr rmrs;
-      if is_rmw then incr rmw;
-      if is_rarw then incr rarw;
-      match tid with
-      | None -> ()
-      | Some tid ->
-          let a = acc_of tid in
-          a.a_steps <- a.a_steps + 1;
-          if remote then a.a_rmrs <- a.a_rmrs + 1;
-          if is_rmw then a.a_rmw <- a.a_rmw + 1;
-          if is_rarw then a.a_rarw <- a.a_rarw + 1;
-          a.a_objs <- Oid.Set.add (Oid.to_int oid) a.a_objs;
-          if Primitive.non_trivial prim then
-            a.a_prot <- Oid.Set.add (Oid.to_int oid) a.a_prot);
+  let { Access_log.log; pos; len; _ } = w in
+  for p = pos to pos + len - 1 do
+    let pid = Access_log.pid_at log p and o = Access_log.oid_at log p in
+    let prim = Access_log.prim_at log p in
+    let epoch = Option.value ~default:0 (Hashtbl.find_opt ver o) in
+    let remote =
+      match Hashtbl.find_opt seen (pid, o) with
+      | None -> true (* cold miss: the first access is always remote *)
+      | Some last -> last < epoch
+    in
+    let is_rmw = rmw_class prim in
+    let is_rarw =
+      Primitive.trivial prim
+      &&
+      match Hashtbl.find_opt last_writer o with
+      | Some w -> w <> pid
+      | None -> false
+    in
+    let epoch' =
+      if Primitive.non_trivial prim then begin
+        Hashtbl.replace ver o (epoch + 1);
+        Hashtbl.replace last_writer o pid;
+        epoch + 1
+      end
+      else epoch
+    in
+    (* the step leaves [p] holding a valid copy at the new epoch *)
+    Hashtbl.replace seen (pid, o) epoch';
+    incr steps;
+    if remote then incr rmrs;
+    if is_rmw then incr rmw;
+    if is_rarw then incr rarw;
+    let tid = Access_log.tid_int_at log p in
+    if tid >= 0 then begin
+      let a = acc_of tid in
+      a.a_steps <- a.a_steps + 1;
+      if remote then a.a_rmrs <- a.a_rmrs + 1;
+      if is_rmw then a.a_rmw <- a.a_rmw + 1;
+      if is_rarw then a.a_rarw <- a.a_rarw + 1;
+      a.a_objs <- Oid.Set.add o a.a_objs;
+      if Primitive.non_trivial prim then a.a_prot <- Oid.Set.add o a.a_prot
+    end
+  done;
   let contended_tids =
     List.fold_left
       (fun s (c : Tm_dap.Contention.contention) ->
         Tid.Set.add (Tid.to_int c.t1) (Tid.Set.add (Tid.to_int c.t2) s))
-      Tid.Set.empty (contentions ())
+      Tid.Set.empty (Tm_dap.Contention.all_contentions w)
   in
   let txns =
     Hashtbl.fold
@@ -258,29 +261,6 @@ let analyse_core ?history ~(each_step : (pid:int -> oid:Oid.t -> prim:Primitive.
       txns;
     }
     txns
-
-let analyse ?history (log : Access_log.entry list) : t =
-  analyse_core ?history
-    ~each_step:(fun f ->
-      List.iter
-        (fun (e : Access_log.entry) ->
-          f ~pid:e.pid ~oid:e.oid ~prim:e.prim ~tid:e.tid)
-        log)
-    ~contentions:(fun () -> Tm_dap.Contention.all_contentions log)
-    ()
-
-(** [analyse] over the log structure itself: an index walk of the flat
-    columns, no entry records or list rescans. *)
-let analyse_log ?history (log : Access_log.t) : t =
-  analyse_core ?history
-    ~each_step:(fun f ->
-      for i = 0 to Access_log.length log - 1 do
-        f ~pid:(Access_log.pid_at log i) ~oid:(Access_log.oid_at log i)
-          ~prim:(Access_log.prim_at log i)
-          ~tid:(Access_log.tid_at log i)
-      done)
-    ~contentions:(fun () -> Tm_dap.Contention.all_contentions_log log)
-    ()
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry registration: fold a cost into the default sink so watch

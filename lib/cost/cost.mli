@@ -46,14 +46,10 @@ val zero : t
 val merge : t -> t -> t
 (** Pointwise sum (max for the highwater marks); drops per-txn rows. *)
 
-val analyse : ?history:Tm_trace.History.t -> Access_log.entry list -> t
+val analyse : ?history:Tm_trace.History.t -> Access_log.window -> t
 (** Derive the cost of one execution.  The history, when given, supplies
     commit/abort status and data-set sizes; contention comes from the
-    log itself (Section-3 contention on base objects). *)
-
-val analyse_log : ?history:Tm_trace.History.t -> Access_log.t -> t
-(** [analyse] over the log structure itself: an index walk of the flat
-    columns, no entry records or list rescans. *)
+    steps themselves (Section-3 contention on base objects). *)
 
 val register : ?labels:Tm_obs.Metrics.labels -> t -> unit
 (** Fold the cost into {!Tm_obs.Sink.default}: [cost_*_total] counters

@@ -66,8 +66,9 @@ let figure_rows (impl : Tm_intf.impl) : row list =
         (fun (workload, atoms) ->
           let run = Harness.run impl atoms in
           let cost =
-            Cost.analyse_log ~history:run.Harness.sim.Sim.history
-              (Tm_base.Memory.log run.Harness.sim.Sim.mem)
+            Cost.analyse ~history:run.Harness.sim.Sim.history
+              (Tm_base.Access_log.whole
+                 (Tm_base.Memory.log run.Harness.sim.Sim.mem))
           in
           { tm; workload; status = "ok"; executions = 1; cost })
         (figure_workloads c)
@@ -83,7 +84,8 @@ let explore_row ?max_nodes ?max_executions ?(on_execution = fun () -> ())
         incr execs;
         total :=
           Cost.merge !total
-            (Cost.analyse_log ~history:r.Sim.history (Tm_base.Memory.log r.Sim.mem));
+            (Cost.analyse ~history:r.Sim.history
+               (Tm_base.Access_log.whole (Tm_base.Memory.log r.Sim.mem)));
         on_execution ())
       impl
   in

@@ -22,25 +22,16 @@ let summaries_of (tbl : (Tid.t, bool Oid.Map.t) Hashtbl.t) =
   Hashtbl.fold (fun tid objects acc -> { tid; objects } :: acc) tbl []
   |> List.sort (fun s1 s2 -> Tid.compare s1.tid s2.tid)
 
-let summarize (log : Access_log.entry list) : access_summary list =
+(* An index walk of the window's columns: no entry records or list
+   materialized. *)
+let summarize (w : Access_log.window) : access_summary list =
   let tbl : (Tid.t, bool Oid.Map.t) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (e : Access_log.entry) ->
-      match e.tid with
-      | None -> ()
-      | Some tid -> add_access tbl tid e.oid e.prim)
-    log;
-  summaries_of tbl
-
-(** Same footprint summary straight off the flat log columns: an index
-    walk with no entry records or list materialized. *)
-let summarize_log (log : Access_log.t) : access_summary list =
-  let tbl : (Tid.t, bool Oid.Map.t) Hashtbl.t = Hashtbl.create 16 in
-  for i = 0 to Access_log.length log - 1 do
-    let ti = Access_log.tid_int_at log i in
+  let { Access_log.log; pos; len; _ } = w in
+  for p = pos to pos + len - 1 do
+    let ti = Access_log.tid_int_at log p in
     if ti >= 0 then
-      add_access tbl (Tid.v ti) (Access_log.oid_at log i)
-        (Access_log.prim_at log i)
+      add_access tbl (Tid.v ti) (Access_log.oid_at log p)
+        (Access_log.prim_at log p)
   done;
   summaries_of tbl
 
@@ -77,10 +68,5 @@ let contentions_of (summaries : access_summary list) : contention list =
   in
   List.rev (go [] summaries)
 
-let all_contentions (log : Access_log.entry list) : contention list =
-  contentions_of (summarize log)
-
-(** [all_contentions] over the log structure itself (index walk, no
-    entry-list rescan). *)
-let all_contentions_log (log : Access_log.t) : contention list =
-  contentions_of (summarize_log log)
+let all_contentions (w : Access_log.window) : contention list =
+  contentions_of (summarize w)

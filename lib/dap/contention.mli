@@ -9,23 +9,13 @@ type access_summary = {
   objects : bool Oid.Map.t;  (** oid -> applied a non-trivial primitive? *)
 }
 
-val summarize : Access_log.entry list -> access_summary list
+val summarize : Access_log.window -> access_summary list
 (** Per-transaction footprints, sorted by [Tid.compare]; repeated
     [(Tid, Oid)] accesses collapse into one map entry, so the output is
     duplicate-free and deterministic across runs. *)
 
-val summarize_log : Access_log.t -> access_summary list
-(** [summarize] straight off the flat log columns: an index walk, no
-    entry records or list materialized. *)
-
-val contended_objects : access_summary -> access_summary -> Oid.t list
-(** Sorted by [Oid.compare], duplicate-free — stable lint witnesses. *)
-
 type contention = { t1 : Tid.t; t2 : Tid.t; objects : Oid.t list }
 
-val all_contentions : Access_log.entry list -> contention list
-(** Every contending pair of transactions in the log, ordered by
+val all_contentions : Access_log.window -> contention list
+(** Every contending pair of transactions in the window, ordered by
     [(t1, t2)] with [t1 < t2]. *)
-
-val all_contentions_log : Access_log.t -> contention list
-(** [all_contentions] over the log structure itself. *)

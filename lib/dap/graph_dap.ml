@@ -17,14 +17,15 @@ type violation = {
 
 (** Contentions not justified by a conflict path of length <= [d]
     ([d = max_int] for the unbounded variant).  The conflict graph is built
-    over all transactions of the log — the minimal execution interval
+    over all transactions of the window — the minimal execution interval
     containing any two of them is the whole execution, so this is the most
     permissive (hardest to violate) reading. *)
 let violations ?(d = max_int) ~(data_sets : Conflict.data_sets)
-    (log : Access_log.entry list) : violation list =
+    (w : Access_log.window) : violation list =
   let tids =
-    List.sort_uniq compare
-      (List.filter_map (fun (e : Access_log.entry) -> e.tid) log)
+    List.map
+      (fun (s : Contention.access_summary) -> s.tid)
+      (Contention.summarize w)
   in
   let g = Conflict.graph data_sets tids in
   List.filter_map
@@ -33,7 +34,7 @@ let violations ?(d = max_int) ~(data_sets : Conflict.data_sets)
       match dist with
       | Some n when n <= d -> None
       | _ -> Some { t1 = c.t1; t2 = c.t2; objects = c.objects; distance = dist })
-    (Contention.all_contentions log)
+    (Contention.all_contentions w)
 
 let holds ?d ~data_sets log =
   let ok =

@@ -16,8 +16,8 @@ type violation = {
 val violations :
   ?d:int ->
   data_sets:Conflict.data_sets ->
-  Access_log.entry list ->
+  Access_log.window ->
   violation list
 
 val holds :
-  ?d:int -> data_sets:Conflict.data_sets -> Access_log.entry list -> bool
+  ?d:int -> data_sets:Conflict.data_sets -> Access_log.window -> bool

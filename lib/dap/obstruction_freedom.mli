@@ -14,8 +14,10 @@ type violation = {
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val step_interval :
-  History.t -> Access_log.entry list -> Tid.t -> (int * int) option
+val violations : History.t -> Access_log.window -> violation list
+(** Every aborted transaction with no step of another process in its
+    interval.  A transaction whose first event precedes the window's first
+    global index is skipped: its contention may lie in steps the window
+    does not hold. *)
 
-val violations : History.t -> Access_log.entry list -> violation list
-val holds : History.t -> Access_log.entry list -> bool
+val holds : History.t -> Access_log.window -> bool

@@ -20,7 +20,7 @@ let pp_violation ~name_of ppf (v : violation) =
 
 (** All strict-DAP violations of an execution. *)
 let violations ~(data_sets : Conflict.data_sets)
-    (log : Access_log.entry list) : violation list =
+    (log : Access_log.window) : violation list =
   let conflict = Conflict.conflict data_sets in
   List.filter_map
     (fun (c : Contention.contention) ->

@@ -11,6 +11,6 @@ val pp_violation :
   name_of:(Oid.t -> string) -> Format.formatter -> violation -> unit
 
 val violations :
-  data_sets:Conflict.data_sets -> Access_log.entry list -> violation list
+  data_sets:Conflict.data_sets -> Access_log.window -> violation list
 
-val holds : data_sets:Conflict.data_sets -> Access_log.entry list -> bool
+val holds : data_sets:Conflict.data_sets -> Access_log.window -> bool

@@ -142,12 +142,6 @@ let jsonl_values t : Obs_json.t list =
 let to_jsonl t =
   String.concat "\n" (List.map Obs_json.to_string (jsonl_values t)) ^ "\n"
 
-let write_jsonl t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_jsonl t))
-
 (* ------------------------------------------------------------------ *)
 (* Aggregated human-readable table *)
 

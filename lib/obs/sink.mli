@@ -59,5 +59,4 @@ val jsonl_values : t -> Obs_json.t list
     cap was hit. *)
 
 val to_jsonl : t -> string
-val write_jsonl : t -> string -> unit
 val pp_table : Format.formatter -> t -> unit

@@ -75,7 +75,7 @@ let make_side ?budget impl schedule ~figure ~expectations : side =
       expectations
   in
   let h = r.Harness.sim.Sim.history in
-  let log = Access_log.entries (Memory.log r.Harness.sim.Sim.mem) in
+  let log = Access_log.whole (Memory.log r.Harness.sim.Sim.mem) in
   {
     run = r;
     completed = Harness.stopped_normally r;

@@ -69,7 +69,7 @@ let disjoint_pair_violations impl =
   in
   Tm_dap.Strict_dap.violations
     ~data_sets:(Static_txn.data_sets specs)
-    (Access_log.entries (Memory.log sim.Sim.mem))
+    (Access_log.whole (Memory.log sim.Sim.mem))
 
 (** The chain scenario: Ta writes x, Tb writes x and y, Tc writes y.  Tb is
     suspended mid-transaction; Ta and Tc (mutually disjoint) then both have
@@ -96,7 +96,7 @@ let chain_violations impl =
   in
   Tm_dap.Strict_dap.violations
     ~data_sets:(Static_txn.data_sets specs)
-    (Access_log.entries (Memory.log sim.Sim.mem))
+    (Access_log.whole (Memory.log sim.Sim.mem))
 
 (** Solo progress under a suspended conflicting enemy: Tb (writes x,y)
     suspended mid-commit; Ta (writes x) must still finish solo if the TM is
@@ -184,12 +184,16 @@ let assess ?budget (impl : Tm_intf.impl) : t =
   let note fmt = Fmt.kstr (fun s -> notes := s :: !notes) fmt in
   (* Parallelism: scenarios + harness logs *)
   let scenario_viols = disjoint_pair_violations impl @ chain_violations impl in
+  (* the construction's disjoint-access premises: s1 stable, alpha2
+     non-interfering, and Claim 3 (o1 <> o2), which the proof derives
+     from strict DAP *)
   let harness_viols, premise_broken =
     match report.Claims.outcome with
     | Ok d ->
         ( Claims.(d.beta.dap_violations @ d.beta'.dap_violations),
           not (d.Claims.premise_s1_stable
-               && d.Claims.premise_alpha2_noninterfering) )
+               && d.Claims.premise_alpha2_noninterfering
+               && d.Claims.claim3) )
     | Error _ -> ([], false)
   in
   let parallelism =

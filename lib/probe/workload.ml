@@ -179,7 +179,7 @@ let run (impl : Tm_intf.impl) (cfg : config) : stats =
         (if completed then "completed" else "budget-exhausted");
       Flight.set_meta fl "steps" (string_of_int (Access_log.length alog))
   | None -> ());
-  let contentions = Contention.all_contentions_log alog in
+  let contentions = Contention.all_contentions (Access_log.whole alog) in
   (* data sets for DAP classification: collect per-txn items from the
      history *)
   let h = r.Sim.history in

@@ -52,9 +52,6 @@ let cas_t ~tid oid ~expected ~desired =
 let fetch_add_t ~tid oid n =
   Value.to_int_exn (access_t ~tid oid (Primitive.Fetch_add n))
 
-let try_lock_t ~tid ~pid oid =
-  Value.to_bool_exn (access_t ~tid oid (Primitive.Try_lock pid))
-
 let unlock_t ~tid ~pid oid =
   ignore (access_t ~tid oid (Primitive.Unlock pid))
 

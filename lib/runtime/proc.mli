@@ -45,7 +45,6 @@ val cas_t :
   tid:Tid.t option -> Oid.t -> expected:Value.t -> desired:Value.t -> bool
 
 val fetch_add_t : tid:Tid.t option -> Oid.t -> int -> int
-val try_lock_t : tid:Tid.t option -> pid:int -> Oid.t -> bool
 val unlock_t : tid:Tid.t option -> pid:int -> Oid.t -> unit
 
 (** {1 Awaits} *)

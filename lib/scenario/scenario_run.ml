@@ -152,7 +152,7 @@ let run_cell (s : Scenario.t) ~(inject : inject) ~seed
                   else
                     let input =
                       {
-                        Lint.log = Access_log.entries (Memory.log r.Sim.mem);
+                        Lint.log = Access_log.whole (Memory.log r.Sim.mem);
                         history = r.Sim.history;
                         name_of = Memory.name_of r.Sim.mem;
                         data_sets = None;

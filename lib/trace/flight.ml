@@ -68,29 +68,18 @@ let attach t log =
   t.log <- log
 
 (* The window is the log's last [min length cap] steps. *)
-let first_kept t =
+let steps t =
   let n = Access_log.length t.log in
-  n - min n t.cap
+  let pos = n - min n t.cap in
+  Access_log.window t.log ~pos ~len:(n - pos) ~first:(t.base + pos)
 
 let recorded t = t.base + Access_log.length t.log
-let dropped t = t.base + first_kept t
-
-let steps t =
-  let lo = first_kept t in
-  let es = Access_log.sub t.log ~pos:lo ~len:(Access_log.length t.log - lo) in
-  if t.base = 0 then es
-  else
-    List.map
-      (fun (e : Access_log.entry) ->
-        { e with Access_log.index = t.base + e.Access_log.index })
-      es
+let dropped t = (steps t).Access_log.first
 
 let find_step t index =
-  let pos = index - t.base in
-  if pos < first_kept t || pos >= Access_log.length t.log then None
-  else
-    let e = Access_log.get t.log pos in
-    Some { e with Access_log.index }
+  let w = steps t in
+  let k = index - w.Access_log.first in
+  if k < 0 || k >= w.Access_log.len then None else Some (Access_log.step w k)
 
 let set_names t names = t.names <- names
 
@@ -377,19 +366,14 @@ let jsonl_values t : J.t list =
     else
       [ J.Obj [ ("type", J.String "dropped"); ("count", J.Int (dropped t)) ] ]
   in
+  let w = steps t in
   (head :: objects :: dropped_line)
-  @ List.map step_json (steps t)
+  @ List.init w.Access_log.len (fun k -> step_json (Access_log.step w k))
   @ List.map event_json (History.to_list t.history)
   @ List.map verdict_json t.verdicts
 
 let to_jsonl t =
   String.concat "\n" (List.map J.to_string (jsonl_values t)) ^ "\n"
-
-let write_jsonl t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_jsonl t))
 
 let parse (text : string) : (t, string) result =
   let lines =
@@ -491,9 +475,10 @@ let to_chrome t : J.t =
                  ]))
       (History.txns t.history)
   in
+  let w = steps t in
   let step_events =
-    List.map
-      (fun (e : Access_log.entry) ->
+    List.init w.Access_log.len (fun k ->
+        let e = Access_log.step w k in
         J.Obj
           [
             ( "name",
@@ -517,18 +502,9 @@ let to_chrome t : J.t =
                   ("changed", J.Bool e.Access_log.changed);
                 ] );
           ])
-      (steps t)
   in
   J.Obj
     [
       ("traceEvents", J.List (txn_events @ step_events));
       ("displayTimeUnit", J.String "ms");
     ]
-
-let write_chrome t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string (to_chrome t));
-      output_char oc '\n')

@@ -49,8 +49,9 @@ val dropped : t -> int
 (** Steps recorded but not retained: those before the log's last [cap],
     plus any an imported artifact declared dropped. *)
 
-val steps : t -> Access_log.entry list
-(** Retained steps, oldest first. *)
+val steps : t -> Access_log.window
+(** The retained steps: the log's last [min (length log) cap], whose first
+    global index is {!dropped}. *)
 
 val find_step : t -> int -> Access_log.entry option
 (** Look up a retained step by its global index ([Access_log.entry.index]),
@@ -95,8 +96,6 @@ val to_jsonl : t -> string
     docs/OBSERVABILITY.md).  [parse (to_jsonl t)] reconstructs [t]'s
     window, and re-exporting the parse yields the same string. *)
 
-val write_jsonl : t -> string -> unit
-
 val parse : string -> (t, string) result
 (** Rebuild an artifact: its steps go into a log of the recorder's own,
     indexed from the artifact's [dropped] count.  An error names the
@@ -110,10 +109,7 @@ val to_chrome : t -> Tm_obs.Obs_json.t
 (** Chrome trace-event JSON: transactions as complete events, steps as
     instants, logical step indices as timestamps. *)
 
-val write_chrome : t -> string -> unit
-
 (** {1 Codec internals shared with other exporters} *)
 
 val value_json : Value.t -> Tm_obs.Obs_json.t
 val prim_json : Primitive.t -> Tm_obs.Obs_json.t
-val event_json : Event.t -> Tm_obs.Obs_json.t

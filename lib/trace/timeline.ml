@@ -27,11 +27,11 @@ let mark_of_event = function
       Some (Mark { pid; ch = 'A'; label = Tid.name tid })
   | _ -> None
 
-(* Merge steps (ordered by index) with event markers (ordered by [at],
-   history order preserved on ties).  An event with [at] = k happened
-   after step k-1 and before step k, so its marker column precedes the
-   step column of index k. *)
-let columns (steps : Access_log.entry list) (history : History.t) : col list =
+(* Merge the window's steps (ordered by index) with event markers
+   (ordered by [at], history order preserved on ties).  An event with
+   [at] = k happened after step k-1 and before step k, so its marker
+   column precedes the step column of index k. *)
+let columns (steps : Access_log.window) (history : History.t) : col list =
   let marks =
     List.filter_map
       (fun e ->
@@ -40,23 +40,23 @@ let columns (steps : Access_log.entry list) (history : History.t) : col list =
         | None -> None)
       (History.to_list history)
   in
-  let rec merge marks steps acc =
-    match (marks, steps) with
-    | [], [] -> List.rev acc
-    | [], s :: rest -> merge [] rest (Step s :: acc)
-    | (_, m) :: rest, [] -> merge rest [] (m :: acc)
-    | (at, m) :: mrest, s :: srest ->
-        if at <= s.Access_log.index then merge mrest steps (m :: acc)
-        else merge marks srest (Step s :: acc)
+  let { Access_log.len; first; _ } = steps in
+  let rec merge marks k acc =
+    match marks with
+    | (at, m) :: rest when k = len || at <= first + k ->
+        merge rest k (m :: acc)
+    | _ when k < len ->
+        merge marks (k + 1) (Step (Access_log.step steps k) :: acc)
+    | _ -> List.rev acc
   in
-  merge marks steps []
+  merge marks 0 []
 
 let legend =
   "legend: ( begin  C committed  A aborted  r read  w write  c cas  f faa  \
    L trylock  u unlock  l ll  s sc  |  x non-trivial  - trivial  ^ witness"
 
 let render ?(width = 72) ?(highlight = []) ~names (history : History.t)
-    (steps : Access_log.entry list) : string =
+    (steps : Access_log.window) : string =
   let cols = Array.of_list (columns steps history) in
   let n = Array.length cols in
   if n = 0 then "(empty trace)\n"
@@ -73,14 +73,17 @@ let render ?(width = 72) ?(highlight = []) ~names (history : History.t)
     (* base objects touched by >= 2 distinct pids get a contention row *)
     let contended =
       let tbl = Hashtbl.create 8 in
-      List.iter
-        (fun (e : Access_log.entry) ->
-          let seen =
-            Option.value ~default:[] (Hashtbl.find_opt tbl e.Access_log.oid)
-          in
-          if not (List.mem e.Access_log.pid seen) then
-            Hashtbl.replace tbl e.Access_log.oid (e.Access_log.pid :: seen))
-        steps;
+      Array.iter
+        (function
+          | Step e ->
+              let seen =
+                Option.value ~default:[]
+                  (Hashtbl.find_opt tbl e.Access_log.oid)
+              in
+              if not (List.mem e.Access_log.pid seen) then
+                Hashtbl.replace tbl e.Access_log.oid (e.Access_log.pid :: seen)
+          | Mark _ -> ())
+        cols;
       Hashtbl.fold
         (fun oid pids acc -> if List.length pids >= 2 then oid :: acc else acc)
         tbl []

@@ -16,7 +16,7 @@ val render :
   ?highlight:int list ->
   names:(Oid.t -> string) ->
   History.t ->
-  Access_log.entry list ->
+  Access_log.window ->
   string
 (** [render ~names history steps] draws the execution.  [width] (default
     72) is the band width in columns; [highlight] lists global step

@@ -89,5 +89,5 @@ let dap_run (cfg : config) (i : input) : finding list =
             else (t, e.Access_log.index, nt) :: prior
           in
           Hashtbl.replace per_obj o prior')
-    i.log;
+    (Log_ref.entries i.log);
   cap cfg (List.rev !findings)

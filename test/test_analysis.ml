@@ -10,7 +10,7 @@ let oid_name o = "oid" ^ string_of_int (Oid.to_int o)
 (* a lint input from a bare history (the anomaly passes are history-level) *)
 let input_of_history h =
   {
-    Lint.log = [];
+    Lint.log = Access_log.whole (Access_log.create ());
     history = h;
     name_of = oid_name;
     data_sets = None;
@@ -123,8 +123,9 @@ let test_hb_order () =
           Alcotest.failf "hb against trace order: %d -> %d" a b
       end;
       (* program order: same-process steps are always ordered *)
-      let pa = (Hb.step hb a).Hb.entry.Access_log.pid
-      and pb = (Hb.step hb b).Hb.entry.Access_log.pid in
+      let w = input.Lint.log in
+      let pa = Access_log.pid_at w.Access_log.log (w.pos + a)
+      and pb = Access_log.pid_at w.log (w.pos + b) in
       if a < b && pa = pb && not (Hb.happens_before hb a b) then
         Alcotest.failf "program order lost: %d -> %d of p%d" a b pa
     done
@@ -282,7 +283,11 @@ let fuzz_run (tm, txns, steps) =
       (fun s -> (s.Static_txn.pid, Static_txn.program handle s ~outcomes))
       specs
   in
-  (impl, (Sim.replay ~budget:3_000 setup schedule).Sim.history)
+  (impl, Sim.replay ~budget:3_000 setup schedule)
+
+let fuzz_history case =
+  let impl, r = fuzz_run case in
+  (impl, r.Sim.history)
 
 (* lost-update and write-skew name histories no serialization explains,
    so a strictly serializable run must give neither *)
@@ -292,11 +297,11 @@ let anomaly_laws =
       qtest "strictly serializable runs: no lost-update or write-skew" 3000
         (QCheck.make
            ~print:(fun case ->
-             let impl, h = fuzz_run case in
+             let impl, h = fuzz_history case in
              Registry.name impl ^ ": " ^ Wire.print h)
            fuzz_case)
         (fun case ->
-          let _, h = fuzz_run case in
+          let _, h = fuzz_history case in
           (not
              (Spec.sat
                 ((Checkers.find_exn "strict-serializability").Spec.check
@@ -432,7 +437,7 @@ let progressiveness_verdicts ~por impl =
   let on_execution ~strongest:_ (r : Sim.result) =
     let input =
       {
-        Lint.log = Access_log.entries (Memory.log r.Sim.mem);
+        Lint.log = Access_log.whole (Memory.log r.Sim.mem);
         history = r.Sim.history;
         name_of = Memory.name_of r.Sim.mem;
         data_sets = Some Explore_sweep.data_sets;
@@ -699,6 +704,68 @@ let test_golden_fig2_jsonl () =
     ]
     lines
 
+(* ------------------------------------------------------------------ *)
+(* the window law: every detector reads a recording through an
+   [Access_log.window], and on any window of a fuzz run it answers
+   exactly as on a fresh log that records the window's steps from
+   position 0 under the same first global index.  A detector that took a
+   log position for a global index would answer differently. *)
+
+let window_answers h (w : Access_log.window) =
+  let input = { (input_of_history h) with Lint.log = w } in
+  let data_sets = Lint.effective_data_sets input in
+  let hb = Hb.analyse ~history:h w in
+  ( ( List.map
+        (fun (s : Contention.access_summary) ->
+          (s.tid, Oid.Map.bindings s.objects))
+        (Contention.summarize w),
+      Contention.all_contentions w,
+      Strict_dap.violations ~data_sets w,
+      Graph_dap.violations ~data_sets w,
+      Obstruction_freedom.violations h w ),
+    ( List.init (Hb.length hb) (fun k -> Vclock.to_list (Hb.clock hb k)),
+      Cost.analyse ~history:h w,
+      Option.map
+        (fun (p : Provenance.t) -> p.Provenance.steps)
+        (Provenance.of_unsat ~budget:100_000 ~log:w
+           (Checkers.find_exn "opacity(final-state)")
+           h),
+      Timeline.render ~names:oid_name ~highlight:[ w.first ] h w,
+      List.map
+        (fun f -> Obs_json.to_string (Lint.finding_json f))
+        (Lints.run_passes
+           [
+             Lint_passes.race;
+             Lint_passes.strict_dap;
+             Lint_passes.of_stall;
+             Progress_lint.progressiveness;
+           ]
+           input)
+          .Lints.findings ) )
+
+let window_laws =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      qtest "a window answers as a fresh log of its steps" 300
+        (QCheck.make
+           ~print:(fun (case, (a, b, c)) ->
+             let impl, h = fuzz_history case in
+             Printf.sprintf "%s (%d, %d, %d): %s" (Registry.name impl) a b c
+               (Wire.print h))
+           QCheck.Gen.(pair fuzz_case (triple nat nat (int_bound 50))))
+        (fun (case, (a, b, c)) ->
+          let _, r = fuzz_run case in
+          let log = Memory.log r.Sim.mem in
+          let n = Access_log.length log in
+          let pos = a mod (n + 1) in
+          let len = b mod (n - pos + 1) in
+          let w = Access_log.window log ~pos ~len ~first:(pos + c) in
+          let fresh = Log_ref.record_all (Log_ref.entries w) in
+          window_answers r.Sim.history w
+          = window_answers r.Sim.history
+              (Access_log.window fresh ~pos:0 ~len ~first:(pos + c)));
+    ]
+
 let () =
   Alcotest.run "analysis"
     [
@@ -740,6 +807,7 @@ let () =
         ] );
       ("progress-laws", progress_laws);
       ("dap-laws", dap_laws);
+      ("window-laws", window_laws);
       ( "figure-consistency",
         [
           Alcotest.test_case "expectations hold" `Slow

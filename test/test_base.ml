@@ -198,7 +198,7 @@ let memory_tests =
         let a = Memory.alloc m ~name:"a" (Value.int 0) in
         ignore (Memory.apply m ~pid:1 a (Primitive.Write (Value.int 1)));
         ignore (Memory.apply m ~pid:2 ~tid:(Tid.v 9) a Primitive.Read);
-        let log = Access_log.entries (Memory.log m) in
+        let log = Log_ref.of_log (Memory.log m) in
         check_int "length" 2 (List.length log);
         let e0 = List.nth log 0 and e1 = List.nth log 1 in
         check_int "idx0" 0 e0.Access_log.index;
@@ -226,7 +226,7 @@ let memory_tests =
         Access_log.iter log ~f:(fun e ->
             if e.Access_log.tid = Some (Tid.v 1) then incr t1_steps);
         check_int "t1 steps" 2 !t1_steps;
-        match Contention.summarize_log log with
+        match Contention.summarize (Access_log.whole log) with
         | [ s1; s2 ] ->
             check "t1 first" true (Tid.equal s1.Contention.tid (Tid.v 1));
             check "t2 second" true (Tid.equal s2.Contention.tid (Tid.v 2));
@@ -340,16 +340,19 @@ let log_bounds_tests =
         in
         check "get -1" true (oob (fun () -> Access_log.get log (-1)));
         check "get len" true (oob (fun () -> Access_log.get log 5));
-        check "sub neg pos" true
-          (oob (fun () -> Access_log.sub log ~pos:(-1) ~len:1));
-        check "sub neg len" true
-          (oob (fun () -> Access_log.sub log ~pos:0 ~len:(-1)));
-        check "sub past end" true
-          (oob (fun () -> Access_log.sub log ~pos:3 ~len:3));
-        check_int "sub ok" 2
-          (List.length (Access_log.sub log ~pos:3 ~len:2));
-        check "sub empty at end" true
-          (Access_log.sub log ~pos:5 ~len:0 = []));
+        check "window neg pos" true
+          (oob (fun () -> Access_log.window log ~pos:(-1) ~len:1));
+        check "window neg len" true
+          (oob (fun () -> Access_log.window log ~pos:0 ~len:(-1)));
+        check "window past end" true
+          (oob (fun () -> Access_log.window log ~pos:3 ~len:3));
+        let w = Access_log.window log ~pos:3 ~len:2 ~first:10 in
+        check_int "window ok" 2 (List.length (Log_ref.entries w));
+        check_int "step numbered from first" 11 (Access_log.step w 1).index;
+        check "step -1" true (oob (fun () -> Access_log.step w (-1)));
+        check "step len" true (oob (fun () -> Access_log.step w 2));
+        check "window empty at end" true
+          (Log_ref.entries (Access_log.window log ~pos:5 ~len:0) = []));
   ]
 
 (* a fuzzed log: random steps over a few objects/transactions and up to
@@ -421,16 +424,26 @@ let log_prop_tests =
   let open QCheck in
   [
     QCheck_alcotest.to_alcotest
-      (Test.make ~count:100 ~name:"entries = of_seq (to_seq)" gen_log_ops
-         (fun ops ->
+      (Test.make ~count:100 ~name:"window step = get, renumbered"
+         QCheck.(triple gen_log_ops small_nat small_nat)
+         (fun (ops, a, b) ->
            let log = build_log ops in
-           Access_log.entries log = List.of_seq (Access_log.to_seq log)));
+           let n = Access_log.length log in
+           let pos = a mod (n + 1) in
+           let len = b mod (n - pos + 1) in
+           let w = Access_log.window log ~pos ~len ~first:(a + b) in
+           w.first = a + b
+           && List.for_all
+                (fun k ->
+                  Access_log.step w k
+                  = { (Access_log.get log (pos + k)) with index = a + b + k })
+                (List.init len Fun.id)));
     QCheck_alcotest.to_alcotest
       (Test.make ~count:100
          ~name:"per-process heads = filter over entries" gen_log_ops
          (fun ops ->
            let log = build_log ops in
-           let entries = Access_log.entries log in
+           let entries = Log_ref.of_log log in
            List.for_all
              (fun pid ->
                let mine =
@@ -465,7 +478,7 @@ let log_prop_tests =
                && Access_log.changed_at log i = e.Access_log.changed)
              (List.init (Access_log.length log) Fun.id)));
     QCheck_alcotest.to_alcotest
-      (Test.make ~count:100 ~name:"summarize_log = summarize (entries)"
+      (Test.make ~count:100 ~name:"summarize = the entry-list summarize"
          gen_log_ops (fun ops ->
            let log = build_log ops in
            let same (s1 : Contention.access_summary)
@@ -474,8 +487,8 @@ let log_prop_tests =
              && Oid.Map.equal Bool.equal s1.objects s2.objects
            in
            List.equal same
-             (Contention.summarize_log log)
-             (Contention.summarize (Access_log.entries log))));
+             (Contention.summarize (Access_log.whole log))
+             (Log_ref.summarize (Log_ref.of_log log))));
     QCheck_alcotest.to_alcotest repeat_law;
   ]
 

@@ -79,8 +79,8 @@ let crash_tests =
         let r1 = Sim.replay crash_setup crash_atoms in
         let r2 = Sim.replay crash_setup crash_atoms in
         check "identical logs" true
-          (List.map entry (Access_log.entries (Memory.log r1.Sim.mem))
-          = List.map entry (Access_log.entries (Memory.log r2.Sim.mem)));
+          (List.map entry (Log_ref.of_log (Memory.log r1.Sim.mem))
+          = List.map entry (Log_ref.of_log (Memory.log r2.Sim.mem)));
         check "identical crash reports" true
           (r1.Sim.report.Schedule.crashes = r2.Sim.report.Schedule.crashes));
     Alcotest.test_case "flight recorder marks the crash step" `Quick

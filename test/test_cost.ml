@@ -8,40 +8,42 @@ open Core
 (* ------------------------------------------------------------------ *)
 (* hand-built logs: the RMR model on known access patterns *)
 
-let entry index pid oid prim ~changed =
-  {
-    Access_log.index;
-    pid;
-    tid = Some (Tid.v pid);
-    oid = Oid.of_int oid;
-    prim;
-    response = Value.unit;
-    changed;
-  }
+(* a hand-built log: each step [(pid, oid, prim, changed)] is
+   attributed to the transaction numbered by its pid *)
+let log_of steps =
+  let log = Access_log.create () in
+  List.iter
+    (fun (pid, oid, prim, changed) ->
+      Access_log.record log ~pid ~tid:(Some (Tid.v pid)) ~oid:(Oid.of_int oid)
+        ~prim ~response:Value.unit ~changed)
+    steps;
+  Access_log.whole log
 
 let write v = Primitive.Write (Value.int v)
 
 (* p1 alone: first touch of each object is a cold-miss RMR; re-touching
    an object nobody wrote since is local *)
 let solo_log =
-  [
-    entry 0 1 0 (write 1) ~changed:true;
-    entry 1 1 0 Primitive.Read ~changed:false;
-    entry 2 1 0 Primitive.Read ~changed:false;
-    entry 3 1 1 (write 2) ~changed:true;
-  ]
+  log_of
+    [
+      (1, 0, write 1, true);
+      (1, 0, Primitive.Read, false);
+      (1, 0, Primitive.Read, false);
+      (1, 1, write 2, true);
+    ]
 
 (* same shape, but p2's writes to the object interleave: every re-read
    by p1 is now remote again *)
 let contended_log =
-  [
-    entry 0 1 0 (write 1) ~changed:true;
-    entry 1 2 0 (write 9) ~changed:true;
-    entry 2 1 0 Primitive.Read ~changed:false;
-    entry 3 2 0 (write 8) ~changed:true;
-    entry 4 1 0 Primitive.Read ~changed:false;
-    entry 5 1 1 (write 2) ~changed:true;
-  ]
+  log_of
+    [
+      (1, 0, write 1, true);
+      (2, 0, write 9, true);
+      (1, 0, Primitive.Read, false);
+      (2, 0, write 8, true);
+      (1, 0, Primitive.Read, false);
+      (1, 1, write 2, true);
+    ]
 
 let test_rmr_remote_writes_increase () =
   let solo = Cost.analyse solo_log in
@@ -271,6 +273,35 @@ let test_cli_flags_defined_once () =
       {|"watch" ]|}; {|"record" ]|}; {|"dump-dir" ]|};
     ]
 
+(* one log representation: detectors take an [Access_log.window], so no
+   interface under lib/ exposes an entry list, and no code outside test/
+   boxes a log into one *)
+let rec sources dir suffix =
+  List.concat_map
+    (fun f ->
+      let path = Filename.concat dir f in
+      if Sys.is_directory path then sources path suffix
+      else if Filename.check_suffix f suffix then
+        [ (path, In_channel.with_open_bin path In_channel.input_all) ]
+      else [])
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
+let test_one_log_representation () =
+  let mlis = sources "../lib" ".mli" in
+  Alcotest.(check bool) "lib interfaces found" true (List.length mlis > 50);
+  List.iter
+    (fun (f, src) ->
+      Alcotest.(check int) (f ^ ": entry list") 0 (occurrences "entry list" src))
+    mlis;
+  List.iter
+    (fun (f, src) ->
+      List.iter
+        (fun tok -> Alcotest.(check int) (f ^ ": " ^ tok) 0 (occurrences tok src))
+        [ "Access_log.entries"; "Access_log.sub " ])
+    (List.concat_map
+       (fun d -> sources d ".ml")
+       [ "../lib"; "../bin"; "../examples"; "../bench"; "../perfbench" ])
+
 (* run the CLI: its exit code and the reason lines on its stderr *)
 let pcl_tm args =
   let err = Filename.temp_file "pcl_tm" ".err" in
@@ -398,6 +429,8 @@ let () =
             test_cli_no_bare_exits;
           Alcotest.test_case "only the sweep skeleton writes" `Quick
             test_cli_one_writer;
+          Alcotest.test_case "one log representation" `Quick
+            test_one_log_representation;
           Alcotest.test_case "shared flags defined once" `Quick
             test_cli_flags_defined_once;
         ] );

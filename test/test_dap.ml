@@ -84,7 +84,7 @@ let synthetic_log accesses =
       in
       ignore (Memory.apply m ~pid ~tid:(Tid.v tid) (oid o) prim))
     accesses;
-  Access_log.entries (Memory.log m)
+  Access_log.whole (Memory.log m)
 
 let contention_tests =
   [
@@ -110,7 +110,7 @@ let contention_tests =
         ignore (Memory.apply m ~pid:2 o (Primitive.Write (Value.int 2)));
         check_int "none" 0
           (List.length
-             (Contention.all_contentions (Access_log.entries (Memory.log m)))));
+             (Contention.all_contentions (Access_log.whole (Memory.log m)))));
   ]
 
 let dap_tests =
@@ -177,7 +177,7 @@ let of_tests =
           Build.history [ B (1, 1); R (1, "x", 0); Ca 1; B (2, 2); C 2 ]
         in
         check "no violation" true
-          (Obstruction_freedom.holds h (Access_log.entries (Memory.log m))));
+          (Obstruction_freedom.holds h (Access_log.whole (Memory.log m))));
     Alcotest.test_case "abort without contention is flagged" `Quick (fun () ->
         let m = Memory.create () in
         let o = Memory.alloc m ~name:"o" (Value.int 0) in
@@ -185,7 +185,7 @@ let of_tests =
         ignore (Memory.apply m ~pid:1 ~tid:(Tid.v 1) o Primitive.Read);
         let h = Build.history [ B (1, 1); R (1, "x", 0); Ca 1 ] in
         match
-          Obstruction_freedom.violations h (Access_log.entries (Memory.log m))
+          Obstruction_freedom.violations h (Access_log.whole (Memory.log m))
         with
         | [ v ] -> check "t1" true (Tid.equal v.Obstruction_freedom.tid (Tid.v 1))
         | l -> Alcotest.failf "expected 1 violation, got %d" (List.length l));
@@ -196,14 +196,34 @@ let of_tests =
         ignore (Memory.apply m ~pid:1 ~tid:(Tid.v 1) o Primitive.Read);
         let h = Build.history [ B (1, 1); R (1, "x", 0); C 1 ] in
         check "no violation" true
-          (Obstruction_freedom.holds h (Access_log.entries (Memory.log m))));
+          (Obstruction_freedom.holds h (Access_log.whole (Memory.log m))));
     Alcotest.test_case "zero-step aborted txn uses event interval" `Quick
       (fun () ->
         (* a txn that took no shared steps and aborted alone *)
         let h = Build.history [ B (1, 1); Ca 1 ] in
-        match Obstruction_freedom.violations h [] with
+        match
+          Obstruction_freedom.violations h
+            (Access_log.whole (Access_log.create ()))
+        with
         | [ _ ] -> ()
         | l -> Alcotest.failf "expected 1 violation, got %d" (List.length l));
+    Alcotest.test_case "abort begun before the window is not judged" `Quick
+      (fun () ->
+        (* T1 begins at step 0 and p2 steps inside its interval, but a
+           window from step 2 holds only T1's later steps *)
+        let m = Memory.create () in
+        let o = Memory.alloc m ~name:"o" (Value.int 0) in
+        ignore (Memory.apply m ~pid:1 ~tid:(Tid.v 1) o Primitive.Read);
+        ignore
+          (Memory.apply m ~pid:2 ~tid:(Tid.v 2) o (Primitive.Write (Value.int 1)));
+        ignore (Memory.apply m ~pid:1 ~tid:(Tid.v 1) o Primitive.Read);
+        ignore (Memory.apply m ~pid:1 ~tid:(Tid.v 1) o Primitive.Read);
+        let h = Build.history [ B (1, 1); R (1, "x", 0); Ca 1; B (2, 2); C 2 ] in
+        let log = Memory.log m in
+        check "whole log: contended" true
+          (Obstruction_freedom.holds h (Access_log.whole log));
+        check "window from step 2: not judged" true
+          (Obstruction_freedom.holds h (Access_log.window log ~pos:2 ~len:2)));
   ]
 
 let () =

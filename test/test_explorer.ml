@@ -22,7 +22,7 @@ let sig_of (r : Sim.result) =
   List.map
     (fun (e : Access_log.entry) ->
       (e.Access_log.pid, Oid.to_int e.Access_log.oid))
-    (Access_log.entries (Memory.log r.Sim.mem))
+    (Log_ref.of_log (Memory.log r.Sim.mem))
 
 let cursor_tests =
   [
@@ -133,8 +133,8 @@ let run_fork_program (tm, ops) =
       let r = Sim.snapshot ~flight:false c in
       let r' = Sim.replay setup path in
       path = List.rev atoms
-      && Access_log.entries (Memory.log r.Sim.mem)
-         = Access_log.entries (Memory.log r'.Sim.mem)
+      && Log_ref.of_log (Memory.log r.Sim.mem)
+         = Log_ref.of_log (Memory.log r'.Sim.mem)
       && History.events r.Sim.history = History.events r'.Sim.history
       && r.Sim.report = r'.Sim.report)
     !pool

@@ -46,7 +46,7 @@ let test_wraparound () =
   Alcotest.(check (list int))
     "last cap steps retained, oldest first" [ 6; 7; 8; 9 ]
     (List.map (fun (e : Access_log.entry) -> e.Access_log.index)
-       (Flight.steps fl));
+       (Log_ref.entries (Flight.steps fl)));
   Flight.reset fl;
   Alcotest.(check int) "reset empties" 0 (Flight.recorded fl);
   Alcotest.(check int) "reset clears drops" 0 (Flight.dropped fl)
@@ -164,7 +164,7 @@ let test_window_law =
          Flight_ring_ref.set_meta ring "tm" "law";
          Flight_ring_ref.add_verdict ring verdict;
          let text = Flight_ring_ref.to_jsonl ring in
-         Flight.steps fl = Flight_ring_ref.steps ring
+         Log_ref.entries (Flight.steps fl) = Flight_ring_ref.steps ring
          && Flight.recorded fl = Flight_ring_ref.recorded ring
          && Flight.dropped fl = Flight_ring_ref.dropped ring
          && List.for_all
@@ -266,7 +266,9 @@ let test_roundtrip () =
       Alcotest.(check string) "re-export is identical" text
         (Flight.to_jsonl fl');
       Alcotest.(check bool) "steps round-trip" true
-        (List.for_all2 entry_eq (Flight.steps fl) (Flight.steps fl'));
+        (List.for_all2 entry_eq
+           (Log_ref.entries (Flight.steps fl))
+           (Log_ref.entries (Flight.steps fl')));
       Alcotest.(check bool) "history rounds-trips" true
         (List.for_all2 Event.equal
            (History.to_list (Flight.history fl))
@@ -295,10 +297,12 @@ let test_replay_from_artifact () =
   in
   Alcotest.(check int)
     "same number of steps"
-    (List.length (Flight.steps fl'))
-    (List.length (Flight.steps fl2));
+    (Flight.steps fl').Access_log.len
+    (Flight.steps fl2).Access_log.len;
   Alcotest.(check bool) "replayed steps are bit-identical" true
-    (List.for_all2 entry_eq (Flight.steps fl') (Flight.steps fl2))
+    (List.for_all2 entry_eq
+       (Log_ref.entries (Flight.steps fl'))
+       (Log_ref.entries (Flight.steps fl2)))
 
 let test_schedule_string_roundtrip () =
   let atoms =

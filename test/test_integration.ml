@@ -63,7 +63,7 @@ let pipeline_tests =
               List.sort_uniq compare
                 (List.filter_map
                    (fun (e : Access_log.entry) -> e.Access_log.tid)
-                   (Access_log.entries (Memory.log r.Sim.mem)))
+                   (Log_ref.of_log (Memory.log r.Sim.mem)))
             in
             let hist_tids = History.txns r.Sim.history in
             check "log txns appear in history" true
@@ -107,7 +107,7 @@ let dap_property_tests =
                  in
                  check "no contention at all" true
                    (Contention.all_contentions
-                      (Access_log.entries (Memory.log r.Sim.mem))
+                      (Access_log.whole (Memory.log r.Sim.mem))
                    = [])
                done))
       else None)
@@ -135,7 +135,7 @@ let of_property_tests =
                  in
                  match
                    Obstruction_freedom.violations r.Sim.history
-                     (Access_log.entries (Memory.log r.Sim.mem))
+                     (Access_log.whole (Memory.log r.Sim.mem))
                  with
                  | [] -> ()
                  | v :: _ ->

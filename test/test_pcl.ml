@@ -206,6 +206,10 @@ let verdict_tests =
     expect "si-clock" false true true;
     expect "candidate" true false true;
     expect "llsc-candidate" true false true;
+    expect "tl2-clock" false true false;
+    expect "norec" false true false;
+    expect "lp-progressive" true true false;
+    expect "pwf-readers" false true true;
   ]
 
 

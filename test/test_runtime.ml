@@ -46,7 +46,7 @@ let scheduler_tests =
         ignore (Scheduler.run_steps sched 1 1);
         let pids =
           List.map (fun (e : Access_log.entry) -> e.Access_log.pid)
-            (Access_log.entries (Memory.log mem))
+            (Log_ref.of_log (Memory.log mem))
         in
         check "exact order" true (pids = [ 1; 2; 2; 1 ]));
     Alcotest.test_case "duplicate spawn rejected" `Quick (fun () ->
@@ -122,7 +122,7 @@ let sim_tests =
             (fun (e : Access_log.entry) ->
               (e.Access_log.pid, Oid.to_int e.Access_log.oid,
                Value.to_string e.Access_log.response))
-            (Access_log.entries (Memory.log r.Sim.mem))
+            (Log_ref.of_log (Memory.log r.Sim.mem))
         in
         check "identical logs" true (sig_of r1 = sig_of r2));
     Alcotest.test_case "prefix replay yields prefix log" `Quick (fun () ->
@@ -135,7 +135,7 @@ let sim_tests =
           List.map
             (fun (e : Access_log.entry) ->
               (e.Access_log.pid, Value.to_string e.Access_log.response))
-            (Access_log.entries (Memory.log r.Sim.mem))
+            (Log_ref.of_log (Memory.log r.Sim.mem))
         in
         let s = sig_of short and l = sig_of long in
         check_int "lengths" 2 (List.length s);
@@ -352,7 +352,7 @@ let run_signature ~budget setup atoms =
     | Schedule.Budget_exhausted stall -> `Stall stall
     | Schedule.Crashed (pid, e) -> `Crashed (pid, Printexc.to_string e)
   in
-  ( Access_log.entries (Memory.log r.Sim.mem),
+  ( Log_ref.of_log (Memory.log r.Sim.mem),
     Wire.print r.Sim.history,
     (stop, rep.Schedule.steps_per_atom, rep.Schedule.crashes),
     List.init 9 r.Sim.steps_of,
@@ -417,7 +417,7 @@ let explorer_tests =
         let w =
           Explorer.exists (counter_setup 2 2) ~pids:[ 1; 2 ] (fun r ->
               (* some interleaving starts with p2 *)
-              match Access_log.entries (Memory.log r.Sim.mem) with
+              match Log_ref.of_log (Memory.log r.Sim.mem) with
               | e :: _ -> e.Access_log.pid = 2
               | [] -> false)
         in
@@ -425,7 +425,7 @@ let explorer_tests =
     Alcotest.test_case "counterexample is returned" `Quick (fun () ->
         let r =
           Explorer.for_all (counter_setup 2 2) ~pids:[ 1; 2 ] (fun r ->
-              match Access_log.entries (Memory.log r.Sim.mem) with
+              match Log_ref.of_log (Memory.log r.Sim.mem) with
               | e :: _ -> e.Access_log.pid = 1
               | [] -> false)
         in

@@ -29,8 +29,8 @@ let run ?(budget = 3_000) impl specs schedule =
   let r = Sim.replay ~budget (setup impl specs outcomes) schedule in
   (r, outcomes)
 
-(* the run's steps as entry records, for the DAP and liveness detectors *)
-let entries (r : Sim.result) = Access_log.entries (Memory.log r.Sim.mem)
+(* the run's steps, for the DAP and liveness detectors *)
+let entries (r : Sim.result) = Access_log.whole (Memory.log r.Sim.mem)
 
 let read_of outcomes tid item =
   Option.bind (Hashtbl.find_opt outcomes (Tid.v tid)) (fun o ->

@@ -175,7 +175,7 @@ let dap_tests =
         in
         check "contention exists" true
           (Contention.all_contentions
-             (Access_log.entries (Memory.log r.Sim.mem))
+             (Access_log.whole (Memory.log r.Sim.mem))
           <> []));
   ]
 
