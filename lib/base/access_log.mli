@@ -38,8 +38,9 @@ val record :
 
 val repeat_last : t -> int -> unit
 (** [repeat_last t n] appends [n] copies of the last step: the same
-    columns and per-process heads as [n] {!record}s of its fields, filled
-    a chunk at a time.
+    columns and per-process heads as [n] {!record}s of its fields, in
+    O(chunks) ({!Intvec.push_n} shares one filled chunk between the
+    whole-chunk slots of each column).
     @raise Invalid_argument if the log is empty or [n < 0]. *)
 
 val length : t -> int

@@ -6,7 +6,11 @@
    is one word per element (plus a chunk header every [chunk] elements),
    versus the three words a list cons costs, and reads are O(1).  The
    step log, the schedule session's per-atom step counts and the cursor
-   path buffer are all built on this. *)
+   path buffer are all built on this.
+
+   A full chunk is never written again: every writer appends at [len],
+   which lies in the open (last, partial) chunk or a fresh one.  That is
+   what lets [push_n] install one chunk in many spine slots. *)
 
 type t = {
   chunk_bits : int;
@@ -29,8 +33,8 @@ let create ?(chunk_bits = default_bits) () =
 let length t = t.len
 
 (* An independent copy of the first [n] elements: fresh chunk arrays, so
-   neither vector observes the other's later pushes or sets.  Chunks past
-   the prefix are not copied. *)
+   neither vector observes the other's later pushes.  Chunks past the
+   prefix are not copied. *)
 let prefix t n =
   if n < 0 || n > t.len then
     invalid_arg (Printf.sprintf "Intvec.prefix: %d out of bounds 0..%d" n t.len);
@@ -44,15 +48,18 @@ let prefix t n =
   done;
   { chunk_bits = t.chunk_bits; spine; chunks; len = n }
 
-(* Open chunk [c] (= [t.chunks]), growing the spine geometrically if
-   full.  Off the per-element path: an append reaches it once per chunk. *)
-let add_chunk t c =
-  if c = Array.length t.spine then begin
-    let cap = max 4 (2 * Array.length t.spine) in
-    let spine = Array.make cap [||] in
+(* Room for [n] chunks in the spine, growing it geometrically.  Off the
+   per-element path: an append reaches it once per chunk. *)
+let reserve t n =
+  if n > Array.length t.spine then begin
+    let spine = Array.make (max n (max 4 (2 * Array.length t.spine))) [||] in
     Array.blit t.spine 0 spine 0 t.chunks;
     t.spine <- spine
-  end;
+  end
+
+(* Open chunk [c] (= [t.chunks]). *)
+let add_chunk t c =
+  reserve t (c + 1);
   t.spine.(c) <- Array.make (1 lsl t.chunk_bits) 0;
   t.chunks <- t.chunks + 1
 
@@ -65,20 +72,29 @@ let push t (v : int) =
   t.spine.(c).(i) <- v;
   t.len <- t.len + 1
 
-(* [n] copies of [v], one [Array.fill] per chunk they touch *)
+(* [n] copies of [v] in O(chunks): the open chunk is filled in place,
+   every whole chunk after it is one chunk of [v]s allocated for this
+   call and shared by their spine slots, and what is left opens a fresh
+   chunk of its own, since that one is written again. *)
 let push_n t (v : int) n =
   if n < 0 then invalid_arg "Intvec.push_n: negative count";
-  let size = 1 lsl t.chunk_bits in
-  let left = ref n in
-  while !left > 0 do
-    let i = t.len land (size - 1) in
-    let c = t.len lsr t.chunk_bits in
-    if c = t.chunks then add_chunk t c;
-    let k = min !left (size - i) in
-    Array.fill t.spine.(c) i k v;
-    t.len <- t.len + k;
-    left := !left - k
-  done
+  let bits = t.chunk_bits in
+  let size = 1 lsl bits in
+  let i = t.len land (size - 1) in
+  let head = if i = 0 then 0 else min n (size - i) in
+  if head > 0 then Array.fill t.spine.(t.len lsr bits) i head v;
+  let whole = (n - head) lsr bits and tail = (n - head) land (size - 1) in
+  if whole > 0 then begin
+    (* room for the chunk after them too *)
+    reserve t (t.chunks + whole + 1);
+    Array.fill t.spine t.chunks whole (Array.make size v);
+    t.chunks <- t.chunks + whole
+  end;
+  if tail > 0 then begin
+    add_chunk t t.chunks;
+    Array.fill t.spine.(t.chunks - 1) 0 tail v
+  end;
+  t.len <- t.len + n
 
 let get t i =
   if i < 0 || i >= t.len then
@@ -90,11 +106,6 @@ let unsafe_get t i =
   Array.unsafe_get
     (Array.unsafe_get t.spine (i lsr t.chunk_bits))
     (i land ((1 lsl t.chunk_bits) - 1))
-
-let set t i (v : int) =
-  if i < 0 || i >= t.len then
-    invalid_arg (Printf.sprintf "Intvec.set: index %d out of bounds 0..%d" i (t.len - 1));
-  t.spine.(i lsr t.chunk_bits).(i land ((1 lsl t.chunk_bits) - 1)) <- v
 
 let iter t f =
   for i = 0 to t.len - 1 do
@@ -111,5 +122,3 @@ let fold t ~init ~f =
 let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (unsafe_get t i :: acc) in
   go (t.len - 1) []
-
-let clear t = t.len <- 0

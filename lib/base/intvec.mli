@@ -4,7 +4,11 @@
     old elements, so amortized allocation is one word per element (a
     list cons costs three), and reads are O(1).  The hot-path work-pool
     structure the step log, schedule sessions and cursor path buffers
-    are built on. *)
+    are built on.
+
+    A full chunk is immutable: every writer appends, so nothing writes
+    to a chunk once it is full.  {!push_n} rests on that to share one
+    chunk between many spine slots. *)
 
 type t
 
@@ -18,14 +22,16 @@ val length : t -> int
 
 val prefix : t -> int -> t
 (** [prefix t n] is an independent copy of the first [n] elements: later
-    pushes or sets on either vector are not seen by the other.
+    pushes on either vector are not seen by the other.
     @raise Invalid_argument unless [0 <= n <= length t]. *)
 
 val push : t -> int -> unit
 
 val push_n : t -> int -> int -> unit
 (** [push_n t v n] appends [n] copies of [v]: the same vector as [n]
-    {!push}es, filled one chunk at a time.
+    {!push}es, in O(chunks) time and allocation.  The open chunk is
+    filled in place; the whole chunks after it share one chunk of [v]s,
+    allocated once per call; the remainder opens a fresh chunk.
     @raise Invalid_argument if [n < 0]. *)
 
 val get : t -> int -> int
@@ -34,12 +40,6 @@ val get : t -> int -> int
 val unsafe_get : t -> int -> int
 (** Unchecked read, for callers that already hold a valid index. *)
 
-val set : t -> int -> int -> unit
-(** @raise Invalid_argument out of bounds. *)
-
 val iter : t -> (int -> unit) -> unit
 val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 val to_list : t -> int list
-
-val clear : t -> unit
-(** Reset length to zero; chunks are retained for reuse. *)

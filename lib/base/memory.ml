@@ -20,12 +20,13 @@ type t = {
   mutable names : string array;
   by_name : (string, Oid.t) Hashtbl.t;
   log : Access_log.t;
-  mutable hook : (Access_log.t -> int -> unit) option;
-      (** called after every logged step with the log and the step's
-          index — the shared instrumentation point TM layers use to
-          attribute base-object traffic.  Index-based so the common case
-          (a counter bump keyed on the primitive kind) reads one column
-          instead of forcing an entry record per step *)
+  mutable hook : (Access_log.t -> int -> int -> unit) option;
+      (** called after every logged run of steps with the log, the first
+          step's index and the number of steps — the shared
+          instrumentation point TM layers use to attribute base-object
+          traffic.  Index-based so the common case (a counter bump keyed
+          on the primitive kind) reads one column instead of forcing an
+          entry record per step; counted so a bulk append is one call *)
   changed_scratch : bool ref;
       (** reused out-param for {!Base_object.apply_into}, so a step does
           not allocate a response pair *)
@@ -52,6 +53,34 @@ let handles =
              ~labels:[ ("prim", Primitive.kind_names.(i)) ]
              "mem_prim_total"),
        Tm_obs.Metrics.counter m "mem_spurious_faults_total" ))
+
+(* [sched_pid_steps_total{pid}] handles, indexed by pid.  A pid's handle
+   is resolved at its first step, which registers its cell when it first
+   counts.  The array grows off the step path, so a step allocates
+   nothing. *)
+let pid_steps : Tm_obs.Metrics.counter option array ref = ref [||]
+
+let resolve_pid pid =
+  let a = !pid_steps in
+  if pid >= Array.length a then begin
+    let b = Array.make (max 16 (max (pid + 1) (2 * Array.length a))) None in
+    Array.blit a 0 b 0 (Array.length a);
+    pid_steps := b
+  end;
+  let c =
+    Tm_obs.Metrics.counter
+      (Tm_obs.Sink.metrics Tm_obs.Sink.default)
+      ~labels:[ ("pid", string_of_int pid) ]
+      "sched_pid_steps_total"
+  in
+  !pid_steps.(pid) <- Some c;
+  c
+
+let pid_counter pid =
+  let a = !pid_steps in
+  match if pid < Array.length a then Array.unsafe_get a pid else None with
+  | Some c -> c
+  | None -> resolve_pid pid
 
 let create () =
   let steps_c, prim_c, faults_c = Lazy.force handles in
@@ -144,8 +173,9 @@ let apply t ~pid ?tid (oid : Oid.t) (prim : Primitive.t) : Value.t =
   let index = Access_log.length t.log in
   Access_log.record t.log ~pid ~tid ~oid ~prim ~response ~changed:!changed;
   Tm_obs.Metrics.inc t.steps_c;
+  Tm_obs.Metrics.inc (pid_counter pid);
   Tm_obs.Metrics.inc t.prim_c.(Primitive.kind_index prim);
-  (match t.hook with Some f -> f t.log index | None -> ());
+  (match t.hook with Some f -> f t.log index 1 | None -> ());
   response
 
 (* The last step taken [n] more times in one append, when that is exact:
@@ -158,15 +188,11 @@ let repeat_last t n =
   else begin
     Access_log.repeat_last t.log n;
     Tm_obs.Metrics.add t.steps_c n;
+    Tm_obs.Metrics.add (pid_counter (Access_log.pid_at t.log last)) n;
     Tm_obs.Metrics.add
       t.prim_c.(Primitive.kind_index (Access_log.prim_at t.log last))
       n;
-    (match t.hook with
-    | Some f ->
-        for i = last + 1 to last + n do
-          f t.log i
-        done
-    | None -> ());
+    (match t.hook with Some f when n > 0 -> f t.log (last + 1) n | _ -> ());
     true
   end
 
@@ -178,12 +204,12 @@ let peek t (oid : Oid.t) : Value.t =
 let log t = t.log
 let step_count t = Access_log.length t.log
 
-(** Install the per-step instrumentation hook (replacing any previous
-    one).  Called after each step is logged; used by {!Tm_impl.Txn_api}
-    to attribute base-object traffic to the TM under test. *)
+(** Install the instrumentation hook (replacing any previous one).
+    Called after each logged run of steps — one step, or one bulk
+    append — with its first index and length; used by
+    {!Tm_impl.Txn_api} to attribute base-object traffic to the TM under
+    test. *)
 let set_hook t f = t.hook <- Some f
-
-let clear_hook t = t.hook <- None
 
 (** Install the fault-injection hook.  It is consulted {e before} each
     primitive is applied; answering [Spurious_fail] on an RMW-class
@@ -192,8 +218,6 @@ let clear_hook t = t.hook <- None
     the step is still logged and counted normally, so faulted runs replay
     bit-identically. *)
 let set_fault_hook t f = t.fault <- Some f
-
-let clear_fault_hook t = t.fault <- None
 
 (** Doomed-transaction poison: mark [pid]'s current transaction for a
     forced abort at its next transactional operation.  The flag lives here

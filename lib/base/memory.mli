@@ -9,7 +9,8 @@
     configuration.
 
     A memory has two hook slots: the telemetry hook runs after each step
-    ({!set_hook}) and the fault hook before it ({!set_fault_hook}).  The
+    or bulk append ({!set_hook}) and the fault hook before each step
+    ({!set_fault_hook}).  The
     flight recorder needs neither: it reads the access log ({!log}) as a
     window. *)
 
@@ -41,7 +42,9 @@ val n_objects : t -> int
 
 val apply : t -> pid:int -> ?tid:Tid.t -> Oid.t -> Primitive.t -> Value.t
 (** One atomic step: apply the primitive on behalf of process [pid]
-    (attributed to [tid] if given), log it, return the response. *)
+    (attributed to [tid] if given), log it, return the response.
+    [mem_steps_total], [mem_prim_total] and [pid]'s
+    [sched_pid_steps_total] advance by one. *)
 
 val repeat_last : t -> int -> bool
 (** [repeat_last t n] logs the last step [n] more times in one bulk
@@ -49,9 +52,13 @@ val repeat_last : t -> int -> bool
     the step reported no change, so it is a fixed point of its primitive,
     and no fault hook is installed to answer a repeat differently.
     Otherwise (or on an empty log) it does nothing and answers false.
-    [mem_steps_total] and [mem_prim_total] advance by [n]; the telemetry
-    hook runs once per appended index, after the append.  The caller
-    vouches that the repeats are the steps its process would take next.
+    The append costs O(chunks), not O(n): each log column shares one
+    filled chunk between its whole-chunk slots ({!Intvec.push_n}).
+    [mem_steps_total], [mem_prim_total] and the process's
+    [sched_pid_steps_total] advance by [n]; the telemetry hook runs
+    once, after the append, with the first appended index and [n] (not
+    at all when [n = 0]).  The caller vouches that the repeats are the
+    steps its process would take next.
     @raise Invalid_argument if [n < 0]. *)
 
 val peek : t -> Oid.t -> Value.t
@@ -60,15 +67,15 @@ val peek : t -> Oid.t -> Value.t
 val log : t -> Access_log.t
 val step_count : t -> int
 
-val set_hook : t -> (Access_log.t -> int -> unit) -> unit
-(** Install the per-step instrumentation hook (replacing any previous
-    one).  It runs after each step is logged, receiving the log and the
-    step's index — the shared point where TM layers attribute base-object
-    traffic to telemetry counters.  Index-based so the common case reads
-    one column ({!Access_log.prim_at}) instead of forcing an entry record
-    per step.  The hook must not itself apply primitives. *)
-
-val clear_hook : t -> unit
+val set_hook : t -> (Access_log.t -> int -> int -> unit) -> unit
+(** Install the instrumentation hook (replacing any previous one).  It
+    runs after each logged run of steps, receiving the log, the run's
+    first index and its number of steps: [1] after {!apply}, [n] once
+    after {!repeat_last}, whose steps are all copies of one step.  It is
+    the shared point where TM layers attribute base-object traffic to
+    telemetry counters.  Index-based so the common case reads one column
+    ({!Access_log.prim_at}) instead of forcing an entry record per step.
+    The hook must not itself apply primitives. *)
 
 val set_fault_hook : t -> fault_hook -> unit
 (** Install the fault-injection hook (replacing any previous one).  It is
@@ -79,8 +86,6 @@ val set_fault_hook : t -> fault_hook -> unit
     (reads, writes, fetch-add, unlock, LL).  Faulted steps are logged and
     counted normally (plus [mem_spurious_faults_total]), so a faulted run
     replays bit-identically under the same hook. *)
-
-val clear_fault_hook : t -> unit
 
 val poison : t -> int -> unit
 (** Doomed-transaction poison: [pid]'s current transaction is forced to

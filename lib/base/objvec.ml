@@ -3,7 +3,9 @@
    never copy old elements and amortized allocation is one word per
    element versus three for a list cons.  The access log's primitive and
    response columns and the history recorder's event store are built on
-   this.  [dummy] fills unused chunk slots (it is never returned). *)
+   this.  [dummy] fills unused chunk slots (it is never returned).  As in
+   Intvec, a full chunk is never written again, so [push_n] may install
+   one chunk in many spine slots. *)
 
 type 'a t = {
   chunk_bits : int;
@@ -20,14 +22,17 @@ let create ?(chunk_bits = 7) ~dummy () =
 
 let length t = t.len
 
-(* Open chunk [c] (= [t.chunks]), growing the spine if full. *)
-let add_chunk t c =
-  if c = Array.length t.spine then begin
-    let cap = max 4 (2 * Array.length t.spine) in
-    let spine = Array.make cap [||] in
+(* Room for [n] chunks in the spine, growing it geometrically. *)
+let reserve t n =
+  if n > Array.length t.spine then begin
+    let spine = Array.make (max n (max 4 (2 * Array.length t.spine))) [||] in
     Array.blit t.spine 0 spine 0 t.chunks;
     t.spine <- spine
-  end;
+  end
+
+(* Open chunk [c] (= [t.chunks]). *)
+let add_chunk t c =
+  reserve t (c + 1);
   t.spine.(c) <- Array.make (1 lsl t.chunk_bits) t.dummy;
   t.chunks <- t.chunks + 1
 
@@ -39,20 +44,27 @@ let push t v =
   t.spine.(c).(i) <- v;
   t.len <- t.len + 1
 
-(* [n] copies of [v], one [Array.fill] per chunk they touch *)
+(* [n] copies of [v] in O(chunks), as Intvec's: the open chunk in place,
+   one shared chunk of [v]s for the whole chunks, a fresh chunk for the
+   rest *)
 let push_n t v n =
   if n < 0 then invalid_arg "Objvec.push_n: negative count";
-  let size = 1 lsl t.chunk_bits in
-  let left = ref n in
-  while !left > 0 do
-    let i = t.len land (size - 1) in
-    let c = t.len lsr t.chunk_bits in
-    if c = t.chunks then add_chunk t c;
-    let k = min !left (size - i) in
-    Array.fill t.spine.(c) i k v;
-    t.len <- t.len + k;
-    left := !left - k
-  done
+  let bits = t.chunk_bits in
+  let size = 1 lsl bits in
+  let i = t.len land (size - 1) in
+  let head = if i = 0 then 0 else min n (size - i) in
+  if head > 0 then Array.fill t.spine.(t.len lsr bits) i head v;
+  let whole = (n - head) lsr bits and tail = (n - head) land (size - 1) in
+  if whole > 0 then begin
+    reserve t (t.chunks + whole + 1);
+    Array.fill t.spine t.chunks whole (Array.make size v);
+    t.chunks <- t.chunks + whole
+  end;
+  if tail > 0 then begin
+    add_chunk t t.chunks;
+    Array.fill t.spine.(t.chunks - 1) 0 tail v
+  end;
+  t.len <- t.len + n
 
 (** Unchecked read — callers that already hold a valid index. *)
 let unsafe_get t i =
@@ -81,7 +93,3 @@ let fold t ~init ~f =
 let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (unsafe_get t i :: acc) in
   go (t.len - 1) []
-
-(** Reset length to zero; chunks are retained for reuse, so the dropped
-    elements stay reachable until overwritten. *)
-let clear t = t.len <- 0

@@ -2,7 +2,10 @@
     polymorphic sibling.  Appends never copy old elements (amortized one
     word per element versus three for a list cons); reads are O(1).
     Backs the access log's boxed columns and the history recorder's
-    event store. *)
+    event store.
+
+    As in {!Intvec}, a full chunk is immutable, which is what lets
+    {!push_n} share one chunk between many spine slots. *)
 
 type 'a t
 
@@ -16,7 +19,9 @@ val push : 'a t -> 'a -> unit
 
 val push_n : 'a t -> 'a -> int -> unit
 (** [push_n t v n] appends [n] copies of [v]: the same vector as [n]
-    {!push}es, filled one chunk at a time.
+    {!push}es, in O(chunks) time and allocation.  The open chunk is
+    filled in place; the whole chunks after it share one chunk of [v]s,
+    allocated once per call; the remainder opens a fresh chunk.
     @raise Invalid_argument if [n < 0]. *)
 
 val get : 'a t -> int -> 'a
@@ -28,7 +33,3 @@ val unsafe_get : 'a t -> int -> 'a
 val iter : 'a t -> ('a -> unit) -> unit
 val fold : 'a t -> init:'b -> f:('b -> 'a -> 'b) -> 'b
 val to_list : 'a t -> 'a list
-
-val clear : 'a t -> unit
-(** Reset length to zero; chunks are retained for reuse (dropped
-    elements stay reachable until overwritten). *)

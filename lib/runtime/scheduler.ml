@@ -211,13 +211,6 @@ let runnable t pid =
   | Not_started _ | Pending _ -> true
   | Stepping | Finished | Failed _ -> false
 
-let pids t =
-  let rec go i acc =
-    if i < 0 then acc
-    else go (i - 1) (match t.cells.(i) with Some _ -> i :: acc | None -> acc)
-  in
-  go (Array.length t.cells - 1) []
-
 (* The spin fast-forward.  After a [Blocked] step with [left] steps of
    the atom to go, and only this process running in them, every one of
    those steps re-issues the failed attempt: if that attempt changed

@@ -60,7 +60,6 @@ val pending : t -> int -> Proc.request option
     partial-order-reduced search keys on. *)
 
 val runnable : t -> int -> bool
-val pids : t -> int list
 
 val run_steps : t -> int -> int -> int
 (** [run_steps t pid n] takes at most [n] steps of [pid]; returns how many

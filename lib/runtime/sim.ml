@@ -279,19 +279,8 @@ let replay ?(budget = 100_000) (setup : setup) (atoms : Schedule.atom list)
           mem_ref := Some l.mem;
           List.iter (fun a -> ignore (apply c a)) atoms;
           let r = snapshot ~schedule:atoms c in
-          let alog = Memory.log l.mem in
           Tm_obs.Sink.observe "sim_replay_steps"
-            (float_of_int (Access_log.length alog));
-          (* per-pid step attribution, from the log's per-process heads:
-             every spawned pid that took a step *)
-          List.iter
-            (fun pid ->
-              let n = Access_log.pid_step_count alog pid in
-              if n > 0 then
-                Tm_obs.Sink.add
-                  ~labels:[ ("pid", string_of_int pid) ]
-                  "sched_pid_steps_total" n)
-            (Scheduler.pids l.sched);
+            (float_of_int (Memory.step_count l.mem));
           r))
 
 (** [solo_length setup pid] — number of steps [pid]'s program needs to run

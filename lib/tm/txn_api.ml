@@ -34,7 +34,7 @@ type counters = {
   c_abort : Tm_obs.Metrics.counter;
   c_retry : Tm_obs.Metrics.counter;
   c_poison : Tm_obs.Metrics.counter;
-  hook : Access_log.t -> int -> unit;
+  hook : Access_log.t -> int -> int -> unit;
 }
 
 let counters_of_tm : (string, counters) Hashtbl.t = Hashtbl.create 16
@@ -58,9 +58,10 @@ let counters tm =
           c_abort = c_of "tm_abort_total"; c_retry = c_of "tm_retry_total";
           c_poison = c_of "tm_poison_aborts_total";
           hook =
-            (fun log i ->
-              Tm_obs.Metrics.inc
-                c_prim.(Primitive.kind_index (Access_log.prim_at log i))) }
+            (fun log i n ->
+              Tm_obs.Metrics.add
+                c_prim.(Primitive.kind_index (Access_log.prim_at log i))
+                n) }
       in
       Hashtbl.add counters_of_tm tm c;
       c

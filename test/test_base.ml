@@ -257,23 +257,16 @@ let vec_tests =
         done;
         check "to_list" true
           (Intvec.to_list v = List.init 100 (fun i -> i * 3)));
-    Alcotest.test_case "intvec set/get bounds" `Quick (fun () ->
+    Alcotest.test_case "intvec get bounds" `Quick (fun () ->
         let v = Intvec.create ~chunk_bits:2 () in
         Intvec.push v 1;
-        Intvec.set v 0 9;
-        check_int "set visible" 9 (Intvec.get v 0);
+        check_int "get" 1 (Intvec.get v 0);
         check "get oob" true
           (try
              ignore (Intvec.get v 1);
              false
-           with Invalid_argument _ -> true);
-        check "set oob" true
-          (try
-             Intvec.set v (-1) 0;
-             false
            with Invalid_argument _ -> true));
-    Alcotest.test_case "intvec clear retains chunks, prefix is independent"
-      `Quick (fun () ->
+    Alcotest.test_case "intvec prefix is independent" `Quick (fun () ->
         let v = Intvec.create ~chunk_bits:2 () in
         for i = 0 to 20 do Intvec.push v i done;
         let c = Intvec.prefix v 21 in
@@ -283,11 +276,8 @@ let vec_tests =
              ignore (Intvec.prefix v 22);
              false
            with Invalid_argument _ -> true);
-        Intvec.clear v;
-        check_int "cleared" 0 (Intvec.length v);
-        check_int "copy unaffected" 21 (Intvec.length c);
         for i = 0 to 20 do Intvec.push v (100 + i) done;
-        check_int "reused" (100 + 7) (Intvec.get v 7);
+        check_int "copy unaffected" 21 (Intvec.length c);
         check_int "copy still old" 7 (Intvec.get c 7);
         check "prefix holds the first 9" true
           (Intvec.to_list p = List.init 9 Fun.id);
@@ -297,7 +287,8 @@ let vec_tests =
         check "prefix extends" true
           (Intvec.to_list p
           = List.init 9 Fun.id @ List.init 22 (fun i -> -(i + 9)));
-        check_int "source untouched" (100 + 9) (Intvec.get v 9));
+        check "source untouched" true
+          (Intvec.to_list v = List.init 21 Fun.id @ List.init 21 (( + ) 100)));
     Alcotest.test_case "objvec growth across chunk boundaries" `Quick
       (fun () ->
         let v = Objvec.create ~chunk_bits:2 ~dummy:"" () in
@@ -314,12 +305,78 @@ let vec_tests =
           (try
              ignore (Objvec.get v 100);
              false
-           with Invalid_argument _ -> true);
-        Objvec.clear v;
-        check_int "cleared" 0 (Objvec.length v);
-        Objvec.push v "again";
-        check_str "reuse after clear" "again" (Objvec.get v 0));
+           with Invalid_argument _ -> true));
   ]
+
+(* Shared chunks: [push_n] installs one chunk of [v]s in every whole-chunk
+   slot it appends, which is sound only while a full chunk is never
+   written again.  Random interleavings of [push] and [push_n] (counts
+   0-600) on both vectors must equal the same single pushes, read back
+   whole after every operation, and a prefix taken mid-sequence must keep
+   reading what it held when it was taken.  The boxed column holds one
+   physical string per value, so the read-back allocates nothing. *)
+let gen_vec_program =
+  QCheck.Gen.(
+    triple
+      (list_size (1 -- 30)
+         (frequency
+            [ (3, map (fun v -> (v, None)) (int_range 0 999));
+              (2,
+               map2 (fun v n -> (v, Some n)) (int_range 0 999)
+                 (int_range 0 600)) ]))
+      nat nat)
+
+let aliasing_law bits =
+  let names = Array.init 1000 string_of_int in
+  QCheck.Test.make ~count:150
+    ~name:(Printf.sprintf "push_n = single pushes, chunk_bits %d" bits)
+    (QCheck.make gen_vec_program)
+    (fun (ops, cut, at) ->
+      let iv = Intvec.create ~chunk_bits:bits () in
+      let ov = Objvec.create ~chunk_bits:bits ~dummy:"" () in
+      let model = ref [||] and len = ref 0 in
+      let add v =
+        if !len = Array.length !model then begin
+          let m = Array.make (max 16 (2 * !len)) 0 in
+          Array.blit !model 0 m 0 !len;
+          model := m
+        end;
+        !model.(!len) <- v;
+        incr len
+      in
+      let cut = cut mod List.length ops in
+      let prefix = ref None in
+      let ok = ref true in
+      List.iteri
+        (fun k (v, n) ->
+          (match n with
+          | None ->
+              Intvec.push iv v;
+              Objvec.push ov names.(v);
+              add v
+          | Some n ->
+              Intvec.push_n iv v n;
+              Objvec.push_n ov names.(v) n;
+              for _ = 1 to n do add v done);
+          ok := !ok && Intvec.length iv = !len && Objvec.length ov = !len;
+          for i = 0 to !len - 1 do
+            ok :=
+              !ok
+              && Intvec.get iv i = !model.(i)
+              && Objvec.get ov i == names.(!model.(i))
+          done;
+          (match !prefix with
+          | Some (p, held) -> ok := !ok && Intvec.to_list p = held
+          | None -> ());
+          if k = cut then begin
+            let m = at mod (!len + 1) in
+            prefix := Some (Intvec.prefix iv m, List.init m (Array.get !model))
+          end)
+        ops;
+      !ok)
+
+let vec_laws =
+  List.map QCheck_alcotest.to_alcotest [ aliasing_law 2; aliasing_law 7 ]
 
 (* the flat access log: bounds, views and the per-process heads *)
 
@@ -382,23 +439,48 @@ let build_log ops =
   Memory.log m
 
 (* The bulk append the scheduler's spin fast-forward uses: [repeat_last]
-   leaves the log [n] single records of the last step's fields would,
-   across chunk boundaries (128-slot chunks: prefixes up to 300 steps,
-   repeats up to 400) *)
+   leaves the log [n] single records of the last step's fields would.
+   Two appends of different steps with records between them, across
+   chunk boundaries (128-slot chunks: prefixes up to 300 steps, repeats
+   up to 400), so the records and the second append follow chunks the
+   first append shared *)
+let gen_record =
+  QCheck.(
+    quad (int_range 1 40) (int_range 0 3) (int_range 0 2) (int_range 0 9))
+
 let repeat_law =
   QCheck.Test.make ~count:200 ~name:"repeat_last = n records of the last step"
-    QCheck.(pair (list_of_size Gen.(1 -- 300)
-                    (quad (int_range 1 40) (int_range 0 3) (int_range 0 2)
-                       (int_range 0 9)))
-              (int_range 0 400))
-    (fun (ops, n) ->
+    QCheck.(
+      quad
+        (list_of_size Gen.(1 -- 300) gen_record)
+        (int_range 0 400)
+        (list_of_size Gen.(1 -- 60) gen_record)
+        (int_range 0 400))
+    (fun (ops, n1, between, n2) ->
       let bulk = build_log ops and single = build_log ops in
-      let last = Access_log.get single (Access_log.length single - 1) in
-      Access_log.repeat_last bulk n;
-      for _ = 1 to n do
-        Access_log.record single ~pid:last.pid ~tid:last.tid ~oid:last.oid
-          ~prim:last.prim ~response:last.response ~changed:last.changed
-      done;
+      let repeat n =
+        let last = Access_log.get single (Access_log.length single - 1) in
+        Access_log.repeat_last bulk n;
+        for _ = 1 to n do
+          Access_log.record single ~pid:last.pid ~tid:last.tid ~oid:last.oid
+            ~prim:last.prim ~response:last.response ~changed:last.changed
+        done
+      in
+      let record (pid, t, o, v) =
+        List.iter
+          (fun log ->
+            Access_log.record log ~pid
+              ~tid:(if t = 0 then None else Some (Tid.v t))
+              ~oid:(Oid.of_int o)
+              ~prim:
+                (if v mod 2 = 0 then Primitive.Read
+                 else Primitive.Write (Value.int v))
+              ~response:(Value.int v) ~changed:(v mod 2 = 1))
+          [ bulk; single ]
+      in
+      repeat n1;
+      List.iter record between;
+      repeat n2;
       let same_at i =
         Access_log.pid_at bulk i = Access_log.pid_at single i
         && Access_log.tid_int_at bulk i = Access_log.tid_int_at single i
@@ -612,7 +694,7 @@ let () =
       ("primitive", primitive_tests);
       ("base_object", base_object_tests);
       ("memory", memory_tests);
-      ("vectors", vec_tests);
+      ("vectors", vec_tests @ vec_laws);
       ("access_log", log_bounds_tests @ log_prop_tests);
       ("properties", prop_tests);
     ]

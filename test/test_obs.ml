@@ -266,6 +266,91 @@ let test_replay_counters () =
   | l -> Alcotest.failf "expected one sim.replay span, got %d" (List.length l));
   Sink.reset sink
 
+(* the per-pid step counter counts where the memory counts, so a
+   cursor-driven run attributes every step: the explorer advances live
+   worlds with [Sim.step] and rebuilds forks by replaying their prefix,
+   neither of which goes through [Sim.replay] *)
+let test_cursor_pid_steps () =
+  let sink = Sink.default in
+  Sink.reset sink;
+  let x = Item.v "x" and y = Item.v "y" in
+  let specs =
+    [
+      { Static_txn.tid = Tid.v 1; pid = 1; reads = [ y ];
+        writes = [ (x, Value.int 1) ] };
+      { Static_txn.tid = Tid.v 2; pid = 2; reads = [ x ];
+        writes = [ (y, Value.int 2) ] };
+    ]
+  in
+  let impl = Registry.find_exn "tl2-clock" in
+  let setup mem recorder =
+    let handle =
+      Txn_api.instantiate impl mem recorder ~items:(Static_txn.items_of specs)
+    in
+    List.map
+      (fun s ->
+        ( s.Static_txn.pid,
+          Static_txn.program handle s ~outcomes:(Hashtbl.create 4) ))
+      specs
+  in
+  let stats =
+    Explorer.explore setup ~pids:[ 1; 2 ] ~on_execution:(fun _ -> ())
+  in
+  let m = Sink.metrics sink in
+  Alcotest.(check bool) "the search replayed prefixes" true
+    (stats.Explorer.replays > 0);
+  Alcotest.(check int) "no Sim.replay" 0
+    (Metrics.sum_counters m "sim_replay_total");
+  let steps = Metrics.sum_counters m "mem_steps_total" in
+  Alcotest.(check bool) "steps taken" true (steps > 0);
+  Alcotest.(check int) "per-pid steps sum to mem_steps_total" steps
+    (Metrics.sum_counters m "sched_pid_steps_total");
+  Alcotest.(check bool) "both pids attributed" true
+    (List.for_all
+       (fun pid ->
+         match
+           Metrics.find m "sched_pid_steps_total"
+             ~labels:[ ("pid", string_of_int pid) ]
+         with
+         | Some (Metrics.VCounter n) -> n > 0
+         | _ -> false)
+       [ 1; 2 ]);
+  Sink.reset sink
+
+(* A spin appended in bulk costs chunks, not steps: a million repeats of
+   a read under the TM telemetry hook allocate under one word per step
+   (per-step column fills cost about five), and the hook still counts
+   every step *)
+let test_bulk_append_allocation () =
+  let sink = Sink.default in
+  Sink.reset sink;
+  let mem = Memory.create () in
+  let recorder = Recorder.create () in
+  let x = Item.v "x" in
+  ignore
+    (Txn_api.instantiate (Registry.find_exn "tl-lock") mem recorder
+       ~items:[ x ]);
+  let o = Memory.alloc mem ~name:"spin" (Value.int 0) in
+  ignore (Memory.apply mem ~pid:3 o Primitive.Read);
+  let m = Sink.metrics sink in
+  let prims () = Metrics.sum_counters m "tm_mem_prim_total" in
+  let before = prims () in
+  let n = 1_000_000 in
+  let a0 = Gc.allocated_bytes () in
+  let appended = Memory.repeat_last mem n in
+  let a1 = Gc.allocated_bytes () in
+  Alcotest.(check bool) "appended" true appended;
+  Alcotest.(check int) "log length" (n + 1) (Memory.step_count mem);
+  let words = (a1 -. a0) /. float_of_int (Sys.word_size / 8) in
+  if words >= float_of_int n then
+    Alcotest.failf "bulk append allocated %.0f words for %d steps" words n;
+  Alcotest.(check int) "tm_mem_prim_total advances by n" n (prims () - before);
+  Alcotest.(check int) "mem_steps_total" (n + 1)
+    (Metrics.sum_counters m "mem_steps_total");
+  Alcotest.(check int) "sched_pid_steps_total" (n + 1)
+    (Metrics.sum_counters m "sched_pid_steps_total");
+  Sink.reset sink
+
 (* lazy handles leave the telemetry as it was: a repeated sweep after a
    reset reproduces every counter and histogram count, and no cell is
    registered before it first counts — the CI explore smoke greps the
@@ -386,6 +471,10 @@ let () =
       ( "sim",
         [
           Alcotest.test_case "replay counters" `Quick test_replay_counters;
+          Alcotest.test_case "cursor steps attributed to pids" `Quick
+            test_cursor_pid_steps;
+          Alcotest.test_case "bulk append allocates per chunk" `Quick
+            test_bulk_append_allocation;
           Alcotest.test_case "sweep telemetry under lazy handles" `Quick
             test_sweep_telemetry;
         ] );
