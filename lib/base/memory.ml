@@ -182,6 +182,7 @@ let apply t ~pid ?tid (oid : Oid.t) (prim : Primitive.t) : Value.t =
    a step that changed nothing is a fixed point of its primitive, and
    only a fault hook could answer a repeat differently. *)
 let repeat_last t n =
+  if n < 0 then invalid_arg "Memory.repeat_last: negative count";
   let last = Access_log.length t.log - 1 in
   if Option.is_some t.fault || last < 0 || Access_log.changed_at t.log last
   then false

@@ -17,6 +17,13 @@ val setup : Tm_intf.impl -> Sim.setup
 (** The world: the pair instantiated on [impl].  Each call makes a fresh
     outcome table, shared across the replays of one search. *)
 
+module Unstamped : Hashtbl.S with type key = Tm_trace.History.t
+(** Tables keyed by a history compared without its events' step stamps
+    ([at]): two keys are equal iff their events agree, in order, on tid,
+    pid, operation and response.  No consistency checker reads a stamp,
+    so equal keys get equal verdicts; {!run} keys its judging memo on
+    this. *)
+
 val run :
   ?max_steps:int ->
   ?max_nodes:int ->
@@ -28,7 +35,10 @@ val run :
 (** Sweep the workload's interleavings on one TM, classifying every
     complete execution by the strongest consistency condition it
     satisfies ("none" if it satisfies nothing).  Returns (condition,
-    executions) rows sorted by name, plus the search statistics.  Bounds
+    executions) rows sorted by name, plus the search statistics.  Each
+    distinct history ({!Unstamped}) is judged by
+    [Checkers.satisfied] once per call; [on_execution] still sees every
+    execution with its classification.  Bounds
     default to the stock sweep's: max_steps 80, max_nodes 300_000;
     [por] defaults to off (the naive search). *)
 

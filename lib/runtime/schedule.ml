@@ -280,6 +280,30 @@ let feed_steps (s : session) (atom : atom) : int =
                 s.stopped <- Some (Crashed (pid, e));
                 0))
 
+(** [k] feeds of [Steps (pid, 1)], with the steps taken as one scheduler
+    run.  Only [pid] moves within the run, so a failed await with more of
+    the run left takes the bulk append ({!Scheduler.run_steps}).  The
+    session is left as the [k] feeds leave it: one tally per atom (1 per
+    step taken, 0 for each atom fed once the process has finished or
+    been crash-stopped, or while it is parked), the same total, and
+    nothing fed after a genuine crash stops the session — the crashing
+    atom is the one that took the run's last step, or the first if the
+    process failed on being started. *)
+let feed_run (s : session) pid k =
+  if s.stopped = None then
+    if Hashtbl.mem s.parked pid then for _ = 1 to k do count_atom s 0 done
+    else begin
+      let taken = Scheduler.run_steps s.sched pid k in
+      match Scheduler.crash_state s.sched pid with
+      | Scheduler.Genuine e ->
+          for _ = 2 to taken do count_atom s 1 done;
+          s.stopped <- Some (Crashed (pid, e));
+          count_atom s (min taken 1)
+      | Scheduler.No_crash | Scheduler.Injected_stop ->
+          for _ = 1 to taken do count_atom s 1 done;
+          for _ = taken + 1 to k do count_atom s 0 done
+    end
+
 (** {!feed_steps} with the legacy boxed outcome. *)
 let feed (s : session) (atom : atom) : feed_outcome =
   let steps = feed_steps s atom in

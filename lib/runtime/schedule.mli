@@ -108,6 +108,15 @@ val feed_steps : session -> atom -> int
     observable via {!session_stopped}.  The per-step engines ([Sim.step],
     replay loops) use this form. *)
 
+val feed_run : session -> int -> int -> unit
+(** [feed_run s pid k] leaves the session exactly as [k] {!feed_steps}
+    of [Steps (pid, 1)] would — the same step log, one tally per atom,
+    the same {!session_steps}, nothing fed after a genuine crash stops
+    it — but takes the steps as one scheduler run, so a failed await
+    with more of the run left is appended in bulk.  A cursor's
+    re-materialization replays its path's runs of single steps this
+    way. *)
+
 val session_stopped : session -> bool
 
 val set_tick : session -> (int -> unit) -> unit

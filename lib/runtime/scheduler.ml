@@ -220,40 +220,43 @@ let runnable t pid =
    true iff it was taken. *)
 let spin_forward t left = left > 0 && Memory.repeat_last t.mem left
 
+(* The run loops are top-level functions that take their state as
+   arguments: a local [go] closing over the cell and the bound would
+   allocate a closure per call, and [Sim.step] makes one call per step. *)
+let rec run_steps_from t c n taken =
+  if taken >= n then taken
+  else
+    match advance t c with
+    | Resumed -> run_steps_from t c n (taken + 1)
+    | Blocked ->
+        if spin_forward t (n - taken - 1) then n
+        else run_steps_from t c n (taken + 1)
+    | Was_finished | Was_crashed _ -> taken
+
 (** Run [pid] for at most [n] steps; returns the number of steps taken
     (fewer than [n] only if the process finished or crashed). *)
-let run_steps t pid n =
-  let c = cell t pid in
-  let rec go taken =
-    if taken >= n then taken
-    else
-      match advance t c with
-      | Resumed -> go (taken + 1)
-      | Blocked -> if spin_forward t (n - taken - 1) then n else go (taken + 1)
-      | Was_finished | Was_crashed _ -> taken
-  in
-  go 0
+let run_steps t pid n = run_steps_from t (cell t pid) n 0
 
 type solo_result = Done of int | Out_of_budget | Crash of exn
+
+let rec run_solo_from t c budget taken =
+  match c.status with
+  | Finished -> Done taken
+  | Failed e -> Crash e
+  | Not_started _ | Pending _ | Stepping -> (
+      if taken >= budget then Out_of_budget
+      else
+        match advance t c with
+        | Resumed -> run_solo_from t c budget (taken + 1)
+        | Blocked ->
+            if spin_forward t (budget - taken - 1) then
+              run_solo_from t c budget budget
+            else run_solo_from t c budget (taken + 1)
+        | Was_finished -> Done taken
+        | Was_crashed e -> Crash e)
 
 (** Run [pid] solo until it finishes, up to [budget] steps.  [Done n] means
     the process finished after [n] further steps.  [Out_of_budget] is how a
     blocking TM's failure to make solo progress manifests. *)
 let run_solo t pid ~budget : solo_result =
-  let c = cell t pid in
-  let rec go taken =
-    match c.status with
-    | Finished -> Done taken
-    | Failed e -> Crash e
-    | Not_started _ | Pending _ | Stepping -> (
-        if taken >= budget then Out_of_budget
-        else
-          match advance t c with
-          | Resumed -> go (taken + 1)
-          | Blocked ->
-              if spin_forward t (budget - taken - 1) then go budget
-              else go (taken + 1)
-          | Was_finished -> Done taken
-          | Was_crashed e -> Crash e)
-  in
-  go 0
+  run_solo_from t (cell t pid) budget 0

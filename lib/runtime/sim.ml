@@ -59,7 +59,8 @@ type cursor = {
    append-only {!Intvec} rather than as a cons per step: tag in the low 3
    bits, pid in the next 21, the [Steps] count above.  Decoding happens
    only off the live step path (re-materialization replays, [path],
-   snapshot metadata).
+   snapshot metadata), and a replay reads a run of single steps without
+   decoding it ([feed_path]).
 
    Buffers are shared between a cursor and its forks.  Only a buffer's
    owner appends to it, and only at its end, so the first [len] atoms a
@@ -68,8 +69,9 @@ type cursor = {
    forks are checkpoints that are never advanced and never copy. *)
 
 (* [Steps (pid, 1)] atoms are immutable and identical across every cursor,
-   so the single-step engine and the replay decoder share one per small
-   pid instead of allocating one per step. *)
+   so the single-step engine and the path decoder ([path], snapshot
+   metadata) share one per small pid instead of allocating one per step.
+   A replay feeds such atoms as runs and decodes none of them. *)
 let step1_cache = Array.init 64 (fun pid -> Schedule.Steps (pid, 1))
 
 let step1 pid =
@@ -88,8 +90,10 @@ let encode_atom = function
   | Schedule.Unpark pid -> (pid lsl 3) lor 4
   | Schedule.Poison pid -> (pid lsl 3) lor 5
 
+let code_pid code = (code lsr 3) land 0x1F_FFFF
+
 let decode_atom code : Schedule.atom =
-  let pid = (code lsr 3) land 0x1F_FFFF in
+  let pid = code_pid code in
   match code land 7 with
   | 0 ->
       if code = step1_code pid then step1 pid
@@ -118,6 +122,27 @@ let extend (c : cursor) code =
 
 let replays_c = Tm_obs.Sink.counter "sim_cursor_replays_total"
 
+(* Replay path atoms [i..len-1] into a session.  A maximal run of k
+   identical [Steps (pid, 1)] codes is fed as one scheduler run, which
+   leaves the session as the k atoms would ({!Schedule.feed_run}) and
+   lets a replayed spin take the bulk append; the path itself keeps one
+   code per atom. *)
+let rec feed_path session path len i =
+  if i < len then begin
+    let code = Intvec.get path i in
+    let pid = code_pid code in
+    if code = step1_code pid then begin
+      let j = ref (i + 1) in
+      while !j < len && Intvec.get path !j = code do incr j done;
+      Schedule.feed_run session pid (!j - i);
+      feed_path session path len !j
+    end
+    else begin
+      ignore (Schedule.feed_steps session (decode_atom code));
+      feed_path session path len (i + 1)
+    end
+  end
+
 (* Build (or rebuild) the live world: fresh memory and recorder, the
    global flight recorder attached to the new log (one flight trace = one
    execution, so a fork's re-materialization re-records its prefix and an
@@ -141,9 +166,7 @@ let materialize (c : cursor) : live =
       let session = Schedule.session ~budget:c.budget sched in
       let l = { mem; recorder; sched; session } in
       c.live <- Some l;
-      for i = 0 to c.len - 1 do
-        ignore (Schedule.feed_steps session (decode_atom (Intvec.get c.path i)))
-      done;
+      feed_path session c.path c.len 0;
       Option.iter (Schedule.set_tick session) c.tick;
       l
 

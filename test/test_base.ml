@@ -236,6 +236,30 @@ let memory_tests =
             check_int "t2 touches a only" 1
               (Oid.Map.cardinal s2.Contention.objects)
         | l -> Alcotest.failf "expected two summaries, got %d" (List.length l));
+    (* the count is checked before anything else: each memory below
+       refuses the append for its own reason, and still raises on -1 *)
+    Alcotest.test_case "repeat_last rejects a negative count on every path"
+      `Quick (fun () ->
+        let memory () =
+          let m = Memory.create () in
+          (m, Memory.alloc m ~name:"a" (Value.int 0))
+        in
+        let hooked, a = memory () in
+        Memory.set_fault_hook hooked (fun ~pid:_ ~tid:_ ~step:_ _ _ -> None);
+        ignore (Memory.apply hooked ~pid:1 a Primitive.Read);
+        let changed, a = memory () in
+        ignore (Memory.apply changed ~pid:1 a (Primitive.Write (Value.int 1)));
+        let empty, _ = memory () in
+        List.iter
+          (fun (name, m) ->
+            check (name ^ ": -1 raises") true
+              (try
+                 ignore (Memory.repeat_last m (-1));
+                 false
+               with Invalid_argument _ -> true);
+            check (name ^ ": 0 refused") false (Memory.repeat_last m 0);
+            check (name ^ ": 5 refused") false (Memory.repeat_last m 5))
+          [ ("fault hook", hooked); ("changed", changed); ("empty", empty) ]);
   ]
 
 (* chunked vectors: growth must be seamless across chunk boundaries, so

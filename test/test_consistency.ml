@@ -556,6 +556,8 @@ let fast_path_tests =
               (sat_names (Checkers.matrix hh))
               (Checkers.satisfied hh))
           Anomalies.catalogue);
+    (* the sweep's own classification comes from its judging memo: it
+       must be the head of a fresh call on every execution *)
     Alcotest.test_case
       "satisfied = Sat names of matrix on the stock DPOR sweep (10 TMs)"
       `Slow (fun () ->
@@ -564,31 +566,165 @@ let fast_path_tests =
           (fun impl ->
             ignore
               (Explore_sweep.run ~por:true
-                 ~on_execution:(fun ~strongest:_ r ->
+                 ~on_execution:(fun ~strongest r ->
                    incr executions;
                    let hh = r.Sim.history in
+                   let sat = Checkers.satisfied hh in
                    Alcotest.(check (list string))
                      (Registry.name impl)
                      (sat_names (Checkers.matrix hh))
-                     (Checkers.satisfied hh))
+                     sat;
+                   Alcotest.(check string)
+                     (Registry.name impl ^ ": memoised strongest")
+                     (match sat with s :: _ -> s | [] -> "none")
+                     strongest)
                  impl))
           Registry.all;
         check_int "executions" 5_346 !executions);
+    (* the subject is the strongest-first accounting of one
+       Checkers.satisfied call per execution, so the search is driven
+       directly: the sweep judges each distinct history once *)
     Alcotest.test_case "decisions run + implied = 9 x executions" `Slow
       (fun () ->
         Sink.reset Sink.default;
         let executions =
           List.fold_left
             (fun n impl ->
-              n + (snd (Explore_sweep.run ~por:true impl)).Explorer.executions)
+              let stats =
+                Explorer.explore ~max_steps:80 ~max_nodes:300_000 ~por:true
+                  (Explore_sweep.setup impl) ~pids:Explore_sweep.pids
+                  ~on_execution:(fun r ->
+                    ignore (Checkers.satisfied r.Sim.history))
+              in
+              n + stats.Explorer.executions)
             0 Registry.all
         in
         let m = Sink.metrics Sink.default in
         let run = Metrics.sum_counters m "checker_verdict_total" in
         let implied = Metrics.sum_counters m "checker_implied_total" in
+        check_int "executions" 5_346 executions;
         check_int "9 x executions" (9 * executions) (run + implied);
         check_int "stock sweep decisions" 48_114 (run + implied);
         check "at most 6,000 decisions run" true (run <= 6_000));
+    Alcotest.test_case "the sweep judges each distinct history once" `Slow
+      (fun () ->
+        Sink.reset Sink.default;
+        List.iter (fun impl -> ignore (Explore_sweep.run ~por:true impl))
+          Registry.all;
+        let m = Sink.metrics Sink.default in
+        let run = Metrics.sum_counters m "checker_verdict_total" in
+        let implied = Metrics.sum_counters m "checker_implied_total" in
+        (* the strongest checker runs once per Checkers.satisfied call *)
+        let calls =
+          List.fold_left
+            (fun n v ->
+              match
+                Metrics.find m "checker_verdict_total"
+                  ~labels:
+                    [ ("verdict", v); ("checker", "opacity(final-state)") ]
+              with
+              | Some (Metrics.VCounter k) -> n + k
+              | _ -> n)
+            0 [ "sat"; "unsat"; "out-of-budget" ]
+        in
+        check_int "Checkers.satisfied calls" 268 calls;
+        check_int "decisions = 9 x distinct histories" (9 * 268)
+          (run + implied);
+        check_int "decisions run" 307 run;
+        check_int "decisions implied" 2_105 implied);
+  ]
+
+(* Step stamps are not read by any consistency checker: re-stamping a
+   history's events with arbitrary non-decreasing steps leaves every
+   verdict, and the strongest-first answer, as it was.  The sweep's
+   judging memo rests on this. *)
+let restamp seed hh =
+  let st = Random.State.make [| seed |] in
+  let at = ref (Random.State.int st 5) in
+  History.of_list
+    (List.map
+       (fun e ->
+         at := !at + Random.State.int st 4;
+         match e with
+         | Event.Inv r -> Event.Inv { r with at = !at }
+         | Event.Resp r -> Event.Resp { r with at = !at })
+       (History.to_list hh))
+
+let stamp_blind ?budget hh seed =
+  let hh' = restamp seed hh in
+  Checkers.matrix ?budget hh = Checkers.matrix ?budget hh'
+  && Checkers.satisfied ?budget hh = Checkers.satisfied ?budget hh'
+
+(* The judging memo's key drops the stamps and nothing else: a history
+   keys the entry of another iff their events agree once stamps are
+   zeroed — re-stamped copies hit, and a copy with one event's tid, pid,
+   operation or response changed, or an event dropped, misses *)
+let unstamped (e : Event.t) =
+  match e with
+  | Event.Inv r -> Event.Inv { r with at = 0 }
+  | Event.Resp r -> Event.Resp { r with at = 0 }
+
+let perturb st hh =
+  let evs = Array.of_list (History.to_list hh) in
+  let n = Array.length evs in
+  let i = Random.State.int st n in
+  (match (Random.State.int st 5, evs.(i)) with
+  | 0, Event.Inv r -> evs.(i) <- Event.Inv { r with pid = r.pid + 1 }
+  | 0, Event.Resp r -> evs.(i) <- Event.Resp { r with pid = r.pid + 1 }
+  | 1, Event.Inv r -> evs.(i) <- Event.Inv { r with tid = Tid.v 9 }
+  | 1, Event.Resp r -> evs.(i) <- Event.Resp { r with tid = Tid.v 9 }
+  | 2, Event.Inv r -> evs.(i) <- Event.Inv { r with op = Event.Abort_call }
+  | 2, Event.Resp r -> evs.(i) <- Event.Resp { r with op = Event.Abort_call }
+  | 3, Event.Resp r ->
+      evs.(i) <-
+        Event.Resp
+          {
+            r with
+            resp =
+              (match r.resp with
+              | Event.R_value v ->
+                  Event.R_value (Value.int (1 + Value.to_int_exn v))
+              | Event.R_aborted -> Event.R_committed
+              | Event.R_ok | Event.R_committed -> Event.R_aborted);
+          }
+  | _ -> ());
+  let evs = Array.to_list evs in
+  History.of_list
+    (if Random.State.int st 8 = 0 then List.filteri (fun j _ -> j < n - 1) evs
+     else evs)
+
+let stamp_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500
+         ~name:"the memo key is a history without its stamps"
+         QCheck.(triple (make gen_history) small_nat bool)
+         (fun (hh, seed, restamped) ->
+           QCheck.assume (History.length hh > 0);
+           let other =
+             if restamped then restamp seed hh
+             else restamp seed (perturb (Random.State.make [| seed |]) hh)
+           in
+           let table = Explore_sweep.Unstamped.create 1 in
+           Explore_sweep.Unstamped.add table hh ();
+           Explore_sweep.Unstamped.mem table other
+           = (List.map unstamped (History.to_list hh)
+             = List.map unstamped (History.to_list other))));
+    Alcotest.test_case "verdicts ignore step stamps on the catalogue" `Quick
+      (fun () ->
+        List.iter
+          (fun (a : Anomalies.anomaly) ->
+            List.iter
+              (fun seed ->
+                check a.Anomalies.name true
+                  (stamp_blind a.Anomalies.history seed))
+              [ 1; 2; 3 ])
+          Anomalies.catalogue);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:150
+         ~name:"verdicts ignore step stamps on random histories"
+         QCheck.(pair (make gen_history) small_nat)
+         (fun (hh, seed) -> stamp_blind ~budget:400_000 hh seed));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1396,5 +1532,6 @@ let () =
       ("hierarchy", hierarchy_tests);
       ("history-index", index_tests);
       ("fast-path", fast_path_tests);
+      ("step-stamps", stamp_tests);
       ("wac-stop-rule", wac_stop_tests);
     ]

@@ -77,19 +77,37 @@ let cursor_tests =
           = sig_of (Sim.snapshot ~flight:false f2)));
   ]
 
-(* The fork law: a random program of steps and forks over a pool of
-   cursors, on the stock writer/reader pair under a registry TM.  Every
-   cursor must match a model of its executed atoms, and its world (step
-   log, history, report) must equal [Sim.replay] of its own path — so a
-   fork that shared its parent's buffer must see exactly its prefix,
-   whatever the parent or a sibling fork appended since.  Programs step
-   only unfinished processes, as the explorer does: a no-op step is
-   tallied by a live session's report but is not part of the path.
+(* The fork law: a random program of steps, spins, fed atoms and forks
+   over a pool of cursors, on the stock writer/reader pair under a
+   registry TM.  Every cursor must match a model of its executed atoms,
+   and its world (step log, history, report) must equal [Sim.replay] of
+   its own path — so a fork that shared its parent's buffer must see
+   exactly its prefix, whatever the parent or a sibling fork appended
+   since.  A fork re-materialized from each cursor's path, which feeds
+   the path's runs of single steps as scheduler runs, must equal the
+   replay too: every log column, the history, the report, each process's
+   [finished] and [pending], and what the replay adds to
+   [mem_steps_total], [sched_pid_steps_total] and [tm_mem_prim_total].
+
+   [Step] and [Spin] move only a process that can move — unfinished,
+   not crashed, not parked, in a running session — as the explorer
+   does: a no-op step is tallied by a live session's report but is not
+   part of the path.  [Repeat] feeds [Steps (pid, 1)] through
+   [Sim.apply] whatever the process's state, so a path also holds runs
+   of atoms that took no step.  Spins dwell on tl-lock, norec and
+   tl2-clock, whose readers await a lock.  Half the programs run under a
+   fault hook that fails RMW steps spuriously, under which a spin may
+   not be appended in bulk.
 
    Every program opens with a fixed head that forks a fork, advances a
    parent after forking it, and advances two forks of one parent; the
-   random tail then mixes further steps and forks. *)
-type fork_op = Step of int * int | Fork of int  (* cursor, pid choice *)
+   random tail then mixes further operations. *)
+type fork_op =
+  | Fork of int  (* cursor *)
+  | Step of int * int  (* cursor, pid choice *)
+  | Spin of int * int * int  (* cursor, pid choice, steps *)
+  | Repeat of int * int * int  (* cursor, pid, atoms *)
+  | Apply of int * Schedule.atom  (* cursor, atom *)
 
 let fork_law_head =
   [
@@ -97,47 +115,269 @@ let fork_law_head =
     Step (3, 0); Step (2, 0);
   ]
 
-let gen_fork_program =
-  QCheck.(
-    pair (int_range 0 (List.length Registry.all - 1))
-      (list_of_size Gen.(0 -- 40)
-         (map
-            (fun (fork, k, pid) -> if fork = 0 then Fork k else Step (k, pid))
-            (triple (int_range 0 3) small_nat (int_range 0 1)))))
+let spinning = [ "tl-lock"; "norec"; "tl2-clock" ]
+let law_tms = spinning @ List.map Registry.name Registry.all
 
-let run_fork_program (tm, ops) =
-  let setup = Explore_sweep.setup (List.nth Registry.all tm) in
-  (* the pool: each cursor with its executed atoms, newest first *)
-  let pool = ref [| (Sim.start setup, []) |] in
+let gen_atom =
+  QCheck.Gen.(
+    map
+      (fun (kind, pid, n) : Schedule.atom ->
+        match kind with
+        | 0 -> Crash pid
+        | 1 -> Park pid
+        | 2 -> Unpark pid
+        | 3 -> Poison pid
+        | 4 -> Until_done pid
+        | _ -> Steps (pid, n))
+      (triple (int_range 0 6) (int_range 1 2) (int_range 0 12)))
+
+let gen_fork_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun k -> Fork k) small_nat);
+        (6, map2 (fun k pid -> Step (k, pid)) small_nat (int_range 0 1));
+        ( 3,
+          map3
+            (fun k pid n -> Spin (k, pid, n))
+            small_nat (int_range 0 1) (int_range 2 30) );
+        ( 1,
+          map3
+            (fun k pid n -> Repeat (k, pid, n))
+            small_nat (int_range 1 2) (int_range 1 6) );
+        (2, map2 (fun k a -> Apply (k, a)) small_nat gen_atom);
+      ])
+
+let gen_fork_program =
+  QCheck.make
+    QCheck.Gen.(
+      triple
+        (int_range 0 (List.length law_tms - 1))
+        bool
+        (list_size (0 -- 40) gen_fork_op))
+
+(* every CAS, SC or try-lock taken at an even step index fails
+   spuriously *)
+let spurious (setup : Sim.setup) : Sim.setup =
+ fun mem recorder ->
+  Memory.set_fault_hook mem (fun ~pid:_ ~tid:_ ~step _ _ ->
+      if step mod 2 = 0 then Some Memory.Spurious_fail else None);
+  setup mem recorder
+
+(* the step counters a world's steps advance, by label set *)
+let step_counters () =
+  List.filter_map
+    (fun (s : Metrics.sample) ->
+      match s.Metrics.value with
+      | Metrics.VCounter n
+        when List.mem s.Metrics.name
+               [ "mem_steps_total"; "sched_pid_steps_total";
+                 "tm_mem_prim_total" ] ->
+          Some ((s.Metrics.name, s.Metrics.labels), n)
+      | _ -> None)
+    (Metrics.snapshot (Sink.metrics Sink.default))
+
+(* [f ()] with what it added to each step counter *)
+let counting f =
+  let before = step_counters () in
+  let x = f () in
+  let added =
+    List.filter_map
+      (fun (key, n) ->
+        let d = n - Option.value ~default:0 (List.assoc_opt key before) in
+        if d = 0 then None else Some (key, d))
+      (step_counters ())
+  in
+  (x, added)
+
+(* a cursor of the pool and its model: executed atoms (newest first),
+   whether its session has halted, and the pids it parked *)
+type modelled = {
+  cursor : Sim.cursor;
+  atoms : Schedule.atom list;
+  halted : bool;
+  parked : int list;
+}
+
+let same_world (r : Sim.result) (r' : Sim.result) =
+  Log_ref.of_log (Memory.log r.Sim.mem)
+  = Log_ref.of_log (Memory.log r'.Sim.mem)
+  && History.events r.Sim.history = History.events r'.Sim.history
+  && r.Sim.report = r'.Sim.report
+
+let fork_law_budget = 300
+
+let run_fork_program (tm, faulty, ops) =
+  let impl = Registry.find_exn (List.nth law_tms tm) in
+  let setup =
+    if faulty then spurious (Explore_sweep.setup impl)
+    else Explore_sweep.setup impl
+  in
+  let budget = fork_law_budget in
+  let pids = Explore_sweep.pids in
+  let pool =
+    ref
+      [|
+        { cursor = Sim.start ~budget setup; atoms = []; halted = false;
+          parked = [] };
+      |]
+  in
+  let movable m pid =
+    (not m.halted)
+    && (not (List.mem pid m.parked))
+    && (not (Sim.finished m.cursor pid))
+    && Sim.crashed m.cursor pid = None
+  in
+  let step m pid =
+    if Sim.step m.cursor pid then
+      { m with atoms = Schedule.Steps (pid, 1) :: m.atoms }
+    else m
+  in
+  let apply m (atom : Schedule.atom) =
+    let outcome = Sim.apply m.cursor atom in
+    if m.halted then m
+    else
+      {
+        m with
+        atoms = atom :: m.atoms;
+        halted = outcome.Schedule.halted;
+        parked =
+          (match atom with
+          | Park pid -> pid :: m.parked
+          | Unpark pid -> List.filter (( <> ) pid) m.parked
+          | _ -> m.parked);
+      }
+  in
   List.iter
     (fun op ->
       let n = Array.length !pool in
+      let update k f = !pool.(k mod n) <- f !pool.(k mod n) in
       match op with
       | Fork k ->
-          let c, atoms = !pool.(k mod n) in
-          pool := Array.append !pool [| (Sim.fork c, atoms) |]
-      | Step (k, choice) -> (
-          let c, atoms = !pool.(k mod n) in
-          match
-            List.filter (fun p -> not (Sim.finished c p)) Explore_sweep.pids
-          with
-          | [] -> ()
-          | live ->
-              let pid = List.nth live (choice mod List.length live) in
-              if Sim.step c pid then
-                !pool.(k mod n) <- (c, Schedule.Steps (pid, 1) :: atoms)))
+          let m = !pool.(k mod n) in
+          let fork = { m with cursor = Sim.fork m.cursor } in
+          pool := Array.append !pool [| fork |]
+      | Step (k, choice) ->
+          update k (fun m ->
+              match List.filter (movable m) pids with
+              | [] -> m
+              | live -> step m (List.nth live (choice mod List.length live)))
+      | Spin (k, choice, len) ->
+          update k (fun m ->
+              let pid = List.nth pids choice in
+              let rec go m i =
+                if i = 0 || not (movable m pid) then m
+                else go (step m pid) (i - 1)
+              in
+              go m len)
+      | Repeat (k, pid, len) ->
+          update k (fun m ->
+              let rec go m i =
+                if i = 0 then m
+                else go (apply m (Schedule.Steps (pid, 1))) (i - 1)
+              in
+              go m len)
+      | Apply (k, atom) -> update k (fun m -> apply m atom))
     (fork_law_head @ ops);
   Array.for_all
-    (fun (c, atoms) ->
+    (fun m ->
+      let c = m.cursor in
       let path = Sim.path c in
-      let r = Sim.snapshot ~flight:false c in
-      let r' = Sim.replay setup path in
-      path = List.rev atoms
-      && Log_ref.of_log (Memory.log r.Sim.mem)
-         = Log_ref.of_log (Memory.log r'.Sim.mem)
-      && History.events r.Sim.history = History.events r'.Sim.history
-      && r.Sim.report = r'.Sim.report)
+      let fork = Sim.fork c in
+      let (), rebuilt = counting (fun () -> ignore (Sim.steps_taken fork)) in
+      let r', replayed = counting (fun () -> Sim.replay ~budget setup path) in
+      (* the cursor [Sim.replay] builds, for what a result does not carry *)
+      let oracle = Sim.start ~budget setup in
+      List.iter (fun a -> ignore (Sim.apply oracle a)) path;
+      path = List.rev m.atoms
+      && same_world (Sim.snapshot ~flight:false c) r'
+      && same_world (Sim.snapshot ~flight:false fork) r'
+      && rebuilt = replayed
+      && List.for_all
+           (fun pid ->
+             Sim.finished fork pid = r'.Sim.finished pid
+             && Sim.pending fork pid = Sim.pending oracle pid)
+           pids)
     !pool
+
+(* The run feed itself, on sessions: [Schedule.feed_run s pid k] leaves a
+   session exactly as k feeds of [Steps (pid, 1)] — step log, history,
+   report, total, stop, each process's state, the tick hook's calls and
+   the step counters — between random atoms, on a world whose p1 may
+   fail genuinely on being started or after its last step, so a run can
+   be cut by a crash. *)
+type feed_op = Atom of Schedule.atom | Run of int * int  (* pid, atoms *)
+
+let gen_feed_program =
+  QCheck.make
+    QCheck.Gen.(
+      quad
+        (int_range 0 (List.length law_tms - 1))
+        (int_range 0 2) bool
+        (list_size (1 -- 30)
+           (frequency
+              [
+                (1, map (fun a -> Atom a) gen_atom);
+                ( 3,
+                  map2 (fun pid k -> Run (pid, k)) (int_range 1 2)
+                    (int_range 1 40) );
+              ])))
+
+let failing kind (setup : Sim.setup) : Sim.setup =
+ fun mem recorder ->
+  List.map
+    (fun (pid, f) ->
+      match (pid, kind) with
+      | 1, 1 -> (pid, fun () -> failwith "p1 fails on being started")
+      | 1, 2 ->
+          ( pid,
+            fun () ->
+              f ();
+              failwith "p1 fails after its last step" )
+      | _ -> (pid, f))
+    (setup mem recorder)
+
+let run_feed_program (tm, kind, faulty, ops) =
+  let impl = Registry.find_exn (List.nth law_tms tm) in
+  let setup = failing kind (Explore_sweep.setup impl) in
+  let setup = if faulty then spurious setup else setup in
+  let world feed_run =
+    let mem = Memory.create () in
+    let recorder = Recorder.create () in
+    let sched = Scheduler.create mem in
+    List.iter
+      (fun (pid, f) -> Scheduler.spawn sched ~pid f)
+      (setup mem recorder);
+    let s = Schedule.session ~budget:fork_law_budget sched in
+    let ticks = ref [] in
+    Schedule.set_tick s (fun n ->
+        ticks := (n, Schedule.session_stopped s) :: !ticks);
+    let (), added =
+      counting (fun () ->
+          List.iter
+            (function
+              | Atom a -> ignore (Schedule.feed_steps s a)
+              | Run (pid, k) -> feed_run s pid k)
+            ops)
+    in
+    ( Log_ref.of_log (Memory.log mem),
+      History.events (Recorder.history recorder),
+      Schedule.session_report s,
+      Schedule.session_steps s,
+      List.map
+        (fun pid ->
+          ( Scheduler.finished sched pid,
+            Scheduler.crashed sched pid,
+            Scheduler.pending sched pid ))
+        Explore_sweep.pids,
+      !ticks,
+      added )
+  in
+  world Schedule.feed_run
+  = world (fun s pid k ->
+        for _ = 1 to k do
+          ignore (Schedule.feed_steps s (Schedule.Steps (pid, 1)))
+        done)
 
 let fork_law_tests =
   [
@@ -145,6 +385,10 @@ let fork_law_tests =
       (QCheck.Test.make ~count:150
          ~name:"fork law: every cursor = replay of its own path"
          gen_fork_program run_fork_program);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:150
+         ~name:"run feed: feed_run pid k = k feeds of one step"
+         gen_feed_program run_feed_program);
   ]
 
 let por_tests =

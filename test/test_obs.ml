@@ -351,6 +351,52 @@ let test_bulk_append_allocation () =
     (Metrics.sum_counters m "sched_pid_steps_total");
   Sink.reset sink
 
+(* A scheduler run of one step costs what a single step costs: the run
+   loops close over nothing, so [run_steps s pid 1] (one per live
+   cursor step) allocates within a word of [step s pid] on an identical
+   program *)
+let test_run_steps_allocation () =
+  let n = 10_000 in
+  let world () =
+    let mem = Memory.create () in
+    let o = Memory.alloc mem ~name:"o" (Value.int 0) in
+    let s = Scheduler.create mem in
+    Scheduler.spawn s ~pid:1 (fun () ->
+        for _ = 0 to n do
+          ignore (Proc.access_t ~tid:None o Primitive.Read)
+        done);
+    (* the first step starts the process; both worlds pay it unmeasured *)
+    ignore (Scheduler.step s 1);
+    s
+  in
+  (* [Gc.minor_words] reads the allocation pointer, so it is exact
+     between two calls; [Gc.allocated_bytes] lags until a collection *)
+  let words f =
+    let a0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. a0
+  in
+  let stepped = world () and run = world () in
+  let w_step =
+    words (fun () ->
+        for _ = 1 to n do
+          ignore (Scheduler.step stepped 1)
+        done)
+  in
+  let w_run =
+    words (fun () ->
+        for _ = 1 to n do
+          ignore (Scheduler.run_steps run 1 1)
+        done)
+  in
+  let gap = (w_run -. w_step) /. float_of_int n in
+  if gap > 1.0 then
+    Alcotest.failf "run_steps allocated %.2f words per call more than step"
+      gap;
+  Alcotest.(check int) "same log length"
+    (Memory.step_count (Scheduler.memory stepped))
+    (Memory.step_count (Scheduler.memory run))
+
 (* lazy handles leave the telemetry as it was: a repeated sweep after a
    reset reproduces every counter and histogram count, and no cell is
    registered before it first counts — the CI explore smoke greps the
@@ -475,6 +521,8 @@ let () =
             test_cursor_pid_steps;
           Alcotest.test_case "bulk append allocates per chunk" `Quick
             test_bulk_append_allocation;
+          Alcotest.test_case "a one-step run allocates as a step" `Quick
+            test_run_steps_allocation;
           Alcotest.test_case "sweep telemetry under lazy handles" `Quick
             test_sweep_telemetry;
         ] );
