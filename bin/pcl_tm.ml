@@ -555,7 +555,9 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
             vs
     end;
     if
-      List.mem M.name [ "tl-lock"; "pram-local"; "candidate"; "lp-progressive" ]
+      List.mem M.name
+        [ "tl-lock"; "pram-local"; "candidate"; "llsc-candidate";
+          "lp-progressive" ]
     then begin
       match
         Strict_dap.violations ~data_sets:(Static_txn.data_sets specs) log
@@ -1886,7 +1888,26 @@ let conform_cmd =
 (* report: run a workload silently, then dump the telemetry sink. *)
 
 let report_workloads =
-  [ "mixed"; "fuzz"; "scaling"; "verdict"; "liveness"; "explore" ]
+  [ "mixed"; "fuzz"; "scaling"; "verdict"; "liveness"; "explore"; "checkers" ]
+
+(* every checker decides a sequential read-modify-write chain of [n]
+   transactions (8n events) 100 times: the cost-against-length table is
+   the checker_wall_ns and checker_history_events histograms *)
+let report_checkers n =
+  let h =
+    Build.history
+      (List.concat_map
+         (fun k ->
+           [ Build.B (k, ((k - 1) mod 3) + 1); Build.R (k, "x", k - 1);
+             Build.W (k, "x", k); Build.C k ])
+         (List.init n (fun i -> i + 1)))
+  in
+  List.iter
+    (fun (c : Spec.checker) ->
+      for _ = 1 to 100 do
+        ignore (c.Spec.check h)
+      done)
+    Checkers.all
 
 (** Drive one silent workload over [impl]; all output happens through the
     default sink. *)
@@ -1915,7 +1936,10 @@ let report_drive workload ~iters ~seed impl =
             [ 0; 50; 100 ])
         [ 2; 4; 8 ]
   | "verdict" -> ignore (Pcl_verdict.assess impl)
-  | "liveness" -> ignore (Liveness_class.classify impl)
+  | "liveness" ->
+      ignore (Liveness_class.classify impl);
+      List.iter (fun disjoint -> ignore (Progress.run impl ~disjoint))
+        [ false; true ]
   | "explore" -> ignore (run_explore impl)
   | w -> Fmt.failwith "unknown workload %S (one of %s)" w
            (String.concat ", " report_workloads)
@@ -1929,7 +1953,10 @@ let report_cmd =
           ~doc:
             "Workload to instrument: $(b,mixed) (scaling run + fuzz), \
              $(b,fuzz), $(b,scaling) (procs x conflict grid), \
-             $(b,verdict), $(b,liveness) or $(b,explore).")
+             $(b,verdict), $(b,liveness) (classes and progress \
+             profiles), $(b,explore) or $(b,checkers) (every checker on \
+             a sequential chain of N transactions, once whatever the TM \
+             selection).")
   in
   let iters =
     Sweep.count [ "n"; "iterations" ] ~default:10 ~docv:"N"
@@ -1948,7 +1975,8 @@ let report_cmd =
       (match (tm, impls) with
       | Some _, [ (module M : Tm_intf.S) ] -> M.name
       | _ -> "all");
-    List.iter (report_drive workload ~iters ~seed) impls;
+    if workload = "checkers" then report_checkers iters
+    else List.iter (report_drive workload ~iters ~seed) impls;
     if out.Sweep.json || out.Sweep.output <> None then
       Sweep.emit out (Sink.to_jsonl sink)
     else Format.printf "%a@." Sink.pp_table sink

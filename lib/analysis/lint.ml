@@ -97,38 +97,17 @@ let input_of_flight fl : input =
     meta = Flight.meta fl;
   }
 
-(* Dynamic footprints: the per-transaction item sets actually touched in
-   the history.  Successful reads and writes are in the history's
-   read/write sets; *invoked* operations that were answered with A_T are
-   not, yet the transaction declared interest in those items and may have
-   taken base steps on their behalf — a TM that aborts a transaction on
-   its very first read (progressive TMs do) would otherwise leave it with
-   an empty footprint and fabricate disjoint-access findings against it.
-   The union of both is still an under-approximation of the static data
-   set for partially-run transactions, which can only mask (never
-   fabricate) a disjointness violation. *)
+(* Dynamic footprints: the items each transaction invoked an operation
+   on, answered or not.  A TM that aborts a transaction on its very first
+   read (progressive TMs do) would otherwise leave it with an empty
+   footprint and fabricate disjoint-access findings against it.  Still an
+   under-approximation of the static data set for partially-run
+   transactions, which can only mask (never fabricate) a disjointness
+   violation. *)
 let effective_data_sets (i : input) : Conflict.data_sets =
   match i.data_sets with
   | Some ds -> ds
-  | None ->
-      let invoked tid =
-        List.fold_left
-          (fun acc ev ->
-            match ev with
-            | Event.Inv { op = Event.Read x | Event.Write (x, _); _ } ->
-                Item.Set.add x acc
-            | _ -> acc)
-          Item.Set.empty
-          (History.per_txn i.history tid)
-      in
-      List.map
-        (fun tid ->
-          ( tid,
-            Item.Set.union (invoked tid)
-              (Item.Set.union
-                 (History.read_set i.history tid)
-                 (History.write_set i.history tid)) ))
-        (History.txns i.history)
+  | None -> Conflict.of_history i.history
 
 type pass = {
   name : string;

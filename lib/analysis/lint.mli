@@ -75,9 +75,8 @@ val input_of_flight : Flight.t -> input
     key are taken from the recorder. *)
 
 val effective_data_sets : input -> Conflict.data_sets
-(** The static data sets if given, else per-transaction read/write item
-    sets derived from the history — the dynamic footprint
-    over-approximation used by the strict-DAP pass. *)
+(** The static data sets if given, else {!Conflict.of_history} — the
+    dynamic footprints the strict-DAP and progressiveness passes use. *)
 
 (** {1 Passes} *)
 

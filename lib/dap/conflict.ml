@@ -22,6 +22,21 @@ let data_set (ds : data_sets) : Tid.t -> Item.Set.t =
     ds;
   fun tid -> Option.value ~default:Item.Set.empty (Hashtbl.find_opt tbl tid)
 
+(** Dynamic data sets: the items each transaction invoked an operation
+    on (Kuznetsov and Ravi's data set), so one aborted at its first access
+    still has that item. *)
+let of_history (h : Tm_trace.History.t) : data_sets =
+  let open Tm_trace in
+  let invoked acc = function
+    | Event.Inv { op = Event.Read x | Event.Write (x, _); _ } ->
+        Item.Set.add x acc
+    | _ -> acc
+  in
+  List.map
+    (fun tid ->
+      (tid, List.fold_left invoked Item.Set.empty (History.per_txn h tid)))
+    (History.txns h)
+
 (** [conflict ds], staged like [data_set]. *)
 let conflict (ds : data_sets) : Tid.t -> Tid.t -> bool =
   let data_set = data_set ds in

@@ -16,6 +16,11 @@ val data_set : data_sets -> Tid.t -> Item.Set.t
     transaction wins, as with [List.assoc]) and answers every lookup from
     it, so apply it to [ds] once, outside the loop that looks up. *)
 
+val of_history : Tm_trace.History.t -> data_sets
+(** Per transaction of the history, in order of first event, the items
+    it invoked a read or a write on, whether the operation was answered
+    or aborted — a superset of its successful reads and writes. *)
+
 val conflict : data_sets -> Tid.t -> Tid.t -> bool
 (** [conflict ds t1 t2]: distinct transactions with intersecting data
     sets.  Staged like {!data_set}. *)

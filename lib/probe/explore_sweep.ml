@@ -1,9 +1,10 @@
 (* The standard explore workload: a conflicting writer/reader pair —
    T1 reads x then writes x and y, T2 reads x and y — whose bounded
    interleaving space is the repo's stock exploration benchmark.  Every
-   front end that sweeps it (`pcl_tm explore`, the bench explore section,
-   the engine-equivalence tests, the CI smoke job) goes through this one
-   module so they are guaranteed to be measuring the same search. *)
+   front end that sweeps it (`pcl_tm explore`, the benchmark's explore
+   workload, the engine-equivalence tests, the CI smoke job) goes through
+   this one module so they are guaranteed to be measuring the same
+   search. *)
 
 open Tm_base
 open Tm_runtime

@@ -1,9 +1,10 @@
 (** The standard explore workload: a conflicting writer/reader pair —
     T1 reads x then writes x and y, T2 reads x and y — whose bounded
     interleaving space is the repo's stock exploration benchmark.
-    `pcl_tm explore`, the bench explore section, the engine-equivalence
-    tests and the CI smoke job all sweep it through this module, so they
-    are guaranteed to be measuring the same search. *)
+    `pcl_tm explore`, the benchmark's explore workload, the
+    engine-equivalence tests and the CI smoke job all sweep it through
+    this module, so they are guaranteed to be measuring the same
+    search. *)
 
 open Tm_base
 open Tm_runtime

@@ -80,7 +80,8 @@ let run (impl : Tm_intf.impl) ~(disjoint : bool) : profile =
         Sim.replay ~budget:5_000 (setup impl solo_outcomes)
           [ Schedule.Until_done 50 ]
       in
-      let n = solo.Sim.steps_of 50 in
+      (* a blocker that takes no step is still probed once, before it *)
+      let n = max 1 (solo.Sim.steps_of 50) in
       let probe_pid, probe_tid = if disjoint then (52, 52) else (51, 51) in
       let profile = { points = n; commits = 0; aborts = 0; stalls = 0 } in
       let profile =
@@ -91,8 +92,10 @@ let run (impl : Tm_intf.impl) ~(disjoint : bool) : profile =
             | Abort -> { acc with aborts = acc.aborts + 1 }
             | Stall -> { acc with stalls = acc.stalls + 1 })
           profile
-          (List.init (max n 1) (fun k -> k))
+          (List.init n (fun k -> k))
       in
       Tm_obs.Sink.add ~labels "probe_progress_points_total" profile.points;
+      Tm_obs.Sink.add ~labels "probe_progress_commits_total" profile.commits;
+      Tm_obs.Sink.add ~labels "probe_progress_aborts_total" profile.aborts;
       Tm_obs.Sink.add ~labels "probe_progress_stalls_total" profile.stalls;
       profile)

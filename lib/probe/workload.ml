@@ -120,7 +120,10 @@ let client cfg (handle : Txn_api.handle) ~pid ~commits ~aborts () =
     replay does). *)
 let run (impl : Tm_intf.impl) (cfg : config) : stats =
   let (module M : Tm_intf.S) = impl in
-  let tm_l = [ ("tm", M.name) ] in
+  let tm_l =
+    [ ("tm", M.name); ("procs", string_of_int cfg.n_procs);
+      ("conflict_pct", string_of_int cfg.conflict_pct) ]
+  in
   Tm_obs.Sink.span ~labels:tm_l "workload.run" (fun () ->
   let commits = ref 0 and aborts = ref 0 in
   let pids = List.init cfg.n_procs (fun p -> p + 1) in
@@ -180,19 +183,10 @@ let run (impl : Tm_intf.impl) (cfg : config) : stats =
       Flight.set_meta fl "steps" (string_of_int (Access_log.length alog))
   | None -> ());
   let contentions = Contention.all_contentions (Access_log.whole alog) in
-  (* data sets for DAP classification: collect per-txn items from the
-     history *)
-  let h = r.Sim.history in
-  let data_sets =
-    List.map
-      (fun tid ->
-        ( tid,
-          Item.Set.union (History.write_set h tid)
-            (History.read_set h tid) ))
-      (History.txns h)
-  in
+  (* DAP classification on the items each transaction invoked: one that
+     aborts mid-write still conflicts with the lock holder it hit *)
   let disjoint =
-    let conflict = Conflict.conflict data_sets in
+    let conflict = Conflict.conflict (Conflict.of_history r.Sim.history) in
     List.filter
       (fun (c : Contention.contention) ->
         not (conflict c.Contention.t1 c.Contention.t2))

@@ -187,6 +187,9 @@ type feed_outcome = {
 }
 
 let session_stopped s = s.stopped <> None
+(* [Sim.step] asks before every step; most sessions never park, and the
+   length test spares them the hash *)
+let parked s pid = Hashtbl.length s.parked > 0 && Hashtbl.mem s.parked pid
 
 (* Count an executed atom: record its step tally, then fire the progress
    hook if it moved.  [stopped] (when the atom halted the session) must

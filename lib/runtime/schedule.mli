@@ -119,6 +119,9 @@ val feed_run : session -> int -> int -> unit
 
 val session_stopped : session -> bool
 
+val parked : session -> int -> bool
+(** [pid] was parked by a [Park] atom and not unparked since. *)
+
 val set_tick : session -> (int -> unit) -> unit
 (** Install the session's progress hook, called with the cumulative
     executed step count ({!session_steps}) after every atom that

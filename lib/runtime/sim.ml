@@ -220,19 +220,22 @@ let apply (c : cursor) (atom : Schedule.atom) : Schedule.feed_outcome =
     it took a memory step, or its (empty-bodied) program finished on
     being started.  Constant work beyond the step itself: no prefix
     re-execution, no log-length scan.  False means the world is
-    unchanged: the process had already finished, had crashed, or the
-    session is stopped (a genuinely-crashed execution schedules no
-    further steps, exactly as a replay of its path would refuse to). *)
+    unchanged, its report included: the process had already finished,
+    had crashed or is parked, or the session is stopped (a
+    genuinely-crashed execution schedules no further steps, exactly as a
+    replay of its path would refuse to). *)
 let step (c : cursor) pid : bool =
   let l = materialize c in
-  let was_finished = Scheduler.finished l.sched pid in
-  let atom = step1 pid in
-  let taken = Schedule.feed_steps l.session atom in
-  let progressed =
-    taken > 0 || ((not was_finished) && Scheduler.finished l.sched pid)
-  in
-  if progressed then extend c (step1_code pid);
-  progressed
+  if
+    Schedule.session_stopped l.session
+    || (not (Scheduler.runnable l.sched pid))
+    || Schedule.parked l.session pid
+  then false
+  else
+    let taken = Schedule.feed_steps l.session (step1 pid) in
+    let progressed = taken > 0 || Scheduler.finished l.sched pid in
+    if progressed then extend c (step1_code pid);
+    progressed
 
 (* -- snapshots --------------------------------------------------------- *)
 

@@ -58,9 +58,10 @@ val step : cursor -> int -> bool
     progressed — it took a memory step, or its (empty-bodied) program
     finished on being started.  Constant work beyond the step itself: no
     prefix re-execution, no log-length scan.  False leaves the world
-    unchanged: the process had already finished, had crashed, or the
-    execution has halted (a genuinely-crashed execution schedules no
-    further steps, exactly as a replay of its path would refuse to). *)
+    unchanged, its report included: the process had already finished,
+    had crashed or is parked, or the execution has halted (a
+    genuinely-crashed execution schedules no further steps, exactly as a
+    replay of its path would refuse to). *)
 
 val apply : cursor -> Schedule.atom -> Schedule.feed_outcome
 (** Feed one schedule atom (quanta, solo segments, fault atoms).

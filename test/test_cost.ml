@@ -1,7 +1,8 @@
 (* The cost observatory: RMR/RMW metering laws on hand-built logs, the
    golden per-TM cost rows (Figure 2 and the explore sweep), byte-level
    determinism of the JSONL artifact, the reason-code registry, the
-   audit of the CLI's modules, and the CLI's count ranges. *)
+   audit of the CLI's modules, the CLI's count ranges and the tables
+   `report' drives. *)
 
 open Core
 
@@ -300,7 +301,7 @@ let test_one_log_representation () =
         [ "Access_log.entries"; "Access_log.sub " ])
     (List.concat_map
        (fun d -> sources d ".ml")
-       [ "../lib"; "../bin"; "../examples"; "../bench"; "../perfbench" ])
+       [ "../lib"; "../bin"; "../examples"; "../perfbench" ])
 
 (* run the CLI: its exit code and the reason lines on its stderr *)
 let pcl_tm args =
@@ -379,6 +380,95 @@ let test_all_tms_checks_tm () =
       [ "lint"; "--all-tms"; "-t"; "tl" ];
     ]
 
+(* the metric lines of [pcl_tm report --json args] *)
+let report_metrics args =
+  let out = Filename.temp_file "pcl_tm" ".jsonl" in
+  let rc =
+    Sys.command
+      (Filename.quote_command "../bin/pcl_tm.exe"
+         ("report" :: "--json" :: args)
+         ~stdout:out)
+  in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  Alcotest.(check int) "report exits 0" 0 rc;
+  List.filter_map
+    (fun l ->
+      match Obs_json.parse l with
+      | Ok j when Obs_json.member "type" j = Some (Obs_json.String "metric")
+        ->
+          Some j
+      | _ -> None)
+    (String.split_on_char '\n' text)
+
+let label j k =
+  Option.bind (Obs_json.member "labels" j) (fun l ->
+      Option.bind (Obs_json.member k l) Obs_json.to_str)
+
+let field j k = Option.bind (Obs_json.member k j) Obs_json.to_float
+
+(* T-C: each checker decides the 4-transaction chain (32 events) 100
+   times, once for the whole run although every TM is selected *)
+let test_report_checkers () =
+  let ms = report_metrics [ "-w"; "checkers"; "-n"; "4" ] in
+  let find name checker =
+    List.filter
+      (fun j ->
+        Obs_json.member "name" j = Some (Obs_json.String name)
+        && label j "checker" = Some checker)
+      ms
+  in
+  List.iter
+    (fun (c : Spec.checker) ->
+      let name = c.Spec.name in
+      (match find "checker_verdict_total" name with
+      | [ j ] ->
+          Alcotest.(check (option string)) (name ^ " verdict") (Some "sat")
+            (label j "verdict");
+          Alcotest.(check (option (float 0.))) (name ^ " decisions")
+            (Some 100.) (field j "value")
+      | js -> Alcotest.failf "%s: %d verdict lines" name (List.length js));
+      match find "checker_history_events" name with
+      | [ j ] ->
+          List.iter
+            (fun (k, want) ->
+              Alcotest.(check (option (float 0.))) (name ^ " " ^ k) (Some want)
+                (field j k))
+            [ ("count", 100.); ("min", 32.); ("max", 32.) ]
+      | js -> Alcotest.failf "%s: %d size lines" name (List.length js))
+    Checkers.all
+
+(* T-B: one labelled run per cell of the procs x conflict grid per TM *)
+let test_report_scaling () =
+  let ms = report_metrics [ "-w"; "scaling"; "-n"; "1" ] in
+  List.iter
+    (fun impl ->
+      let tm = Registry.name impl in
+      let cells =
+        List.filter_map
+          (fun j ->
+            if
+              Obs_json.member "name" j
+              = Some (Obs_json.String "workload_runs_total")
+              && label j "tm" = Some tm
+            then
+              Some (label j "procs", label j "conflict_pct", field j "value")
+            else None)
+          ms
+      in
+      let grid =
+        List.concat_map
+          (fun p ->
+            List.map (fun c -> (Some p, Some c, Some 1.)) [ "0"; "100"; "50" ])
+          [ "2"; "4"; "8" ]
+      in
+      let cell =
+        Alcotest.(triple (option string) (option string) (option (float 0.)))
+      in
+      Alcotest.(check (list cell))
+        (tm ^ " cells") grid (List.sort compare cells))
+    Registry.all
+
 let count_cases =
   List.map
     (fun (cmd, flag, values) ->
@@ -435,4 +525,9 @@ let () =
             test_cli_flags_defined_once;
         ] );
       ("counts", count_cases);
+      ( "report",
+        [
+          Alcotest.test_case "checkers table" `Quick test_report_checkers;
+          Alcotest.test_case "scaling grid" `Quick test_report_scaling;
+        ] );
     ]

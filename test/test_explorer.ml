@@ -91,13 +91,14 @@ let cursor_tests =
 
    [Step] and [Spin] move only a process that can move — unfinished,
    not crashed, not parked, in a running session — as the explorer
-   does: a no-op step is tallied by a live session's report but is not
-   part of the path.  [Repeat] feeds [Steps (pid, 1)] through
-   [Sim.apply] whatever the process's state, so a path also holds runs
-   of atoms that took no step.  Spins dwell on tl-lock, norec and
-   tl2-clock, whose readers await a lock.  Half the programs run under a
-   fault hook that fails RMW steps spuriously, under which a spin may
-   not be appended in bulk.
+   does.  [Poke] calls [Sim.step] whatever the process's state: a step
+   that cannot move it must leave the world, its report included,
+   unchanged.  [Repeat] feeds [Steps (pid, 1)] through [Sim.apply]
+   whatever the process's state, so a path also holds runs of atoms that
+   took no step.  Spins dwell on tl-lock, norec and tl2-clock, whose
+   readers await a lock.  Half the programs run under a fault hook that
+   fails RMW steps spuriously, under which a spin may not be appended in
+   bulk.
 
    Every program opens with a fixed head that forks a fork, advances a
    parent after forking it, and advances two forks of one parent; the
@@ -107,6 +108,7 @@ type fork_op =
   | Step of int * int  (* cursor, pid choice *)
   | Spin of int * int * int  (* cursor, pid choice, steps *)
   | Repeat of int * int * int  (* cursor, pid, atoms *)
+  | Poke of int * int * int  (* cursor, pid, steps *)
   | Apply of int * Schedule.atom  (* cursor, atom *)
 
 let fork_law_head =
@@ -145,6 +147,10 @@ let gen_fork_op =
           map3
             (fun k pid n -> Repeat (k, pid, n))
             small_nat (int_range 1 2) (int_range 1 6) );
+        ( 2,
+          map3
+            (fun k pid n -> Poke (k, pid, n))
+            small_nat (int_range 1 2) (int_range 1 8) );
         (2, map2 (fun k a -> Apply (k, a)) small_nat gen_atom);
       ])
 
@@ -248,6 +254,7 @@ let run_fork_program (tm, faulty, ops) =
           | _ -> m.parked);
       }
   in
+  let rec times i f m = if i = 0 then m else times (i - 1) f (f m) in
   List.iter
     (fun op ->
       let n = Array.length !pool in
@@ -271,12 +278,8 @@ let run_fork_program (tm, faulty, ops) =
               in
               go m len)
       | Repeat (k, pid, len) ->
-          update k (fun m ->
-              let rec go m i =
-                if i = 0 then m
-                else go (apply m (Schedule.Steps (pid, 1))) (i - 1)
-              in
-              go m len)
+          update k (times len (fun m -> apply m (Schedule.Steps (pid, 1))))
+      | Poke (k, pid, len) -> update k (times len (fun m -> step m pid))
       | Apply (k, atom) -> update k (fun m -> apply m atom))
     (fork_law_head @ ops);
   Array.for_all

@@ -320,7 +320,8 @@ let test_cursor_pid_steps () =
 (* A spin appended in bulk costs chunks, not steps: a million repeats of
    a read under the TM telemetry hook allocate under one word per step
    (per-step column fills cost about five), and the hook still counts
-   every step *)
+   every step.  Metered with [Gcstat], which counts minor words exactly
+   ([Gc.allocated_bytes] lags until a minor collection). *)
 let test_bulk_append_allocation () =
   let sink = Sink.default in
   Sink.reset sink;
@@ -336,12 +337,11 @@ let test_bulk_append_allocation () =
   let prims () = Metrics.sum_counters m "tm_mem_prim_total" in
   let before = prims () in
   let n = 1_000_000 in
-  let a0 = Gc.allocated_bytes () in
+  let gc = Gcstat.create () in
   let appended = Memory.repeat_last mem n in
-  let a1 = Gc.allocated_bytes () in
+  let words = Gcstat.allocated_words gc in
   Alcotest.(check bool) "appended" true appended;
   Alcotest.(check int) "log length" (n + 1) (Memory.step_count mem);
-  let words = (a1 -. a0) /. float_of_int (Sys.word_size / 8) in
   if words >= float_of_int n then
     Alcotest.failf "bulk append allocated %.0f words for %d steps" words n;
   Alcotest.(check int) "tm_mem_prim_total advances by n" n (prims () - before);

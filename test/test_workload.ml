@@ -67,6 +67,40 @@ let workload_tests =
         in
         check_int "no aborts disjoint" 0 s0.Workload.aborts;
         check "aborts under conflict" true (s100.Workload.aborts > 0));
+    (* a transaction's data set is what it invoked: one aborted mid-write
+       conflicts with the lock holder it hit, so a TM whose P leg holds
+       shows no disjoint contention anywhere on the scaling grid *)
+    Alcotest.test_case "strictly DAP TMs contend only on conflicts" `Quick
+      (fun () ->
+        let dap =
+          List.filter
+            (fun impl ->
+              (Pcl_verdict.assess impl).Pcl_verdict.parallelism
+              = Pcl_verdict.Holds)
+            Registry.all
+        in
+        Alcotest.(check (list string))
+          "P leg holds"
+          [ "tl-lock"; "pram-local"; "candidate"; "llsc-candidate";
+            "lp-progressive" ]
+          (List.map Registry.name dap);
+        List.iter
+          (fun impl ->
+            List.iter
+              (fun n_procs ->
+                List.iter
+                  (fun conflict_pct ->
+                    let s =
+                      Workload.run impl
+                        { Workload.default with n_procs; conflict_pct }
+                    in
+                    check_int
+                      (Printf.sprintf "%s procs=%d conflict=%d"
+                         (Registry.name impl) n_procs conflict_pct)
+                      0 s.Workload.disjoint_contentions)
+                  [ 0; 50; 100 ])
+              [ 2; 4; 8 ])
+          dap);
   ]
 
 let progress_tests =
@@ -101,6 +135,19 @@ let progress_tests =
         let p = Progress.run (Registry.find_exn "tl2-clock") ~disjoint:false in
         check_int "no stalls" 0 p.Progress.stalls;
         check "aborts happen" true (p.Progress.aborts > 0));
+    Alcotest.test_case "every probe is one point" `Quick (fun () ->
+        List.iter
+          (fun impl ->
+            List.iter
+              (fun disjoint ->
+                let p = Progress.run impl ~disjoint in
+                check_int
+                  (Printf.sprintf "%s disjoint=%b" (Registry.name impl)
+                     disjoint)
+                  p.Progress.points
+                  (p.Progress.commits + p.Progress.aborts + p.Progress.stalls))
+              [ true; false ])
+          Registry.all);
   ]
 
 let () =
