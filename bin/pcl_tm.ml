@@ -492,18 +492,11 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
       @ [ Schedule.Until_done 1; Schedule.Until_done 2;
           Schedule.Until_done 3 ]
     in
-    let outcomes = Hashtbl.create 8 in
-    let setup mem recorder =
-      let handle =
-        Txn_api.instantiate impl mem recorder
-          ~items:(Static_txn.items_of specs)
-      in
-      List.map
-        (fun s ->
-          (s.Static_txn.pid, Static_txn.program handle s ~outcomes))
-        specs
+    let r =
+      Sim.replay ~budget:3_000
+        (Static_txn.setup specs impl (Hashtbl.create 8))
+        schedule
     in
-    let r = Sim.replay ~budget:3_000 setup schedule in
     let steps = Memory.log r.Sim.mem in
     let log = Access_log.whole steps in
     (match r.Sim.report.Schedule.stop with

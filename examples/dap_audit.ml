@@ -21,17 +21,8 @@ let spec tid pid reads writes =
     writes = List.map (fun (i, v) -> (i, Value.int v)) writes }
 
 let run impl specs schedule =
-  let outcomes = Hashtbl.create 8 in
-  let setup mem recorder =
-    let handle =
-      Txn_api.instantiate impl mem recorder
-        ~items:(Static_txn.items_of specs)
-    in
-    List.map
-      (fun s -> (s.Static_txn.pid, Static_txn.program handle s ~outcomes))
-      specs
-  in
-  Sim.replay ~budget:2_000 setup schedule
+  Sim.replay ~budget:2_000 (Static_txn.setup specs impl (Hashtbl.create 8))
+    schedule
 
 let audit impl name specs schedule =
   let (module M : Tm_intf.S) = impl in

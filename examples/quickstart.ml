@@ -32,17 +32,9 @@ let transfer_bc =
 let specs = [ transfer_ab; transfer_bc ]
 
 let run_schedule (module M : Tm_intf.S) name schedule =
-  let outcomes = Hashtbl.create 8 in
-  let setup mem recorder =
-    let handle =
-      Txn_api.instantiate (module M) mem recorder
-        ~items:(Static_txn.items_of specs)
-    in
-    List.map
-      (fun s -> (s.Static_txn.pid, Static_txn.program handle s ~outcomes))
-      specs
+  let r =
+    Sim.replay (Static_txn.setup specs (module M) (Hashtbl.create 8)) schedule
   in
-  let r = Sim.replay setup schedule in
   Format.printf "--- %s under schedule %a (%d steps) ---@." name Schedule.pp
     schedule
     (Memory.step_count r.Sim.mem);

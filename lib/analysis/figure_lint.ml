@@ -3,14 +3,13 @@
    Unlike the trace passes, this one does not read its input's log: it
    uses the input only to name a TM, then replays the paper's
    constructions (delta1 serial; beta and beta' adversarial; the stall
-   probes) with a private flight recorder and runs every trace pass over
-   the recordings.  The expectation table below pins, per TM, which
-   passes the proof says must fire — the executable form of "Figures 1-6
-   trip exactly these lints and no others". *)
+   probe's failing point) with a private flight recorder and runs every
+   trace pass over the recordings.  The expectation table below pins,
+   per TM, which passes the proof says must fire — the executable form
+   of "Figures 1-6 trip exactly these lints and no others". *)
 
 open Tm_base
 open Tm_impl
-open Tm_runtime
 open Pcl
 open Lint
 
@@ -48,36 +47,29 @@ let fired_passes (cfg : config) (impl : Tm_intf.impl) atoms : string list =
 (* The stall probe: pause the writer T1 after its k-th step and let the
    reader T3 run solo for three horizons.  A blocking TM leaves T3
    spinning on whatever T1 still holds (the global lock, a locked
-   write-set entry, an odd sequence number), which is precisely an
-   of-stall; an obstruction-free TM lets T3 complete (or abort) solo.
-   We scan k because "mid-critical-section" lands at different depths in
-   different commit protocols.  The scan stops early once T1 has finished
-   within its k steps: [Scheduler.step] runs a process up to its next
-   request, so a finished T1 took all its steps and [Steps (1, k')] for
-   every larger k' replays this very execution. *)
+   write-set entry, an odd sequence number), or aborting over it; an
+   obstruction-free TM lets T3 commit solo.  We scan k because
+   "mid-critical-section" lands at different depths in different commit
+   protocols.  The first depth 1..40 at which T3 does not commit is
+   recorded, and every trace pass runs on that recording. *)
 let max_pause_depth = 40
 
-let stall_probe (cfg : config) (impl : Tm_intf.impl) : string list =
-  let solo = 3 * cfg.horizon in
-  let of_stall =
-    List.filter (fun (p : pass) -> p.name = "of-stall") Passes.trace_passes
-  in
-  (* scan with just the of-stall pass (the only one that decides whether
-     to keep scanning), then run the full pass set once at the stalling
-     depth — same result, a fraction of the lint work per probe *)
-  let rec scan k =
-    if k > max_pause_depth then []
-    else
-      let run, fl =
-        Figures.record_run impl
-          [ Schedule.Steps (1, k); Schedule.Steps (3, solo) ]
-      in
-      let i = input_of impl fl in
-      if fired ~passes:of_stall cfg i <> [] then fired cfg i
-      else if run.Harness.sim.Sim.finished 1 then []
-      else scan (k + 1)
-  in
-  scan 1
+let stall_probe (cfg : config) : Tm_probe.Solo_probe.entry =
+  { specs = Txns.specs; prefix = []; enemy = 1; probe = 3;
+    budget = 3 * cfg.horizon }
+
+let stall_passes (cfg : config) (impl : Tm_intf.impl) : string list =
+  let module P = Tm_probe.Solo_probe in
+  let scan = P.scan impl (stall_probe cfg) in
+  match
+    P.first_failure (Seq.take max_pause_depth (P.points ~from:1 scan))
+  with
+  | None -> []
+  | Some p ->
+      (* replay the failing point once more, recorded *)
+      let fl = Tm_trace.Flight.create () in
+      Tm_trace.Flight.with_recorder fl (fun () -> ignore (scan.P.point p.k));
+      fired cfg (input_of impl fl)
 
 (* The expectation table states the theorem, which is about strict DAP,
    and [fired] asks only whether a pass found anything: the inner passes
@@ -86,7 +78,7 @@ let stall_probe (cfg : config) (impl : Tm_intf.impl) : string list =
 let observe ?(config = default) (impl : Tm_intf.impl) : observation =
   let config = { config with dap_connectivity = `Direct; max_findings = 1 } in
   let serial = fired_passes config impl Constructions.delta1 in
-  let stall = stall_probe config impl in
+  let stall = stall_passes config impl in
   let outcome =
     match Constructions.build impl with
     | Error (Constructions.Liveness_failure { phase; detail }) ->

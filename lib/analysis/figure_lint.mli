@@ -12,8 +12,9 @@
       failure for the blocking corner, a missing flip for the
       weak-consistency corner;
     - TMs marked [stalls] must additionally trip [of-stall] on the stall
-      probe (the writer paused mid-run, the reader running solo past the
-      horizon).
+      probe: the recording of the first point at which the reader, run
+      solo past the horizon with the writer paused mid-run, does not
+      commit.
 
     Any drift — a pass newly firing, an expected one falling silent, or a
     changed failure kind — is reported as an [Error] finding. *)
@@ -36,17 +37,21 @@ type observation = {
       (** trace passes that fired on delta1 — must be empty *)
   outcome : outcome;
   stall : string list;
-      (** passes fired on the first stall probe that trips [of-stall]
-          (writer paused after k steps, reader solo for 3x horizon);
-          empty when no probe stalls *)
+      (** passes fired on the recording of the first stall-probe point at
+          which the reader does not commit; empty when it always
+          commits *)
 }
 
+val stall_probe : Lint.config -> Tm_probe.Solo_probe.entry
+(** T1 against T3 for three horizons, read at k = 1..40; exposed for the
+    probe law in [test_probe] and the horizon cases in [test_analysis]. *)
+
 val observe : ?config:Lint.config -> Tm_intf.impl -> observation
-(** Replay delta1, the construction and the stall probes with a private
-    flight recorder, running every trace pass on each recording.  Only
-    [config.horizon] is used: the passes judge strict DAP with [`Direct]
-    connectivity, as the theorem states it, whatever the output
-    settings. *)
+(** Replay delta1, the construction and the stall probe's first failing
+    point with a private flight recorder, running every trace pass on
+    each recording.  Only [config.horizon] is used: the passes judge
+    strict DAP with [`Direct] connectivity, as the theorem states it,
+    whatever the output settings. *)
 
 type expectation = {
   build : [ `Ok | `Blocks | `No_flip ];

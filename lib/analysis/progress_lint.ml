@@ -33,7 +33,6 @@
 open Tm_base
 open Tm_trace
 open Tm_impl
-open Tm_runtime
 open Lint
 
 (* ------------------------------------------------------------------ *)
@@ -150,7 +149,8 @@ let progressiveness : pass =
 (* ------------------------------------------------------------------ *)
 (* pwf: the partial-wait-freedom probes *)
 
-open Tm_probe.Liveness_class
+let x_item = Item.v "x"
+let y_item = Item.v "y"
 
 type reader_outcome =
   | Reader_wait_free
@@ -161,36 +161,28 @@ type reader_outcome =
    (writes x and y) is paused after its k-th solo step for every k, and
    the read-only transaction (reads x then y) must then commit running
    solo.  k = 0 is the fully uncontended case. *)
+let reader_probe (cfg : config) : Tm_probe.Solo_probe.entry =
+  {
+    specs =
+      [
+        { Static_txn.tid = Tid.v 21; pid = 21; reads = [];
+          writes = [ (x_item, Value.int 7); (y_item, Value.int 7) ] };
+        { Static_txn.tid = Tid.v 23; pid = 23; reads = [ x_item; y_item ];
+          writes = [] };
+      ];
+    prefix = [];
+    enemy = 21;
+    probe = 23;
+    budget = 3 * cfg.horizon;
+  }
+
 let reader_scan (cfg : config) impl : reader_outcome =
-  let writer = spec 21 21 [] [ (x_item, 7); (y_item, 7) ]
-  and reader = spec 23 23 [ x_item; y_item ] [] in
-  let specs = [ writer; reader ] in
-  let solo_outcomes = Hashtbl.create 4 in
-  let solo =
-    Sim.replay ~budget:5_000
-      (static_setup impl specs solo_outcomes)
-      [ Schedule.Until_done 21 ]
-  in
-  let n = solo.Sim.steps_of 21 in
-  let budget = 3 * cfg.horizon in
-  let rec go k =
-    if k > n then Reader_wait_free
-    else begin
-      let outcomes = Hashtbl.create 4 in
-      let r =
-        Sim.replay ~budget
-          (static_setup impl specs outcomes)
-          [ Schedule.Steps (21, k); Schedule.Steps (23, budget) ]
-      in
-      ignore r;
-      match Hashtbl.find_opt outcomes (Tid.v 23) with
-      | Some o when o.Static_txn.status = Static_txn.Committed -> go (k + 1)
-      | Some o when o.Static_txn.status = Static_txn.Aborted ->
-          Reader_aborts k
-      | _ -> Reader_stalls k
-    end
-  in
-  go 0
+  match
+    Tm_probe.Solo_probe.(first_failure (points (scan impl (reader_probe cfg))))
+  with
+  | None -> Reader_wait_free
+  | Some { k; outcome = Abort; _ } -> Reader_aborts k
+  | Some { k; _ } -> Reader_stalls k
 
 (* probe (b): reader vs updater under fair round-robin contention; count
    the read-only aborts.  Bounded and deterministic: each client stops
@@ -217,7 +209,7 @@ let updater_client =
           txn.Txn_api.write y_item (Value.int n)))
 
 let reader_aborts_under_contention impl : int =
-  let h = contend impl reader_client updater_client in
+  let h = Tm_probe.Liveness_class.contend impl reader_client updater_client in
   List.length
     (List.filter
        (fun t -> Tid.to_int t < 2000 && History.aborted h t)

@@ -32,8 +32,12 @@ type reader_outcome =
   | Reader_aborts of int  (** suspension depth of the passive writer *)
   | Reader_stalls of int
 
+val reader_probe : Lint.config -> Tm_probe.Solo_probe.entry
+(** Probe (a): T21 (writes x, y) against T23 (reads x, y) for three
+    horizons; exposed for the probe law in [test_probe]. *)
+
 val reader_scan : Lint.config -> Tm_intf.impl -> reader_outcome
-(** The branch scan behind [pwf]'s probe (a), exposed for tests. *)
+(** Probe (a)'s first failing point, exposed for tests. *)
 
 val reader_aborts_under_contention : Tm_intf.impl -> int
 (** Probe (b): read-only aborts under fair round-robin contention. *)

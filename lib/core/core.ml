@@ -106,6 +106,7 @@ module Universal = Tm_universal.Universal
 module Linearizability = Tm_universal.Linearizability
 
 (* probes *)
+module Solo_probe = Tm_probe.Solo_probe
 module Liveness_class = Tm_probe.Liveness_class
 module Workload = Tm_probe.Workload
 module Progress = Tm_probe.Progress

@@ -66,8 +66,8 @@ type side = {
   of_violations : Tm_dap.Obstruction_freedom.violation list;
 }
 
-let make_side ?budget impl schedule ~figure ~expectations : side =
-  let r = Harness.run ?budget impl schedule in
+let make_side impl schedule ~figure ~expectations : side =
+  let r = Harness.run impl schedule in
   let checks =
     List.map
       (fun (t, x, v) ->
@@ -113,12 +113,12 @@ type report = {
 
 let entry_sig (e : Access_log.entry) = (e.oid, e.prim, e.response)
 
-let analyse ?budget (impl : Tm_intf.impl) : report =
+let analyse (impl : Tm_intf.impl) : report =
   let (module M : Tm_intf.S) = impl in
-  match Constructions.build ?budget impl with
+  match Constructions.build impl with
   | Error f -> { impl_name = M.name; outcome = Error f }
   | Ok cons ->
-      let run = Harness.run ?budget impl in
+      let run = Harness.run impl in
       (* Claim 1: T1 is commit-pending at C1^- *)
       let r_alpha1 = run (Constructions.alpha1 cons) in
       let claim1 =
@@ -159,11 +159,11 @@ let analyse ?budget (impl : Tm_intf.impl) : report =
       in
       (* the two main executions *)
       let beta =
-        make_side ?budget impl (Constructions.beta cons) ~figure:"Fig5"
+        make_side impl (Constructions.beta cons) ~figure:"Fig5"
           ~expectations:fig5_expectations
       in
       let beta' =
-        make_side ?budget impl (Constructions.beta' cons) ~figure:"Fig6"
+        make_side impl (Constructions.beta' cons) ~figure:"Fig6"
           ~expectations:fig6_expectations
       in
       (* indistinguishability of alpha7 / alpha7' to p7 *)

@@ -49,5 +49,5 @@ type report = {
   outcome : (details, Constructions.failure) result;
 }
 
-val analyse : ?budget:int -> Tm_intf.impl -> report
+val analyse : Tm_intf.impl -> report
 val failed_checks : side -> value_check list

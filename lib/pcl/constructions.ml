@@ -83,10 +83,10 @@ let of_flip_failure ~(writer : Tid.t) ~(reader : Tid.t) ~(item : Item.t)
   | Critical_step.Found _ -> assert false
 
 (** Build the construction for a TM: locate s1 and s2. *)
-let build ?budget (impl : Tm_intf.impl) : (t, failure) result =
+let build (impl : Tm_intf.impl) : (t, failure) result =
   (* Figure 1: s1 flips T3's read of b1 from 0 *)
   match
-    Critical_step.find ?budget impl ~prefix:[] ~writer:1 ~reader:3
+    Critical_step.find impl ~prefix:[] ~writer:1 ~reader:3
       ~reader_tid:(Tid.v 3) ~item:Txns.b1 ~initial_value:Value.initial
   with
   | Critical_step.Found flip1 -> (
@@ -94,7 +94,7 @@ let build ?budget (impl : Tm_intf.impl) : (t, failure) result =
       let prefix = [ Schedule.Steps (1, k1 - 1) ] in
       (* Figure 2: from C1^-, s2 flips T5's read of b2 from 0 *)
       match
-        Critical_step.find ?budget impl ~prefix ~writer:2 ~reader:5
+        Critical_step.find impl ~prefix ~writer:2 ~reader:5
           ~reader_tid:(Tid.v 5) ~item:Txns.b2 ~initial_value:Value.initial
       with
       | Critical_step.Found flip2 ->

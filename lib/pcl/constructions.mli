@@ -42,7 +42,7 @@ val delta1 : Schedule.atom list
 val alpha1_s1_alpha3 : t -> Schedule.atom list
 val alpha1_alpha3' : t -> Schedule.atom list
 
-val build : ?budget:int -> Tm_intf.impl -> (t, failure) result
+val build : Tm_intf.impl -> (t, failure) result
 val pp_failure : Format.formatter -> failure -> unit
 
 val delta2 : t -> Schedule.atom list

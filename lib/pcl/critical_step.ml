@@ -31,73 +31,59 @@ type result =
   | Liveness of { phase : string; at_prefix : int option }
   | Crashed of string
 
-(** [find impl ~prefix ~writer ~writer_tid ~reader ~reader_tid ~item
-     ~initial_value] — scan solo prefixes of [writer] (run after
-     [prefix]) and locate the first one after which [reader], run solo to
-     completion, reads something other than [initial_value] for [item]. *)
-let find ?budget (impl : Tm_intf.impl) ~(prefix : Schedule.atom list)
+(* The scan's experiment: [writer] suspended after k solo steps (run
+   after [prefix]), [reader] then run solo, in the proof's world *)
+let entry ~prefix ~writer ~reader : Tm_probe.Solo_probe.entry =
+  { specs = Txns.specs; prefix; enemy = writer; probe = reader;
+    budget = Harness.default_budget }
+
+(** [find impl ~prefix ~writer ~reader ~reader_tid ~item ~initial_value]
+    — read the solo-probe points of [writer] (run after [prefix]) in
+    order, and locate the first after which [reader], run solo to
+    completion, reads something other than [initial_value] for [item]. *)
+let find (impl : Tm_intf.impl) ~(prefix : Schedule.atom list)
     ~(writer : int) ~(reader : int) ~(reader_tid : Tid.t) ~(item : Item.t)
     ~(initial_value : Value.t) : result =
-  (* total solo steps of the writer from the prefix configuration *)
-  let full =
-    Harness.run ?budget impl (prefix @ [ Schedule.Until_done writer ])
+  let module P = Tm_probe.Solo_probe in
+  let scan = P.scan impl (entry ~prefix ~writer ~reader) in
+  (* the writer does not run during [prefix] in the proof's
+     constructions, so its steps are those of its solo segment *)
+  let writer_total = scan.P.n in
+  let run (p : P.point) = { Harness.sim = p.run; outcomes = p.outcomes } in
+  let read (p : P.point) =
+    match p.outcome with
+    | P.Commit -> (
+        match Harness.read_of (run p) reader_tid item with
+        | Some v -> Ok v
+        | None -> Error (Crashed "reader committed without the read"))
+    | P.Abort ->
+        (* the reader ran solo (every writer step precedes its interval),
+           so an abort violates obstruction-freedom *)
+        Error (Liveness { phase = "reader solo abort"; at_prefix = Some p.k })
+    | P.Unfinished (Schedule.Crashed (_, e)) ->
+        Error (Crashed (Printexc.to_string e))
+    | P.Unfinished _ ->
+        Error (Liveness { phase = "reader solo run"; at_prefix = Some p.k })
   in
-  match full.Harness.sim.Sim.report.Schedule.stop with
+  (* [before]: the previous point's read, none at k = 0 *)
+  let rec go before points =
+    match points () with
+    | Seq.Nil ->
+        No_flip
+          { writer_total; value = Option.value before ~default:initial_value }
+    | Seq.Cons (p, rest) -> (
+        match read p with
+        | Error e -> e
+        | Ok v when Value.equal v initial_value -> go (Some v) rest
+        | Ok after -> (
+            (* the flip is the writer's k-th step, in this point's log *)
+            match (before, Harness.nth_step_of_pid (run p) writer p.k) with
+            | Some before, Some step ->
+                Found { k = p.k; step; before; after; writer_total }
+            | _ -> Crashed "flip step not found in log"))
+  in
+  match scan.P.solo.Sim.report.Schedule.stop with
   | Schedule.Crashed (_, e) -> Crashed (Printexc.to_string e)
   | Schedule.Budget_exhausted _ ->
       Liveness { phase = "writer solo run"; at_prefix = None }
-  | Schedule.Completed -> (
-      let writer_total =
-        (* steps of the writer during its Until_done segment; the writer
-           does not run during [prefix] in the proof's constructions *)
-        full.Harness.sim.Sim.steps_of writer
-      in
-      let reader_value k =
-        let r =
-          Harness.run ?budget impl
-            (prefix
-            @ [ Schedule.Steps (writer, k); Schedule.Until_done reader ])
-        in
-        match r.Harness.sim.Sim.report.Schedule.stop with
-        | Schedule.Crashed (_, e) -> Error (Crashed (Printexc.to_string e))
-        | Schedule.Budget_exhausted _ ->
-            Error (Liveness { phase = "reader solo run"; at_prefix = Some k })
-        | Schedule.Completed -> (
-            if Harness.aborted r reader_tid then
-              (* the reader ran solo (every writer step precedes its
-                 interval), so an abort violates obstruction-freedom *)
-              Error
-                (Liveness { phase = "reader solo abort"; at_prefix = Some k })
-            else
-              match Harness.read_of r reader_tid item with
-              | Some v -> Ok (v, r)
-              | None -> Error (Crashed "reader committed without the read"))
-      in
-      let rec scan k =
-        if k > writer_total then
-          match reader_value writer_total with
-          | Ok (v, _) -> No_flip { writer_total; value = v }
-          | Error e -> e
-        else
-          match reader_value k with
-          | Error e -> e
-          | Ok (v, _) ->
-              if Value.equal v initial_value then scan (k + 1)
-              else begin
-                (* flip at the k-th writer step; fetch that step *)
-                let r =
-                  Harness.run ?budget impl
-                    (prefix @ [ Schedule.Steps (writer, k) ])
-                in
-                match Harness.nth_step_of_pid r writer k with
-                | None -> Crashed "flip step not found in log"
-                | Some step ->
-                    let before =
-                      match reader_value (k - 1) with
-                      | Ok (v, _) -> v
-                      | Error _ -> initial_value
-                    in
-                    Found { k; step; before; after = v; writer_total }
-              end
-      in
-      scan 0)
+  | Schedule.Completed -> go None (P.points scan)

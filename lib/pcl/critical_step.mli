@@ -25,8 +25,15 @@ type result =
   | Liveness of { phase : string; at_prefix : int option }
   | Crashed of string
 
+val entry :
+  prefix:Schedule.atom list ->
+  writer:int ->
+  reader:int ->
+  Tm_probe.Solo_probe.entry
+(** The points {!find} reads, at {!Harness.default_budget}; exposed for
+    the probe law in [test_probe]. *)
+
 val find :
-  ?budget:int ->
   Tm_intf.impl ->
   prefix:Schedule.atom list ->
   writer:int ->

@@ -158,22 +158,22 @@ let pp_report ppf (r : Claims.report) =
    re-execute each figure's schedule with a recorder installed and draw
    per-process step lanes with the critical steps s1/s2 highlighted. *)
 
-let record_run ?budget (impl : Tm_intf.impl)
+let record_run (impl : Tm_intf.impl)
     (atoms : Tm_runtime.Schedule.atom list) : Harness.run * Tm_trace.Flight.t
     =
   let fl = Tm_trace.Flight.create () in
   let run =
-    Tm_trace.Flight.with_recorder fl (fun () -> Harness.run ?budget impl atoms)
+    Tm_trace.Flight.with_recorder fl (fun () -> Harness.run impl atoms)
   in
   Tm_trace.Flight.set_meta fl "tm" (Registry.name impl);
   (run, fl)
 
 (** Replay a schedule under a fresh recorder and render its timeline;
     [highlight_steps] picks the steps to mark, given the finished run. *)
-let render_timeline ?width ?budget (impl : Tm_intf.impl)
+let render_timeline ?width (impl : Tm_intf.impl)
     (atoms : Tm_runtime.Schedule.atom list)
     ~(highlight_steps : Harness.run -> int list) : string =
-  let run, fl = record_run ?budget impl atoms in
+  let run, fl = record_run impl atoms in
   Tm_trace.Timeline.render_flight ?width ~highlight:(highlight_steps run) fl
 
 (** Figures 1-6 as per-process timeline art.  The critical steps are

@@ -26,7 +26,6 @@ val pp_lanes :
 (** {1 Flight-recorder timelines} *)
 
 val record_run :
-  ?budget:int ->
   Tm_intf.impl ->
   Tm_runtime.Schedule.atom list ->
   Harness.run * Tm_trace.Flight.t
@@ -35,7 +34,6 @@ val record_run :
 
 val render_timeline :
   ?width:int ->
-  ?budget:int ->
   Tm_intf.impl ->
   Tm_runtime.Schedule.atom list ->
   highlight_steps:(Harness.run -> int list) ->

@@ -13,32 +13,19 @@ type run = {
 
 let default_budget = 50_000
 
+let world = Static_txn.setup Txns.specs
+
 (** Replay [schedule] from C0 with all seven transactions spawned. *)
-let run ?(budget = default_budget) (impl : Tm_intf.impl)
-    (schedule : Schedule.atom list) : run =
+let run (impl : Tm_intf.impl) (schedule : Schedule.atom list) : run =
   let outcomes = Hashtbl.create 16 in
-  let setup mem recorder =
-    let handle =
-      Txn_api.instantiate impl mem recorder ~items:Txns.items
-    in
-    List.map
-      (fun s ->
-        (s.Static_txn.pid, Static_txn.program handle s ~outcomes))
-      Txns.specs
-  in
-  let sim = Sim.replay ~budget setup schedule in
-  { sim; outcomes }
+  { sim = Sim.replay ~budget:default_budget (world impl outcomes) schedule;
+    outcomes }
 
 let outcome r tid = Hashtbl.find_opt r.outcomes tid
 
 let committed r tid =
   match outcome r tid with
   | Some o -> o.Static_txn.status = Static_txn.Committed
-  | None -> false
-
-let aborted r tid =
-  match outcome r tid with
-  | Some o -> o.Static_txn.status = Static_txn.Aborted
   | None -> false
 
 (** Value transaction [tid] read for [x] in this run, if it got that far. *)
@@ -49,11 +36,6 @@ let stopped_normally r =
   match r.sim.Sim.report.Schedule.stop with
   | Schedule.Completed -> true
   | Schedule.Budget_exhausted _ | Schedule.Crashed _ -> false
-
-let budget_exhausted_pid r =
-  match r.sim.Sim.report.Schedule.stop with
-  | Schedule.Budget_exhausted { Schedule.stalled_pid; _ } -> Some stalled_pid
-  | _ -> None
 
 (* [pid]'s steps in the run's flat log, as indices in step order: a
    backwards scan of the pid column, from the process's last step *)
@@ -68,7 +50,8 @@ let pid_steps r pid =
 (** The [n]-th step (1-based) taken by [pid] in the run's log. *)
 let nth_step_of_pid r pid n : Access_log.entry option =
   let log, steps = pid_steps r pid in
-  Option.map (Access_log.get log) (List.nth_opt steps (n - 1))
+  if n < 1 then None
+  else Option.map (Access_log.get log) (List.nth_opt steps (n - 1))
 
 (** Steps taken by [pid], as (oid, primitive, response) triples — used for
     the indistinguishability comparison. *)

@@ -35,41 +35,29 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Dedicated scenarios *)
 
-let scenario_run ?(budget = 2_000) (impl : Tm_intf.impl)
-    (specs : Static_txn.spec list) (schedule : Schedule.atom list) :
-    Sim.result * (Tid.t, Static_txn.outcome) Hashtbl.t =
-  let outcomes = Hashtbl.create 8 in
-  let setup mem recorder =
-    let handle =
-      Txn_api.instantiate impl mem recorder ~items:(Static_txn.items_of specs)
-    in
-    List.map
-      (fun s -> (s.Static_txn.pid, Static_txn.program handle s ~outcomes))
-      specs
-  in
-  (Sim.replay ~budget setup schedule, outcomes)
-
 let x_item = Item.v "x"
 let y_item = Item.v "y"
+
+let strict_dap_violations impl specs schedule =
+  let sim =
+    Sim.replay ~budget:2_000 (Static_txn.setup specs impl (Hashtbl.create 8))
+      schedule
+  in
+  Tm_dap.Strict_dap.violations
+    ~data_sets:(Static_txn.data_sets specs)
+    (Access_log.whole (Memory.log sim.Sim.mem))
 
 (** Two fully disjoint transactions run one after the other: any contention
     at all (e.g. on a global clock) refutes strict DAP. *)
 let disjoint_pair_violations impl =
-  let specs =
+  strict_dap_violations impl
     [
       { Static_txn.tid = Tid.v 11; pid = 11; reads = [ x_item ];
         writes = [ (x_item, Value.int 1) ] };
       { Static_txn.tid = Tid.v 12; pid = 12; reads = [ y_item ];
         writes = [ (y_item, Value.int 1) ] };
     ]
-  in
-  let sim, _ =
-    scenario_run impl specs
-      [ Schedule.Until_done 11; Schedule.Until_done 12 ]
-  in
-  Tm_dap.Strict_dap.violations
-    ~data_sets:(Static_txn.data_sets specs)
-    (Access_log.whole (Memory.log sim.Sim.mem))
+    [ Schedule.Until_done 11; Schedule.Until_done 12 ]
 
 (** The chain scenario: Ta writes x, Tb writes x and y, Tc writes y.  Tb is
     suspended mid-transaction; Ta and Tc (mutually disjoint) then both have
@@ -87,53 +75,38 @@ let chain_violations impl =
     ]
   in
   (* how many solo steps does Tb need? *)
-  let solo, _ = scenario_run impl specs [ Schedule.Until_done 12 ] in
-  let n = solo.Sim.steps_of 12 in
-  let sim, _ =
-    scenario_run impl specs
-      [ Schedule.Steps (12, max 0 (n - 1)); Schedule.Until_done 11;
-        Schedule.Until_done 13 ]
+  let solo =
+    Sim.replay ~budget:2_000 (Static_txn.setup specs impl (Hashtbl.create 8))
+      [ Schedule.Until_done 12 ]
   in
-  Tm_dap.Strict_dap.violations
-    ~data_sets:(Static_txn.data_sets specs)
-    (Access_log.whole (Memory.log sim.Sim.mem))
+  let n = solo.Sim.steps_of 12 in
+  strict_dap_violations impl specs
+    [ Schedule.Steps (12, max 0 (n - 1)); Schedule.Until_done 11;
+      Schedule.Until_done 13 ]
 
-(** Solo progress under a suspended conflicting enemy: Tb (writes x,y)
-    suspended mid-commit; Ta (writes x) must still finish solo if the TM is
+(** Solo progress under a suspended conflicting enemy, read off the
+    liveness classifier's points: Ta must finish solo, commit or abort,
+    wherever Tb (writes x,y) is suspended, if the TM is
     obstruction-free. *)
 let suspended_enemy_progress impl : (unit, string) result =
-  let specs =
-    [
-      { Static_txn.tid = Tid.v 11; pid = 11; reads = [ x_item ];
-        writes = [ (x_item, Value.int 1) ] };
-      { Static_txn.tid = Tid.v 12; pid = 12; reads = [];
-        writes = [ (x_item, Value.int 2); (y_item, Value.int 2) ] };
-    ]
-  in
-  let solo, _ = scenario_run impl specs [ Schedule.Until_done 12 ] in
-  let n = solo.Sim.steps_of 12 in
-  let try_at k =
-    let sim, outcomes =
-      scenario_run impl specs
-        [ Schedule.Steps (12, k); Schedule.Until_done 11 ]
-    in
-    match sim.Sim.report.Schedule.stop with
-    | Schedule.Budget_exhausted _ ->
-        Error
-          (Printf.sprintf
-             "T_a cannot finish solo while a conflicting transaction is \
-              suspended after %d steps (blocking)"
-             k)
-    | Schedule.Crashed (_, e) -> Error (Printexc.to_string e)
-    | Schedule.Completed -> (
-        match Hashtbl.find_opt outcomes (Tid.v 11) with
-        | Some o when o.Static_txn.status <> Static_txn.Unstarted -> Ok ()
-        | _ -> Error "T_a did not run")
-  in
-  let rec all k = if k > n then Ok () else
-      match try_at k with Ok () -> all (k + 1) | Error e -> Error e
-  in
-  all 0
+  let module P = Tm_probe.Solo_probe in
+  match
+    Seq.find_map
+      (fun (p : P.point) ->
+        match p.outcome with
+        | P.Commit | P.Abort -> None
+        | P.Unfinished stop -> Some (p.k, stop))
+      P.(points (scan impl Tm_probe.Liveness_class.suspended_enemy))
+  with
+  | None -> Ok ()
+  | Some (k, Schedule.Budget_exhausted _) ->
+      Error
+        (Printf.sprintf
+           "T_a cannot finish solo while a conflicting transaction is \
+            suspended after %d steps (blocking)"
+           k)
+  | Some (_, Schedule.Crashed (_, e)) -> Error (Printexc.to_string e)
+  | Some (_, Schedule.Completed) -> Error "T_a did not run"
 
 (* ------------------------------------------------------------------ *)
 (* Consistency evidence via the weak-adaptive checker *)
@@ -147,7 +120,7 @@ let writers_of_item (x : Item.t) : Tid.t list =
 (** Restrict a history to the transactions relevant to a failed check and
     ask the weak-adaptive checker; Unsat is hard evidence that no WAC
     serialization exists. *)
-let wac_refutes ?(budget = 2_000_000) (h : History.t)
+let wac_refutes (h : History.t)
     (c : Claims.value_check) : bool =
   let keep =
     Tid.Set.of_list
@@ -155,30 +128,30 @@ let wac_refutes ?(budget = 2_000_000) (h : History.t)
       @ [ Tid.v 1; Tid.v 2 ])
   in
   let sub = History.restrict h keep in
-  match Tm_consistency.Weak_adaptive.check ~budget sub with
+  match Tm_consistency.Weak_adaptive.check ~budget:2_000_000 sub with
   | Tm_consistency.Spec.Unsat -> true
   | Tm_consistency.Spec.Sat | Tm_consistency.Spec.Out_of_budget -> false
 
 (** delta1 evidence for the no-flip case: T1 solo to commit, then T3 solo;
     the paper's opening case analysis shows the resulting history cannot be
     WAC if T3 still reads 0 for b1. *)
-let delta1_refuted ?(budget = 2_000_000) impl : bool =
+let delta1_refuted impl : bool =
   let r = Harness.run impl Constructions.delta1 in
   let keep = Tid.Set.of_list [ Tid.v 1; Tid.v 3 ] in
   let sub = History.restrict r.Harness.sim.Sim.history keep in
-  match Tm_consistency.Weak_adaptive.check ~budget sub with
+  match Tm_consistency.Weak_adaptive.check ~budget:2_000_000 sub with
   | Tm_consistency.Spec.Unsat -> true
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
 
-let assess ?budget (impl : Tm_intf.impl) : t =
+let assess (impl : Tm_intf.impl) : t =
   let (module M : Tm_intf.S) = impl in
   let tm_l = [ ("tm", M.name) ] in
   Tm_obs.Sink.span ~labels:tm_l "pcl.assess" (fun () ->
   let report =
     Tm_obs.Sink.time ~labels:tm_l "pcl_analyse_wall_ns" (fun () ->
-        Claims.analyse ?budget impl)
+        Claims.analyse impl)
   in
   let notes = ref [] in
   let note fmt = Fmt.kstr (fun s -> notes := s :: !notes) fmt in

@@ -19,14 +19,5 @@ type t = {
   notes : string list;
 }
 
-val disjoint_pair_violations :
-  Tm_intf.impl -> Tm_dap.Strict_dap.violation list
-
-val chain_violations : Tm_intf.impl -> Tm_dap.Strict_dap.violation list
-
-val suspended_enemy_progress : Tm_intf.impl -> (unit, string) result
-(** Obstruction-freedom probe: can a conflicting transaction always finish
-    solo while an enemy is suspended at any point of its run? *)
-
-val assess : ?budget:int -> Tm_intf.impl -> t
+val assess : Tm_intf.impl -> t
 val pp : Format.formatter -> t -> unit

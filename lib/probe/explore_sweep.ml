@@ -27,15 +27,9 @@ let specs : Static_txn.spec list =
 let pids = List.map (fun s -> s.Static_txn.pid) specs
 let data_sets = Static_txn.data_sets specs
 
+(* one outcome table, shared by every world of the sweep *)
 let setup (impl : Tm_intf.impl) : Sim.setup =
-  let outcomes = Hashtbl.create 4 in
-  fun mem recorder ->
-    let handle =
-      Txn_api.instantiate impl mem recorder ~items:(Static_txn.items_of specs)
-    in
-    List.map
-      (fun s -> (s.Static_txn.pid, Static_txn.program handle s ~outcomes))
-      specs
+  Static_txn.setup specs impl (Hashtbl.create 4)
 
 (* Histories compared without their events' step stamps ([at]): no
    consistency checker reads a stamp, so two executions whose events

@@ -38,57 +38,36 @@ type report = { cls : cls; evidence : string }
 let x_item = Item.v "x"
 let y_item = Item.v "y"
 
-let spec tid pid reads writes =
-  { Static_txn.tid = Tid.v tid; pid; reads;
-    writes = List.map (fun (i, v) -> (i, Value.int v)) writes }
-
-let static_setup impl specs outcomes : Sim.setup =
- fun mem recorder ->
-  let handle =
-    Txn_api.instantiate impl mem recorder ~items:(Static_txn.items_of specs)
-  in
-  List.map
-    (fun s -> (s.Static_txn.pid, Static_txn.program handle s ~outcomes))
-    specs
-
 (* --------------------------------------------------------------- *)
 (* Probe 1: solo progress against a suspended conflicting enemy.
    A stall refutes everything non-blocking; a solo abort refutes
    obstruction-freedom (and we fold it into Blocking as well, since the
    TM cannot guarantee solo commit). *)
 
+let suspended_enemy : Solo_probe.entry =
+  {
+    specs =
+      [
+        { Static_txn.tid = Tid.v 11; pid = 11; reads = [ x_item ];
+          writes = [ (x_item, Value.int 1) ] };
+        { Static_txn.tid = Tid.v 12; pid = 12; reads = [];
+          writes = [ (x_item, Value.int 2); (y_item, Value.int 2) ] };
+      ];
+    prefix = [];
+    enemy = 12;
+    probe = 11;
+    budget = 1_000;
+  }
+
 type solo_result = Solo_ok | Stalls of int | Solo_abort of int
 
 let solo_progress impl : solo_result =
-  let specs =
-    [ spec 11 11 [ x_item ] [ (x_item, 1) ];
-      spec 12 12 [] [ (x_item, 2); (y_item, 2) ] ]
-  in
-  let solo_outcomes = Hashtbl.create 4 in
-  let solo =
-    Sim.replay ~budget:5_000 (static_setup impl specs solo_outcomes)
-      [ Schedule.Until_done 12 ]
-  in
-  let n = solo.Sim.steps_of 12 in
-  let rec go k =
-    if k > n then Solo_ok
-    else begin
-      let outcomes = Hashtbl.create 4 in
-      let r =
-        Sim.replay ~budget:1_000 (static_setup impl specs outcomes)
-          [ Schedule.Steps (12, k); Schedule.Until_done 11 ]
-      in
-      match r.Sim.report.Schedule.stop with
-      | Schedule.Budget_exhausted _ | Schedule.Crashed _ -> Stalls k
-      | Schedule.Completed -> (
-          match Hashtbl.find_opt outcomes (Tid.v 11) with
-          | Some o when o.Static_txn.status = Static_txn.Committed ->
-              go (k + 1)
-          | Some _ -> Solo_abort k
-          | None -> Stalls k)
-    end
-  in
-  go 0
+  match
+    Solo_probe.(first_failure (points (scan impl suspended_enemy)))
+  with
+  | None -> Solo_ok
+  | Some { Solo_probe.k; outcome = Solo_probe.Abort; _ } -> Solo_abort k
+  | Some { Solo_probe.k; _ } -> Stalls k
 
 (* --------------------------------------------------------------- *)
 (* Probe 2: mutual-abort livelock under alternating schedules.  Two

@@ -13,10 +13,7 @@
      - strictly DAP TMs never even disturb the disjoint probe. *)
 
 open Tm_base
-open Tm_runtime
 open Tm_impl
-
-type outcome = Commit | Abort | Stall
 
 type profile = {
   points : int;  (** suspension points probed *)
@@ -41,31 +38,15 @@ let disjoint_probe =
   { Static_txn.tid = Tid.v 52; pid = 52; reads = [ z ];
     writes = [ (z, Value.int 7) ] }
 
-let specs = [ blocker; conflicting_probe; disjoint_probe ]
-
-let setup impl outcomes : Sim.setup =
- fun mem recorder ->
-  let handle =
-    Txn_api.instantiate impl mem recorder ~items:(Static_txn.items_of specs)
-  in
-  List.map
-    (fun s -> (s.Static_txn.pid, Static_txn.program handle s ~outcomes))
-    specs
-
-let probe_once impl ~suspend_at ~probe_pid ~probe_tid : outcome =
-  let outcomes = Hashtbl.create 4 in
-  let r =
-    Sim.replay ~budget:1_000 (setup impl outcomes)
-      [ Schedule.Steps (50, suspend_at); Schedule.Until_done probe_pid ]
-  in
-  match r.Sim.report.Schedule.stop with
-  | Schedule.Budget_exhausted _ -> Stall
-  | Schedule.Crashed _ -> Stall
-  | Schedule.Completed -> (
-      match Hashtbl.find_opt outcomes (Tid.v probe_tid) with
-      | Some o when o.Static_txn.status = Static_txn.Committed -> Commit
-      | Some _ -> Abort
-      | None -> Stall)
+(* every probe runs in the world of all three transactions *)
+let entry ~disjoint : Solo_probe.entry =
+  {
+    specs = [ blocker; conflicting_probe; disjoint_probe ];
+    prefix = [];
+    enemy = 50;
+    probe = (if disjoint then 52 else 51);
+    budget = 1_000;
+  }
 
 (** Probe every suspension point of the blocker's solo run. *)
 let run (impl : Tm_intf.impl) ~(disjoint : bool) : profile =
@@ -75,24 +56,18 @@ let run (impl : Tm_intf.impl) ~(disjoint : bool) : profile =
       ("probe", (if disjoint then "disjoint" else "conflicting")) ]
   in
   Tm_obs.Sink.span ~labels "probe.progress" (fun () ->
-      let solo_outcomes = Hashtbl.create 4 in
-      let solo =
-        Sim.replay ~budget:5_000 (setup impl solo_outcomes)
-          [ Schedule.Until_done 50 ]
-      in
+      let scan = Solo_probe.scan impl (entry ~disjoint) in
       (* a blocker that takes no step is still probed once, before it *)
-      let n = max 1 (solo.Sim.steps_of 50) in
-      let probe_pid, probe_tid = if disjoint then (52, 52) else (51, 51) in
-      let profile = { points = n; commits = 0; aborts = 0; stalls = 0 } in
+      let n = max 1 scan.Solo_probe.n in
       let profile =
-        List.fold_left
-          (fun acc k ->
-            match probe_once impl ~suspend_at:k ~probe_pid ~probe_tid with
-            | Commit -> { acc with commits = acc.commits + 1 }
-            | Abort -> { acc with aborts = acc.aborts + 1 }
-            | Stall -> { acc with stalls = acc.stalls + 1 })
-          profile
-          (List.init n (fun k -> k))
+        Seq.fold_left
+          (fun acc (p : Solo_probe.point) ->
+            match p.outcome with
+            | Solo_probe.Commit -> { acc with commits = acc.commits + 1 }
+            | Solo_probe.Abort -> { acc with aborts = acc.aborts + 1 }
+            | Solo_probe.Unfinished _ -> { acc with stalls = acc.stalls + 1 })
+          { points = n; commits = 0; aborts = 0; stalls = 0 }
+          (Seq.take n (Solo_probe.points scan))
       in
       Tm_obs.Sink.add ~labels "probe_progress_points_total" profile.points;
       Tm_obs.Sink.add ~labels "probe_progress_commits_total" profile.commits;

@@ -5,8 +5,6 @@
 
 open Tm_impl
 
-type outcome = Commit | Abort | Stall
-
 type profile = {
   points : int;  (** suspension points probed *)
   commits : int;
@@ -14,7 +12,9 @@ type profile = {
   stalls : int;
 }
 
-val probe_once :
-  Tm_intf.impl -> suspend_at:int -> probe_pid:int -> probe_tid:int -> outcome
+val entry : disjoint:bool -> Solo_probe.entry
+(** T50 (writes x, y) against T51 (reads and writes x) or, [disjoint], T52
+    (reads and writes z); exposed for the probe law in [test_probe]. *)
 
 val run : Tm_intf.impl -> disjoint:bool -> profile
+(** The first max(n, 1) points of {!entry}. *)

@@ -216,9 +216,11 @@ let apply (c : cursor) (atom : Schedule.atom) : Schedule.feed_outcome =
     f
   end
 
-(** Advance [pid] by one atomic step; true iff the process progressed —
-    it took a memory step, or its (empty-bodied) program finished on
-    being started.  Constant work beyond the step itself: no prefix
+(** Advance [pid] by one atomic step; true iff the world changed — the
+    process took a memory step, its (empty-bodied) program finished on
+    being started, or its program failed on being started, which halts
+    the session.  Each such step is recorded in the path, so a replay of
+    the path halts too.  Constant work beyond the step itself: no prefix
     re-execution, no log-length scan.  False means the world is
     unchanged, its report included: the process had already finished,
     had crashed or is parked, or the session is stopped (a
@@ -233,9 +235,13 @@ let step (c : cursor) pid : bool =
   then false
   else
     let taken = Schedule.feed_steps l.session (step1 pid) in
-    let progressed = taken > 0 || Scheduler.finished l.sched pid in
-    if progressed then extend c (step1_code pid);
-    progressed
+    let changed =
+      taken > 0
+      || Scheduler.finished l.sched pid
+      || Schedule.session_stopped l.session
+    in
+    if changed then extend c (step1_code pid);
+    changed
 
 (* -- snapshots --------------------------------------------------------- *)
 

@@ -54,9 +54,11 @@ val fork : cursor -> cursor
     of forks share the same way. *)
 
 val step : cursor -> int -> bool
-(** [step c pid] advances [pid] by one atomic step; true iff the process
-    progressed — it took a memory step, or its (empty-bodied) program
-    finished on being started.  Constant work beyond the step itself: no
+(** [step c pid] advances [pid] by one atomic step; true iff the world
+    changed — the process took a memory step, its (empty-bodied) program
+    finished on being started, or its program failed on being started,
+    which halts the execution.  Each such step extends the path, so a
+    replay halts too.  Constant work beyond the step itself: no
     prefix re-execution, no log-length scan.  False leaves the world
     unchanged, its report included: the process had already finished,
     had crashed or is parked, or the execution has halted (a

@@ -75,3 +75,12 @@ let items_of (specs : spec list) : Item.t list =
     (List.fold_left
        (fun acc s -> Item.Set.union acc (data_set s))
        Item.Set.empty specs)
+
+(** The static world: each spec spawned as its own process.  The items
+    are computed once per [setup specs], not once per world. *)
+let setup (specs : spec list) =
+  let items = items_of specs in
+  fun (impl : Tm_intf.impl) outcomes : Tm_runtime.Sim.setup ->
+   fun mem recorder ->
+    let handle = Txn_api.instantiate impl mem recorder ~items in
+    List.map (fun s -> (s.pid, program handle s ~outcomes)) specs

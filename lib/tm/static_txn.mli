@@ -38,3 +38,12 @@ val program :
     into [outcomes]. *)
 
 val items_of : spec list -> Item.t list
+
+val setup :
+  spec list ->
+  Tm_intf.impl ->
+  (Tid.t, outcome) Hashtbl.t ->
+  Tm_runtime.Sim.setup
+(** Each spec as its own process, over one instance holding every item of
+    the specs (computed once per [setup specs]); every world built from
+    the setup writes into the table. *)

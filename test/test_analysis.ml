@@ -608,6 +608,55 @@ let test_stall_probe_early_stop () =
         (Figure_lint.observe impl).Figure_lint.stall)
     Registry.all
 
+(* At horizons 8 and 16 the probe runs T1 more than a horizon of solo
+   steps before suspending it, so of-stall fires on T1 itself while T3
+   commits.  The stall probe judges T3: the obstruction-free TMs show no
+   stall there (dstm at 8 does stall: its T3 needs more than 3 x 8 steps
+   solo). *)
+let test_stall_probe_small_horizons () =
+  List.iter
+    (fun (horizon, names) ->
+      let config = { Lint.default with Lint.horizon } in
+      List.iter
+        (fun name ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s at horizon %d: no stall" name horizon)
+            []
+            (Figure_lint.observe ~config (Registry.find_exn name))
+              .Figure_lint.stall)
+        names)
+    [
+      (8, [ "si-clock"; "candidate"; "llsc-candidate" ]);
+      (16, [ "dstm"; "si-clock"; "candidate"; "llsc-candidate" ]);
+    ]
+
+(* the blocking TMs stall T3 at the same depth at every horizon *)
+let test_stall_depths () =
+  List.iter
+    (fun horizon ->
+      let config = { Lint.default with Lint.horizon } in
+      List.iter
+        (fun (name, k) ->
+          let impl = Registry.find_exn name in
+          let scan = Solo_probe.scan impl (Figure_lint.stall_probe config) in
+          let first =
+            Solo_probe.first_failure
+              (Seq.take 40 (Solo_probe.points ~from:1 scan))
+          in
+          Alcotest.(check (option int))
+            (Printf.sprintf "%s at horizon %d: stall depth" name horizon)
+            (Some k)
+            (Option.map (fun (p : Solo_probe.point) -> p.k) first);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at horizon %d: of-stall fires" name horizon)
+            true
+            (List.mem "of-stall"
+               (Figure_lint.observe ~config impl).Figure_lint.stall))
+        [
+          ("tl-lock", 4); ("norec", 6); ("tl2-clock", 7); ("lp-progressive", 7);
+        ])
+    [ 8; 16; 128 ]
+
 (* ------------------------------------------------------------------ *)
 (* registry: lookup, prefixes, plug-ins, expected classification *)
 
@@ -816,6 +865,10 @@ let () =
             test_figure_observation_kinds;
           Alcotest.test_case "stall probe early stop = full scan" `Quick
             test_stall_probe_early_stop;
+          Alcotest.test_case "small horizons blame no obstruction-free TM"
+            `Quick test_stall_probe_small_horizons;
+          Alcotest.test_case "stall depths at every horizon" `Quick
+            test_stall_depths;
           Alcotest.test_case "observation ignores output settings" `Quick
             test_observation_ignores_output_settings;
         ] );

@@ -303,6 +303,21 @@ let test_one_log_representation () =
        (fun d -> sources d ".ml")
        [ "../lib"; "../bin"; "../examples"; "../perfbench" ])
 
+(* one static world: the setup that spawns static transactions as
+   processes is written once, as [Static_txn.setup] *)
+let test_one_static_setup () =
+  List.iter
+    (fun (f, src) ->
+      if
+        not
+          (List.mem (Filename.basename f) [ "static_txn.ml"; "static_txn.mli" ])
+      then
+        Alcotest.(check int) (f ^ ": Static_txn.program") 0
+          (occurrences "Static_txn.program" src))
+    (List.concat_map
+       (fun (d, suffix) -> sources d suffix)
+       [ ("../lib", ".ml"); ("../lib", ".mli"); ("../bin", ".ml") ])
+
 (* run the CLI: its exit code and the reason lines on its stderr *)
 let pcl_tm args =
   let err = Filename.temp_file "pcl_tm" ".err" in
@@ -521,6 +536,8 @@ let () =
             test_cli_one_writer;
           Alcotest.test_case "one log representation" `Quick
             test_one_log_representation;
+          Alcotest.test_case "one static-world setup" `Quick
+            test_one_static_setup;
           Alcotest.test_case "shared flags defined once" `Quick
             test_cli_flags_defined_once;
         ] );

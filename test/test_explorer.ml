@@ -93,9 +93,11 @@ let cursor_tests =
    not crashed, not parked, in a running session — as the explorer
    does.  [Poke] calls [Sim.step] whatever the process's state: a step
    that cannot move it must leave the world, its report included,
-   unchanged.  [Repeat] feeds [Steps (pid, 1)] through [Sim.apply]
-   whatever the process's state, so a path also holds runs of atoms that
-   took no step.  Spins dwell on tl-lock, norec and tl2-clock, whose
+   unchanged.  Only [Poke] reaches p3, whose program fails on being
+   started: that step halts the execution, and the cursor's path must
+   hold it, so that the replay halts too.  [Repeat] feeds
+   [Steps (pid, 1)] through [Sim.apply] whatever the process's state, so
+   a path also holds runs of atoms that took no step.  Spins dwell on tl-lock, norec and tl2-clock, whose
    readers await a lock.  Half the programs run under a fault hook that
    fails RMW steps spuriously, under which a spin may not be appended in
    bulk.
@@ -150,7 +152,7 @@ let gen_fork_op =
         ( 2,
           map3
             (fun k pid n -> Poke (k, pid, n))
-            small_nat (int_range 1 2) (int_range 1 8) );
+            small_nat (int_range 1 3) (int_range 1 8) );
         (2, map2 (fun k a -> Apply (k, a)) small_nat gen_atom);
       ])
 
@@ -213,12 +215,15 @@ let same_world (r : Sim.result) (r' : Sim.result) =
 
 let fork_law_budget = 300
 
+(* the stock pair, plus a p3 that fails on being started *)
+let with_p3 (setup : Sim.setup) : Sim.setup =
+ fun mem recorder ->
+  setup mem recorder @ [ (3, fun () -> failwith "p3 fails on being started") ]
+
 let run_fork_program (tm, faulty, ops) =
   let impl = Registry.find_exn (List.nth law_tms tm) in
-  let setup =
-    if faulty then spurious (Explore_sweep.setup impl)
-    else Explore_sweep.setup impl
-  in
+  let setup = with_p3 (Explore_sweep.setup impl) in
+  let setup = if faulty then spurious setup else setup in
   let budget = fork_law_budget in
   let pids = Explore_sweep.pids in
   let pool =
@@ -234,9 +239,15 @@ let run_fork_program (tm, faulty, ops) =
     && (not (Sim.finished m.cursor pid))
     && Sim.crashed m.cursor pid = None
   in
+  (* a step that moved a process and left it crashed failed genuinely,
+     which halts the execution *)
   let step m pid =
     if Sim.step m.cursor pid then
-      { m with atoms = Schedule.Steps (pid, 1) :: m.atoms }
+      {
+        m with
+        atoms = Schedule.Steps (pid, 1) :: m.atoms;
+        halted = Sim.crashed m.cursor pid <> None;
+      }
     else m
   in
   let apply m (atom : Schedule.atom) =
