@@ -20,13 +20,9 @@ type t = {
   mutable names : string array;
   by_name : (string, Oid.t) Hashtbl.t;
   log : Access_log.t;
-  mutable hook : (Access_log.t -> int -> int -> unit) option;
-      (** called after every logged run of steps with the log, the first
-          step's index and the number of steps — the shared
-          instrumentation point TM layers use to attribute base-object
-          traffic.  Index-based so the common case (a counter bump keyed
-          on the primitive kind) reads one column instead of forcing an
-          entry record per step; counted so a bulk append is one call *)
+  mutable tm_prim_c : Tm_obs.Metrics.counter array option;
+      (** the TM's own per-kind counters ({!count_prims}), bumped beside
+          [prim_c] *)
   changed_scratch : bool ref;
       (** reused out-param for {!Base_object.apply_into}, so a step does
           not allocate a response pair *)
@@ -90,7 +86,7 @@ let create () =
     names = Array.make 16 "";
     by_name = Hashtbl.create 16;
     log = Access_log.create ();
-    hook = None;
+    tm_prim_c = None;
     fault = None;
     changed_scratch = ref false;
     doomed = Hashtbl.create 4;
@@ -170,12 +166,12 @@ let apply t ~pid ?tid (oid : Oid.t) (prim : Primitive.t) : Value.t =
         resp
     | None -> Base_object.apply_into t.objects.(oid) prim ~changed
   in
-  let index = Access_log.length t.log in
   Access_log.record t.log ~pid ~tid ~oid ~prim ~response ~changed:!changed;
   Tm_obs.Metrics.inc t.steps_c;
   Tm_obs.Metrics.inc (pid_counter pid);
-  Tm_obs.Metrics.inc t.prim_c.(Primitive.kind_index prim);
-  (match t.hook with Some f -> f t.log index 1 | None -> ());
+  let kind = Primitive.kind_index prim in
+  Tm_obs.Metrics.inc t.prim_c.(kind);
+  (match t.tm_prim_c with Some c -> Tm_obs.Metrics.inc c.(kind) | None -> ());
   response
 
 (* The last step taken [n] more times in one append, when that is exact:
@@ -190,10 +186,11 @@ let repeat_last t n =
     Access_log.repeat_last t.log n;
     Tm_obs.Metrics.add t.steps_c n;
     Tm_obs.Metrics.add (pid_counter (Access_log.pid_at t.log last)) n;
-    Tm_obs.Metrics.add
-      t.prim_c.(Primitive.kind_index (Access_log.prim_at t.log last))
-      n;
-    (match t.hook with Some f when n > 0 -> f t.log (last + 1) n | _ -> ());
+    let kind = Primitive.kind_index (Access_log.prim_at t.log last) in
+    Tm_obs.Metrics.add t.prim_c.(kind) n;
+    (match t.tm_prim_c with
+    | Some c -> Tm_obs.Metrics.add c.(kind) n
+    | None -> ());
     true
   end
 
@@ -205,12 +202,9 @@ let peek t (oid : Oid.t) : Value.t =
 let log t = t.log
 let step_count t = Access_log.length t.log
 
-(** Install the instrumentation hook (replacing any previous one).
-    Called after each logged run of steps — one step, or one bulk
-    append — with its first index and length; used by
-    {!Tm_impl.Txn_api} to attribute base-object traffic to the TM under
-    test. *)
-let set_hook t f = t.hook <- Some f
+(** Attribute every later step to the TM under test as well: [counters]
+    is its per-kind array, indexed like [mem_prim_total]'s. *)
+let count_prims t counters = t.tm_prim_c <- Some counters
 
 (** Install the fault-injection hook.  It is consulted {e before} each
     primitive is applied; answering [Spurious_fail] on an RMW-class
@@ -228,7 +222,9 @@ let poison t pid = Hashtbl.replace t.doomed pid ()
 
 (** Consume [pid]'s poison flag; true iff it was set. *)
 let take_poison t pid =
-  if Hashtbl.mem t.doomed pid then begin
+  (* asked at every transactional operation; most memories are never
+     poisoned, and the length test spares them the hash *)
+  if Hashtbl.length t.doomed > 0 && Hashtbl.mem t.doomed pid then begin
     Hashtbl.remove t.doomed pid;
     true
   end

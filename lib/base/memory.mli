@@ -8,11 +8,11 @@
     status words), modelling objects that simply exist in the initial
     configuration.
 
-    A memory has two hook slots: the telemetry hook runs after each step
-    or bulk append ({!set_hook}) and the fault hook before each step
-    ({!set_fault_hook}).  The
-    flight recorder needs neither: it reads the access log ({!log}) as a
-    window. *)
+    A memory has one hook slot, the fault hook, consulted before each
+    step ({!set_fault_hook}).  Telemetry needs no hook: a step bumps its
+    counters directly, the TM's own per-kind array too once
+    {!count_prims} has given it.  The flight recorder reads the access
+    log ({!log}) as a window. *)
 
 type t
 
@@ -44,7 +44,8 @@ val apply : t -> pid:int -> ?tid:Tid.t -> Oid.t -> Primitive.t -> Value.t
 (** One atomic step: apply the primitive on behalf of process [pid]
     (attributed to [tid] if given), log it, return the response.
     [mem_steps_total], [mem_prim_total] and [pid]'s
-    [sched_pid_steps_total] advance by one. *)
+    [sched_pid_steps_total] advance by one, and so does the primitive's
+    cell of the {!count_prims} array, if one was given. *)
 
 val repeat_last : t -> int -> bool
 (** [repeat_last t n] logs the last step [n] more times in one bulk
@@ -54,10 +55,9 @@ val repeat_last : t -> int -> bool
     Otherwise (or on an empty log) it does nothing and answers false.
     The append costs O(chunks), not O(n): each log column shares one
     filled chunk between its whole-chunk slots ({!Intvec.push_n}).
-    [mem_steps_total], [mem_prim_total] and the process's
-    [sched_pid_steps_total] advance by [n]; the telemetry hook runs
-    once, after the append, with the first appended index and [n] (not
-    at all when [n = 0]).  The caller vouches that the repeats are the
+    [mem_steps_total], [mem_prim_total], the process's
+    [sched_pid_steps_total] and the {!count_prims} cell advance by [n].
+    The caller vouches that the repeats are the
     steps its process would take next.
     @raise Invalid_argument if [n < 0]. *)
 
@@ -67,15 +67,12 @@ val peek : t -> Oid.t -> Value.t
 val log : t -> Access_log.t
 val step_count : t -> int
 
-val set_hook : t -> (Access_log.t -> int -> int -> unit) -> unit
-(** Install the instrumentation hook (replacing any previous one).  It
-    runs after each logged run of steps, receiving the log, the run's
-    first index and its number of steps: [1] after {!apply}, [n] once
-    after {!repeat_last}, whose steps are all copies of one step.  It is
-    the shared point where TM layers attribute base-object traffic to
-    telemetry counters.  Index-based so the common case reads one column
-    ({!Access_log.prim_at}) instead of forcing an entry record per step.
-    The hook must not itself apply primitives. *)
+val count_prims : t -> Tm_obs.Metrics.counter array -> unit
+(** [count_prims t counters]: every later step of [t] also bumps
+    [counters.(Primitive.kind_index prim)] ({!Primitive.kind_index}), by
+    one per step and by [n] per {!repeat_last}; replaces any earlier
+    array.  The transactional API layer gives each world its TM's
+    [tm_mem_prim_total] cells this way. *)
 
 val set_fault_hook : t -> fault_hook -> unit
 (** Install the fault-injection hook (replacing any previous one).  It is

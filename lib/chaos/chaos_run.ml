@@ -156,6 +156,7 @@ let run_cell (cfg : cfg) (impl : Tm_intf.impl) (klass : Fault.klass)
   in
   drive atoms;
   let r = Sim.snapshot ~schedule:atoms c in
+  Sim.release c;
   let crash_steps = List.map snd r.Sim.report.Schedule.crashes in
   let last = Memory.step_count r.Sim.mem in
   (* the ">12 txn core skipped" counter, read as a delta so the cell can

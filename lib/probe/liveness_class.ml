@@ -109,7 +109,10 @@ let livelock_setup impl : Sim.setup =
    finished". *)
 let find_livelock ?(horizon = 300) impl : int option =
   let rec go cur n last =
-    if n >= horizon then Some n
+    if n >= horizon then begin
+      Sim.release cur;
+      Some n
+    end
     else
       (* prefer alternation so both clients keep taking steps *)
       let order = if last = 1 then [ 2; 1 ] else [ 1; 2 ] in
@@ -119,7 +122,11 @@ let find_livelock ?(horizon = 300) impl : int option =
             let back = Sim.fork cur in
             ignore (Sim.step cur pid);
             if not (Sim.finished cur pid) then go cur (n + 1) pid
-            else try_pids back rest
+            else begin
+              (* a rejected try: its world is dropped *)
+              Sim.release cur;
+              try_pids back rest
+            end
       in
       try_pids cur order
   in
@@ -153,6 +160,7 @@ let contend impl client1 client2 : Tm_trace.History.t =
         end)
       [ 1; 2 ]
   done;
+  Scheduler.release sched;
   Tm_trace.Recorder.history recorder
 
 let aborts_under_contention impl : int =

@@ -131,6 +131,8 @@ let run_segment (impl : Tm_intf.impl) cfg ~segment ~txns_per_proc ~commits
       in
       let pid = Option.value ~default:1 wedged in
       let r = Sim.snapshot ~flight:false c in
+      (* a stalled segment's world is dropped with processes suspended *)
+      Sim.release c;
       let last = Access_log.last_by_pid (Memory.log r.Sim.mem) pid in
       Some
         {

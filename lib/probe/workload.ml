@@ -167,6 +167,7 @@ let run (impl : Tm_intf.impl) (cfg : config) : stats =
   (* snapshot without the scripted-schedule flight context — the scaling
      workload writes its own run metadata below *)
   let r = Sim.snapshot ~flight:false c in
+  Sim.release c;
   let alog = Memory.log r.Sim.mem in
   (* fill in the run context so an installed recorder's artifact is
      replayable/lintable, as Sim.replay does for scripted schedules *)

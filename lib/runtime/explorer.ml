@@ -14,19 +14,17 @@
    touch different base objects or their primitives commute on the same
    object (both trivial — see [Primitive.commute]); the next access of
    every started process is already parked in its scheduler cell, so the
-   check costs nothing ([Sim.pending]).  A process whose next access is
-   unknown (never stepped: its prelude has not run to a primitive) is
-   conservatively dependent with everything.  Sleep sets preserve at
-   least one linearization of every Mazurkiewicz trace, so every
-   reachable final history is still enumerated — only redundant
+   check costs nothing and builds nothing ([Sim.independent]).  A process
+   whose next access is unknown (never stepped: its prelude has not run
+   to a primitive) is conservatively dependent with everything.  Sleep
+   sets preserve at least one linearization of every Mazurkiewicz trace,
+   so every reachable final history is still enumerated — only redundant
    reorderings of commuting steps are skipped.
 
    Used by the test suite to verify properties over *all* executions of
    short workloads (e.g. "every interleaving of these two transactions on
    TL is strictly serializable", "the candidate TM has an interleaving
    that violates snapshot isolation"). *)
-
-open Tm_base
 
 type stats = {
   mutable executions : int;  (** complete executions enumerated *)
@@ -43,17 +41,6 @@ type stats = {
 
 exception Stop_exploration
 
-(* independence of p's step (request [rp], captured before stepping) with
-   the *next* step of a sleeping process [q]: distinct objects always
-   commute, same-object accesses iff both primitives are trivial.
-   Unknown accesses are conservatively dependent. *)
-let dependent c (rp : Proc.request option) q =
-  match (rp, Sim.pending c q) with
-  | Some a, Some b ->
-      Oid.equal a.Proc.oid b.Proc.oid
-      && not (Primitive.commute a.Proc.prim b.Proc.prim)
-  | _ -> true
-
 let explore_until ?(max_steps = 200) ?(max_executions = 100_000)
     ?(max_nodes = 1_000_000) ?(por = false) (setup : Sim.setup)
     ~(pids : int list)
@@ -69,10 +56,14 @@ let explore_until ?(max_steps = 200) ?(max_executions = 100_000)
     }
   in
   (* [c] is the live world at this node; [sleep] the pids whose next step
-     was already explored from an equivalent node (por mode only) *)
+     was already explored from an equivalent node (por mode only).  A
+     world the search drops with processes still suspended is released *)
   let rec dfs c depth sleep =
-    if stats.nodes >= max_nodes || stats.executions >= max_executions then
-      stats.truncated <- true
+    if stats.nodes >= max_nodes || stats.executions >= max_executions
+    then begin
+      stats.truncated <- true;
+      Sim.release c
+    end
     else begin
       stats.nodes <- stats.nodes + 1;
       let unfinished =
@@ -86,7 +77,10 @@ let explore_until ?(max_steps = 200) ?(max_executions = 100_000)
             stats.stopped_early <- true;
             raise_notrace Stop_exploration
       end
-      else if depth >= max_steps then stats.truncated <- true
+      else if depth >= max_steps then begin
+        stats.truncated <- true;
+        Sim.release c
+      end
       else begin
         let candidates =
           if por then List.filter (fun p -> not (List.mem p sleep)) unfinished
@@ -113,13 +107,15 @@ let explore_until ?(max_steps = 200) ?(max_executions = 100_000)
           | [] -> ()
           | p :: rest ->
               let child = take () in
-              let rp = Sim.pending child p in
+              (* the sleeping processes whose next step commutes with p's:
+                 p's step leaves their requests as they are, so this is
+                 asked before the step *)
+              let child_sleep =
+                if por then
+                  List.filter (fun q -> Sim.independent child p q) sleep_now
+                else []
+              in
               if Sim.step child p then begin
-                let child_sleep =
-                  if por then
-                    List.filter (fun q -> not (dependent child rp q)) sleep_now
-                  else []
-                in
                 dfs child (depth + 1) child_sleep;
                 siblings (if por then p :: sleep_now else sleep_now) rest
               end
@@ -130,7 +126,8 @@ let explore_until ?(max_steps = 200) ?(max_executions = 100_000)
                 siblings sleep_now rest
               end
         in
-        siblings sleep candidates
+        siblings sleep candidates;
+        Option.iter Sim.release !avail
       end
     end
   in

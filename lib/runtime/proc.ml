@@ -1,24 +1,51 @@
 (* Process-side interface to the simulated shared memory.
 
    A process is an OCaml function running under the scheduler's effect
-   handler.  Every base-object access performs the [Step] effect; the
-   scheduler applies the primitive atomically to memory, logs it, and
-   resumes the process with the response.  A step in the paper's sense is
-   therefore: one primitive + the local computation up to the next
-   primitive, executed atomically — exactly Section 3's model. *)
+   handler.  Every base-object access writes its request into the running
+   process's slot and performs the constant [Step] effect; the scheduler
+   reads the slot, applies the primitive atomically to memory, logs it,
+   and resumes the process with the response.  A step in the paper's
+   sense is therefore: one primitive + the local computation up to the
+   next primitive, executed atomically — exactly Section 3's model.
+
+   The handoff allocates only the continuation [perform] captures: the
+   request lives in a slot the scheduler owns, one per process, which it
+   makes current before it starts or resumes that process. *)
 
 open Tm_base
 
-type request = { oid : Oid.t; prim : Primitive.t; tid : Tid.t option }
+type slot = {
+  mutable oid : Oid.t;
+  mutable prim : Primitive.t;
+  mutable tid : Tid.t option;
+  mutable awaiting : bool;
+  mutable until : Value.t -> bool;
+}
 
-type _ Effect.t +=
-  | Step : request -> Value.t Effect.t
-  | Await : request * (Value.t -> bool) -> Value.t Effect.t
+type request = { oid : Oid.t; prim : Primitive.t; tid : Tid.t option }
+type _ Effect.t += Step : Value.t Effect.t
+
+let slot () : slot =
+  { oid = Oid.of_int 0; prim = Primitive.Read; tid = None; awaiting = false;
+    until = Fun.const false }
+
+(* the running process's slot (see the interface for the invariant that
+   makes one global sound) *)
+let current = ref (slot ())
+let set_current s = current := s
+
+(* one step: fill the running process's slot, hand over to the scheduler *)
+let access_t ~tid oid prim =
+  let s = !current in
+  s.oid <- oid;
+  s.prim <- prim;
+  s.tid <- tid;
+  Effect.perform Step
 
 (** [access ?tid oid prim] performs one atomic step on [oid].  Must be
     called from code running under a {!Scheduler}.  [tid] attributes the
     step to a transaction for the access log. *)
-let access ?tid oid prim = Effect.perform (Step { oid; prim; tid })
+let access ?tid oid prim = access_t ~tid oid prim
 
 (** Convenience wrappers. *)
 let read ?tid oid = access ?tid oid Primitive.Read
@@ -42,7 +69,6 @@ let unlock ?tid ~pid oid = ignore (access ?tid oid (Primitive.Unlock pid))
    passes it on every step, where the labelled-argument wrappers above
    box a fresh [Some] per call. *)
 
-let access_t ~tid oid prim = Effect.perform (Step { oid; prim; tid })
 let read_t ~tid oid = access_t ~tid oid Primitive.Read
 let write_t ~tid oid v = ignore (access_t ~tid oid (Primitive.Write v))
 
@@ -55,7 +81,13 @@ let fetch_add_t ~tid oid n =
 let unlock_t ~tid ~pid oid =
   ignore (access_t ~tid oid (Primitive.Unlock pid))
 
-(* a spin loop as one effect: the scheduler re-issues the request until
-   [until] accepts a response (see the interface) *)
+(* a spin loop as one step request: the scheduler re-issues the request
+   until [until] accepts a response (see the interface) *)
 let await_t ~tid oid prim ~until =
-  Effect.perform (Await ({ oid; prim; tid }, until))
+  let s = !current in
+  s.oid <- oid;
+  s.prim <- prim;
+  s.tid <- tid;
+  s.until <- until;
+  s.awaiting <- true;
+  Effect.perform Step

@@ -1,20 +1,52 @@
 (** Process-side interface to the simulated shared memory.
 
     A process is an OCaml function running under a {!Scheduler}'s effect
-    handler.  Every base-object access performs the {!Step} effect; the
-    scheduler applies the primitive atomically, logs it, and resumes the
-    process with the response.  A step in the paper's sense — one
-    primitive plus the local computation up to the next one — is therefore
-    executed atomically, exactly as in Section 3's model. *)
+    handler.  Every base-object access writes its request into the
+    running process's {!slot} and performs the constant {!Step} effect;
+    the scheduler reads the slot, applies the primitive atomically, logs
+    it, and resumes the process with the response.  A step in the paper's
+    sense — one primitive plus the local computation up to the next one —
+    is therefore executed atomically, exactly as in Section 3's model.
+
+    {b The one-slot invariant.}  The slot an access writes is the one the
+    scheduler made current with {!set_current} before it started or
+    resumed the running process.  One global current slot is sound only
+    while one process runs at a time, on one domain, and no process
+    drives a scheduler from inside its own code: a nested scheduler would
+    repoint the slot under the outer process, whose next access would be
+    written into a slot its own scheduler never reads. *)
 
 open Tm_base
 
+(** {1 The handoff} *)
+
+type slot = {
+  mutable oid : Oid.t;
+  mutable prim : Primitive.t;
+  mutable tid : Tid.t option;
+  mutable awaiting : bool;
+      (** the request is an {!await_t}: resume only on a response
+          [until] accepts.  Set by [await_t]; the scheduler clears it
+          when the await resumes, so a plain access never writes it *)
+  mutable until : Value.t -> bool;  (** meaningful only while [awaiting] *)
+}
+(** A process's pending request, filled in place by each access.  The
+    scheduler owns one per process. *)
+
+val slot : unit -> slot
+(** A fresh slot (a read of object 0, not awaiting). *)
+
+val set_current : slot -> unit
+(** Make [slot] the one the next access fills.  Called by the scheduler
+    before it starts or resumes a process. *)
+
 type request = { oid : Oid.t; prim : Primitive.t; tid : Tid.t option }
+(** A pending request as a value, for queries that keep it
+    ({!Scheduler.pending}). *)
 
 type _ Effect.t +=
-  | Step : request -> Value.t Effect.t
-  | Await : request * (Value.t -> bool) -> Value.t Effect.t
-        (** see {!await_t} *)
+  | Step : Value.t Effect.t
+        (** the one step effect: its request is in the current slot *)
 
 val access : ?tid:Tid.t -> Oid.t -> Primitive.t -> Value.t
 (** [access ?tid oid prim] performs one atomic step on [oid].  Must be
@@ -60,4 +92,6 @@ val await_t :
     changed nothing therefore repeats that step until its budget ends,
     and the scheduler appends those repeats in bulk.  [until] is called
     outside the process and must be pure; an exception it raises is
-    raised in the process at the await. *)
+    raised in the process at the await.  The request goes through the
+    slot like any access's, marked [awaiting] with [until], and the
+    effect is the same {!Step}. *)

@@ -157,10 +157,14 @@ type session = {
   budget : int;  (* bounds each [Until_done] segment *)
   parked : (int, unit) Hashtbl.t;
   mutable crashes_rev : (int * int) list;
-  steps_per_atom_vec : Tm_base.Intvec.t;  (* per executed atom, in order *)
+  runs : Tm_base.Intvec.t;
+      (* the per-atom step tallies in order, as runs of equal tallies:
+         each closed run is two pushes, its tally then its length *)
+  mutable run_tally : int;  (* the open run's tally *)
+  mutable run_count : int;  (* its length; 0 before the first atom *)
   mutable stopped : stop option;  (* [Some _] once the schedule halted *)
   mutable total_steps : int;  (* steps executed across all atoms *)
-  mutable on_tick : int -> unit;
+  mutable on_tick : (int -> unit) option;
       (* progress hook, called with [total_steps] after every atom that
          executed at least one step — the deterministic heartbeat live
          observers (watch lines, GC sampling) key their boundaries on *)
@@ -172,13 +176,15 @@ let session ?(budget = 100_000) sched =
     budget;
     parked = Hashtbl.create 4;
     crashes_rev = [];
-    steps_per_atom_vec = Tm_base.Intvec.create ~chunk_bits:6 ();
+    runs = Tm_base.Intvec.create ~chunk_bits:6 ();
+    run_tally = 0;
+    run_count = 0;
     stopped = None;
     total_steps = 0;
-    on_tick = ignore;
+    on_tick = None;
   }
 
-let set_tick s f = s.on_tick <- f
+let set_tick s f = s.on_tick <- Some f
 let session_steps s = s.total_steps
 
 type feed_outcome = {
@@ -187,19 +193,37 @@ type feed_outcome = {
 }
 
 let session_stopped s = s.stopped <> None
-(* [Sim.step] asks before every step; most sessions never park, and the
-   length test spares them the hash *)
+(* asked before every step ([Sim.step], [feed_steps]); most sessions
+   never park, and the length test spares them the hash *)
 let parked s pid = Hashtbl.length s.parked > 0 && Hashtbl.mem s.parked pid
 
-(* Count an executed atom: record its step tally, then fire the progress
-   hook if it moved.  [stopped] (when the atom halted the session) must
+(* Count [k] executed atoms of [n] steps each (none if [k <= 0]): extend
+   the open run of tallies or close it and open another, then fire the
+   progress hook after each atom that moved.  O(1) with no hook
+   installed.  [stopped] (when the last atom halted the session) must
    already be set so the hook observes the final state. *)
-let count_atom s n =
-  Tm_base.Intvec.push s.steps_per_atom_vec n;
-  if n > 0 then begin
-    s.total_steps <- s.total_steps + n;
-    s.on_tick s.total_steps
+let count_atoms s n k =
+  if k > 0 then begin
+    if s.run_count > 0 && s.run_tally = n then s.run_count <- s.run_count + k
+    else begin
+      if s.run_count > 0 then begin
+        Tm_base.Intvec.push s.runs s.run_tally;
+        Tm_base.Intvec.push s.runs s.run_count
+      end;
+      s.run_tally <- n;
+      s.run_count <- k
+    end;
+    if n > 0 then
+      match s.on_tick with
+      | None -> s.total_steps <- s.total_steps + (n * k)
+      | Some f ->
+          for _ = 1 to k do
+            s.total_steps <- s.total_steps + n;
+            f s.total_steps
+          done
   end
+
+let count_atom s n = count_atoms s n 1
 
 let stall_of s pid =
   {
@@ -244,7 +268,7 @@ let feed_steps (s : session) (atom : atom) : int =
           count_atom s 0;
           0
       | Steps (pid, n) ->
-          if Hashtbl.mem s.parked pid then begin
+          if parked s pid then begin
             count_atom s 0;
             0
           end
@@ -259,7 +283,7 @@ let feed_steps (s : session) (atom : atom) : int =
             taken
           end
       | Until_done pid -> (
-          if Hashtbl.mem s.parked pid then begin
+          if parked s pid then begin
             count_atom s 0;
             0
           end
@@ -294,17 +318,17 @@ let feed_steps (s : session) (atom : atom) : int =
     process failed on being started. *)
 let feed_run (s : session) pid k =
   if s.stopped = None then
-    if Hashtbl.mem s.parked pid then for _ = 1 to k do count_atom s 0 done
+    if parked s pid then count_atoms s 0 k
     else begin
       let taken = Scheduler.run_steps s.sched pid k in
       match Scheduler.crash_state s.sched pid with
       | Scheduler.Genuine e ->
-          for _ = 2 to taken do count_atom s 1 done;
+          count_atoms s 1 (taken - 1);
           s.stopped <- Some (Crashed (pid, e));
           count_atom s (min taken 1)
       | Scheduler.No_crash | Scheduler.Injected_stop ->
-          for _ = 1 to taken do count_atom s 1 done;
-          for _ = taken + 1 to k do count_atom s 0 done
+          count_atoms s 1 taken;
+          count_atoms s 0 (k - taken)
     end
 
 (** {!feed_steps} with the legacy boxed outcome. *)
@@ -312,12 +336,23 @@ let feed (s : session) (atom : atom) : feed_outcome =
   let steps = feed_steps s atom in
   { steps; halted = s.stopped <> None }
 
+(* the runs expanded, one tally per atom, built from the last atom back *)
+let steps_per_atom s =
+  let rec repeat v n acc = if n = 0 then acc else repeat v (n - 1) (v :: acc) in
+  let rec closed i acc =
+    if i < 0 then acc
+    else
+      closed (i - 2)
+        (repeat (Intvec.get s.runs (i - 1)) (Intvec.get s.runs i) acc)
+  in
+  closed (Intvec.length s.runs - 1) (repeat s.run_tally s.run_count [])
+
 (** The report of everything fed so far ([Completed] while still
-    running).  Cheap and side-effect free: callable mid-session. *)
+    running).  Side-effect free: callable mid-session. *)
 let session_report (s : session) : report =
   {
     stop = Option.value ~default:Completed s.stopped;
-    steps_per_atom = Tm_base.Intvec.to_list s.steps_per_atom_vec;
+    steps_per_atom = steps_per_atom s;
     crashes = List.rev s.crashes_rev;
   }
 

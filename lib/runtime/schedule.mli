@@ -113,9 +113,11 @@ val feed_run : session -> int -> int -> unit
     of [Steps (pid, 1)] would — the same step log, one tally per atom,
     the same {!session_steps}, nothing fed after a genuine crash stops
     it — but takes the steps as one scheduler run, so a failed await
-    with more of the run left is appended in bulk.  A cursor's
-    re-materialization replays its path's runs of single steps this
-    way. *)
+    with more of the run left is appended in bulk, and counts the [k]
+    tallies in O(1) (a session keeps its tallies as runs of equal
+    values; with a {!set_tick} hook installed, the hook still fires per
+    atom).  A cursor's re-materialization replays its path's runs of
+    single steps this way. *)
 
 val session_stopped : session -> bool
 
@@ -135,5 +137,5 @@ val session_steps : session -> int
 
 val session_report : session -> report
 (** The report over everything fed so far — [stop = Completed] while the
-    session is still running.  Cheap and side-effect free, so it can be
+    session is still running.  Side-effect free, so it can be
     taken mid-session (the cursor snapshot path does). *)

@@ -19,36 +19,59 @@ let injected = function Injected_crash _ -> true | _ -> false
 
 type status =
   | Not_started of (unit -> unit)
-  | Pending of (Value.t, unit) Effect.Deep.continuation
-      (* the request itself lives in the cell's [req] field: splitting it
-         off keeps the per-step [Pending] box at its minimum size *)
+  | Pending  (* suspended at a step: request in [slot], continuation in [k] *)
   | Stepping  (* transient marker while a continuation is running *)
   | Finished
   | Failed of exn
 
+(* Raised into a suspended process by {!release}.  Private, so no process
+   code can catch it by name; the handler counts no crash for it. *)
+exception Released
+
+(* The [k] of a cell that has never been suspended: the continuation of
+   a throwaway fiber, ended at once, so it holds no stack and resuming it
+   raises [Continuation_already_resumed].  [k] is read only while the
+   cell is [Pending] or [stopped], each entered by storing the process's
+   own continuation first. *)
+let no_continuation =
+  let k : (Value.t, unit) Effect.Deep.continuation option ref = ref None in
+  let effc (type a) (eff : a Effect.t) =
+    match eff with
+    | Proc.Step ->
+        Some (fun (c : (a, unit) Effect.Deep.continuation) -> k := Some c)
+    | _ -> None
+  in
+  Effect.Deep.match_with Effect.perform Proc.Step
+    { retc = ignore; exnc = ignore; effc };
+  let k = Option.get !k in
+  Effect.Deep.discontinue k Exit;
+  k
+
 type cell = {
   pid : int;
   mutable status : status;
-  mutable req : Proc.request;  (* meaningful only while status = Pending *)
+  slot : Proc.slot;  (* the request this process is pending on *)
+  mutable k : (Value.t, unit) Effect.Deep.continuation;
+      (* the suspended process: kept here rather than in [Pending] so a
+         step allocates no box around it *)
+  mutable stopped : bool;
+      (* crash-stopped while [Pending]: [k] is a fiber {!release} must
+         still end *)
   mutable on_step : ((Value.t, unit) Effect.Deep.continuation -> unit) option;
       (* the effect handler's resume closure, built once per process so
          performing a step allocates neither a closure nor its [Some] *)
-  mutable awaiting : bool;
-      (* the pending request is an [Await]: resume only on a response
-         [until] accepts.  Set by the await handler and cleared when the
-         await resumes, so the [Step] path only tests it *)
-  mutable until : Value.t -> bool;  (* meaningful only while [awaiting] *)
 }
-
-let dummy_req : Proc.request =
-  { Proc.oid = Oid.of_int 0; prim = Primitive.Read; tid = None }
 
 let make_cell pid f =
   let c =
-    { pid; status = Not_started f; req = dummy_req; on_step = None;
-      awaiting = false; until = Fun.const false }
+    { pid; status = Not_started f; slot = Proc.slot (); k = no_continuation;
+      stopped = false; on_step = None }
   in
-  c.on_step <- Some (fun k -> c.status <- Pending k);
+  c.on_step <-
+    Some
+      (fun k ->
+        c.k <- k;
+        c.status <- Pending);
   c
 
 (* Cells live in a dense array indexed by pid (pids are small ints chosen
@@ -85,25 +108,33 @@ let cell t pid =
         invalid_arg (Printf.sprintf "Scheduler.step: unknown pid %d" pid)
   else invalid_arg (Printf.sprintf "Scheduler.step: unknown pid %d" pid)
 
+(* Fibers started and not yet ended, over every scheduler of the
+   process.  A test seam ({!live_fibers}): a suspended fiber that is
+   dropped instead of released keeps its stack for good. *)
+let fibers = ref 0
+
+let live_fibers () = !fibers
+
 let handler (c : cell) : (unit, unit) Effect.Deep.handler =
   {
-    retc = (fun () -> c.status <- Finished);
+    retc =
+      (fun () ->
+        decr fibers;
+        c.status <- Finished);
     exnc =
       (fun e ->
-        Tm_obs.Sink.incr "sched_crash_total";
-        c.status <- Failed e);
+        decr fibers;
+        match e with
+        | Released -> ()
+        | e ->
+            Tm_obs.Sink.incr "sched_crash_total";
+            c.status <- Failed e);
     effc =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
-        | Proc.Step req ->
+        | Proc.Step ->
             (* the GADT match refines [a] to [Value.t], so the cell's
                pre-built resume closure is returned as-is *)
-            c.req <- req;
-            (c.on_step : ((a, unit) Effect.Deep.continuation -> unit) option)
-        | Proc.Await (req, until) ->
-            c.req <- req;
-            c.until <- until;
-            c.awaiting <- true;
             (c.on_step : ((a, unit) Effect.Deep.continuation -> unit) option)
         | _ -> None);
   }
@@ -112,6 +143,8 @@ let start_if_needed (c : cell) =
   match c.status with
   | Not_started f ->
       c.status <- Stepping;
+      incr fibers;
+      Proc.set_current c.slot;
       Effect.Deep.match_with f () (handler c)
   | _ -> ()
 
@@ -122,21 +155,28 @@ type step_result = Stepped | Already_finished | Crashed of exn
    the same request. *)
 type advance = Resumed | Blocked | Was_finished | Was_crashed of exn
 
+(* Make a pending process the running one, before its continuation is
+   resumed: its next access fills its own slot. *)
+let running (c : cell) =
+  c.status <- Stepping;
+  Proc.set_current c.slot
+
 (* An await attempt's response: resume the process with it if [until]
    accepts it (or raise [until]'s exception at the await), else leave the
    process pending on the same request. *)
-let attempt (c : cell) k resp =
-  match c.until resp with
+let attempt (c : cell) resp =
+  let s = c.slot in
+  match s.until resp with
   | false -> Blocked
   | true ->
-      c.awaiting <- false;
-      c.status <- Stepping;
-      Effect.Deep.continue k resp;
+      s.awaiting <- false;
+      running c;
+      Effect.Deep.continue c.k resp;
       Resumed
   | exception e ->
-      c.awaiting <- false;
-      c.status <- Stepping;
-      Effect.Deep.discontinue k e;
+      s.awaiting <- false;
+      running c;
+      Effect.Deep.discontinue c.k e;
       Resumed
 
 let advance t (c : cell) : advance =
@@ -144,15 +184,13 @@ let advance t (c : cell) : advance =
   match c.status with
   | Finished -> Was_finished
   | Failed e -> Was_crashed e
-  | Pending k ->
-      let req = c.req in
-      let resp =
-        Memory.apply t.mem ~pid:c.pid ?tid:req.tid req.oid req.prim
-      in
-      if c.awaiting then attempt c k resp
+  | Pending ->
+      let s = c.slot in
+      let resp = Memory.apply t.mem ~pid:c.pid ?tid:s.tid s.oid s.prim in
+      if s.awaiting then attempt c resp
       else begin
-        c.status <- Stepping;
-        Effect.Deep.continue k resp;
+        running c;
+        Effect.Deep.continue c.k resp;
         (* the handler has updated the status to Pending/Finished/Failed *)
         Resumed
       end
@@ -167,17 +205,39 @@ let step t pid : step_result =
   | Was_crashed e -> Crashed e
 
 (** Crash-stop process [pid] (the asynchronous model's fault: a crashed
-    process is simply never scheduled again).  The pending continuation is
-    dropped — its stack vanishes, exactly crash-stop semantics.  No-op if
-    the process already finished or crashed. *)
+    process is simply never scheduled again).  Its suspended fiber is kept
+    until {!release} ends it: a fiber that is never resumed keeps its
+    stack for good.  No-op if the process already finished or crashed. *)
 let inject_crash t pid =
   let c = cell t pid in
   match c.status with
   | Finished | Failed _ -> ()
-  | Not_started _ | Pending _ | Stepping ->
+  | Not_started _ | Pending | Stepping ->
       Tm_obs.Sink.incr "sched_injected_crash_total";
+      c.stopped <- (match c.status with Pending -> true | _ -> false);
       c.status <-
         Failed (Injected_crash { pid; step = Memory.step_count t.mem })
+
+(** End every suspended fiber by raising a private exception at its
+    pending step (see the interface). *)
+let release t =
+  Array.iter
+    (function
+      | Some c ->
+          let suspended =
+            match c.status with
+            | Pending ->
+                c.status <- Failed Released;
+                true
+            | Failed _ -> c.stopped
+            | Not_started _ | Stepping | Finished -> false
+          in
+          if suspended then begin
+            c.stopped <- false;
+            Effect.Deep.discontinue c.k Released
+          end
+      | None -> ())
+    t.cells
 
 let finished t pid =
   match (cell t pid).status with Finished -> true | _ -> false
@@ -191,8 +251,20 @@ let finished t pid =
 let pending t pid =
   let c = cell t pid in
   match c.status with
-  | Pending _ -> Some c.req
+  | Pending ->
+      let s = c.slot in
+      Some { Proc.oid = s.oid; prim = s.prim; tid = s.tid }
   | Not_started _ | Stepping | Finished | Failed _ -> None
+
+(** [pending]'s answers for [p] and [q] compared without building either:
+    both known, and on distinct objects or both trivial. *)
+let independent t p q =
+  let a = cell t p and b = cell t q in
+  match (a.status, b.status) with
+  | Pending, Pending ->
+      (not (Oid.equal a.slot.oid b.slot.oid))
+      || Primitive.commute a.slot.prim b.slot.prim
+  | _ -> false
 
 let crashed t pid =
   match (cell t pid).status with Failed e -> Some e | _ -> None
@@ -208,7 +280,7 @@ let crash_state t pid =
 
 let runnable t pid =
   match (cell t pid).status with
-  | Not_started _ | Pending _ -> true
+  | Not_started _ | Pending -> true
   | Stepping | Finished | Failed _ -> false
 
 (* The spin fast-forward.  After a [Blocked] step with [left] steps of
@@ -243,7 +315,7 @@ let rec run_solo_from t c budget taken =
   match c.status with
   | Finished -> Done taken
   | Failed e -> Crash e
-  | Not_started _ | Pending _ | Stepping -> (
+  | Not_started _ | Pending | Stepping -> (
       if taken >= budget then Out_of_budget
       else
         match advance t c with

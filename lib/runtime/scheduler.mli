@@ -29,18 +29,39 @@ type step_result = Stepped | Already_finished | Crashed of exn
 
 val step : t -> int -> step_result
 (** Advance one process by one atomic step.  Starting a process runs its
-    local code up to and including its first primitive.  A process
-    pending on a {!Proc.await_t} takes one attempt: it is resumed only if
-    [until] accepts the response, and otherwise stays pending on the same
-    request ([Stepped] either way).  An exception [until] raises is
-    raised in the process at the await, so it ends as that process's
-    crash unless the process handles it.
+    local code up to and including its first primitive.  The handoff
+    allocates only the continuation the process's [perform] captures:
+    the request is read from the process's {!Proc.slot}, which the
+    scheduler makes current before it starts or resumes the process.
+    A process pending on a {!Proc.await_t} takes one attempt: it is
+    resumed only if [until] accepts the response, and otherwise stays
+    pending on the same request ([Stepped] either way).  An exception
+    [until] raises is raised in the process at the await, so it ends as
+    that process's crash unless the process handles it.
     @raise Invalid_argument on an unknown pid. *)
 
 val inject_crash : t -> int -> unit
 (** Crash-stop a process: it is never scheduled again and its {!crashed}
     exception is an {!Injected_crash} carrying the global step count at
-    injection time.  No-op on a finished or already-crashed process. *)
+    injection time.  No-op on a finished or already-crashed process.  A
+    process stopped while suspended keeps its fiber until {!release}. *)
+
+val release : t -> unit
+(** End the fiber of every suspended process, crash-stopped ones
+    included, by raising a private exception at its pending step.  Call
+    it on a world that will not be advanced again: a fiber that is never
+    resumed keeps its stack for good (OCaml frees a fiber's stack only
+    when the fiber returns or raises).  Process code catches no exception
+    it cannot name, so the unwinding runs none of it: no step is taken
+    and no crash is counted, and memory, log and history are untouched.
+    Afterwards {!finished} and {!crash_state} answer as before for every
+    process except the released pending ones, which read as crashed with
+    the private exception; the scheduler must not be stepped again. *)
+
+val live_fibers : unit -> int
+(** Test seam: fibers started and not yet ended, over every scheduler of
+    the program.  A world dropped without {!release} leaves its suspended
+    processes counted here. *)
 
 val finished : t -> int -> bool
 val crashed : t -> int -> exn option
@@ -58,6 +79,12 @@ val pending : t -> int -> Proc.request option
     or crashed ones.  Stable until [pid] itself is stepped, and across
     the failed attempts of an await — the conflict oracle a
     partial-order-reduced search keys on. *)
+
+val independent : t -> int -> int -> bool
+(** [independent t p q]: the requests {!pending} names for [p] and [q]
+    are both known and commute — on distinct objects, or both trivial
+    ({!Tm_base.Primitive.commute}).  Allocation-free: the conflict query
+    of a partial-order-reduced search, asked per sleeping process. *)
 
 val runnable : t -> int -> bool
 

@@ -201,6 +201,18 @@ let crashed (c : cursor) pid = Scheduler.crashed (materialize c).sched pid
 let pending (c : cursor) pid : Proc.request option =
   Scheduler.pending (materialize c).sched pid
 
+let independent (c : cursor) p q =
+  Scheduler.independent (materialize c).sched p q
+
+(** End the live world's suspended fibers and drop the world; a later
+    query or step re-materializes it by replay. *)
+let release (c : cursor) =
+  match c.live with
+  | Some l ->
+      Scheduler.release l.sched;
+      c.live <- None
+  | None -> ()
+
 let steps_taken (c : cursor) : int = Memory.step_count (materialize c).mem
 
 (** Feed one schedule atom to the live world.  Executed atoms (and only
@@ -311,6 +323,8 @@ let replay ?(budget = 100_000) (setup : setup) (atoms : Schedule.atom list)
           mem_ref := Some l.mem;
           List.iter (fun a -> ignore (apply c a)) atoms;
           let r = snapshot ~schedule:atoms c in
+          (* nothing can advance this world after the replay returns *)
+          release c;
           Tm_obs.Sink.observe "sim_replay_steps"
             (float_of_int (Memory.step_count l.mem));
           r))

@@ -78,6 +78,17 @@ val pending : cursor -> int -> Proc.request option
     already run up to a primitive ({!Scheduler.pending}) — the conflict
     oracle the partial-order-reduced explorer keys on. *)
 
+val independent : cursor -> int -> int -> bool
+(** [independent c p q]: the next requests of [p] and [q] are both known
+    and commute ({!Scheduler.independent}); builds no request. *)
+
+val release : cursor -> unit
+(** End the suspended fibers of the cursor's live world, if it has one,
+    and drop that world ({!Scheduler.release}); a later query or step
+    rebuilds it by replay.  Call it on a cursor whose world is dropped:
+    a suspended fiber that is never resumed keeps its stack.  The
+    memory, log and history of snapshots taken before stay valid. *)
+
 val steps_taken : cursor -> int
 (** Global memory steps executed so far — the constant-time progress
     clock. *)
@@ -108,6 +119,8 @@ val snapshot : ?flight:bool -> ?schedule:Schedule.atom list -> cursor -> result
 (** {1 Whole-schedule replay} *)
 
 val replay : ?budget:int -> setup -> Schedule.atom list -> result
+(** Start a cursor, feed it the whole schedule, snapshot it, and
+    {!release} its world: the result's processes can no longer move. *)
 
 val solo_length :
   ?budget:int -> setup -> prefix:Schedule.atom list -> int -> int option

@@ -80,7 +80,9 @@ let simulate (s : Scenario.t) ~budget ~seed (impl : Tm_intf.impl)
     | a :: rest -> if (Sim.apply c a).Schedule.halted then () else drive rest
   in
   drive atoms;
-  (Sim.snapshot ~schedule:atoms c, !commits)
+  let r = Sim.snapshot ~schedule:atoms c in
+  Sim.release c;
+  (r, !commits)
 
 let run_cell (s : Scenario.t) ~(inject : inject) ~seed
     (impl : Tm_intf.impl) (policy : Cm.policy) : cell =

@@ -25,7 +25,8 @@ type handle = {
 
 (* Per-TM telemetry handles, resolved once per process by the TM's first
    [instantiate].  That registers every cell, at zero until it counts.
-   [hook] is the memory hook attributing base-object steps to the TM. *)
+   [c_prim] is the per-kind array the memory bumps at every step,
+   attributing base-object traffic to the TM. *)
 type counters = {
   c_begin : Tm_obs.Metrics.counter;
   c_read : Tm_obs.Metrics.counter;
@@ -34,7 +35,7 @@ type counters = {
   c_abort : Tm_obs.Metrics.counter;
   c_retry : Tm_obs.Metrics.counter;
   c_poison : Tm_obs.Metrics.counter;
-  hook : Access_log.t -> int -> int -> unit;
+  c_prim : Tm_obs.Metrics.counter array;
 }
 
 let counters_of_tm : (string, counters) Hashtbl.t = Hashtbl.create 16
@@ -56,12 +57,7 @@ let counters tm =
         { c_begin = c_of "tm_begin_total"; c_read = c_of "tm_read_total";
           c_write = c_of "tm_write_total"; c_commit = c_of "tm_commit_total";
           c_abort = c_of "tm_abort_total"; c_retry = c_of "tm_retry_total";
-          c_poison = c_of "tm_poison_aborts_total";
-          hook =
-            (fun log i n ->
-              Tm_obs.Metrics.add
-                c_prim.(Primitive.kind_index (Access_log.prim_at log i))
-                n) }
+          c_poison = c_of "tm_poison_aborts_total"; c_prim }
       in
       Hashtbl.add counters_of_tm tm c;
       c
@@ -79,10 +75,10 @@ let instantiate (module M : Tm_intf.S) (mem : Memory.t)
     Tid.v (50_000 + !tid_counter)
   in
   (* telemetry: every TM is instrumented identically here, and the memory
-     hook attributes every base-object step to the TM under test *)
-  let { c_begin; c_read; c_write; c_commit; c_abort; c_retry; c_poison; hook }
+     attributes every base-object step to the TM under test *)
+  let { c_begin; c_read; c_write; c_commit; c_abort; c_retry; c_poison; c_prim }
       = counters M.name in
-  Memory.set_hook mem hook;
+  Memory.count_prims mem c_prim;
   (* a begin on a pid whose previous transaction aborted is a retry (the
      paper's restart model) *)
   let last_aborted : (int, unit) Hashtbl.t = Hashtbl.create 8 in

@@ -318,9 +318,9 @@ let test_cursor_pid_steps () =
   Sink.reset sink
 
 (* A spin appended in bulk costs chunks, not steps: a million repeats of
-   a read under the TM telemetry hook allocate under one word per step
-   (per-step column fills cost about five), and the hook still counts
-   every step.  Metered with [Gcstat], which counts minor words exactly
+   a read in a TM's world allocate under one word per step (per-step
+   column fills cost about five), and the TM's [tm_mem_prim_total] still
+   counts every step.  Metered with [Gcstat], which counts minor words exactly
    ([Gc.allocated_bytes] lags until a minor collection). *)
 let test_bulk_append_allocation () =
   let sink = Sink.default in
@@ -396,6 +396,30 @@ let test_run_steps_allocation () =
   Alcotest.(check int) "same log length"
     (Memory.step_count (Scheduler.memory stepped))
     (Memory.step_count (Scheduler.memory run))
+
+(* A step allocates only the continuation its [perform] captures (two
+   words) and its share of the log's column chunks (about five): the
+   request is written into the process's slot in place and the effect is
+   a constant, so no request, effect or [Pending] box is built.  Read
+   with [Gc.minor_words], as above. *)
+let test_step_allocation () =
+  let n = 10_000 in
+  let mem = Memory.create () in
+  let o = Memory.alloc mem ~name:"o" (Value.int 0) in
+  let s = Scheduler.create mem in
+  Scheduler.spawn s ~pid:1 (fun () ->
+      for _ = 0 to n do
+        ignore (Proc.access_t ~tid:None o Primitive.Read)
+      done);
+  ignore (Scheduler.step s 1);
+  let a0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Scheduler.step s 1)
+  done;
+  let per_step = (Gc.minor_words () -. a0) /. float_of_int n in
+  if per_step > 7.5 then
+    Alcotest.failf "a step allocated %.2f words (bound 7.5)" per_step;
+  Alcotest.(check int) "steps logged" (n + 1) (Memory.step_count mem)
 
 (* lazy handles leave the telemetry as it was: a repeated sweep after a
    reset reproduces every counter and histogram count, and no cell is
@@ -523,6 +547,8 @@ let () =
             test_bulk_append_allocation;
           Alcotest.test_case "a one-step run allocates as a step" `Quick
             test_run_steps_allocation;
+          Alcotest.test_case "a step allocates only its continuation" `Quick
+            test_step_allocation;
           Alcotest.test_case "sweep telemetry under lazy handles" `Quick
             test_sweep_telemetry;
         ] );

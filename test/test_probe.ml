@@ -217,6 +217,34 @@ let test_crash_is_no_commit () =
         (Printexc.to_string (Failure "the probe crashed")) why
   | Pcl_verdict.Holds -> Alcotest.fail "verdict's L leg must not hold"
 
+(* The fiber law: no world is dropped with a process suspended in it.
+   OCaml frees a fiber's stack only when the fiber returns or raises, so
+   every site that drops a world releases it ([Scheduler.release]), and
+   after each of these the count of live fibers is back where it
+   started. *)
+let fibers_return what f =
+  let before = Scheduler.live_fibers () in
+  f ();
+  Alcotest.(check int) (what ^ ": live fibers") before
+    (Scheduler.live_fibers ())
+
+let fiber_tests =
+  [
+    Alcotest.test_case "the stock sweeps end every fiber" `Quick (fun () ->
+        List.iter
+          (fun name ->
+            fibers_return name (fun () ->
+                ignore (Explore_sweep.run ~por:true (Registry.find_exn name))))
+          [ "dstm"; "tl-lock" ]);
+    Alcotest.test_case "a solo-probe scan ends every fiber" `Quick (fun () ->
+        fibers_return "scan" (fun () ->
+            let scan =
+              Solo_probe.scan (Registry.find_exn "tl-lock")
+                Liveness_class.suspended_enemy
+            in
+            Seq.iter ignore (Solo_probe.points scan)));
+  ]
+
 let () =
   Alcotest.run "probe"
     [
@@ -224,6 +252,7 @@ let () =
       ("probes", probe_tests);
       ("adversary oracle", oracle_tests);
       ("probe law", law_tests);
+      ("fiber law", fiber_tests);
       ( "readings",
         [
           Alcotest.test_case "a crashed probe is never a commit" `Quick

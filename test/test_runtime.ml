@@ -229,6 +229,69 @@ let await_tests =
           (!after = Some (Value.int 1));
         check "finished" true (Scheduler.finished sched 1);
         check_int "two attempts and the write" 3 (Memory.step_count mem));
+    Alcotest.test_case "a resumed await fills its own slot" `Quick
+      (fun () ->
+        (* p2 runs between p1's failed attempt and its successful one, so
+           p2's slot is current when the await resumes: p1's next access
+           must still land in p1's own slot *)
+        let mem = Memory.create () in
+        let sched = Scheduler.create mem in
+        let o = Memory.alloc mem ~name:"o" (Value.int 0) in
+        let q = Memory.alloc mem ~name:"q" (Value.int 0) in
+        let r = Memory.alloc mem ~name:"r" (Value.int 0) in
+        let until v = Value.equal v (Value.int 1) in
+        Scheduler.spawn sched ~pid:1 (fun () ->
+            ignore (Proc.await_t ~tid:None o Primitive.Read ~until);
+            Proc.write q (Value.int 7));
+        Scheduler.spawn sched ~pid:2 (fun () ->
+            Proc.write o (Value.int 1);
+            ignore (Proc.read r));
+        ignore (Scheduler.step sched 1);
+        ignore (Scheduler.step sched 2);
+        ignore (Scheduler.step sched 1);
+        check "p1 pending on its write" true
+          (Scheduler.pending sched 1
+          = Some
+              { Proc.oid = q; prim = Primitive.Write (Value.int 7); tid = None });
+        check "p2 still pending on its read" true
+          (Scheduler.pending sched 2
+          = Some { Proc.oid = r; prim = Primitive.Read; tid = None });
+        ignore (Scheduler.step sched 1);
+        check "p1 wrote q" true (Value.equal (Memory.peek mem q) (Value.int 7));
+        check "p1 finished" true (Scheduler.finished sched 1));
+    Alcotest.test_case "release ends every suspended fiber, counting nothing"
+      `Quick (fun () ->
+        let before = Scheduler.live_fibers () in
+        let crashes () =
+          Metrics.sum_counters (Sink.metrics Sink.default) "sched_crash_total"
+        in
+        let crashes0 = crashes () in
+        let mem, sched, _, after = await_world () in
+        Scheduler.spawn sched ~pid:3 (fun () -> ());
+        Scheduler.spawn sched ~pid:4 (fun () ->
+            ignore (Proc.read 0);
+            ignore (Proc.read 0));
+        ignore (Scheduler.step sched 1);
+        ignore (Scheduler.step sched 2);
+        ignore (Scheduler.step sched 3);
+        ignore (Scheduler.step sched 4);
+        Scheduler.inject_crash sched 4;
+        check_int "p1 suspended, p4 stopped while suspended" (before + 2)
+          (Scheduler.live_fibers ());
+        let steps = Memory.step_count mem in
+        Scheduler.release sched;
+        check_int "no fiber left" before (Scheduler.live_fibers ());
+        check_int "no crash counted" crashes0 (crashes ());
+        check_int "no step taken" steps (Memory.step_count mem);
+        check "p1's code after the await never ran" true (!after = None);
+        check "finished answers unchanged" true
+          (List.map (Scheduler.finished sched) [ 1; 2; 3; 4 ]
+          = [ false; true; true; false ]);
+        check "p4 still an injected stop" true
+          (Scheduler.crash_state sched 4 = Scheduler.Injected_stop);
+        Scheduler.release sched;
+        check_int "a second release is a no-op" before
+          (Scheduler.live_fibers ()));
     Alcotest.test_case "inject_crash drops an awaiting process" `Quick
       (fun () ->
         let _, sched, _, after = await_world () in

@@ -322,6 +322,17 @@ let runner_tests =
             check "reason commits" true
               (c.Scenario_run.reason = Some "commits")
         | l -> Alcotest.failf "expected 1 failure, got %d" (List.length l));
+    Alcotest.test_case "a crash-injected row ends every fiber" `Quick
+      (fun () ->
+        (* crash-stopped processes keep their fibers until the cell's
+           world is released: the count of live fibers comes back *)
+        let s =
+          scenario ~fault:Fault.Crash_stop ~tms:[ "tl-lock"; "norec"; "dstm" ]
+            ~cms:[ "immediate"; "backoff" ] "fibers"
+        in
+        let before = Scheduler.live_fibers () in
+        ignore (Scenario_run.run_row ~inject:Scenario_run.No_inject ~seed:1 s);
+        check_int "live fibers" before (Scheduler.live_fibers ()));
     Alcotest.test_case "rows are deterministic under a fixed seed" `Quick
       (fun () ->
         let s =
