@@ -448,11 +448,14 @@ type fuzz_totals = {
 let fuzz_violations t = t.wf_bad + t.of_bad + t.dap_bad + t.cons_bad + t.lint_bad
 
 (** Fuzz one TM with random transactions and schedules, the detectors and
-    checkers as oracles.  Shared by [fuzz] and [report].  With [dump_dir],
-    every violating execution is dumped as a replayable trace artifact
-    with its verdict provenance attached.  With [lint], the pclsan trace
-    passes additionally run on every execution; findings outside the TM's
-    expected set count as violations (and are dumped as verdicts too). *)
+    checkers as oracles, each chosen by the TM's declared contract:
+    obstruction-freedom unless it is blocking, strict DAP if it claims
+    it, and its consistency condition.  Shared by [fuzz] and [report].
+    With [dump_dir], every violating execution is dumped as a replayable
+    trace artifact with its verdict provenance attached.  With [lint],
+    the pclsan trace passes additionally run on every execution; findings
+    outside the TM's expected set count as violations (and are dumped as
+    verdicts too). *)
 let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
     ~iters ~seed : fuzz_totals =
   let (module M : Tm_intf.S) = impl in
@@ -465,7 +468,7 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
   and lint_bad = ref 0
   and stalled = ref 0
   and dumped = ref [] in
-  let target_checker = Checkers.find_exn (Chaos_run.weakest_claim M.name) in
+  let target_checker = Checkers.find_exn M.contract.Tm_intf.condition in
   let iteration dump i =
     (* random static transactions over three items *)
     let spec tid pid =
@@ -518,13 +521,7 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
             witness_txns = [];
             witness_steps = [];
           });
-    if
-      (* the blocking TMs stall instead of aborting; lp-progressive
-         aborts on conflicts with *suspended* lock holders, which is
-         progressive but not obstruction-free *)
-      M.name <> "tl-lock" && M.name <> "tl2-clock" && M.name <> "norec"
-      && M.name <> "lp-progressive"
-    then begin
+    if M.contract.Tm_intf.liveness <> Tm_intf.Blocking then begin
       match Obstruction_freedom.violations r.Sim.history log with
       | [] -> ()
       | vs ->
@@ -547,11 +544,7 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
                 })
             vs
     end;
-    if
-      List.mem M.name
-        [ "tl-lock"; "pram-local"; "candidate"; "llsc-candidate";
-          "lp-progressive" ]
-    then begin
+    if M.contract.Tm_intf.strict_dap then begin
       match
         Strict_dap.violations ~data_sets:(Static_txn.data_sets specs) log
       with

@@ -60,7 +60,9 @@ type expectation = {
 }
 
 val expected : string -> expectation option
-(** The per-TM expectation table, keyed by registry name. *)
+(** The per-TM expectation table, keyed by registry name: observations,
+    whose corner entries ([build], [stalls]) the test suite checks
+    against each TM's declared contract. *)
 
 val pass : Lint.pass
 (** ["figure-consistency"]: needs [input.tm] to name a registered TM

@@ -1,7 +1,5 @@
 (* Pass aggregation, name lookup and expected-findings classification. *)
 
-open Tm_trace
-
 let builtin =
   Passes.trace_passes @ Progress_lint.passes @ [ Figure_lint.pass ]
 
@@ -115,6 +113,3 @@ let run_passes ?(config = Lint.default) passes (i : Lint.input) : run_result =
       List.filter (fun f -> not (is_expected ~tm:i.Lint.tm f)) findings;
     passes_run = List.map (fun (p : Lint.pass) -> p.Lint.name) passes;
   }
-
-let attach_verdicts fl findings =
-  List.iter (fun f -> Flight.add_verdict fl (Lint.to_flight_verdict f)) findings

@@ -3,8 +3,6 @@
     expected-findings table that separates "the lint confirming what the
     theorem says about this TM" from "a genuine surprise". *)
 
-open Tm_trace
-
 val builtin : Lint.pass list
 (** The trace passes ({!Passes.trace_passes}) plus
     {!Figure_lint.pass}. *)
@@ -30,7 +28,9 @@ val expected_for : string option -> string list
 (** Pass names whose findings are {e expected} for the named TM — the
     lint confirming a property the theorem already denies it (e.g.
     [strict-dap] on the global-clock TMs, [of-stall] on the lock-based
-    one).  [None] (TM unknown) expects nothing. *)
+    one).  [None] (TM unknown) expects nothing.  The test suite requires
+    [strict-dap] here exactly for the TMs whose contract is not strictly
+    DAP. *)
 
 val is_expected : tm:string option -> Lint.finding -> bool
 
@@ -45,7 +45,3 @@ val run_passes :
   ?config:Lint.config -> Lint.pass list -> Lint.input -> run_result
 (** Run the given passes over one input and classify the findings
     against the input's TM. *)
-
-val attach_verdicts : Flight.t -> Lint.finding list -> unit
-(** Record findings as verdict-provenance lines on a recorder, so dumped
-    artifacts carry their lint results. *)

@@ -15,8 +15,8 @@
     round-robin contention probe counts read-only aborts.  Failures are
     [Error] findings with the suspension depth as the step-level witness;
     the per-role classification (read-only vs updating transactions) is
-    an always-expected [Info] finding, with the updater side delegated to
-    {!Tm_probe.Liveness_class}. *)
+    an always-expected [Info] finding, with the updater side read from
+    the TM's declared [contract]. *)
 
 open Tm_impl
 

@@ -83,13 +83,6 @@ let iter t f =
     f (unsafe_get t i)
   done
 
-let fold t ~init ~f =
-  let acc = ref init in
-  for i = 0 to t.len - 1 do
-    acc := f !acc (unsafe_get t i)
-  done;
-  !acc
-
 let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (unsafe_get t i :: acc) in
   go (t.len - 1) []

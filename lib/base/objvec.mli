@@ -31,5 +31,4 @@ val unsafe_get : 'a t -> int -> 'a
 (** Unchecked read, for callers that already hold a valid index. *)
 
 val iter : 'a t -> ('a -> unit) -> unit
-val fold : 'a t -> init:'b -> f:('b -> 'a -> 'b) -> 'b
 val to_list : 'a t -> 'a list

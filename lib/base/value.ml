@@ -41,8 +41,6 @@ let to_int_exn v =
   | VInt i -> i
   | _ -> invalid_arg (Printf.sprintf "Value.to_int_exn: %s" (show v))
 
-let to_bool = function VBool b -> Some b | _ -> None
-
 let to_bool_exn v =
   match v with
   | VBool b -> b

@@ -39,7 +39,6 @@ val initial : t
 
 val to_int : t -> int option
 val to_int_exn : t -> int
-val to_bool : t -> bool option
 val to_bool_exn : t -> bool
 val to_pair_exn : t -> t * t
 val to_list_exn : t -> t list

@@ -40,15 +40,6 @@ let default =
 let small =
   { default with txns_per_proc = 2; rounds = 24; budget = 30_000 }
 
-(** The weakest consistency claim each TM makes about committed
-    transactions — the checker whose verdict its chaos cells are held
-    to (the same mapping `pcl_tm fuzz` uses). *)
-let weakest_claim = function
-  | "pram-local" -> "pram"
-  | "si-clock" -> "snapshot-isolation"
-  | "candidate" | "llsc-candidate" -> "weak-adaptive"
-  | _ -> "strict-serializability"
-
 type cell = {
   tm : string;
   fault : string;
@@ -167,7 +158,7 @@ let run_cell (cfg : cfg) (impl : Tm_intf.impl) (klass : Fault.klass)
   let skipped_before = Tm_obs.Metrics.counter_value skipped_c in
   let flips =
     Crash_closure.check ~budget:cfg.closure_budget
-      ~checkers:[ weakest_claim M.name ]
+      ~checkers:[ M.contract.Tm_intf.condition ]
       r.Sim.history
       ~cuts:(Crash_closure.cuts ~crash_steps ~last)
   in
@@ -295,11 +286,3 @@ let cell_json (c : cell) : Tm_obs.Obs_json.t =
       ("skipped", Tm_obs.Obs_json.Int c.skipped);
       ("degradation", Tm_obs.Obs_json.String c.degradation);
     ]
-
-let pp_cell ppf (c : cell) =
-  Fmt.pf ppf "%-14s %-9s %-10s %2d/%2d commits %2d gave-up %s%s%s" c.tm
-    c.fault c.cm c.commits c.expected c.gave_up c.degradation
-    (if c.skipped > 0 then Printf.sprintf "  skipped:%d" c.skipped else "")
-    (if c.closure_violations > 0 then
-       Printf.sprintf "  ** %d closure violation(s)" c.closure_violations
-     else "")

@@ -21,10 +21,6 @@ val default : cfg
 val small : cfg
 (** A preset for CI smoke runs. *)
 
-val weakest_claim : string -> string
-(** TM name -> the checker its committed transactions are held to (the
-    same mapping [pcl_tm fuzz] uses). *)
-
 type cell = {
   tm : string;
   fault : string;
@@ -60,4 +56,3 @@ val finalize : cfg -> cell list -> cell list
 
 val matrix : cfg -> cell list
 val cell_json : cell -> Tm_obs.Obs_json.t
-val pp_cell : Format.formatter -> cell -> unit

@@ -49,6 +49,8 @@ type sign = NonZero | Zero
 type expect = { tm : string; workload : string; field : string; sign : sign }
 
 val table : expect list
+(** Observed signs per TM; the test suite requires rows for every
+    registered TM. *)
 
 val check : row list -> (string * string * string list) list
 (** Expected-cost violations plus the universal cost laws

@@ -3,7 +3,7 @@
    A registry maps (metric name, canonical label set) to a mutable cell.
    Hot paths resolve a handle once ({!counter} etc.) and then pay one
    unboxed mutation per event; occasional recorders use the one-shot
-   [incr_c]/[add_c]/[observe_h]/[set_g] conveniences, which look the cell
+   [incr_c]/[add_c]/[observe_h] conveniences, which look the cell
    up each time.
 
    Everything is deterministic except wall-clock observations made by the
@@ -100,7 +100,6 @@ let inc (c : counter) = incr c
 let add (c : counter) n = c := !c + n
 let counter_value (c : counter) = !c
 let set (g : gauge) v = g := v
-let gauge_value (g : gauge) = !g
 
 let observe (h : histogram) x =
   h.count <- h.count + 1;
@@ -128,7 +127,6 @@ let observe (h : histogram) x =
 let incr_c t ?labels name = inc (counter t ?labels name)
 let add_c t ?labels name n = add (counter t ?labels name) n
 let observe_h t ?labels name x = observe (histogram t ?labels name) x
-let set_g t ?labels name v = set (gauge t ?labels name) v
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots *)

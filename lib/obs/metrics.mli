@@ -36,7 +36,6 @@ val inc : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 val observe : histogram -> float -> unit
 
 (** {1 One-shot conveniences} *)
@@ -44,7 +43,6 @@ val observe : histogram -> float -> unit
 val incr_c : t -> ?labels:labels -> string -> unit
 val add_c : t -> ?labels:labels -> string -> int -> unit
 val observe_h : t -> ?labels:labels -> string -> float -> unit
-val set_g : t -> ?labels:labels -> string -> float -> unit
 
 (** {1 Snapshots} *)
 

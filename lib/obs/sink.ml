@@ -41,7 +41,6 @@ let reset t =
 let incr ?labels name = Metrics.incr_c default.metrics ?labels name
 let add ?labels name n = Metrics.add_c default.metrics ?labels name n
 let observe ?labels name x = Metrics.observe_h default.metrics ?labels name x
-let set_gauge ?labels name v = Metrics.set_g default.metrics ?labels name v
 let span ?labels name f = Span.with_ default.tracer ?labels name f
 
 let with_step_source steps f = Span.with_step_source default.tracer steps f

@@ -34,7 +34,6 @@ val reset : t -> unit
 val incr : ?labels:Metrics.labels -> string -> unit
 val add : ?labels:Metrics.labels -> string -> int -> unit
 val observe : ?labels:Metrics.labels -> string -> float -> unit
-val set_gauge : ?labels:Metrics.labels -> string -> float -> unit
 val span : ?labels:Metrics.labels -> string -> (unit -> 'a) -> 'a
 val with_step_source : (unit -> int) -> (unit -> 'a) -> 'a
 

@@ -87,7 +87,6 @@ let with_ t ?(labels = []) name f =
 let spans t = List.rev t.spans_rev
 let count t = t.n_spans
 let dropped t = t.dropped
-let active_depth t = t.depth
 
 let reset t =
   t.spans_rev <- [];

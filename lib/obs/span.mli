@@ -39,5 +39,4 @@ val spans : t -> span list
 
 val count : t -> int
 val dropped : t -> int
-val active_depth : t -> int
 val reset : t -> unit

@@ -23,17 +23,13 @@ open Tm_base
 open Tm_runtime
 open Tm_impl
 
-type cls = Wait_free | Lock_free | Obstruction_free | Blocking
-
 let cls_to_string = function
-  | Wait_free -> "wait-free"
-  | Lock_free -> "lock-free"
-  | Obstruction_free -> "obstruction-free"
-  | Blocking -> "blocking"
+  | Tm_intf.Wait_free -> "wait-free"
+  | Tm_intf.Lock_free -> "lock-free"
+  | Tm_intf.Obstruction_free -> "obstruction-free"
+  | Tm_intf.Blocking -> "blocking"
 
-let pp_cls ppf c = Fmt.string ppf (cls_to_string c)
-
-type report = { cls : cls; evidence : string }
+type report = { cls : Tm_intf.liveness; evidence : string }
 
 let x_item = Item.v "x"
 let y_item = Item.v "y"
@@ -174,7 +170,7 @@ let classify_inner (impl : Tm_intf.impl) : report =
   match solo_progress impl with
   | Stalls k ->
       {
-        cls = Blocking;
+        cls = Tm_intf.Blocking;
         evidence =
           Printf.sprintf
             "a conflicting transaction stalls solo when the enemy is \
@@ -183,7 +179,7 @@ let classify_inner (impl : Tm_intf.impl) : report =
       }
   | Solo_abort k ->
       {
-        cls = Blocking;
+        cls = Tm_intf.Blocking;
         evidence =
           Printf.sprintf
             "a transaction running solo aborts (enemy suspended after %d \
@@ -194,7 +190,7 @@ let classify_inner (impl : Tm_intf.impl) : report =
       match find_livelock impl with
       | Some n ->
           {
-            cls = Obstruction_free;
+            cls = Tm_intf.Obstruction_free;
             evidence =
               Printf.sprintf
                 "the commit-avoiding adversary kept both clients stepping \
@@ -205,13 +201,13 @@ let classify_inner (impl : Tm_intf.impl) : report =
           let aborts = aborts_under_contention impl in
           if aborts = 0 then
             {
-              cls = Wait_free;
+              cls = Tm_intf.Wait_free;
               evidence =
                 "no stalls, no livelock, and no aborts under any probe";
             }
           else
             {
-              cls = Lock_free;
+              cls = Tm_intf.Lock_free;
               evidence =
                 Printf.sprintf
                   "no livelock found, but %d aborts under fair contention \

@@ -12,12 +12,12 @@
 
 open Tm_impl
 
-type cls = Wait_free | Lock_free | Obstruction_free | Blocking
+val cls_to_string : Tm_intf.liveness -> string
 
-val cls_to_string : cls -> string
-val pp_cls : Format.formatter -> cls -> unit
-
-type report = { cls : cls; evidence : string }
+type report = { cls : Tm_intf.liveness; evidence : string }
+(** The strongest class the probes allow, and the witness of every
+    exclusion.  A TM declares its class in its [contract]; the test
+    suite requires the two to agree. *)
 
 val suspended_enemy : Solo_probe.entry
 (** Probe 1: T12 (writes x, y) against T11 (reads and writes x), read by

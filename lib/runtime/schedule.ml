@@ -115,35 +115,6 @@ let stop_to_string = function
         e.Access_log.index
   | Crashed (pid, _) -> Printf.sprintf "crashed:p%d" pid
 
-(** The stop as a structured JSON payload — the machine-readable twin of
-    {!stop_to_string}, consumed by reason-coded exits and telemetry: a
-    stall names the wedged process, its last step and the base object it
-    was parked on (the contention object). *)
-let stop_json (stop : stop) : Tm_obs.Obs_json.t =
-  let open Tm_obs.Obs_json in
-  match stop with
-  | Completed -> Obj [ ("reason", String "completed") ]
-  | Budget_exhausted { stalled_pid; last } ->
-      Obj
-        ([ ("reason", String "budget-exhausted");
-           ("pid", Int stalled_pid) ]
-        @
-        match last with
-        | None -> [ ("step", Null) ]
-        | Some e ->
-            [
-              ("step", Int e.Access_log.index);
-              ("oid", Int (Tm_base.Oid.to_int e.Access_log.oid));
-              ("prim", String (Tm_base.Primitive.kind_name e.Access_log.prim));
-            ])
-  | Crashed (pid, e) ->
-      Obj
-        [
-          ("reason", String "crashed");
-          ("pid", Int pid);
-          ("exn", String (Printexc.to_string e));
-        ]
-
 (* -- resumable sessions ------------------------------------------------ *)
 
 (* A session is a schedule interpretation in progress: the park table,

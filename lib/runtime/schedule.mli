@@ -62,11 +62,6 @@ val stop_to_string : stop -> string
     index of its last step ("budget-exhausted:p1@#42", or "@start" if it
     never stepped). *)
 
-val stop_json : stop -> Tm_obs.Obs_json.t
-(** The stop as a structured payload ([reason]/[pid]/[step]/[oid]/[prim])
-    — the machine-readable twin of {!stop_to_string}, consumed by
-    reason-coded exits and telemetry. *)
-
 val run : Scheduler.t -> ?budget:int -> atom list -> report
 (** Execute a schedule.  [budget] (default 100_000) bounds each
     [Until_done] segment.  Parked processes have their quanta skipped;

@@ -77,8 +77,10 @@ val pending : t -> int -> Proc.request option
     already run up to a primitive.  [None] for a never-stepped process
     (its first access is unknown until its prelude runs) and for finished
     or crashed ones.  Stable until [pid] itself is stepped, and across
-    the failed attempts of an await — the conflict oracle a
-    partial-order-reduced search keys on. *)
+    the failed attempts of an await.  A test seam: nothing outside the
+    test suite calls it ({!independent} is the conflict query a
+    partial-order-reduced search asks); the fork and run-feed laws and
+    the await tests compare it. *)
 
 val independent : t -> int -> int -> bool
 (** [independent t p q]: the requests {!pending} names for [p] and [q]

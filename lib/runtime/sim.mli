@@ -75,8 +75,10 @@ val crashed : cursor -> int -> exn option
 
 val pending : cursor -> int -> Proc.request option
 (** The request [pid] will issue at its next step, if its local code has
-    already run up to a primitive ({!Scheduler.pending}) — the conflict
-    oracle the partial-order-reduced explorer keys on. *)
+    already run up to a primitive ({!Scheduler.pending}).  A test seam:
+    nothing outside the test suite calls it (the explorer asks
+    {!independent}); the fork law compares it between a cursor, a fork
+    and the replay of its path. *)
 
 val independent : cursor -> int -> int -> bool
 (** [independent c p q]: the next requests of [p] and [q] are both known

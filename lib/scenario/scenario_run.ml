@@ -117,8 +117,7 @@ let run_cell (s : Scenario.t) ~(inject : inject) ~seed
               | "any" -> None
               | v -> (
                   let name =
-                    if v = "claim" then Chaos_run.weakest_claim M.name
-                    else v
+                    if v = "claim" then M.contract.Tm_intf.condition else v
                   in
                   (* the com(alpha)-based conditions never place aborted
                      transactions: judge the non-aborted core, and skip

@@ -29,6 +29,10 @@ open Tm_runtime
 let name = "candidate"
 let describe = "strict DAP + obstruction-free; consistency broken (the PCL victim)"
 
+let contract =
+  Tm_intf.{ strict_dap = true; condition = "weak-adaptive";
+            liveness = Lock_free }
+
 type t = { tbl : Item_table.t; cell_oids : Oid.t array }
 
 let create mem ~items =

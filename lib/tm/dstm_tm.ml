@@ -34,6 +34,10 @@ open Tm_runtime
 let name = "dstm"
 let describe = "obstruction-free + strict serializability, weak DAP only (weakens P)"
 
+let contract =
+  Tm_intf.{ strict_dap = false; condition = "strict-serializability";
+            liveness = Obstruction_free }
+
 type t = { mem : Memory.t; tbl : Item_table.t; loc_oids : Oid.t array }
 
 let create mem ~items =

@@ -28,6 +28,10 @@ let describe =
   "strict DAP + obstruction-free via LL/SC; consistency broken (the \
    primitive-agnostic victim)"
 
+let contract =
+  Tm_intf.{ strict_dap = true; condition = "weak-adaptive";
+            liveness = Lock_free }
+
 type t = { tbl : Item_table.t; cell_oids : Oid.t array }
 
 let create mem ~items =

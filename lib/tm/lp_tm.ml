@@ -34,6 +34,11 @@ let name = "lp-progressive"
 let describe =
   "strict DAP + opaque, progressive: conflict => abort self (weakens L)"
 
+(* a solo transaction aborts on a suspended lock holder: blocking *)
+let contract =
+  Tm_intf.{ strict_dap = true; condition = "strict-serializability";
+            liveness = Blocking }
+
 type t = { tbl : Item_table.t; loc_oids : Oid.t array }
 
 let unlocked = -1

@@ -24,6 +24,10 @@ open Tm_runtime
 let name = "norec"
 let describe = "opacity from one global seqlock; neither DAP nor non-blocking"
 
+let contract =
+  Tm_intf.{ strict_dap = false; condition = "strict-serializability";
+            liveness = Blocking }
+
 type t = { seq : Oid.t; tbl : Item_table.t; cell_oids : Oid.t array }
 
 let create mem ~items =

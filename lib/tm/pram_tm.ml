@@ -19,6 +19,10 @@ open Tm_base
 let name = "pram-local"
 let describe = "strict DAP + wait-free, PRAM consistency only (weakens C)"
 
+let contract =
+  Tm_intf.{ strict_dap = true; condition = "pram";
+            liveness = Wait_free }
+
 type t = { stores : (int * Item.t, Value.t) Hashtbl.t }
 
 let create (_ : Memory.t) ~items:(_ : Item.t list) =

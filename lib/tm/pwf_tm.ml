@@ -40,6 +40,12 @@ let name = "pwf-readers"
 let describe =
   "wait-free read-only txns + lock-free updaters, opaque, no DAP (weakens P)"
 
+(* the updaters' class: they abort under contention but cannot be kept
+   from committing; read-only transactions are wait-free *)
+let contract =
+  Tm_intf.{ strict_dap = false; condition = "strict-serializability";
+            liveness = Lock_free }
+
 type t = { root : Oid.t; idx : (Item.t, int) Hashtbl.t }
 
 let entry ~ts v = Value.pair (Value.int ts) v

@@ -16,7 +16,6 @@ let all : Tm_intf.impl list =
   ]
 
 let name (module M : Tm_intf.S) = M.name
-let describe (module M : Tm_intf.S) = M.describe
 
 let is_prefix p s =
   String.length p <= String.length s && String.sub s 0 (String.length p) = p

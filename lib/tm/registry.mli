@@ -3,7 +3,6 @@
 
 val all : Tm_intf.impl list
 val name : Tm_intf.impl -> string
-val describe : Tm_intf.impl -> string
 type lookup =
   | Found of Tm_intf.impl
   | Ambiguous of string list  (** candidate names the prefix matches *)

@@ -36,6 +36,11 @@ open Tm_runtime
 let name = "si-clock"
 let describe = "snapshot isolation + obstruction-free, no DAP (weakens P)"
 
+(* commits never fail, and install retries are contention-bounded *)
+let contract =
+  Tm_intf.{ strict_dap = false; condition = "snapshot-isolation";
+            liveness = Wait_free }
+
 type t = { mem : Memory.t; clock : Oid.t; tbl : Item_table.t; ver_oids : Oid.t array }
 
 let create mem ~items =

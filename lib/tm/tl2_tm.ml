@@ -26,6 +26,10 @@ open Tm_runtime
 let name = "tl2-clock"
 let describe = "opacity via a global clock; neither DAP nor non-blocking (ablation)"
 
+let contract =
+  Tm_intf.{ strict_dap = false; condition = "strict-serializability";
+            liveness = Blocking }
+
 type t = { gv : Oid.t; tbl : Item_table.t; cell_oids : Oid.t array }
 
 let create mem ~items =

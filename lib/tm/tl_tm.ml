@@ -23,6 +23,10 @@ open Tm_runtime
 let name = "tl-lock"
 let describe = "strict DAP + strict serializability, blocking (weakens L)"
 
+let contract =
+  Tm_intf.{ strict_dap = true; condition = "strict-serializability";
+            liveness = Blocking }
+
 type t = {
   tbl : Item_table.t;
   val_oids : Oid.t array;  (* id -> versioned value object *)

@@ -10,15 +10,33 @@
    - [Error ()] is the paper's A_T answer: the transaction is aborted and
      no further operation may be invoked on the context.
    - [create] pre-allocates the shared representation of the given data
-     items (the objects exist in the initial configuration). *)
+     items (the objects exist in the initial configuration).
+
+   Every TM declares its corner of the P/C/L triangle once, as its
+   [contract]; fuzz, chaos and conform hold it to that declaration, and
+   the test suite checks the declaration against the verdict, the
+   liveness classifier and the explore sweep. *)
 
 open Tm_base
+
+(** Liveness classes, strongest first (Section 3). *)
+type liveness = Wait_free | Lock_free | Obstruction_free | Blocking
+
+type contract = {
+  strict_dap : bool;  (** strictly disjoint-access parallel *)
+  condition : string;
+      (** the consistency condition its committed transactions satisfy,
+          as a checker name *)
+  liveness : liveness;
+}
 
 module type S = sig
   val name : string
 
   val describe : string
   (** one-line positioning on the P/C/L triangle *)
+
+  val contract : contract
 
   type t
   (** shared instance over one memory *)

@@ -34,7 +34,6 @@ let at = function Inv { at; _ } | Resp { at; _ } -> at
 let op = function Inv { op; _ } | Resp { op; _ } -> op
 
 let is_inv = function Inv _ -> true | Resp _ -> false
-let is_resp = function Inv _ -> false | Resp _ -> true
 
 let pp_compact ppf = function
   | Inv { tid; op; _ } -> (

@@ -42,6 +42,5 @@ val at : t -> int
 
 val op : t -> op
 val is_inv : t -> bool
-val is_resp : t -> bool
 
 val pp_compact : Format.formatter -> t -> unit

@@ -103,7 +103,6 @@ let verdicts t = t.verdicts
    installed. *)
 
 let installed : t option ref = ref None
-let install o = installed := o
 let default () = !installed
 
 let with_recorder fl f =

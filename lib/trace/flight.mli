@@ -80,10 +80,10 @@ val verdicts : t -> verdict list
 
 (** {1 The process-wide recorder}
 
-    Mirrors [Sink.default]: installing a recorder makes [Sim] attach it to
-    every world it builds, without threading it through signatures. *)
+    Mirrors [Sink.default]: while [with_recorder] runs, [Sim] attaches
+    the recorder to every world it builds, without threading it through
+    signatures. *)
 
-val install : t option -> unit
 val default : unit -> t option
 
 val with_recorder : t -> (unit -> 'a) -> 'a

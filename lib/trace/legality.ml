@@ -17,10 +17,6 @@ type violation = {
   expected : Value.t;
 }
 
-let pp_violation ppf v =
-  Fmt.pf ppf "%s read %s=%a, legality requires %a" (Tid.name v.tid)
-    (Item.name v.item) Value.pp_compact v.got Value.pp_compact v.expected
-
 (** [check ?initial h] checks legality of the complete sequential history
     [h].  [initial] gives initial item values (default: the paper's 0). *)
 let check ?(initial = fun (_ : Item.t) -> Value.initial) (h : History.t) :

@@ -15,8 +15,6 @@ type violation = {
   expected : Value.t;
 }
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val check :
   ?initial:(Item.t -> Value.t) -> History.t -> (unit, violation) result
 (** [check h] checks legality of the sequential history [h] ([initial]

@@ -318,6 +318,40 @@ let test_one_static_setup () =
        (fun (d, suffix) -> sources d suffix)
        [ ("../lib", ".ml"); ("../lib", ".mli"); ("../bin", ".ml") ])
 
+(* one declared triangle: what a TM claims is its [contract], never a
+   test of its name.  In lib/ and bin/ a registered TM's name is a string
+   literal only as its own module's [name], in the three observation
+   tables (Figure_lint, Lints, Cost_run) and as the trace command's
+   default TM *)
+let test_tm_names_only_declared () =
+  let tables = [ "figure_lint.ml"; "lints.ml"; "cost_run.ml" ] in
+  let srcs =
+    List.concat_map
+      (fun (d, suffix) -> sources d suffix)
+      [ ("../lib", ".ml"); ("../lib", ".mli"); ("../bin", ".ml") ]
+  in
+  List.iter
+    (fun (module M : Tm_intf.S) ->
+      let lit = Printf.sprintf "%S" M.name in
+      let declared = "let name = " ^ lit
+      and trace_default = "| None -> Registry.find_exn " ^ lit in
+      Alcotest.(check int) (M.name ^ ": declared once") 1
+        (List.fold_left
+           (fun n (_, src) -> n + occurrences declared src)
+           0 srcs);
+      List.iter
+        (fun (f, src) ->
+          if not (List.mem (Filename.basename f) tables) then
+            Alcotest.(check int)
+              (f ^ ": " ^ lit)
+              (occurrences declared src
+              +
+              if f = "../bin/pcl_tm.ml" then occurrences trace_default src
+              else 0)
+              (occurrences lit src))
+        srcs)
+    Registry.all
+
 (* run the CLI: its exit code and the reason lines on its stderr *)
 let pcl_tm args =
   let err = Filename.temp_file "pcl_tm" ".err" in
@@ -538,6 +572,8 @@ let () =
             test_one_log_representation;
           Alcotest.test_case "one static-world setup" `Quick
             test_one_static_setup;
+          Alcotest.test_case "TM names only where declared" `Quick
+            test_tm_names_only_declared;
           Alcotest.test_case "shared flags defined once" `Quick
             test_cli_flags_defined_once;
         ] );

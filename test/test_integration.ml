@@ -83,13 +83,13 @@ let pipeline_tests =
           done))
     Registry.all
 
-(* strict-DAP TMs never contend when disjoint, whatever the schedule *)
+(* TMs that declare strict DAP never contend when disjoint, whatever
+   the schedule *)
 let dap_property_tests =
   List.filter_map
     (fun impl ->
       let (module M : Tm_intf.S) = impl in
-      if List.mem M.name [ "tl-lock"; "pram-local"; "candidate"; "llsc-candidate" ]
-      then
+      if M.contract.Tm_intf.strict_dap then
         Some
           (Alcotest.test_case
              (M.name ^ ": strict DAP under random schedules") `Quick
@@ -113,15 +113,13 @@ let dap_property_tests =
       else None)
     Registry.all
 
-(* obstruction-free TMs: no spurious aborts under random schedules *)
+(* TMs that declare a class above blocking abort no transaction without
+   step contention, under random schedules *)
 let of_property_tests =
   List.filter_map
     (fun impl ->
       let (module M : Tm_intf.S) = impl in
-      if
-        List.mem M.name
-          [ "dstm"; "si-clock"; "candidate"; "pram-local"; "llsc-candidate" ]
-      then
+      if not (Contract_law.blocking M.contract) then
         Some
           (Alcotest.test_case
              (M.name ^ ": obstruction-freedom under random schedules") `Quick
@@ -145,18 +143,17 @@ let of_property_tests =
       else None)
     Registry.all
 
-(* committed sub-histories of tl and dstm are strictly serializable under
-   random schedules *)
+(* every TM but the theorem's victims satisfies its declared condition
+   under random schedules *)
 let consistency_property_tests =
   List.filter_map
     (fun impl ->
       let (module M : Tm_intf.S) = impl in
       let target =
-        match M.name with
-        | "tl-lock" | "dstm" | "tl2-clock" ->
-            Some (fun h -> Strict_serializability.check h)
-        | "si-clock" -> Some (fun h -> Snapshot_isolation.check h)
-        | _ -> None
+        if Contract_law.claims_all_three M.contract then None
+        else
+          let c = Checkers.find_exn M.contract.Tm_intf.condition in
+          Some (fun h -> c.Spec.check h)
       in
       Option.map
         (fun checkf ->

@@ -1,6 +1,7 @@
 (* Tests for the mechanized PCL construction: the transaction specs, the
-   critical-step search, the claims of the proof against each TM, and the
-   triangle verdicts. *)
+   critical-step search, the claims of the proof against each TM, the
+   triangle verdicts, and the agreement of every TM's declared contract
+   with them. *)
 
 open Core
 
@@ -186,31 +187,36 @@ let claims_tests =
             check "no contradiction" false d.Pcl_claims.contradiction);
   ]
 
+(* the agreement law's verdict row: the legs follow from the declared
+   contract and the theorem (Contract_law) *)
 let verdict_tests =
-  let expect name p c l =
-    Alcotest.test_case (name ^ " verdict") `Quick (fun () ->
-        let v = Pcl_verdict.assess (Registry.find_exn name) in
-        let leg = function Pcl_verdict.Holds -> true | _ -> false in
-        check "parallelism" p (leg v.Pcl_verdict.parallelism);
-        check "consistency" c (leg v.Pcl_verdict.consistency);
-        check "liveness" l (leg v.Pcl_verdict.liveness);
-        check "some leg lost (the theorem)" true
-          (not (leg v.Pcl_verdict.parallelism)
-          || (not (leg v.Pcl_verdict.consistency))
-          || not (leg v.Pcl_verdict.liveness)))
-  in
-  [
-    expect "tl-lock" true true false;
-    expect "pram-local" true false true;
-    expect "dstm" false true true;
-    expect "si-clock" false true true;
-    expect "candidate" true false true;
-    expect "llsc-candidate" true false true;
-    expect "tl2-clock" false true false;
-    expect "norec" false true false;
-    expect "lp-progressive" true true false;
-    expect "pwf-readers" false true true;
-  ]
+  List.map
+    (fun impl ->
+      Alcotest.test_case (Registry.name impl ^ " verdict") `Quick (fun () ->
+          let p, c, l = Contract_law.legs (Contract_law.contract impl) in
+          let v = Pcl_verdict.assess impl in
+          let leg = function Pcl_verdict.Holds -> true | _ -> false in
+          check "parallelism" p (leg v.Pcl_verdict.parallelism);
+          check "consistency" c (leg v.Pcl_verdict.consistency);
+          check "liveness" l (leg v.Pcl_verdict.liveness);
+          check "some leg lost (the theorem)" true
+            (not (leg v.Pcl_verdict.parallelism)
+            || (not (leg v.Pcl_verdict.consistency))
+            || not (leg v.Pcl_verdict.liveness))))
+    Registry.all
+
+(* the agreement law's condition, explore and tables rows *)
+let agreement_tests =
+  List.map
+    (fun impl ->
+      Alcotest.test_case
+        (Registry.name impl ^ " agrees with its contract")
+        `Quick
+        (fun () ->
+          Contract_law.condition_row impl;
+          Contract_law.explore_row impl;
+          Contract_law.tables_row impl))
+    Registry.all
 
 
 (* the proof's delta lemmas, mechanized: the auxiliary executions are WAC-
@@ -264,4 +270,5 @@ let () =
       ("construction", construction_tests);
       ("claims", claims_tests);
       ("verdict", verdict_tests);
+      ("agreement", agreement_tests);
     ]

@@ -5,37 +5,23 @@ open Core
 
 let check = Alcotest.(check bool)
 
-let classify name =
-  Liveness_class.classify (Registry.find_exn name)
-
+(* the agreement law's liveness row: the classifier lands every TM in
+   exactly the class its contract declares *)
 let class_tests =
-  let expect name cls =
-    Alcotest.test_case (Printf.sprintf "%s is %s" name
-        (Liveness_class.cls_to_string cls)) `Slow (fun () ->
-        let r = classify name in
-        if r.Liveness_class.cls <> cls then
-          Alcotest.failf "%s classified %s (%s)" name
-            (Liveness_class.cls_to_string r.Liveness_class.cls)
-            r.Liveness_class.evidence)
-  in
-  [
-    expect "tl-lock" Liveness_class.Blocking;
-    expect "tl2-clock" Liveness_class.Blocking;
-    expect "norec" Liveness_class.Blocking;
-    expect "pram-local" Liveness_class.Wait_free;
-    expect "dstm" Liveness_class.Obstruction_free;
-    expect "candidate" Liveness_class.Lock_free;
-    expect "llsc-candidate" Liveness_class.Lock_free;
-    (* si-clock never aborts and never stalls in the probes; its install
-       retries are contention-bounded, so the observational class is
-       wait-free *)
-    expect "si-clock" Liveness_class.Wait_free;
-    (* a transaction running solo aborts on a suspended enemy's lock *)
-    expect "lp-progressive" Liveness_class.Blocking;
-    (* updaters abort under fair contention, but the adversary cannot
-       keep both from committing *)
-    expect "pwf-readers" Liveness_class.Lock_free;
-  ]
+  List.map
+    (fun impl ->
+      let name = Registry.name impl
+      and cls = (Contract_law.contract impl).Tm_intf.liveness in
+      Alcotest.test_case
+        (Printf.sprintf "%s is %s" name (Liveness_class.cls_to_string cls))
+        `Slow
+        (fun () ->
+          let r = Liveness_class.classify impl in
+          if r.Liveness_class.cls <> cls then
+            Alcotest.failf "%s classified %s (%s)" name
+              (Liveness_class.cls_to_string r.Liveness_class.cls)
+              r.Liveness_class.evidence))
+    Registry.all
 
 let probe_tests =
   [
@@ -176,6 +162,7 @@ let law_tests =
 module Crashing_probes : Tm_intf.S = struct
   let name = "crashing-probes"
   let describe = "dstm whose probe transactions crash on their first read"
+  let contract = Dstm_tm.contract
 
   type t = Dstm_tm.t
 

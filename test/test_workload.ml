@@ -47,7 +47,7 @@ let workload_tests =
             in
             check_int (name ^ " disjoint contentions") 0
               s.Workload.disjoint_contentions)
-          [ "tl-lock"; "pram-local"; "candidate" ]);
+          (Contract_law.names Contract_law.strict_dap));
     Alcotest.test_case "si-clock contends even at 0% conflict" `Quick
       (fun () ->
         let s =
@@ -81,8 +81,7 @@ let workload_tests =
         in
         Alcotest.(check (list string))
           "P leg holds"
-          [ "tl-lock"; "pram-local"; "candidate"; "llsc-candidate";
-            "lp-progressive" ]
+          (Contract_law.names Contract_law.strict_dap)
           (List.map Registry.name dap);
         List.iter
           (fun impl ->
@@ -129,7 +128,7 @@ let progress_tests =
                   (Printf.sprintf "%s disjoint=%b stalls" name disjoint)
                   0 p.Progress.stalls)
               [ true; false ])
-          [ "dstm"; "si-clock"; "candidate" ]);
+          (Contract_law.names (fun c -> not (Contract_law.blocking c))));
     Alcotest.test_case "tl2 aborts but never stalls the conflicting probe"
       `Quick (fun () ->
         let p = Progress.run (Registry.find_exn "tl2-clock") ~disjoint:false in
