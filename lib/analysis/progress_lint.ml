@@ -194,7 +194,11 @@ let bounded_client ops (handle : Txn_api.handle) ~pid () =
   let rec attempt n committed =
     if committed < 20 then begin
       let txn = handle.Txn_api.begin_txn ~pid ~tid:(Tid.v ((pid * 1000) + n)) in
-      let ok = Result.is_ok (Result.bind (ops txn n) txn.Txn_api.try_commit) in
+      let ok =
+        match ops txn n with
+        | Ok () -> Result.is_ok (Txn_api.try_commit txn)
+        | Error () -> false
+      in
       attempt (n + 1) (if ok then committed + 1 else committed)
     end
   in
@@ -202,13 +206,13 @@ let bounded_client ops (handle : Txn_api.handle) ~pid () =
 
 let reader_client =
   bounded_client (fun txn _ ->
-      Result.bind (txn.Txn_api.read x_item) (fun _ ->
-          Result.map ignore (txn.Txn_api.read y_item)))
+      Result.bind (Txn_api.read txn x_item) (fun _ ->
+          Result.map ignore (Txn_api.read txn y_item)))
 
 let updater_client =
   bounded_client (fun txn n ->
-      Result.bind (txn.Txn_api.write x_item (Value.int n)) (fun () ->
-          txn.Txn_api.write y_item (Value.int n)))
+      Result.bind (Txn_api.write txn x_item (Value.int n)) (fun () ->
+          Txn_api.write txn y_item (Value.int n)))
 
 let reader_aborts_under_contention impl : int =
   let h = Tm_probe.Liveness_class.contend impl reader_client updater_client in

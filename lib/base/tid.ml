@@ -10,7 +10,7 @@ let v (i : int) : t =
 let to_int (t : t) : int = t
 
 let pp_name ppf (t : t) = Fmt.pf ppf "T%d" t
-let name (t : t) = Fmt.str "%a" pp_name t
+let name (t : t) = "T" ^ string_of_int t
 
 module Set = Set.Make (Int)
 module Map = Map.Make (Int)

@@ -20,6 +20,7 @@ val pp_name : Format.formatter -> t -> unit
 (** Prints ["T3"]-style names, as in the paper. *)
 
 val name : t -> string
+(** The string {!pp_name} prints, built without a formatter. *)
 
 module Set : Set.S with type elt = int
 module Map : Map.S with type key = int

@@ -109,7 +109,6 @@ let atomically (policy : policy) ~(scratch : Oid.t) ~(seed : int)
     ~(tm : string) (handle : Txn_api.handle) ~pid
     (body : Txn_api.txn -> 'a Atomically.outcome) : 'a outcome =
   let rand = Prng.create seed in
-  let karma_count = ref 0 in
   let aborts = ref 0 in
   let metrics = Tm_obs.Sink.metrics Tm_obs.Sink.default in
   let labels = [ ("cm", policy.name); ("tm", tm) ] in
@@ -124,27 +123,19 @@ let atomically (policy : policy) ~(scratch : Oid.t) ~(seed : int)
     done;
     Tm_obs.Metrics.add c_backoff n
   in
-  (* count read/write invocations so the karma policy has work to weigh *)
-  let counted (txn : Txn_api.txn) =
-    {
-      txn with
-      Txn_api.read =
-        (fun x ->
-          incr karma_count;
-          txn.Txn_api.read x);
-      Txn_api.write =
-        (fun x v ->
-          incr karma_count;
-          txn.Txn_api.write x v);
-    }
-  in
+  (* the karma policy weighs the reads and writes invoked over every
+     aborted attempt, which [Txn_api] counts per attempt *)
+  let karma = ref 0 and current = ref None in
   (* [Atomically.run] hands us the 0-based index of the attempt that just
      aborted; policies see the 1-based count of aborts endured *)
   let on_abort ~attempt =
     incr aborts;
+    (match !current with
+    | Some txn -> karma := !karma + Txn_api.invocations txn
+    | None -> ());
     if attempt + 1 >= policy.max_attempts then false
     else
-      match policy.decide { attempt = attempt + 1; karma = !karma_count; rand } with
+      match policy.decide { attempt = attempt + 1; karma = !karma; rand } with
       | Retry_now ->
           Tm_obs.Metrics.inc c_retries;
           true
@@ -156,7 +147,9 @@ let atomically (policy : policy) ~(scratch : Oid.t) ~(seed : int)
   in
   match
     Atomically.run handle ~pid ~max_attempts:policy.max_attempts ~on_abort
-      (fun txn -> body (counted txn))
+      (fun txn ->
+        current := Some txn;
+        body txn)
   with
   | v ->
       Tm_obs.Metrics.inc c_commits;

@@ -1,4 +1,4 @@
-(* Named counters, gauges and histograms with labelled cardinality.
+(* Named counters and histograms with labelled cardinality.
 
    A registry maps (metric name, canonical label set) to a mutable cell.
    Hot paths resolve a handle once ({!counter} etc.) and then pay one
@@ -18,7 +18,6 @@ let canon (labels : labels) : labels =
   List.sort_uniq (fun (k1, _) (k2, _) -> compare k1 k2) labels
 
 type counter = int ref
-type gauge = float ref
 
 (* Histograms keep a bounded, deterministically decimated sample buffer
    for quantile estimates: the first [sample_cap] observations are stored
@@ -39,7 +38,7 @@ type histogram = {
   mutable skip : int;  (* observations left before the next record *)
 }
 
-type cell_value = Counter of counter | Gauge of gauge | Hist of histogram
+type cell_value = Counter of counter | Hist of histogram
 
 type cell = { name : string; labels : labels; v : cell_value }
 
@@ -49,7 +48,6 @@ let create () = { cells = Hashtbl.create 64 }
 
 let kind_name = function
   | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
   | Hist _ -> "histogram"
 
 let get_cell t name labels mk =
@@ -71,11 +69,6 @@ let counter t ?(labels = []) name : counter =
   match (get_cell t name labels (fun () -> Counter (ref 0))).v with
   | Counter r -> r
   | v -> kind_error name v "counter"
-
-let gauge t ?(labels = []) name : gauge =
-  match (get_cell t name labels (fun () -> Gauge (ref 0.))).v with
-  | Gauge r -> r
-  | v -> kind_error name v "gauge"
 
 let fresh_hist () =
   Hist
@@ -99,7 +92,6 @@ let histogram t ?(labels = []) name : histogram =
 let inc (c : counter) = incr c
 let add (c : counter) n = c := !c + n
 let counter_value (c : counter) = !c
-let set (g : gauge) v = g := v
 
 let observe (h : histogram) x =
   h.count <- h.count + 1;
@@ -141,7 +133,7 @@ type hist_stats = {
   p99 : float;
 }
 
-type value = VCounter of int | VGauge of float | VHistogram of hist_stats
+type value = VCounter of int | VHistogram of hist_stats
 
 type sample = { name : string; labels : labels; value : value }
 
@@ -163,7 +155,6 @@ let hist_quantiles (h : histogram) =
 
 let value_of_cell = function
   | Counter r -> VCounter !r
-  | Gauge r -> VGauge !r
   | Hist h ->
       if h.count = 0 then
         VHistogram
@@ -205,7 +196,6 @@ let reset t =
     (fun _ c ->
       match c.v with
       | Counter r -> r := 0
-      | Gauge r -> r := 0.
       | Hist h ->
           h.count <- 0;
           h.sum <- 0.;

@@ -1,8 +1,8 @@
-(** Named counters, gauges and histograms with labelled cardinality.
+(** Named counters and histograms with labelled cardinality.
 
     A registry maps (metric name, canonical label set) to a mutable cell.
     Hot paths resolve a handle once and pay one mutation per event; the
-    one-shot [*_c]/[*_h]/[*_g] conveniences look the cell up each time.
+    one-shot [*_c]/[*_h] conveniences look the cell up each time.
 
     Metric-name conventions used across the workbench (documented in
     docs/OBSERVABILITY.md): counters end in [_total]; histograms carry a
@@ -23,19 +23,16 @@ val create : unit -> t
 (** {1 Handles — resolve once, mutate cheaply} *)
 
 type counter
-type gauge
 type histogram
 
 val counter : t -> ?labels:labels -> string -> counter
 (** @raise Invalid_argument if the name is registered with another kind. *)
 
-val gauge : t -> ?labels:labels -> string -> gauge
 val histogram : t -> ?labels:labels -> string -> histogram
 
 val inc : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
-val set : gauge -> float -> unit
 val observe : histogram -> float -> unit
 
 (** {1 One-shot conveniences} *)
@@ -61,7 +58,7 @@ type hist_stats = {
     spaced sketch beyond that.  No randomness — identical observation
     streams yield identical quantiles. *)
 
-type value = VCounter of int | VGauge of float | VHistogram of hist_stats
+type value = VCounter of int | VHistogram of hist_stats
 
 type sample = { name : string; labels : labels; value : value }
 

@@ -65,7 +65,6 @@ let time ?labels name f =
 (* JSONL export.  Schema (one JSON object per line):
      {"type":"run","schema":1,"meta":{...}}
      {"type":"metric","kind":"counter","name":N,"labels":{...},"value":V}
-     {"type":"metric","kind":"gauge",...,"value":V}
      {"type":"metric","kind":"histogram",...,"count":N,"sum":S,"min":m,
       "max":M,"p50":…,"p95":…,"p99":…}
      {"type":"span","name":N,"labels":{...},"depth":D,"seq":Q,
@@ -86,7 +85,6 @@ let sample_json (s : Metrics.sample) : Obs_json.t =
   in
   match s.value with
   | Metrics.VCounter n -> Obs_json.Obj (common "counter" @ [ ("value", Obs_json.Int n) ])
-  | Metrics.VGauge v -> Obs_json.Obj (common "gauge" @ [ ("value", Obs_json.Float v) ])
   | Metrics.VHistogram h ->
       Obs_json.Obj
         (common "histogram"
@@ -161,8 +159,6 @@ let pp_table ppf t =
       match s.value with
       | Metrics.VCounter n ->
           Fmt.pf ppf "%-34s %a %d@\n" s.name pp_labels s.labels n
-      | Metrics.VGauge v ->
-          Fmt.pf ppf "%-34s %a %g@\n" s.name pp_labels s.labels v
       | Metrics.VHistogram h ->
           Fmt.pf ppf
             "%-34s %a count=%d sum=%.0f min=%.0f max=%.0f mean=%.1f \

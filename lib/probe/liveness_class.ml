@@ -76,15 +76,15 @@ let retry_client (handle : Txn_api.handle) ~pid () =
     let tid = Tid.v ((pid * 1000) + n) in
     let txn = handle.Txn_api.begin_txn ~pid ~tid in
     let result =
-      match txn.Txn_api.read x_item with
+      match Txn_api.read txn x_item with
       | Error () -> Error ()
       | Ok v -> (
           let v' =
             Value.int (Option.value ~default:0 (Value.to_int v) + 1)
           in
-          match txn.Txn_api.write x_item v' with
+          match Txn_api.write txn x_item v' with
           | Error () -> Error ()
-          | Ok () -> txn.Txn_api.try_commit ())
+          | Ok () -> Txn_api.try_commit txn)
     in
     match result with Ok () -> () | Error () -> attempt (n + 1)
   in

@@ -41,21 +41,38 @@ type stats = {
   completed : bool;  (** all processes finished within the step budget *)
 }
 
+(* [memo render] is [render] with each index's answer kept for the rest
+   of the process: a soak builds a fresh world every segment, and
+   rendering its item names anew took most of a segment's set-up *)
+let memo render =
+  let known = ref [||] in
+  fun i ->
+    let a = !known in
+    if i < Array.length a then a.(i)
+    else begin
+      let n = Array.length a in
+      let a' =
+        Array.init (max (i + 1) (2 * n)) (fun j ->
+            if j < n then a.(j) else render j)
+      in
+      known := a';
+      a'.(i)
+    end
+
+let shared_item = memo (fun i -> Item.v (Printf.sprintf "s%d" i))
+
+(* [private_row p i] is process [p]'s [i]th own item *)
+let private_row =
+  memo (fun p -> memo (fun i -> Item.v (Printf.sprintf "p%d_%d" p i)))
+
 let items_for (cfg : config) : Item.t list =
-  let shared =
-    List.init cfg.shared_items (fun i -> Item.v (Printf.sprintf "s%d" i))
-  in
-  let private_ =
-    List.concat_map
-      (fun p ->
-        List.init cfg.items_per_txn (fun i ->
-            Item.v (Printf.sprintf "p%d_%d" p i)))
+  List.init cfg.shared_items shared_item
+  @ List.concat_map
+      (fun p -> List.init cfg.items_per_txn (private_row p))
       (List.init cfg.n_procs (fun p -> p + 1))
-  in
-  shared @ private_
 
 (* the item set of one transaction attempt, decided deterministically from
-   the seeded RNG.  Items are drawn from pools rendered once per client,
+   the seeded RNG.  Items are drawn from pools built once per client,
    so the per-transaction cost is the RNG draws alone; the draw sequence
    (one conflict roll, then one pool index per item on the shared path,
    in item order) is exactly the one [List.init] over sprintf produced. *)
@@ -75,15 +92,15 @@ let txn_items cfg st ~shared_pool ~private_items =
 (* the read-modify-write body of one attempt (top-level, so a
    transaction allocates no per-attempt closure) *)
 let rec run_ops (txn : Txn_api.txn) = function
-  | [] -> txn.Txn_api.try_commit ()
+  | [] -> Txn_api.try_commit txn
   | x :: rest -> (
-      match txn.Txn_api.read x with
+      match Txn_api.read txn x with
       | Error () -> Error ()
       | Ok v -> (
           let v' =
             Value.int ((match v with Value.VInt n -> n | _ -> 0) + 1)
           in
-          match txn.Txn_api.write x v' with
+          match Txn_api.write txn x v' with
           | Error () -> Error ()
           | Ok () -> run_ops txn rest))
 
@@ -101,13 +118,8 @@ let rec attempt cfg (handle : Txn_api.handle) ~pid ~k ~commits ~aborts items n
 (* one client process: run its transaction stream with retries *)
 let client cfg (handle : Txn_api.handle) ~pid ~commits ~aborts () =
   let st = Random.State.make [| cfg.seed; pid |] in
-  let shared_pool =
-    Array.init cfg.shared_items (fun i -> Item.v (Printf.sprintf "s%d" i))
-  in
-  let private_items =
-    Array.init cfg.items_per_txn (fun i ->
-        Item.v (Printf.sprintf "p%d_%d" pid i))
-  in
+  let shared_pool = Array.init cfg.shared_items shared_item in
+  let private_items = Array.init cfg.items_per_txn (private_row pid) in
   for k = 1 to cfg.txns_per_proc do
     let items = txn_items cfg st ~shared_pool ~private_items in
     attempt cfg handle ~pid ~k ~commits ~aborts items 0

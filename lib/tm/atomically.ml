@@ -39,10 +39,10 @@ let run (handle : Txn_api.handle) ~pid ?(max_attempts = 64)
         (* the body observed an abort response mid-way *)
         retry n attempt
     | Retry ->
-        txn.Txn_api.abort ();
+        Txn_api.abort txn;
         retry n attempt
     | Done v -> (
-        match txn.Txn_api.try_commit () with
+        match Txn_api.try_commit txn with
         | Ok () -> v
         | Error () -> retry n attempt)
   in
@@ -50,10 +50,10 @@ let run (handle : Txn_api.handle) ~pid ?(max_attempts = 64)
 
 (** Read that turns an abort answer into a retry of the whole body. *)
 let read (txn : Txn_api.txn) (x : Item.t) : Value.t =
-  match txn.Txn_api.read x with Ok v -> v | Error () -> raise Stdlib.Exit
+  match Txn_api.read txn x with Ok v -> v | Error () -> raise Stdlib.Exit
 
 (** Write that turns an abort answer into a retry of the whole body. *)
 let write (txn : Txn_api.txn) (x : Item.t) (v : Value.t) : unit =
-  match txn.Txn_api.write x v with
+  match Txn_api.write txn x v with
   | Ok () -> ()
   | Error () -> raise Stdlib.Exit

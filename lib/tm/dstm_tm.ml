@@ -63,7 +63,7 @@ type ctx = {
 
 let begin_txn t ~pid ~tid =
   let status =
-    Memory.alloc t.mem ~name:(Printf.sprintf "st:%s" (Tid.name tid))
+    Memory.alloc t.mem ~name:("st:T" ^ string_of_int (Tid.to_int tid))
       (Value.int 0)
   in
   { t; pid; tid; topt = Some tid; status; rset = []; wset = []; dead = false }

@@ -69,7 +69,7 @@ type ctx = {
 let begin_txn t ~pid ~tid =
   let record =
     Memory.alloc t.mem
-      ~name:(Printf.sprintf "sic:%s" (Tid.name tid))
+      ~name:("sic:T" ^ string_of_int (Tid.to_int tid))
       (Value.pair (Value.int 0) (Value.int (-1)))
   in
   let snap = Value.to_int_exn (Proc.read ~tid t.clock) in

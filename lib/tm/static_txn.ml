@@ -46,7 +46,7 @@ let program (handle : Txn_api.handle) (spec : spec)
   let rec do_reads = function
     | [] -> Ok ()
     | x :: rest -> (
-        match txn.Txn_api.read x with
+        match Txn_api.read txn x with
         | Ok v ->
             o.read_values <- o.read_values @ [ (x, v) ];
             do_reads rest
@@ -55,7 +55,7 @@ let program (handle : Txn_api.handle) (spec : spec)
   let rec do_writes = function
     | [] -> Ok ()
     | (x, v) :: rest -> (
-        match txn.Txn_api.write x v with
+        match Txn_api.write txn x v with
         | Ok () -> do_writes rest
         | Error () -> Error ())
   in
@@ -65,7 +65,7 @@ let program (handle : Txn_api.handle) (spec : spec)
     | Ok () -> (
         match do_writes spec.writes with
         | Error () -> Error ()
-        | Ok () -> txn.Txn_api.try_commit ())
+        | Ok () -> Txn_api.try_commit txn)
   in
   o.status <- (match result with Ok () -> Committed | Error () -> Aborted)
 

@@ -81,27 +81,35 @@ let resp_write_aborted t ~tid ~pid ~at x v =
   push t ~tid ~pid ~at ~kind:kind_resp ~optag:optag_write ~rtag:rtag_aborted
     ~item:x ~value:v
 
-let op_cols = function
-  | Event.Begin -> (optag_begin, dummy_item, Value.unit)
-  | Event.Read x -> (optag_read, x, Value.unit)
-  | Event.Write (x, v) -> (optag_write, x, v)
-  | Event.Try_commit -> (optag_commit, dummy_item, Value.unit)
-  | Event.Abort_call -> (optag_abort, dummy_item, Value.unit)
+(* an op's columns, each read by its own match: one function returning
+   the three as a tuple would box it for every event *)
+let optag_of = function
+  | Event.Begin -> optag_begin
+  | Event.Read _ -> optag_read
+  | Event.Write _ -> optag_write
+  | Event.Try_commit -> optag_commit
+  | Event.Abort_call -> optag_abort
+
+let item_of = function
+  | Event.Read x | Event.Write (x, _) -> x
+  | Event.Begin | Event.Try_commit | Event.Abort_call -> dummy_item
+
+let written = function Event.Write (_, v) -> v | _ -> Value.unit
+
+let rtag_of = function
+  | Event.R_ok -> rtag_ok
+  | Event.R_committed -> rtag_committed
+  | Event.R_aborted -> rtag_aborted
+  | Event.R_value _ -> rtag_value
 
 let inv t ~tid ~pid ~at op =
-  let optag, item, value = op_cols op in
-  push t ~tid ~pid ~at ~kind:0 ~optag ~rtag:0 ~item ~value
+  push t ~tid ~pid ~at ~kind:0 ~optag:(optag_of op) ~rtag:0 ~item:(item_of op)
+    ~value:(written op)
 
-let resp t ~tid ~pid ~at op resp =
-  let optag, item, value = op_cols op in
-  let rtag, value =
-    match resp with
-    | Event.R_ok -> (rtag_ok, value)
-    | Event.R_committed -> (rtag_committed, value)
-    | Event.R_aborted -> (rtag_aborted, value)
-    | Event.R_value v -> (rtag_value, v)
-  in
-  push t ~tid ~pid ~at ~kind:kind_resp ~optag ~rtag ~item ~value
+let resp t ~tid ~pid ~at op r =
+  push t ~tid ~pid ~at ~kind:kind_resp ~optag:(optag_of op) ~rtag:(rtag_of r)
+    ~item:(item_of op)
+    ~value:(match r with Event.R_value v -> v | _ -> written op)
 
 let add t e =
   match e with

@@ -202,6 +202,62 @@ let run_under_spurious policy =
   check "completed" true (r.Sim.report.Schedule.stop = Schedule.Completed);
   Option.get !outcome
 
+(* The karma policy's currency: at its i-th abort a policy sees the reads
+   and writes invoked over all i aborted attempts, answered or not.  The
+   body makes [k] alternating reads and writes and asks to retry [n]
+   times; a poisoned start adds one attempt aborted at its first read. *)
+let karma_law =
+  QCheck.Test.make ~name:"karma counts the aborted attempts' operations"
+    ~count:60
+    QCheck.(triple (int_range 1 6) (int_range 0 5) bool)
+    (fun (k, n, poisoned) ->
+      let seen = ref [] in
+      let recording =
+        {
+          Cm.karma with
+          Cm.name = "recording";
+          decide =
+            (fun c ->
+              seen := c.Cm.karma :: !seen;
+              Cm.Retry_now);
+        }
+      in
+      let item = Item.v "x" in
+      let finished = ref 0 in
+      let body txn =
+        for j = 1 to k do
+          if j mod 2 = 1 then ignore (Atomically.read txn item)
+          else Atomically.write txn item (Value.int j)
+        done;
+        incr finished;
+        if !finished <= n then Atomically.Retry else Atomically.Done ()
+      in
+      let outcome = ref None in
+      let setup mem recorder =
+        let handle =
+          Txn_api.instantiate (Registry.find_exn "tl-lock") mem recorder
+            ~items:[ item ]
+        in
+        let scratch = Cm.scratch mem in
+        [
+          ( 1,
+            fun () ->
+              outcome :=
+                Some
+                  (Cm.atomically recording ~scratch ~seed:1 ~tm:"tl-lock"
+                     handle ~pid:1 body) );
+        ]
+      in
+      let poison = if poisoned then [ Schedule.Poison 1 ] else [] in
+      ignore (Sim.replay setup (poison @ [ Schedule.Until_done 1 ]));
+      let first = if poisoned then 1 else 0 in
+      let expected =
+        (if poisoned then [ 1 ] else [])
+        @ List.init n (fun i -> first + (k * (i + 1)))
+      in
+      !outcome = Some (Cm.Committed ((), List.length expected))
+      && List.rev !seen = expected)
+
 let cm_tests =
   [
     Alcotest.test_case "immediate retry gives up inside the fault window"
@@ -223,6 +279,7 @@ let cm_tests =
             { Cm.attempt = 3; karma = 0; rand = Chaos_prng.create seed }
         in
         check "same seed, same decision" true (decide 42 = decide 42));
+    QCheck_alcotest.to_alcotest karma_law;
   ]
 
 (* -- crash-closure ------------------------------------------------------ *)

@@ -62,10 +62,10 @@ let common_tests impl =
           [ (1,
              fun () ->
                let txn = handle.Txn_api.begin_txn ~pid:1 ~tid:(Tid.v 1) in
-               (match txn.Txn_api.write x (Value.int 42) with
-               | Ok () -> got := Result.to_option (txn.Txn_api.read x)
+               (match Txn_api.write txn x (Value.int 42) with
+               | Ok () -> got := Result.to_option (Txn_api.read txn x)
                | Error () -> ());
-               ignore (txn.Txn_api.try_commit ())) ]
+               ignore (Txn_api.try_commit txn)) ]
         in
         ignore (Sim.replay ~budget:3_000 setup [ Schedule.Until_done 1 ]);
         ignore outcomes;
@@ -202,11 +202,11 @@ let pram_tests =
           [ (1,
              fun () ->
                let t1 = handle.Txn_api.begin_txn ~pid:1 ~tid:(Tid.v 1) in
-               ignore (t1.Txn_api.write x (Value.int 7));
-               ignore (t1.Txn_api.try_commit ());
+               ignore (Txn_api.write t1 x (Value.int 7));
+               ignore (Txn_api.try_commit t1);
                let t2 = handle.Txn_api.begin_txn ~pid:1 ~tid:(Tid.v 2) in
-               got := Result.to_option (t2.Txn_api.read x);
-               ignore (t2.Txn_api.try_commit ())) ]
+               got := Result.to_option (Txn_api.read t2 x);
+               ignore (Txn_api.try_commit t2)) ]
         in
         ignore (Sim.replay ~budget:100 setup [ Schedule.Until_done 1 ]);
         check "sees 7" true (!got = Some (Value.int 7)));
@@ -227,11 +227,11 @@ let pram_tests =
           [ (1,
              fun () ->
                let t1 = handle.Txn_api.begin_txn ~pid:1 ~tid:(Tid.v 1) in
-               ignore (t1.Txn_api.write x (Value.int 9));
-               t1.Txn_api.abort ();
+               ignore (Txn_api.write t1 x (Value.int 9));
+               Txn_api.abort t1;
                let t2 = handle.Txn_api.begin_txn ~pid:1 ~tid:(Tid.v 2) in
-               got := Result.to_option (t2.Txn_api.read x);
-               ignore (t2.Txn_api.try_commit ())) ]
+               got := Result.to_option (Txn_api.read t2 x);
+               ignore (Txn_api.try_commit t2)) ]
         in
         ignore (Sim.replay ~budget:100 setup [ Schedule.Until_done 1 ]);
         ignore outcomes;
