@@ -25,10 +25,18 @@ let width_arg =
 
 let list_cmd =
   let run () =
-    Format.printf "TM implementations:@.";
+    (* the corner each TM claims, as its contract declares it *)
+    let corner (c : Tm_intf.contract) =
+      Printf.sprintf "%s, %s, %s"
+        (if c.strict_dap then "strict DAP" else "not strict DAP")
+        c.condition
+        (Liveness_class.cls_to_string c.liveness)
+    in
+    Format.printf "TM implementations (claimed corner, then mechanism):@.";
     List.iter
       (fun (module M : Tm_intf.S) ->
-        Format.printf "  %-12s %s@." M.name M.describe)
+        Format.printf "  %-14s %s@.  %-14s %s@." M.name (corner M.contract) ""
+          M.describe)
       Registry.all;
     Format.printf "@.Consistency checkers:@.";
     List.iter

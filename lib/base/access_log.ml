@@ -2,10 +2,12 @@
    executable counterpart of the paper's "execution alpha is a sequence of
    steps"; contention and disjoint-access-parallelism checkers run on it.
 
-   Layout: struct-of-arrays over chunked columns ({!Intvec} for the int
-   fields, {!Objvec} for the two boxed columns),
-   so recording a step appends ~5 words across columns instead of consing
-   an 8-word record onto a list spine — and never copies on growth.
+   Layout: struct-of-arrays over chunked columns.  One {!Intvec} holds a
+   packed word per step (changed flag, pid, oid, transaction) and two
+   {!Objvec}s hold the primitive and the response, so recording a step
+   appends three words across columns, against an 8-word record consed
+   onto a list spine.  Each column's chunk 0 opens small and grows with
+   the log, so a short replayed world pays for what it records.
 
    Beside the columns, two O(1) per-process heads are kept at record
    time: each process's last step index and its step count.  They serve
@@ -24,10 +26,25 @@ type entry = {
   changed : bool;  (** whether the object state actually changed *)
 }
 
+(* The packed word, low bits first: changed (1 bit), pid, oid, then the
+   transaction plus one (0 when unattributed) in the top bits. *)
+let pid_bits = 12
+let oid_bits = 18
+let tid_bits = 32
+let max_pid = (1 lsl pid_bits) - 1
+let max_oid = (1 lsl oid_bits) - 1
+let max_tid = (1 lsl tid_bits) - 2
+let oid_shift = 1 + pid_bits
+let tid_shift = oid_shift + oid_bits
+
+(* The fields of a packed word; an unattributed step's tid reads -1 *)
+let changed_of w = w land 1 = 1
+let pid_of w = (w lsr 1) land max_pid
+let oid_of w : Oid.t = (w lsr oid_shift) land max_oid
+let tid_int_of w = (w lsr tid_shift) - 1
+
 type t = {
-  pcs : Intvec.t;  (* (pid lsl 1) lor changed *)
-  tids : Intvec.t;  (* Tid.to_int, or -1 when unattributed *)
-  oids : Intvec.t;
+  steps : Intvec.t;  (* one packed word per step *)
   prims : Primitive.t Objvec.t;
   resps : Value.t Objvec.t;
   mutable pid_last : int array;  (* pid -> last step index, -1 *)
@@ -37,11 +54,9 @@ type t = {
 
 let create () =
   {
-    pcs = Intvec.create ();
-    tids = Intvec.create ();
-    oids = Intvec.create ();
-    prims = Objvec.create ~chunk_bits:7 ~dummy:Primitive.Read ();
-    resps = Objvec.create ~chunk_bits:7 ~dummy:Value.unit ();
+    steps = Intvec.create ();
+    prims = Objvec.create ~dummy:Primitive.Read ();
+    resps = Objvec.create ~dummy:Value.unit ();
     pid_last = [||];
     pid_count = [||];
     count = 0;
@@ -60,13 +75,23 @@ let grow_heads t pid =
 
 let length t = t.count
 
+(* Off the per-step path: only a field that does not fit reaches it. *)
+let out_of_range field v max =
+  invalid_arg
+    (Printf.sprintf "Access_log.record: %s %d outside 0..%d" field v max)
+
 let record t ~pid ~tid ~oid ~prim ~response ~changed =
-  if pid < 0 then invalid_arg "Access_log.record: negative pid";
+  let o = Oid.to_int oid in
+  let tc = match tid with None -> 0 | Some tid -> Tid.to_int tid + 1 in
+  (* [lsr] sends a negative field, and [max_tid + 1] wrapped by the
+     increment, past its width *)
+  if pid lsr pid_bits <> 0 then out_of_range "pid" pid max_pid;
+  if o lsr oid_bits <> 0 then out_of_range "oid" o max_oid;
+  if tc lsr tid_bits <> 0 then out_of_range "tid" (tc - 1) max_tid;
   let i = t.count in
-  Intvec.push t.pcs ((pid lsl 1) lor Bool.to_int changed);
-  let tc = match tid with None -> -1 | Some tid -> Tid.to_int tid in
-  Intvec.push t.tids tc;
-  Intvec.push t.oids (Oid.to_int oid);
+  Intvec.push t.steps
+    (Bool.to_int changed lor (pid lsl 1) lor (o lsl oid_shift)
+    lor (tc lsl tid_shift));
   Objvec.push t.prims prim;
   Objvec.push t.resps response;
   if pid >= Array.length t.pid_last then grow_heads t pid;
@@ -86,13 +111,11 @@ let repeat_last t n =
   if n < 0 then invalid_arg "Access_log.repeat_last: negative count";
   let last = t.count - 1 in
   check t last "repeat_last";
-  let pc = Intvec.unsafe_get t.pcs last in
-  Intvec.push_n t.pcs pc n;
-  Intvec.push_n t.tids (Intvec.unsafe_get t.tids last) n;
-  Intvec.push_n t.oids (Intvec.unsafe_get t.oids last) n;
+  let w = Intvec.unsafe_get t.steps last in
+  Intvec.push_n t.steps w n;
   Objvec.push_n t.prims (Objvec.unsafe_get t.prims last) n;
   Objvec.push_n t.resps (Objvec.unsafe_get t.resps last) n;
-  let pid = pc lsr 1 in
+  let pid = pid_of w in
   t.pid_last.(pid) <- last + n;
   t.pid_count.(pid) <- t.pid_count.(pid) + n;
   t.count <- t.count + n
@@ -102,23 +125,23 @@ let repeat_last t n =
 
 let pid_at t i =
   check t i "pid_at";
-  Intvec.unsafe_get t.pcs i lsr 1
+  pid_of (Intvec.unsafe_get t.steps i)
 
 let changed_at t i =
   check t i "changed_at";
-  Intvec.unsafe_get t.pcs i land 1 = 1
+  changed_of (Intvec.unsafe_get t.steps i)
 
 let tid_int_at t i =
   check t i "tid_int_at";
-  Intvec.unsafe_get t.tids i
+  tid_int_of (Intvec.unsafe_get t.steps i)
 
 let tid_at t i =
   let tc = tid_int_at t i in
   if tc < 0 then None else Some (Tid.v tc)
 
-let oid_at t i : Oid.t =
+let oid_at t i =
   check t i "oid_at";
-  Oid.of_int (Intvec.unsafe_get t.oids i)
+  oid_of (Intvec.unsafe_get t.steps i)
 
 let prim_at t i =
   check t i "prim_at";
@@ -139,16 +162,16 @@ let pid_step_count t pid =
 (* Unchecked materialization of the step at position [i], numbered
    [index]. *)
 let unsafe_get t i ~index =
-  let pc = Intvec.unsafe_get t.pcs i in
-  let tc = Intvec.unsafe_get t.tids i in
+  let w = Intvec.unsafe_get t.steps i in
+  let tc = tid_int_of w in
   {
     index;
-    pid = pc lsr 1;
+    pid = pid_of w;
     tid = (if tc < 0 then None else Some (Tid.v tc));
-    oid = Oid.of_int (Intvec.unsafe_get t.oids i);
+    oid = oid_of w;
     prim = Objvec.unsafe_get t.prims i;
     response = Objvec.unsafe_get t.resps i;
-    changed = pc land 1 = 1;
+    changed = changed_of w;
   }
 
 let get t i =

@@ -3,10 +3,13 @@
     steps".  Contention and disjoint-access-parallelism checkers run on
     it.
 
-    Backed by chunked struct-of-arrays columns (appending never copies,
-    ~one word per field per step) plus two O(1) per-process heads: each
-    process's last step and its step count.  Readers take a {!window} of
-    the log and use the per-field reads; {!get} materializes one step. *)
+    Backed by chunked struct-of-arrays columns, three words per step: a
+    packed word holding the changed flag, pid, oid and transaction, then
+    the primitive and the response.  Each column's first chunk grows
+    with the log, so a short log allocates in proportion to its steps.
+    Two O(1) per-process heads ride beside the columns: each process's
+    last step and its step count.  Readers take a {!window} of the log
+    and use the per-field reads; {!get} materializes one step. *)
 
 type entry = {
   index : int;  (** global step number, 0-based *)
@@ -22,6 +25,27 @@ type entry = {
 
 type t
 
+(** {2 Field widths}
+
+    A step's changed flag (1 bit), pid (12 bits), oid (18 bits) and
+    transaction plus one (32 bits, 0 for an unattributed step) share one
+    63-bit word. *)
+
+val pid_bits : int
+(** 12: also the width of a pid in the recorder's event word. *)
+
+val max_pid : int
+(** [2^12 - 1] = 4,095, the largest pid {!record} accepts. *)
+
+val max_oid : int
+(** [2^18 - 1] = 262,143, the largest oid {!record} accepts. *)
+
+val max_tid : int
+(** [2^32 - 2] = 4,294,967,294, the largest transaction {!record}
+    accepts.  It covers every [Workload] tid (pid × 1,000,000 + k × 100
+    + n) of every pid up to {!max_pid}, while a process's segment stays
+    under 10,000 transactions. *)
+
 val create : unit -> t
 
 val record :
@@ -34,7 +58,9 @@ val record :
   changed:bool ->
   unit
 (** Append one step.  The step's index is [length] before the call.
-    @raise Invalid_argument on a negative pid. *)
+    @raise Invalid_argument on a pid outside [0..max_pid], an oid past
+    {!max_oid} or a transaction past {!max_tid}: a field is never
+    wrapped. *)
 
 val repeat_last : t -> int -> unit
 (** [repeat_last t n] appends [n] copies of the last step: the same

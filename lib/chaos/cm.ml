@@ -100,6 +100,35 @@ let scratch (mem : Memory.t) : Oid.t =
   | Some oid -> oid
   | None -> Memory.alloc mem ~name:"cm:scratch" (Value.int 0)
 
+(* Per-(cm, tm) telemetry handles, resolved by the pair's first
+   transaction, which registers the four cells as it always did.
+   [Sink.reset] zeroes cells in place, so the handles stay valid. *)
+type counters = {
+  c_retries : Tm_obs.Metrics.counter;
+  c_backoff : Tm_obs.Metrics.counter;
+  c_gave_up : Tm_obs.Metrics.counter;
+  c_commits : Tm_obs.Metrics.counter;
+}
+
+let counters_of_pair : (string * string, counters) Hashtbl.t =
+  Hashtbl.create 16
+
+let counters (policy : policy) tm =
+  match Hashtbl.find_opt counters_of_pair (policy.name, tm) with
+  | Some c -> c
+  | None ->
+      let metrics = Tm_obs.Sink.metrics Tm_obs.Sink.default in
+      let labels = [ ("cm", policy.name); ("tm", tm) ] in
+      let c_of name = Tm_obs.Metrics.counter metrics ~labels name in
+      let c =
+        { c_retries = c_of "cm_retries_total";
+          c_backoff = c_of "cm_backoff_steps_total";
+          c_gave_up = c_of "cm_gave_up_total";
+          c_commits = c_of "cm_commits_total" }
+      in
+      Hashtbl.add counters_of_pair (policy.name, tm) c;
+      c
+
 (** [atomically policy ~scratch ~seed ~tm handle ~pid body] — run [body]
     transactionally under [policy]: every abort is reported to the policy,
     backoff decisions spin on [scratch], and giving up (either the
@@ -110,13 +139,7 @@ let atomically (policy : policy) ~(scratch : Oid.t) ~(seed : int)
     (body : Txn_api.txn -> 'a Atomically.outcome) : 'a outcome =
   let rand = Prng.create seed in
   let aborts = ref 0 in
-  let metrics = Tm_obs.Sink.metrics Tm_obs.Sink.default in
-  let labels = [ ("cm", policy.name); ("tm", tm) ] in
-  let c_of name = Tm_obs.Metrics.counter metrics ~labels name in
-  let c_retries = c_of "cm_retries_total"
-  and c_backoff = c_of "cm_backoff_steps_total"
-  and c_gave_up = c_of "cm_gave_up_total"
-  and c_commits = c_of "cm_commits_total" in
+  let { c_retries; c_backoff; c_gave_up; c_commits } = counters policy tm in
   let spin n =
     for _ = 1 to n do
       ignore (Proc.read scratch)

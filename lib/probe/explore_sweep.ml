@@ -34,10 +34,11 @@ let setup (impl : Tm_intf.impl) : Sim.setup =
 (* Histories compared without their events' step stamps ([at]): no
    consistency checker reads a stamp, so two executions whose events
    agree on everything else get the same verdicts.  The hash mixes every
-   event's fields in order: the stdlib's [Hashtbl.hash] on the event list
-   reads only its first few meaningful words, under which nearly every
-   history of one sweep would collide. *)
-module Unstamped = Hashtbl.Make (struct
+   event's tags, ints and item names in order, with no polymorphic
+   [Hashtbl.hash] per event: on the event list, the stdlib's reads only
+   its first few meaningful words, under which nearly every history of
+   one sweep would collide. *)
+module Key = struct
   open Tm_trace
 
   type t = History.t
@@ -62,6 +63,32 @@ module Unstamped = Hashtbl.Make (struct
     from 0
 
   let mix acc x = (acc * 31) + x
+  let mix_name acc (s : string) =
+    String.fold_left (fun a c -> mix a (Char.code c)) acc s
+
+  let rec mix_value acc (v : Value.t) =
+    match v with
+    | VUnit -> mix acc 0
+    | VBool b -> mix (mix acc 1) (Bool.to_int b)
+    | VInt n -> mix (mix acc 2) n
+    | VStr s -> mix_name (mix acc 3) s
+    | VPair (a, b) -> mix_value (mix_value (mix acc 4) a) b
+    | VList l -> List.fold_left mix_value (mix acc 5) l
+
+  let mix_op acc (op : Event.op) =
+    match op with
+    | Begin -> mix acc 0
+    | Read x -> mix_name (mix acc 1) (Item.name x)
+    | Write (x, v) -> mix_value (mix_name (mix acc 2) (Item.name x)) v
+    | Try_commit -> mix acc 3
+    | Abort_call -> mix acc 4
+
+  let mix_resp acc (r : Event.resp) =
+    match r with
+    | R_ok -> mix acc 0
+    | R_value v -> mix_value (mix acc 1) v
+    | R_committed -> mix acc 2
+    | R_aborted -> mix acc 3
 
   let hash h =
     let acc = ref (History.length h) in
@@ -69,14 +96,18 @@ module Unstamped = Hashtbl.Make (struct
       acc :=
         match History.get h i with
         | Inv { tid; pid; op; at = _ } ->
-            mix (mix (mix !acc tid) pid) (Hashtbl.hash op)
+            mix_op (mix (mix (mix !acc 0) tid) pid) op
         | Resp { tid; pid; op; resp; at = _ } ->
-            mix
-              (mix (mix (mix !acc tid) pid) (Hashtbl.hash op))
-              (Hashtbl.hash resp)
+            mix_resp (mix_op (mix (mix (mix !acc 1) tid) pid) op) resp
     done;
     !acc
-end)
+end
+
+module Unstamped = struct
+  include Hashtbl.Make (Key)
+
+  let hash = Key.hash
+end
 
 (** Sweep the workload's interleavings on one TM, classifying every
     complete execution by the strongest consistency condition it

@@ -18,7 +18,13 @@ val setup : Tm_intf.impl -> Sim.setup
 (** The world: the pair instantiated on [impl].  Each call makes a fresh
     outcome table, shared across the replays of one search. *)
 
-module Unstamped : Hashtbl.S with type key = Tm_trace.History.t
+module Unstamped : sig
+  include Hashtbl.S with type key = Tm_trace.History.t
+
+  val hash : key -> int
+  (** The keys' hash: it mixes each event's tags, ints and item names
+      in order, and reads no stamp. *)
+end
 (** Tables keyed by a history compared without its events' step stamps
     ([at]): two keys are equal iff their events agree, in order, on tid,
     pid, operation and response.  No consistency checker reads a stamp,

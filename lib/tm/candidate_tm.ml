@@ -27,7 +27,9 @@ open Tm_base
 open Tm_runtime
 
 let name = "candidate"
-let describe = "strict DAP + obstruction-free; consistency broken (the PCL victim)"
+let describe =
+  "per-item versioned registers, commit-time validation, CAS write-back \
+   one item at a time (the PCL victim)"
 
 let contract =
   Tm_intf.{ strict_dap = true; condition = "weak-adaptive";

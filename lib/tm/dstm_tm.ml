@@ -32,7 +32,9 @@ open Tm_base
 open Tm_runtime
 
 let name = "dstm"
-let describe = "obstruction-free + strict serializability, weak DAP only (weakens P)"
+let describe =
+  "per-item locators owned through transaction status words; reads \
+   acquired at commit"
 
 let contract =
   Tm_intf.{ strict_dap = false; condition = "strict-serializability";

@@ -25,7 +25,7 @@ open Tm_runtime
 
 let name = "llsc-candidate"
 let describe =
-  "strict DAP + obstruction-free via LL/SC; consistency broken (the \
+  "the candidate on LL/SC: SC write-back one item at a time (the \
    primitive-agnostic victim)"
 
 let contract =

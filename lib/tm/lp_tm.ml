@@ -32,7 +32,7 @@ open Tm_runtime
 let name = "lp-progressive"
 
 let describe =
-  "strict DAP + opaque, progressive: conflict => abort self (weakens L)"
+  "per-item locators locked at encounter time; a conflict aborts self"
 
 (* a solo transaction aborts on a suspended lock holder: blocking *)
 let contract =

@@ -22,7 +22,7 @@ open Tm_base
 open Tm_runtime
 
 let name = "norec"
-let describe = "opacity from one global seqlock; neither DAP nor non-blocking"
+let describe = "one global sequence lock and value-based revalidation"
 
 let contract =
   Tm_intf.{ strict_dap = false; condition = "strict-serializability";

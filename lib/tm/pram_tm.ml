@@ -17,7 +17,7 @@
 open Tm_base
 
 let name = "pram-local"
-let describe = "strict DAP + wait-free, PRAM consistency only (weakens C)"
+let describe = "a process-local committed store; no shared object at all"
 
 let contract =
   Tm_intf.{ strict_dap = true; condition = "pram";

@@ -38,7 +38,7 @@ open Tm_runtime
 let name = "pwf-readers"
 
 let describe =
-  "wait-free read-only txns + lock-free updaters, opaque, no DAP (weakens P)"
+  "one root object: readers load a snapshot, updaters publish by one CAS"
 
 (* the updaters' class: they abort under contention but cannot be kept
    from committing; read-only transactions are wait-free *)

@@ -34,7 +34,9 @@ open Tm_base
 open Tm_runtime
 
 let name = "si-clock"
-let describe = "snapshot isolation + obstruction-free, no DAP (weakens P)"
+let describe =
+  "a global clock and per-item version lists, published by one \
+   commit-record CAS"
 
 (* commits never fail, and install retries are contention-bounded *)
 let contract =

@@ -24,7 +24,9 @@ open Tm_base
 open Tm_runtime
 
 let name = "tl2-clock"
-let describe = "opacity via a global clock; neither DAP nor non-blocking (ablation)"
+let describe =
+  "the candidate plus a global version clock and commit-time locks \
+   (ablation)"
 
 let contract =
   Tm_intf.{ strict_dap = false; condition = "strict-serializability";

@@ -21,7 +21,9 @@ open Tm_base
 open Tm_runtime
 
 let name = "tl-lock"
-let describe = "strict DAP + strict serializability, blocking (weakens L)"
+let describe =
+  "commit-time locks on the read and write sets, in item order, with \
+   version validation"
 
 let contract =
   Tm_intf.{ strict_dap = true; condition = "strict-serializability";

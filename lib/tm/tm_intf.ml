@@ -34,7 +34,7 @@ module type S = sig
   val name : string
 
   val describe : string
-  (** one-line positioning on the P/C/L triangle *)
+  (** the mechanism, in one line; the corner is {!contract}'s *)
 
   val contract : contract
 

@@ -257,11 +257,6 @@ let step_json (e : Access_log.entry) : J.t =
       ("resp", value_json e.Access_log.response);
     ]
 
-(* The rebuilt log sizes its per-process heads by the largest pid, so a
-   parsed pid is bounded.  No recorded run goes higher: a schedule path
-   packs a pid into 21 bits. *)
-let max_pid = 0x1F_FFFF
-
 (* A parsed step is appended to the log the parse rebuilds, where its
    index can only be the declared drops plus its position. *)
 let record_step_json t (j : J.t) =
@@ -270,7 +265,9 @@ let record_step_json t (j : J.t) =
   | i when i = expected -> ()
   | i -> bad "step index %d where %d was expected" i expected);
   let pid = int_field "pid" j in
-  if pid < 0 || pid > max_pid then bad "pid %d outside 0..%d" pid max_pid;
+  (* the rebuilt log sizes its per-process heads by the largest pid *)
+  if pid < 0 || pid > Access_log.max_pid then
+    bad "pid %d outside 0..%d" pid Access_log.max_pid;
   Access_log.record t.log ~pid
     ~tid:
       (match field "tid" j with

@@ -99,8 +99,9 @@ val to_jsonl : t -> string
 val parse : string -> (t, string) result
 (** Rebuild an artifact: its steps go into a log of the recorder's own,
     indexed from the artifact's [dropped] count.  An error names the
-    offending line, e.g. a step whose index is not the next one or whose
-    pid lies outside [0 .. 0x1F_FFFF]. *)
+    offending line, e.g. a step whose index is not the next one, whose
+    pid lies outside [0 .. Access_log.max_pid], or whose oid or
+    transaction does not fit its width in the log. *)
 
 val load : string -> (t, string) result
 (** [load path] reads and parses a dumped artifact. *)

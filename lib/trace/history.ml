@@ -124,6 +124,7 @@ type t = { events : Event.t array; index : index Lazy.t }
 
 let of_array events = { events; index = lazy (build_index events) }
 let of_list events = of_array (Array.of_list events)
+let init n f = of_array (Array.init n f)
 let to_list t = Array.to_list t.events
 let events = to_list
 let length t = Array.length t.events

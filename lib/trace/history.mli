@@ -14,6 +14,10 @@ type t
     events; later queries neither walk nor copy the history. *)
 
 val of_list : Event.t list -> t
+
+val init : int -> (int -> Event.t) -> t
+(** [init n f] is the history of events [f 0 .. f (n - 1)]. *)
+
 val to_list : t -> Event.t list
 val events : t -> Event.t list
 val length : t -> int

@@ -8,7 +8,7 @@
    one step-count word, and one slot each in the item and value payload
    columns — about four words per event amortized, against a dozen or
    more for the records.  [history] materializes the chronological
-   [Event.t] list only at snapshot time. *)
+   [Event.t] array only at snapshot time. *)
 
 open Tm_base
 
@@ -24,7 +24,7 @@ let rtag_ok = 0
 let rtag_committed = 1
 let rtag_aborted = 2
 let rtag_value = 3
-let pid_bits = 12
+let pid_bits = Access_log.pid_bits
 let tid_shift = 7 + pid_bits
 
 type t = {
@@ -121,7 +121,7 @@ let length t = Intvec.length t.meta
 let event_at t i =
   let m = Intvec.unsafe_get t.meta i in
   let optag = (m lsr 1) land 0x7 in
-  let pid = (m lsr 7) land 0xFFF in
+  let pid = (m lsr 7) land Access_log.max_pid in
   let tid = Tid.v (m lsr tid_shift) in
   let at = Intvec.unsafe_get t.ats i in
   let op =
@@ -143,5 +143,4 @@ let event_at t i =
     in
     Event.Resp { tid; pid; op; resp; at }
 
-let history t =
-  History.of_list (List.init (length t) (fun i -> event_at t i))
+let history t = History.init (length t) (event_at t)

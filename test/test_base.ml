@@ -399,8 +399,52 @@ let aliasing_law bits =
         ops;
       !ok)
 
+(* Chunk 0 opens at 32 slots and grows fourfold by copying up to a full
+   chunk (none of that below chunk_bits 6).  A prefix taken just before,
+   at and just after every growth and chunk boundary, for chunk_bits
+   2..8, holds what it held, then extends on its own exactly as a
+   vector of as many pushes would, and leaves its source untouched. *)
+let test_prefix_boundaries () =
+  List.iter
+    (fun bits ->
+      let size = 1 lsl bits in
+      let total = max 520 ((2 * size) + 2) in
+      let v = Intvec.create ~chunk_bits:bits () in
+      for i = 0 to total - 1 do
+        Intvec.push v i
+      done;
+      let cuts =
+        List.concat_map
+          (fun b -> [ b - 1; b; b + 1 ])
+          [ 32; 128; 512; size; 2 * size ]
+        |> List.sort_uniq compare
+      in
+      List.iter
+        (fun n ->
+          let what = Printf.sprintf "chunk_bits %d, prefix %d" bits n in
+          let p = Intvec.prefix v n in
+          check (what ^ " holds") true (Intvec.to_list p = List.init n Fun.id);
+          let fresh = Intvec.create ~chunk_bits:bits () in
+          for i = 0 to n - 1 do
+            Intvec.push fresh i
+          done;
+          for i = 0 to size + 40 do
+            Intvec.push p (-i);
+            Intvec.push fresh (-i)
+          done;
+          check (what ^ " extends as pushes") true
+            (Intvec.to_list p = Intvec.to_list fresh);
+          check (what ^ " leaves its source") true
+            (Intvec.to_list v = List.init total Fun.id))
+        cuts)
+    [ 2; 3; 4; 5; 6; 7; 8 ]
+
 let vec_laws =
-  List.map QCheck_alcotest.to_alcotest [ aliasing_law 2; aliasing_law 7 ]
+  Alcotest.test_case "prefix at every growth boundary" `Quick
+    test_prefix_boundaries
+  :: List.map
+       (fun bits -> QCheck_alcotest.to_alcotest (aliasing_law bits))
+       [ 2; 3; 4; 5; 6; 7; 8 ]
 
 (* the flat access log: bounds, views and the per-process heads *)
 
@@ -526,6 +570,76 @@ let repeat_law =
       && List.for_all same_at (List.init (Access_log.length bulk) Fun.id)
       && List.for_all same_heads (List.init 42 Fun.id))
 
+(* The packed step word: every field reads back as recorded, at every
+   width's extremes (0 and the maximum) and in between, so a field one
+   bit short would truncate here; the fuzzed logs above stay far below
+   every width.  One past a width raises and records nothing. *)
+let gen_wide_step =
+  let open QCheck.Gen in
+  let field max = oneof [ return 0; return max; int_range 0 max ] in
+  quad (field Access_log.max_pid) (field Access_log.max_oid)
+    (opt (field Access_log.max_tid))
+    bool
+
+let round_trip_law =
+  QCheck.Test.make ~count:300 ~name:"a recorded step reads back field for field"
+    (QCheck.make QCheck.Gen.(list_size (1 -- 200) gen_wide_step))
+    (fun steps ->
+      let log = Access_log.create () in
+      List.iteri
+        (fun i (pid, oid, tid, changed) ->
+          Access_log.record log ~pid ~tid:(Option.map Tid.v tid)
+            ~oid:(Oid.of_int oid) ~prim:Primitive.Read ~response:(Value.int i)
+            ~changed)
+        steps;
+      List.length steps = Access_log.length log
+      && List.for_all Fun.id
+           (List.mapi
+              (fun i (pid, oid, tid, changed) ->
+                Access_log.get log i
+                = {
+                    Access_log.index = i;
+                    pid;
+                    tid = Option.map Tid.v tid;
+                    oid = Oid.of_int oid;
+                    prim = Primitive.Read;
+                    response = Value.int i;
+                    changed;
+                  }
+                && Access_log.pid_at log i = pid
+                && Oid.to_int (Access_log.oid_at log i) = oid
+                && Access_log.tid_int_at log i = Option.value tid ~default:(-1)
+                && Access_log.changed_at log i = changed)
+              steps))
+
+let test_field_widths () =
+  let log = Access_log.create () in
+  let record ?(pid = 0) ?(oid = 0) ?tid () =
+    Access_log.record log ~pid ~tid:(Option.map Tid.v tid)
+      ~oid:(Oid.of_int oid) ~prim:Primitive.Read ~response:Value.unit
+      ~changed:false
+  in
+  let refused what f =
+    check what true
+      (try
+         f ();
+         false
+       with Invalid_argument _ -> true)
+  in
+  record ~pid:Access_log.max_pid ~oid:Access_log.max_oid
+    ~tid:Access_log.max_tid ();
+  refused "pid one past" (record ~pid:(Access_log.max_pid + 1));
+  refused "negative pid" (record ~pid:(-1));
+  refused "oid one past" (record ~oid:(Access_log.max_oid + 1));
+  refused "tid one past" (record ~tid:(Access_log.max_tid + 1));
+  refused "tid max_int" (record ~tid:max_int);
+  check_int "refused steps are not recorded" 1 (Access_log.length log);
+  check_int "nor counted" 0
+    (Access_log.pid_step_count log (Access_log.max_pid + 1));
+  check_int "widths: 12 pid bits" 4095 Access_log.max_pid;
+  check_int "18 oid bits" 262_143 Access_log.max_oid;
+  check_int "32 bits of tid + 1" 4_294_967_294 Access_log.max_tid
+
 let log_prop_tests =
   let open QCheck in
   [
@@ -596,6 +710,9 @@ let log_prop_tests =
              (Contention.summarize (Access_log.whole log))
              (Log_ref.summarize (Log_ref.of_log log))));
     QCheck_alcotest.to_alcotest repeat_law;
+    QCheck_alcotest.to_alcotest round_trip_law;
+    Alcotest.test_case "one past each field's width raises" `Quick
+      test_field_widths;
   ]
 
 (* An object state (value, lock holder, LL reservations) and one

@@ -710,6 +710,15 @@ let stamp_tests =
            Explore_sweep.Unstamped.mem table other
            = (List.map unstamped (History.to_list hh)
              = List.map unstamped (History.to_list other))));
+    (* the memo's own hash mixes tags and ints, not [Hashtbl.hash]: a
+       re-stamped copy must land in the same bucket *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500
+         ~name:"histories that differ only in stamps hash equal"
+         QCheck.(pair (make gen_history) small_nat)
+         (fun (hh, seed) ->
+           Explore_sweep.Unstamped.hash hh
+           = Explore_sweep.Unstamped.hash (restamp seed hh)));
     Alcotest.test_case "verdicts ignore step stamps on the catalogue" `Quick
       (fun () ->
         List.iter

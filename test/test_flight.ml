@@ -208,32 +208,56 @@ let test_parse_index_order () =
   expect_rejected ~sub:"line 4: step index 2 where 1 was expected"
     (Array.to_list l)
 
-(* a pid sizes the rebuilt log's per-process heads, so an artifact's pid
-   is bounded: a huge one is an error naming its line *)
-let with_pid pid line =
-  let key = "\"pid\":" in
+(* An artifact's step fields are bounded by the widths of the packed log
+   word: a pid past {!Access_log.max_pid} (it also sizes the rebuilt
+   log's per-process heads), an oid past [max_oid] or a transaction past
+   [max_tid] is an error naming its line, never a wrapped field *)
+let with_field key v line =
+  let key = Printf.sprintf "\"%s\":" key in
   let rec find i =
     if String.sub line i (String.length key) = key then i else find (i + 1)
   in
   let start = find 0 + String.length key in
   let stop = String.index_from line start ',' in
-  String.sub line 0 start ^ string_of_int pid
+  String.sub line 0 start ^ string_of_int v
   ^ String.sub line stop (String.length line - stop)
 
-let test_parse_pid_bound pid () =
-  (* line 3 holds step 0 *)
-  let lines =
-    List.mapi
-      (fun i l -> if i = 2 then with_pid pid l else l)
-      (four_step_lines ())
-  in
-  match Flight.parse (String.concat "\n" lines) with
-  | Ok _ -> Alcotest.failf "parse accepted pid %d" pid
+(* line 3 holds step 0 *)
+let parse_with key v =
+  Flight.parse
+    (String.concat "\n"
+       (List.mapi
+          (fun i l -> if i = 2 then with_field key v l else l)
+          (four_step_lines ())))
+
+let test_parse_bound key v ~sub () =
+  match parse_with key v with
+  | Ok _ -> Alcotest.failf "parse accepted %s %d" key v
   | Error msg ->
-      let sub = Printf.sprintf "line 3: pid %d outside 0..2097151" pid in
       Alcotest.(check bool)
         (Printf.sprintf "error %S names %S" msg sub)
         true (contains ~sub msg)
+
+let test_parse_pid_bound pid =
+  test_parse_bound "pid" pid
+    ~sub:(Printf.sprintf "line 3: pid %d outside 0..4095" pid)
+
+let test_parse_full_width () =
+  List.iter
+    (fun (key, v) ->
+      match parse_with key v with
+      | Ok fl ->
+          let e = Access_log.step (Flight.steps fl) 0 in
+          Alcotest.(check int)
+            (key ^ " reads back")
+            v
+            (match key with
+            | "pid" -> e.Access_log.pid
+            | "oid" -> Oid.to_int e.Access_log.oid
+            | _ -> Option.fold ~none:(-1) ~some:Tid.to_int e.Access_log.tid)
+      | Error msg -> Alcotest.failf "%s %d rejected: %s" key v msg)
+    [ ("pid", Access_log.max_pid); ("oid", Access_log.max_oid);
+      ("tid", Access_log.max_tid) ]
 
 (* ------------------------------------------------------------------ *)
 (* record -> export -> import round-trip on a real execution *)
@@ -451,6 +475,18 @@ let () =
             (test_parse_pid_bound max_int);
           Alcotest.test_case "pid 10^9 rejected" `Quick
             (test_parse_pid_bound 1_000_000_000);
+          Alcotest.test_case "pid one past its width rejected" `Quick
+            (test_parse_pid_bound (Access_log.max_pid + 1));
+          Alcotest.test_case "oid one past its width rejected" `Quick
+            (test_parse_bound "oid" (Access_log.max_oid + 1)
+               ~sub:"line 3: Access_log.record: oid 262144 outside 0..262143");
+          Alcotest.test_case "tid one past its width rejected" `Quick
+            (test_parse_bound "tid" (Access_log.max_tid + 1)
+               ~sub:
+                 "line 3: Access_log.record: tid 4294967295 outside \
+                  0..4294967294");
+          Alcotest.test_case "fields at full width accepted" `Quick
+            test_parse_full_width;
           Alcotest.test_case "round-trip" `Quick test_roundtrip;
           Alcotest.test_case "replay from artifact" `Quick
             test_replay_from_artifact;
