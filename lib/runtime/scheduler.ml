@@ -4,7 +4,9 @@
    by exactly one atomic step at a time.  Any execution of the paper's model
    (solo runs, single adversarial steps, arbitrary interleavings) is a
    sequence of [step] calls, and identical sequences produce bit-identical
-   memory states, access logs and histories. *)
+   memory states, access logs and histories.  A run of several steps of
+   one process ([run_steps], [run_solo]) is one handoff: the process takes
+   all but the first on the credit it is resumed with (see {!Proc}). *)
 
 open Tm_base
 
@@ -63,8 +65,10 @@ type cell = {
 }
 
 let make_cell pid f =
+  let slot = Proc.slot () in
+  slot.pid <- pid;
   let c =
-    { pid; status = Not_started f; slot = Proc.slot (); k = no_continuation;
+    { pid; status = Not_started f; slot; k = no_continuation;
       stopped = false; on_step = None }
   in
   c.on_step <-
@@ -78,9 +82,14 @@ let make_cell pid f =
    by setups): stepping a process is an array read, not a hashtable probe
    that boxes its answer in an option on every one of the millions of
    steps a soak run takes. *)
-type t = { mem : Memory.t; mutable cells : cell option array }
+type t = {
+  mem : Memory.t;
+  run_mem : Memory.t option;
+      (* [Some mem], built once: the memory a granted run's slot holds *)
+  mutable cells : cell option array;
+}
 
-let create mem = { mem; cells = Array.make 8 None }
+let create mem = { mem; run_mem = Some mem; cells = Array.make 8 None }
 let memory t = t.mem
 
 let spawn_c = Tm_obs.Sink.counter "sched_spawn_total"
@@ -150,10 +159,10 @@ let start_if_needed (c : cell) =
 
 type step_result = Stepped | Already_finished | Crashed of exn
 
-(* [step]'s outcome as the run loops see it: [Blocked] is a step that was
-   a failed await attempt, after which the process is still pending on
-   the same request. *)
-type advance = Resumed | Blocked | Was_finished | Was_crashed of exn
+(* [advance]'s answer: the steps taken when the process moved, the
+   first applied here and the rest on its credit; or one of two codes. *)
+let blocked = -1  (* one step, a failed await attempt: still pending on it *)
+let stuck = -2  (* no step: the process had finished or crashed *)
 
 (* Make a pending process the running one, before its continuation is
    resumed: its next access fills its own slot. *)
@@ -161,48 +170,71 @@ let running (c : cell) =
   c.status <- Stepping;
   Proc.set_current c.slot
 
+(* The end of a granted run: take the credit and the memory back from the
+   slot, and raise here a raise the process handed over with.  Answers
+   the steps the process took on the credit. *)
+let reclaim (s : Proc.slot) credit =
+  let left = s.credit in
+  s.credit <- 0;
+  s.mem <- None;
+  match s.raised with
+  | None -> credit - left
+  | Some e ->
+      s.raised <- None;
+      raise e
+
+(* Resume the process with a response, granting it [credit] more steps of
+   the atom to take itself: for the run, its slot holds the credit and
+   the memory.  Answers the steps it took on the credit. *)
+let[@inline] resume t (c : cell) resp credit =
+  running c;
+  if credit = 0 then begin
+    Effect.Deep.continue c.k resp;
+    0
+  end
+  else begin
+    let s = c.slot in
+    s.credit <- credit;
+    s.mem <- t.run_mem;
+    Effect.Deep.continue c.k resp;
+    reclaim s credit
+  end
+
 (* An await attempt's response: resume the process with it if [until]
-   accepts it (or raise [until]'s exception at the await), else leave the
-   process pending on the same request. *)
-let attempt (c : cell) resp =
+   accepts it (or raise [until]'s exception at the await, granting
+   nothing), else leave the process pending on the same request. *)
+let attempt t (c : cell) resp credit =
   let s = c.slot in
   match s.until resp with
-  | false -> Blocked
+  | false -> blocked
   | true ->
       s.awaiting <- false;
-      running c;
-      Effect.Deep.continue c.k resp;
-      Resumed
+      1 + resume t c resp credit
   | exception e ->
       s.awaiting <- false;
       running c;
       Effect.Deep.discontinue c.k e;
-      Resumed
+      1
 
-let advance t (c : cell) : advance =
+(* One step of [c], and up to [credit] more that it takes itself. *)
+let advance t (c : cell) credit =
   start_if_needed c;
   match c.status with
-  | Finished -> Was_finished
-  | Failed e -> Was_crashed e
+  | Finished | Failed _ -> stuck
   | Pending ->
       let s = c.slot in
       let resp = Memory.apply t.mem ~pid:c.pid ?tid:s.tid s.oid s.prim in
-      if s.awaiting then attempt c resp
-      else begin
-        running c;
-        Effect.Deep.continue c.k resp;
-        (* the handler has updated the status to Pending/Finished/Failed *)
-        Resumed
-      end
+      (* the handler updates the status to Pending/Finished/Failed *)
+      if s.awaiting then attempt t c resp credit
+      else 1 + resume t c resp credit
   | Not_started _ | Stepping -> assert false
 
 (** Advance process [pid] by one atomic step.  Starting a process runs its
     local code up to (and including) its first primitive. *)
 let step t pid : step_result =
-  match advance t (cell t pid) with
-  | Resumed | Blocked -> Stepped
-  | Was_finished -> Already_finished
-  | Was_crashed e -> Crashed e
+  let c = cell t pid in
+  if advance t c 0 <> stuck then Stepped
+  else match c.status with Failed e -> Crashed e | _ -> Already_finished
 
 (** Crash-stop process [pid] (the asynchronous model's fault: a crashed
     process is simply never scheduled again).  Its suspended fiber is kept
@@ -283,7 +315,7 @@ let runnable t pid =
   | Not_started _ | Pending -> true
   | Stepping | Finished | Failed _ -> false
 
-(* The spin fast-forward.  After a [Blocked] step with [left] steps of
+(* The spin fast-forward.  After a [blocked] step with [left] steps of
    the atom to go, and only this process running in them, every one of
    those steps re-issues the failed attempt: if that attempt changed
    nothing and no fault hook can vary a step, each repeat answers the same
@@ -294,16 +326,17 @@ let spin_forward t left = left > 0 && Memory.repeat_last t.mem left
 
 (* The run loops are top-level functions that take their state as
    arguments: a local [go] closing over the cell and the bound would
-   allocate a closure per call, and [Sim.step] makes one call per step. *)
+   allocate a closure per call, and [Sim.step] makes one call per step.
+   Each advance grants the process the rest of the atom as credit. *)
 let rec run_steps_from t c n taken =
   if taken >= n then taken
   else
-    match advance t c with
-    | Resumed -> run_steps_from t c n (taken + 1)
-    | Blocked ->
-        if spin_forward t (n - taken - 1) then n
-        else run_steps_from t c n (taken + 1)
-    | Was_finished | Was_crashed _ -> taken
+    let k = advance t c (n - taken - 1) in
+    if k > 0 then run_steps_from t c n (taken + k)
+    else if k = blocked then
+      if spin_forward t (n - taken - 1) then n
+      else run_steps_from t c n (taken + 1)
+    else taken
 
 (** Run [pid] for at most [n] steps; returns the number of steps taken
     (fewer than [n] only if the process finished or crashed). *)
@@ -311,21 +344,21 @@ let run_steps t pid n = run_steps_from t (cell t pid) n 0
 
 type solo_result = Done of int | Out_of_budget | Crash of exn
 
+(* a [stuck] advance loops once more, to the status that answers it *)
 let rec run_solo_from t c budget taken =
   match c.status with
   | Finished -> Done taken
   | Failed e -> Crash e
-  | Not_started _ | Pending | Stepping -> (
+  | Not_started _ | Pending | Stepping ->
       if taken >= budget then Out_of_budget
       else
-        match advance t c with
-        | Resumed -> run_solo_from t c budget (taken + 1)
-        | Blocked ->
-            if spin_forward t (budget - taken - 1) then
-              run_solo_from t c budget budget
-            else run_solo_from t c budget (taken + 1)
-        | Was_finished -> Done taken
-        | Was_crashed e -> Crash e)
+        let k = advance t c (budget - taken - 1) in
+        if k > 0 then run_solo_from t c budget (taken + k)
+        else if k = blocked then
+          if spin_forward t (budget - taken - 1) then
+            run_solo_from t c budget budget
+          else run_solo_from t c budget (taken + 1)
+        else run_solo_from t c budget taken
 
 (** Run [pid] solo until it finishes, up to [budget] steps.  [Done n] means
     the process finished after [n] further steps.  [Out_of_budget] is how a

@@ -33,6 +33,7 @@ val step : t -> int -> step_result
     allocates only the continuation the process's [perform] captures:
     the request is read from the process's {!Proc.slot}, which the
     scheduler makes current before it starts or resumes the process.
+    A single step grants no credit.
     A process pending on a {!Proc.await_t} takes one attempt: it is
     resumed only if [until] accepts the response, and otherwise stays
     pending on the same request ([Stepped] either way).  An exception
@@ -93,15 +94,24 @@ val runnable : t -> int -> bool
 val run_steps : t -> int -> int -> int
 (** [run_steps t pid n] takes at most [n] steps of [pid]; returns how many
     were actually taken (fewer only if the process finished or crashed).
-    Equal to [n] calls of {!step}, with one shortcut: once a step is a
-    failed await attempt that changed nothing and no fault hook is
-    installed, the rest of the [n] steps repeat it exactly, so they are
-    appended in bulk ({!Memory.repeat_last}). *)
+    Equal to [n] calls of {!step}, at the cost of one handoff: the
+    scheduler applies the pending request and resumes the process with
+    the other [n - 1] steps as credit in its {!Proc.slot}, which the
+    process takes itself before it hands back; the steps taken are
+    counted from the credit it leaves.  The slot holds the memory only
+    until the process hands back.  One shortcut: once a step is a failed
+    await attempt that changed nothing and no fault hook is installed,
+    the rest of the [n] steps repeat it exactly, so they are appended in
+    bulk ({!Memory.repeat_last}), by the scheduler or, within a run, by
+    the process.  An exception a primitive raises escapes [run_steps]
+    with the process still pending on that primitive, as under
+    {!step}. *)
 
 type solo_result = Done of int | Out_of_budget | Crash of exn
 
 val run_solo : t -> int -> budget:int -> solo_result
 (** Run a process solo until it finishes, up to [budget] steps.
     [Out_of_budget] is how a blocking TM's failure to make solo progress
-    manifests.  The same shortcut as {!run_steps}: a solo spin no other
-    process can end is appended to its budget in bulk. *)
+    manifests.  The same credit and shortcut as {!run_steps}: the
+    process is resumed with the rest of its budget as credit, and a solo
+    spin no other process can end is appended to its budget in bulk. *)

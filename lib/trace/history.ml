@@ -242,70 +242,77 @@ let writes_to_common_item t t1 t2 =
 (* ------------------------------------------------------------------ *)
 (* Well-formedness (Section 3, conditions (i)-(vi)) *)
 
-let well_formed t : (unit, string) result =
-  let err tid fmt = Fmt.kstr (fun s -> Error (Tid.name tid ^ ": " ^ s)) fmt in
-  let check_txn tid =
-    let evs = per_txn t tid in
-    (* (i) alternating, starting with begin . ok *)
-    let rec alternating expecting_inv = function
-      | [] -> Ok ()
-      | e :: rest ->
-          if Event.is_inv e <> expecting_inv then
-            err tid "invocations and responses do not alternate"
-          else alternating (not expecting_inv) rest
+(* A transaction's checks, as the failure each reports, in the order
+   they are judged: it starts with begin . ok; its invocations and
+   responses alternate; each response answers its invocation's
+   operation, with a response of the right type; nothing follows C_T or
+   A_T.  Every check is local to an event and the events before it in
+   its transaction's chain. *)
+type wf_check =
+  | Bad_start
+  | Not_alternating
+  | Bad_answer of string
+  | After_end
+  | Fine
+
+let wf_rank = function
+  | Bad_start -> 0
+  | Not_alternating -> 1
+  | Bad_answer _ -> 2
+  | After_end -> 3
+  | Fine -> 4
+
+let wf_message = function
+  | Bad_start -> "does not start with begin . ok"
+  | Not_alternating -> "invocations and responses do not alternate"
+  | Bad_answer msg -> msg
+  | After_end -> "events after C_T/A_T"
+  | Fine -> ""
+
+let well_typed op resp =
+  match (op, resp) with
+  | Event.Begin, Event.R_ok -> true
+  | Event.Read _, (Event.R_value _ | Event.R_aborted) -> true
+  | Event.Write _, (Event.R_ok | Event.R_aborted) -> true
+  | Event.Try_commit, (Event.R_committed | Event.R_aborted) -> true
+  | Event.Abort_call, Event.R_aborted -> true
+  | _ -> false
+
+(* the first check event [i] fails, given its transaction's chain *)
+let event_check events prev i =
+  let e = events.(i) and p = prev.(i) in
+  if p < 0 then
+    match e with Event.Inv { op = Event.Begin; _ } -> Fine | _ -> Bad_start
+  else
+    let ep = events.(p) in
+    let begin_ok =
+      match e with
+      | Event.Resp { op = Event.Begin; resp = Event.R_ok; _ } -> true
+      | _ -> false
     in
-    let ( let* ) = Result.bind in
-    let* () =
-      match evs with
-      | Event.Inv { op = Event.Begin; _ }
-        :: Event.Resp { op = Event.Begin; resp = Event.R_ok; _ }
-        :: _ ->
-          Ok ()
-      | [ Event.Inv { op = Event.Begin; _ } ] ->
-          (* the begin invocation itself is still pending (e.g. a begin
-             that spins on a global object): a legitimate live txn *)
-          Ok ()
-      | _ -> err tid "does not start with begin . ok"
-    in
-    let* () = alternating true evs in
-    (* responses match invocations; (ii)-(v) *)
-    let rec matched = function
-      | [] | [ _ ] -> Ok ()
-      | Event.Inv { op; _ } :: (Event.Resp { op = op'; resp; _ } as r) :: rest
-        ->
+    if prev.(p) < 0 && not begin_ok then Bad_start
+    else if Event.is_inv e = Event.is_inv ep then Not_alternating
+    else
+      match (ep, e) with
+      | Event.Inv { op; _ }, Event.Resp { op = op'; resp; _ } ->
           if not (Event.equal_op op op') then
-            err tid "response for a different operation"
-          else
-            let ok =
-              match (op, resp) with
-              | Event.Begin, Event.R_ok -> true
-              | Event.Read _, (Event.R_value _ | Event.R_aborted) -> true
-              | Event.Write _, (Event.R_ok | Event.R_aborted) -> true
-              | Event.Try_commit, (Event.R_committed | Event.R_aborted) ->
-                  true
-              | Event.Abort_call, Event.R_aborted -> true
-              | _ -> false
-            in
-            if ok then matched (r :: rest) else err tid "ill-typed response"
-      | Event.Resp _ :: rest -> matched rest
-      | Event.Inv _ :: _ -> err tid "invocation followed by invocation"
-    in
-    let* () = matched evs in
-    (* (vi) nothing after C_T or A_T *)
-    let rec no_tail = function
-      | [] -> Ok ()
-      | Event.Resp { resp = Event.R_committed | Event.R_aborted; _ } :: rest
-        ->
-          if rest = [] then Ok () else err tid "events after C_T/A_T"
-      | _ :: rest -> no_tail rest
-    in
-    no_tail evs
-  in
-  let rec all = function
-    | [] -> Ok ()
-    | tid :: rest -> (
-        match check_txn tid with Ok () -> all rest | Error _ as e -> e)
-  in
+            Bad_answer "response for a different operation"
+          else if not (well_typed op resp) then Bad_answer "ill-typed response"
+          else Fine
+      | Event.Resp { resp = Event.R_committed | Event.R_aborted; _ }, _ ->
+          After_end
+      | _ -> Fine
+
+(* The failure a transaction reports, walking its chain back from event
+   [i]: the lowest rank, and of equal ranks the earliest event's. *)
+let rec txn_check events prev i reported =
+  if i < 0 then reported
+  else
+    let c = event_check events prev i in
+    txn_check events prev prev.(i)
+      (if wf_rank c <= wf_rank reported then c else reported)
+
+let well_formed t : (unit, string) result =
   (* each process runs its transactions sequentially *)
   let process_sequential =
     let current = Hashtbl.create 8 in
@@ -326,7 +333,17 @@ let well_formed t : (unit, string) result =
   in
   if not process_sequential then
     Error "a process interleaves two of its own transactions"
-  else all (txns t)
+  else
+    let ix = index t in
+    let rec first = function
+      | [] -> Ok ()
+      | tid :: rest -> (
+          let x = Tbl.find ix.by_tid tid in
+          match txn_check t.events ix.prev x.last Fine with
+          | Fine -> first rest
+          | c -> Error (Tid.name tid ^ ": " ^ wf_message c))
+    in
+    first ix.order
 
 (* ------------------------------------------------------------------ *)
 (* Restriction (used to shrink checker inputs) *)

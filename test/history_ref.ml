@@ -135,3 +135,89 @@ let write_set h tid = Item.set_of_list (List.map fst (writes h tid))
 let read_set h tid =
   Item.set_of_list
     (List.map (fun (r : History.read) -> r.History.item) (reads h tid))
+
+(* Well-formedness as it stood before History judged it in one walk of
+   each transaction's chain: every transaction's H|T is built as a list
+   and run through each check in turn. *)
+let well_formed h : (unit, string) result =
+  let err tid fmt = Fmt.kstr (fun s -> Error (Tid.name tid ^ ": " ^ s)) fmt in
+  let check_txn tid =
+    let evs = per_txn h tid in
+    (* (i) alternating, starting with begin . ok *)
+    let rec alternating expecting_inv = function
+      | [] -> Ok ()
+      | e :: rest ->
+          if Event.is_inv e <> expecting_inv then
+            err tid "invocations and responses do not alternate"
+          else alternating (not expecting_inv) rest
+    in
+    let ( let* ) = Result.bind in
+    let* () =
+      match evs with
+      | Event.Inv { op = Event.Begin; _ }
+        :: Event.Resp { op = Event.Begin; resp = Event.R_ok; _ }
+        :: _ ->
+          Ok ()
+      | [ Event.Inv { op = Event.Begin; _ } ] -> Ok ()
+      | _ -> err tid "does not start with begin . ok"
+    in
+    let* () = alternating true evs in
+    (* responses match invocations; (ii)-(v) *)
+    let rec matched = function
+      | [] | [ _ ] -> Ok ()
+      | Event.Inv { op; _ } :: (Event.Resp { op = op'; resp; _ } as r) :: rest
+        ->
+          if not (Event.equal_op op op') then
+            err tid "response for a different operation"
+          else
+            let ok =
+              match (op, resp) with
+              | Event.Begin, Event.R_ok -> true
+              | Event.Read _, (Event.R_value _ | Event.R_aborted) -> true
+              | Event.Write _, (Event.R_ok | Event.R_aborted) -> true
+              | Event.Try_commit, (Event.R_committed | Event.R_aborted) ->
+                  true
+              | Event.Abort_call, Event.R_aborted -> true
+              | _ -> false
+            in
+            if ok then matched (r :: rest) else err tid "ill-typed response"
+      | Event.Resp _ :: rest -> matched rest
+      | Event.Inv _ :: _ -> err tid "invocation followed by invocation"
+    in
+    let* () = matched evs in
+    (* (vi) nothing after C_T or A_T *)
+    let rec no_tail = function
+      | [] -> Ok ()
+      | Event.Resp { resp = Event.R_committed | Event.R_aborted; _ } :: rest
+        ->
+          if rest = [] then Ok () else err tid "events after C_T/A_T"
+      | _ :: rest -> no_tail rest
+    in
+    no_tail evs
+  in
+  let rec all = function
+    | [] -> Ok ()
+    | tid :: rest -> (
+        match check_txn tid with Ok () -> all rest | Error _ as e -> e)
+  in
+  (* each process runs its transactions sequentially *)
+  let process_sequential =
+    let current = Hashtbl.create 8 in
+    Array.for_all
+      (fun e ->
+        let pid = Event.pid e and tid = Event.tid e in
+        match Hashtbl.find_opt current pid with
+        | Some tid' when not (Tid.equal tid tid') ->
+            if live h tid' then false
+            else begin
+              Hashtbl.replace current pid tid;
+              true
+            end
+        | _ ->
+            Hashtbl.replace current pid tid;
+            true)
+      (events h)
+  in
+  if not process_sequential then
+    Error "a process interleaves two of its own transactions"
+  else all (txns h)

@@ -402,6 +402,46 @@ let gen_index_input : History.t QCheck.Gen.t =
            (List.filter (fun _ -> Random.State.bool st)
               (List.init 5 (fun i -> Tid.v (i + 1)))))
 
+(* gen_index_input's histories, and well-formed ones with one or two
+   events changed: an operation or a response replaced, or the event
+   dropped or repeated, so that each well-formedness check fails
+   somewhere, sometimes twice in one transaction, while the processes
+   stay sequential *)
+let gen_wf_input : History.t QCheck.Gen.t =
+ fun st ->
+  let rand n = Random.State.int st n in
+  if rand 3 = 0 then gen_index_input st
+  else
+    let evs = History.to_list (gen_history st) in
+    let n = List.length evs in
+    let i = rand n and i' = rand n in
+    let op () =
+      match rand 5 with
+      | 0 -> Event.Begin
+      | 1 -> Event.Read (Item.v "x")
+      | 2 -> Event.Write (Item.v "y", Value.int 1)
+      | 3 -> Event.Try_commit
+      | _ -> Event.Abort_call
+    in
+    let resp () =
+      match rand 4 with
+      | 0 -> Event.R_ok
+      | 1 -> Event.R_value (Value.int 0)
+      | 2 -> Event.R_committed
+      | _ -> Event.R_aborted
+    in
+    let change j e =
+      if j <> i && j <> i' then [ e ]
+      else
+        match (rand 4, e) with
+        | 0, Event.Inv r -> [ Event.Inv { r with op = op () } ]
+        | 0, Event.Resp r -> [ Event.Resp { r with op = op () } ]
+        | 1, Event.Resp r -> [ Event.Resp { r with resp = resp () } ]
+        | 2, _ -> []
+        | _ -> [ e; e ]
+    in
+    History.of_list (List.mapi stamp (List.concat (List.mapi change evs)))
+
 (* every per-transaction query agrees with its event-walk definition, on
    tids 0..6: tid 0 and 6 never occur *)
 let index_agrees h =
@@ -440,6 +480,11 @@ let index_tests =
          ~name:"indexed queries = event-walk definitions"
          (QCheck.make ~print:(Fmt.to_to_string History.pp) gen_index_input)
          index_agrees);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:1000
+         ~name:"well_formed in one chain walk = the list version"
+         (QCheck.make ~print:(Fmt.to_to_string History.pp) gen_wf_input)
+         (fun h -> History.well_formed h = History_ref.well_formed h));
     Alcotest.test_case "index edge semantics" `Quick (fun () ->
         let x = Item.v "x" and y = Item.v "y" and t1 = Tid.v 1 in
         let inv op = Event.Inv { tid = t1; pid = 1; op; at = 0 }

@@ -351,6 +351,33 @@ let test_bulk_append_allocation () =
     (Metrics.sum_counters m "sched_pid_steps_total");
   Sink.reset sink
 
+(* A granted spin is appended in bulk too: p1 reads, then awaits a value
+   its object never takes, all in one run, so the await's attempts are
+   taken on the run's credit, inside the process.  The first attempt
+   changes nothing, so the process appends the rest of the run in one
+   [Memory.repeat_last]: a million steps allocate under a word each,
+   where an attempt per step would allocate about three. *)
+let test_granted_spin_allocation () =
+  let n = 1_000_000 in
+  let mem = Memory.create () in
+  let o = Memory.alloc mem ~name:"o" (Value.int 0) in
+  let s = Scheduler.create mem in
+  Scheduler.spawn s ~pid:1 (fun () ->
+      ignore (Proc.read o);
+      ignore
+        (Proc.await_t ~tid:None o Primitive.Read
+           ~until:(fun v -> Value.equal v (Value.int 1))));
+  let gc = Gcstat.create () in
+  let taken = Scheduler.run_steps s 1 n in
+  let words = Gcstat.allocated_words gc in
+  Alcotest.(check int) "steps taken" n taken;
+  Alcotest.(check int) "steps logged" n (Memory.step_count mem);
+  if words >= float_of_int n then
+    Alcotest.failf "a granted spin allocated %.0f words for %d steps" words n;
+  Alcotest.(check bool) "still pending on the await" true
+    (Scheduler.pending s 1
+    = Some { Proc.oid = o; prim = Primitive.Read; tid = None })
+
 (* A scheduler run of one step costs what a single step costs: the run
    loops close over nothing, so [run_steps s pid 1] (one per live
    cursor step) allocates within a word of [step s pid] on an identical
@@ -421,6 +448,30 @@ let test_step_allocation () =
   let per_step = (Gc.minor_words () -. a0) /. float_of_int n in
   if per_step > 5.5 then
     Alcotest.failf "a step allocated %.2f words (bound 5.5)" per_step;
+  Alcotest.(check int) "steps logged" (n + 1) (Memory.step_count mem)
+
+(* A granted run allocates only its log: the process takes the steps its
+   atom grants itself, so no continuation is captured between them and
+   what is left is the log's column chunks.  10,000 steps of a read under
+   one [run_steps] read 3.14 words a step; 5.14 when each step handed
+   over to the scheduler.  Read with [Gc.minor_words], as above. *)
+let test_granted_run_allocation () =
+  let n = 10_000 in
+  let mem = Memory.create () in
+  let o = Memory.alloc mem ~name:"o" (Value.int 0) in
+  let s = Scheduler.create mem in
+  Scheduler.spawn s ~pid:1 (fun () ->
+      for _ = 0 to n do
+        ignore (Proc.access_t ~tid:None o Primitive.Read)
+      done);
+  ignore (Scheduler.step s 1);
+  let a0 = Gc.minor_words () in
+  let taken = Scheduler.run_steps s 1 n in
+  let per_step = (Gc.minor_words () -. a0) /. float_of_int n in
+  Alcotest.(check int) "steps taken" n taken;
+  if per_step > 3.5 then
+    Alcotest.failf "a granted run allocated %.2f words a step (bound 3.5)"
+      per_step;
   Alcotest.(check int) "steps logged" (n + 1) (Memory.step_count mem)
 
 (* A transaction allocates only what it keeps: one record for the
@@ -691,10 +742,14 @@ let () =
             test_cursor_pid_steps;
           Alcotest.test_case "bulk append allocates per chunk" `Quick
             test_bulk_append_allocation;
+          Alcotest.test_case "a granted spin appends in bulk" `Quick
+            test_granted_spin_allocation;
           Alcotest.test_case "a one-step run allocates as a step" `Quick
             test_run_steps_allocation;
           Alcotest.test_case "a step allocates only its continuation" `Quick
             test_step_allocation;
+          Alcotest.test_case "a granted run allocates only its log" `Quick
+            test_granted_run_allocation;
           Alcotest.test_case "a transaction allocates only what it keeps"
             `Quick test_txn_allocation;
           Alcotest.test_case "a status record's name costs no formatting"

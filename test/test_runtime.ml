@@ -398,28 +398,34 @@ let counter_values () =
       | _ -> None)
     (Metrics.snapshot (Sink.metrics Sink.default))
 
-(* everything a run leaves behind: the log, the history, the report, the
-   per-pid step counts and the step counters it moved *)
-let run_signature ~budget setup atoms =
-  let before = counter_values () in
-  let r = Sim.replay ~budget setup atoms in
+let stop_signature = function
+  | Schedule.Completed -> `Completed
+  | Schedule.Budget_exhausted stall -> `Stall stall
+  | Schedule.Crashed (pid, e) -> `Crashed (pid, Printexc.to_string e)
+
+(* everything a run leaves behind: the log, the history, [report] (its
+   stop, tallies and crashes), the per-pid step counts and the step
+   counters it moved since [before] *)
+let signature before (r : Sim.result) report =
   let deltas =
     List.map
       (fun (k, n) -> (k, n - Option.value ~default:0 (List.assoc_opt k before)))
       (counter_values ())
   in
-  let rep = r.Sim.report in
-  let stop =
-    match rep.Schedule.stop with
-    | Schedule.Completed -> `Completed
-    | Schedule.Budget_exhausted stall -> `Stall stall
-    | Schedule.Crashed (pid, e) -> `Crashed (pid, Printexc.to_string e)
-  in
   ( Log_ref.of_log (Memory.log r.Sim.mem),
     Wire.print r.Sim.history,
-    (stop, rep.Schedule.steps_per_atom, rep.Schedule.crashes),
+    report,
     List.init 9 r.Sim.steps_of,
     deltas )
+
+let run_signature ~budget setup atoms =
+  let before = counter_values () in
+  let r = Sim.replay ~budget setup atoms in
+  let rep = r.Sim.report in
+  signature before r
+    ( stop_signature rep.Schedule.stop,
+      rep.Schedule.steps_per_atom,
+      rep.Schedule.crashes )
 
 (* a mid-commit suspension, then solo segments and large quanta over the
    seven processes, with parks, unparks and crashes between them *)
@@ -458,6 +464,166 @@ let fast_forward_law =
           run_signature ~budget (world ~stepped:false) atoms
           = run_signature ~budget (world ~stepped:true) atoms)
         worlds)
+
+(* -- a granted run against its single steps ------------------------- *)
+
+(* The oracle of a granted run: each atom's steps fed to a cursor as
+   [Steps (p, 1)] atoms, which grant no credit, and [Until_done p] as
+   single steps until p finishes or its budget is spent.  A spent budget
+   stops the schedule and a genuine crash in a solo segment reports no
+   tally, as [Schedule.feed_steps] does for the solo segment; atoms after
+   a stop are not fed.  Answers [run_signature]'s shape, with each atom's
+   summed tally. *)
+let single_step_signature ~budget setup atoms =
+  let before = counter_values () in
+  let c = Sim.start ~budget setup in
+  let halted = ref false and stall = ref None in
+  let feed a =
+    let f = Sim.apply c a in
+    if f.Schedule.halted then halted := true;
+    f.Schedule.steps
+  in
+  let one p = feed (Schedule.Steps (p, 1)) in
+  let rec steps p k n = if k = 0 then n else steps p (k - 1) (n + one p) in
+  let rec solo p n = if n < budget && one p = 1 then solo p (n + 1) else n in
+  let tally = function
+    | Schedule.Steps (p, k) -> Some (steps p k 0)
+    | Schedule.Until_done p -> (
+        let n = solo p 0 in
+        match Sim.crashed c p with
+        | Some e when not (Scheduler.injected e) -> None
+        | Some _ -> Some n
+        | None ->
+            if n = budget && not (Sim.finished c p) then begin
+              halted := true;
+              let log = Memory.log (Sim.snapshot ~flight:false c).Sim.mem in
+              stall :=
+                Some
+                  { Schedule.stalled_pid = p;
+                    last = Access_log.last_by_pid log p }
+            end;
+            Some n)
+    | a -> Some (feed a)
+  in
+  let rec go acc = function
+    | a :: rest when not !halted -> (
+        match tally a with
+        | Some n -> go (n :: acc) rest
+        | None -> go acc rest)
+    | _ -> List.rev acc
+  in
+  let tallies = go [] atoms in
+  let r = Sim.snapshot ~flight:false c in
+  Sim.release c;
+  let rep = r.Sim.report in
+  let stop =
+    match !stall with
+    | Some st -> `Stall st
+    | None -> stop_signature rep.Schedule.stop
+  in
+  signature before r (stop, tallies, rep.Schedule.crashes)
+
+(* quanta and solo segments short enough for the single-step oracle, with
+   parks, unparks and crashes between them *)
+let gen_granted_schedule =
+  let open QCheck.Gen in
+  let pid = int_range 1 7 in
+  let atom =
+    frequency
+      [ (3, map (fun p -> Schedule.Until_done p) pid);
+        (4, map2 (fun p n -> Schedule.Steps (p, n)) pid (int_range 2 150));
+        (2, map2 (fun p n -> Schedule.Steps (p, n)) pid (int_range 1 4));
+        (1, map (fun p -> Schedule.Park p) pid);
+        (1, map (fun p -> Schedule.Unpark p) pid);
+        (1, map (fun p -> Schedule.Crash p) pid) ]
+  in
+  pair (list_size (1 -- 8) atom) (int_range 10 300)
+
+let granted_run_law =
+  QCheck.Test.make ~count:60
+    ~name:"a granted run = its single steps: ten TMs and a spin world"
+    (QCheck.make
+       ~print:(fun (atoms, budget) ->
+         Printf.sprintf "budget %d: %s" budget (Schedule.to_string atoms))
+       gen_granted_schedule)
+    (fun (atoms, budget) ->
+      List.for_all
+        (fun world ->
+          run_signature ~budget (world ~stepped:false) atoms
+          = single_step_signature ~budget (world ~stepped:false) atoms)
+        worlds)
+
+(* A primitive that raises inside a granted run escapes the atom exactly
+   as one the scheduler applies itself: the steps before it stay logged,
+   and the process stays pending on it, uncrashed, until released.  Once
+   p2 repairs the object, p1 moves on as if it had never been granted a
+   run: its next step is the fetch-and-add, and a solo run finishes it. *)
+let raising_run_tests =
+  let setup : Sim.setup =
+   fun mem _ ->
+    let o = Memory.alloc mem ~name:"o" (Value.int 0) in
+    let pr =
+      Memory.alloc mem ~name:"pr" (Value.pair (Value.int 1) (Value.int 2))
+    in
+    [ (1, fun () ->
+          ignore (Proc.read o);
+          ignore (Proc.read o);
+          ignore (Proc.fetch_add pr 1);
+          ignore (Proc.read o);
+          ignore (Proc.read o));
+      (2, fun () -> Proc.write pr (Value.int 5)) ]
+  in
+  List.map
+    (fun atom ->
+      Alcotest.test_case
+        (Printf.sprintf "a primitive raising under %s leaves p1 pending"
+           (Schedule.to_string [ atom ]))
+        `Quick (fun () ->
+          let before = Scheduler.live_fibers () in
+          let c = Sim.start setup in
+          (match Sim.apply c atom with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.fail "the raise did not escape Sim.apply");
+          check_int "two steps logged" 2 (Sim.steps_taken c);
+          check "not crashed" true (Sim.crashed c 1 = None);
+          check "not finished" false (Sim.finished c 1);
+          check_int "one fiber lives" (before + 1) (Scheduler.live_fibers ());
+          check "p2 repairs the object" true (Sim.step c 2);
+          check "p1 takes the fetch-and-add" true (Sim.step c 1);
+          check_int "four steps logged" 4 (Sim.steps_taken c);
+          check_int "p1 finishes solo" 2
+            (Sim.apply c (Schedule.Until_done 1)).Schedule.steps;
+          check "finished" true (Sim.finished c 1);
+          Sim.release c;
+          check_int "released" before (Scheduler.live_fibers ())))
+    [ Schedule.Steps (1, 5); Schedule.Until_done 1 ]
+
+(* A released world is garbage: nothing the scheduler keeps between runs,
+   the current slot included, holds its memory. *)
+let released_world_tests =
+  let drop drive =
+    let w = Weak.create 1 in
+    let setup : Sim.setup =
+     fun mem _ ->
+      Weak.set w 0 (Some mem);
+      let o = Memory.alloc mem ~name:"o" (Value.int 0) in
+      [ (1, fun () -> while true do ignore (Proc.read o) done) ]
+    in
+    let c = Sim.start setup in
+    drive c;
+    Sim.release c;
+    w
+  in
+  List.map
+    (fun (name, drive) ->
+      Alcotest.test_case
+        (Printf.sprintf "a released world is collected after %s" name)
+        `Quick (fun () ->
+          let w = (Sys.opaque_identity drop) drive in
+          Gc.full_major ();
+          check "memory collected" false (Weak.check w 0)))
+    [ ("single steps", fun c -> for _ = 1 to 5 do ignore (Sim.step c 1) done);
+      ("granted runs", fun c -> ignore (Sim.apply c (Schedule.Steps (1, 5)))) ]
 
 let explorer_tests =
   [
@@ -508,5 +674,8 @@ let () =
       ("scheduler", scheduler_tests);
       ("sim", sim_tests);
       ("await", await_tests @ [ QCheck_alcotest.to_alcotest fast_forward_law ]);
+      ( "granted-run",
+        (QCheck_alcotest.to_alcotest granted_run_law :: raising_run_tests)
+        @ released_world_tests );
       ("explorer", explorer_tests);
     ]

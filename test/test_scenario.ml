@@ -461,6 +461,74 @@ let journal_tests =
           (Scenario_run.journal_load "/nonexistent/journal" = []));
   ]
 
+(* -- conform's executions ------------------------------------------------ *)
+
+(* One line per scenario of the committed catalogue at seed 1: the MD5 of
+   each cell's stop, step count, commits, log and history, in cell order.
+   conform.golden.jsonl pins only each row's pass and fail counts; this
+   pins the executions they are judged on.  A run of identical log
+   entries (a spin appended in bulk) is written once with its length. *)
+let execution_digest (s : Scenario.t) =
+  let b = Buffer.create 65536 in
+  let entry log i =
+    Printf.sprintf "%d %d %d %s %s %b" (Access_log.pid_at log i)
+      (Access_log.tid_int_at log i)
+      (Oid.to_int (Access_log.oid_at log i))
+      (Primitive.show (Access_log.prim_at log i))
+      (Value.to_string (Access_log.response_at log i))
+      (Access_log.changed_at log i)
+  in
+  let same log i j =
+    Access_log.pid_at log i = Access_log.pid_at log j
+    && Access_log.tid_int_at log i = Access_log.tid_int_at log j
+    && Oid.equal (Access_log.oid_at log i) (Access_log.oid_at log j)
+    && Primitive.equal (Access_log.prim_at log i) (Access_log.prim_at log j)
+    && Value.equal (Access_log.response_at log i) (Access_log.response_at log j)
+    && Access_log.changed_at log i = Access_log.changed_at log j
+  in
+  List.iteri
+    (fun idx (impl, policy) ->
+      let seed = Scenario_run.cell_seed ~seed:1 s idx in
+      match
+        Scenario_run.simulate s ~budget:s.Scenario.budget ~seed impl policy
+      with
+      | exception e -> Printf.bprintf b "raised %s\n" (Printexc.to_string e)
+      | r, commits ->
+          let log = Memory.log r.Sim.mem in
+          let n = Access_log.length log in
+          Printf.bprintf b "%s steps %d commits %d\n"
+            (Schedule.stop_to_string r.Sim.report.Schedule.stop)
+            n commits;
+          let i = ref 0 in
+          while !i < n do
+            let j = ref (!i + 1) in
+            while !j < n && same log !i !j do incr j done;
+            Printf.bprintf b "%s x%d\n" (entry log !i) (!j - !i);
+            i := !j
+          done;
+          Buffer.add_string b (Wire.print r.Sim.history))
+    (Scenario_run.cells_of s);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let execution_tests =
+  [
+    Alcotest.test_case "seed-1 executions match conform-exec.golden.txt"
+      `Slow (fun () ->
+        let golden =
+          In_channel.with_open_text "conform-exec.golden.txt"
+            In_channel.input_all
+        in
+        let got =
+          List.map
+            (fun s -> s.Scenario.id ^ " " ^ execution_digest s)
+            (committed_catalogue ())
+        in
+        let want = String.split_on_char '\n' (String.trim golden) in
+        check_int "one line per scenario" (List.length want)
+          (List.length got);
+        List.iter2 (check_string "scenario executions") want got);
+  ]
+
 let () =
   Alcotest.run "scenario"
     [
@@ -470,4 +538,5 @@ let () =
       ("runner", runner_tests);
       ("catalogue", catalogue_tests);
       ("journal", journal_tests);
+      ("executions", execution_tests);
     ]
